@@ -97,7 +97,8 @@ struct JoinFixture {
   storage::Bucket bucket;
   std::vector<query::WorkloadEntry> batch;
 
-  static JoinFixture Make(size_t bucket_objects, size_t queue_objects) {
+  static JoinFixture Make(size_t bucket_objects, size_t queue_objects,
+                          double radius_arcsec = 10.0) {
     Rng rng(37);
     SkyPoint center{120.0, 10.0};
     std::vector<storage::CatalogObject> objects;
@@ -110,7 +111,7 @@ struct JoinFixture {
     entry.query_id = 1;
     for (size_t i = 0; i < queue_objects; ++i) {
       entry.objects.push_back(query::MakeQueryObject(
-          i, workload::RandomPointInCap(&rng, center, 3.0), 10.0));
+          i, workload::RandomPointInCap(&rng, center, 3.0), radius_arcsec));
     }
     return JoinFixture{
         storage::Bucket(0,
@@ -195,7 +196,14 @@ void BM_BucketCacheShardedGet(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(kWorkers * kGetsPerWorker));
 }
-BENCHMARK(BM_BucketCacheShardedGet)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+// Real time: the work runs on the pool, so the main thread's CPU time
+// (which items_per_second would otherwise divide by) is near zero.
+BENCHMARK(BM_BucketCacheShardedGet)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->UseRealTime();
 
 // ------------------------------------------------- Engine-level benches --
 // Wall-clock cost of whole simulated runs. Virtual quantities (the
@@ -435,6 +443,16 @@ void BM_EngineNoShareThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineNoShareThreads)->Arg(1)->Arg(4);
 
+/// A row bucket's columnar twin via a real encode/parse round trip.
+std::shared_ptr<const storage::ColumnarPage> ColumnarPageOf(
+    const storage::Bucket& bucket) {
+  std::string encoded;
+  storage::EncodeColumnarPage(bucket, &encoded);
+  std::unique_ptr<char[]> buf(new char[encoded.size()]);
+  std::memcpy(buf.get(), encoded.data(), encoded.size());
+  return *storage::ColumnarPage::Parse(std::move(buf), encoded.size());
+}
+
 /// Zero-copy columnar scan (arg 0) vs decode-to-rows-then-scan (arg 1)
 /// over the same parsed v2 page: the price the row path pays to
 /// materialize 10k CatalogObjects per bucket touch, which the span-based
@@ -442,19 +460,15 @@ BENCHMARK(BM_EngineNoShareThreads)->Arg(1)->Arg(4);
 /// identity tests pin that); this bench tracks the CPU delta.
 void BM_ColumnarScanVsDecode(benchmark::State& state) {
   auto fixture = JoinFixture::Make(10'000, 1000);
-  std::string encoded;
-  storage::EncodeColumnarPage(fixture.bucket, &encoded);
-  std::unique_ptr<char[]> buf(new char[encoded.size()]);
-  std::memcpy(buf.get(), encoded.data(), encoded.size());
-  auto page = storage::ColumnarPage::Parse(std::move(buf), encoded.size());
+  const auto page = ColumnarPageOf(fixture.bucket);
   const bool decode_rows = state.range(0) != 0;
-  storage::Bucket columnar(0, *page);
+  storage::Bucket columnar(0, page);
   for (auto _ : state) {
     if (decode_rows) {
       std::vector<storage::CatalogObject> rows;
-      rows.reserve((*page)->size());
-      for (size_t i = 0; i < (*page)->size(); ++i) {
-        rows.push_back((*page)->MaterializeObject(i));
+      rows.reserve(page->size());
+      for (size_t i = 0; i < page->size(); ++i) {
+        rows.push_back(page->MaterializeObject(i));
       }
       storage::Bucket row_bucket(0, fixture.bucket.range(), std::move(rows));
       auto counters =
@@ -469,6 +483,26 @@ void BM_ColumnarScanVsDecode(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_ColumnarScanVsDecode)->Arg(0)->Arg(1);
+
+/// The join kernel's per-candidate cost at a wide radius: 1000 query
+/// objects with a 300-arcsec radius merge-joined against one parsed
+/// 10k-object columnar page. Most HTM-window candidates lie outside the
+/// radius, which is where join::RadiusTest's dot-product stage pays.
+/// candidates_per_second is JoinCounters::candidates_tested per wall
+/// second.
+void BM_CrossMatchWideRadius(benchmark::State& state) {
+  auto fixture = JoinFixture::Make(10'000, 1000, 300.0);
+  storage::Bucket columnar(0, ColumnarPageOf(fixture.bucket));
+  uint64_t candidates = 0;
+  for (auto _ : state) {
+    auto counters = join::MergeCrossMatch(columnar, fixture.batch, nullptr);
+    candidates += counters.candidates_tested;
+    benchmark::DoNotOptimize(counters);
+  }
+  state.counters["candidates_per_second"] = benchmark::Counter(
+      static_cast<double>(candidates), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_CrossMatchWideRadius)->UseRealTime();
 
 /// End-to-end saturated drain at a FIXED cache byte budget over the same
 /// partition written as row v1 (arg 0) and columnar v2 (arg 1), with

@@ -53,6 +53,7 @@ IndexedJoinCounters IndexedCrossMatchInto(
     for (const query::QueryObject& qo : entry.objects) {
       ++counters.join.workload_objects;
       ++counters.probes;
+      const RadiusTest test(qo);
       for (const htm::IdRange& r : qo.htm_ranges.ranges()) {
         if (!r.Overlaps(restrict_to)) continue;
         htm::HtmId lo = std::max(r.lo, restrict_to.lo);
@@ -61,7 +62,7 @@ IndexedJoinCounters IndexedCrossMatchInto(
             lo, hi, [&](const storage::CatalogObject& co) {
               ++counters.join.candidates_tested;
               double sep = 0.0;
-              if (!WithinRadius(qo, co, &sep)) return;
+              if (!test(co, &sep)) return;
               ++counters.join.spatial_matches;
               if (!entry.predicate.Matches(co)) return;
               ++counters.join.output_matches;
@@ -97,6 +98,7 @@ IndexedJoinCounters IndexedCrossMatchInto(
     for (const query::QueryObject& qo : entry.objects) {
       ++counters.join.workload_objects;
       ++counters.probes;
+      const RadiusTest test(qo);
       for (const htm::IdRange& r : qo.htm_ranges.ranges()) {
         if (!r.Overlaps(restrict_to)) continue;
         htm::HtmId lo = std::max(r.lo, restrict_to.lo);
@@ -105,7 +107,7 @@ IndexedJoinCounters IndexedCrossMatchInto(
         for (size_t i = first; i < last; ++i) {
           ++counters.join.candidates_tested;
           double sep = 0.0;
-          if (!WithinRadius(qo, pos[i], &sep)) continue;
+          if (!test(pos[i], &sep)) continue;
           ++counters.join.spatial_matches;
           if (!entry.predicate.Matches(mag[i], color[i])) continue;
           ++counters.join.output_matches;

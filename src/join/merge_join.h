@@ -1,9 +1,10 @@
 // Non-indexed cross-match of one bucket against its workload queue
 // (paper §3.1): objects on both sides are sorted by HTM ID; the join is a
 // simultaneous sweep that, for each workload object's bounding range, visits
-// the bucket objects inside the range and applies the exact angular-distance
-// test. Query-specific predicates are applied to the output tuples that
-// succeed in the spatial join.
+// the bucket objects inside the range and applies the two-stage radius test
+// (a dot-product bound, then the exact angular distance). Query-specific
+// predicates are applied to the output tuples that succeed in the spatial
+// join.
 
 #ifndef LIFERAFT_JOIN_MERGE_JOIN_H_
 #define LIFERAFT_JOIN_MERGE_JOIN_H_
@@ -22,7 +23,7 @@ namespace liferaft::join {
 struct JoinCounters {
   /// Workload objects processed (the |W| the cost model charges T_m for).
   uint64_t workload_objects = 0;
-  /// Candidate pairs that reached the exact distance test.
+  /// Candidates in the HTM window (prefiltered or exact-tested).
   uint64_t candidates_tested = 0;
   /// Pairs within the error radius (before predicates).
   uint64_t spatial_matches = 0;
@@ -40,7 +41,7 @@ struct JoinCounters {
   }
 };
 
-/// Exact refinement test shared by all join strategies: true iff the
+/// Exact refinement test (stage two of RadiusTest below): true iff the
 /// archive object lies within the query object's error radius.
 bool WithinRadius(const query::QueryObject& qo,
                   const storage::CatalogObject& co, double* sep_arcsec);
@@ -50,6 +51,51 @@ bool WithinRadius(const query::QueryObject& qo,
 /// decode runs.
 bool WithinRadius(const query::QueryObject& qo, const Vec3& pos,
                   double* sep_arcsec);
+
+/// Two-stage refinement test used by every join kernel. Stage one rejects
+/// a candidate whose dot product with the query position is below
+/// min_dot = 1 - w^2/2 - 1e-12, where w = r + 1e-9 rad for the match radius
+/// r: a lower bound on cos(w) - 1e-12 that costs a few flops, so the test
+/// is built once per query object. Stage two is the unchanged
+/// WithinRadius.
+/// For unit-vector positions (every MakeQueryObject and catalog position)
+/// Dot and atan2 err by ~1e-15, orders of magnitude below the angular
+/// margin and the dot-space slack, so stage one rejects only pairs
+/// WithinRadius rejects too: every accepted pair and its separation come
+/// from the exact test's bits. The slack keeps identical positions
+/// accepted at r = 0; from w = 2 rad up (and for a NaN radius) stage one
+/// rejects nothing. The query object must outlive the test.
+class RadiusTest {
+ public:
+  explicit RadiusTest(const query::QueryObject& qo) : qo_(&qo) {
+    constexpr double kRadPerArcsec = kDegToRad / kArcsecPerDeg;
+    constexpr double kAngleMarginRad = 1e-9;
+    constexpr double kDotSlack = 1e-12;
+    const double w = qo.radius_arcsec * kRadPerArcsec + kAngleMarginRad;
+    // 1 - w^2/2 <= cos(w) for every w and differs from it by at most
+    // w^4/24 (under 2e-13 at 300 arcsec). From w = 2 it is <= -1, so the
+    // radii where cos(w) stops being monotone reject nothing.
+    min_dot_ = 1.0 - 0.5 * w * w - kDotSlack;
+  }
+
+  /// WithinRadius's verdict; `*sep_arcsec` is written only when stage two
+  /// runs.
+  bool operator()(const Vec3& pos, double* sep_arcsec) const {
+    if (qo_->pos.Dot(pos) < min_dot_) return false;
+    return WithinRadius(*qo_, pos, sep_arcsec);
+  }
+  bool operator()(const storage::CatalogObject& co,
+                  double* sep_arcsec) const {
+    return (*this)(co.pos, sep_arcsec);
+  }
+
+  /// Stage one's bound on the dot product.
+  double min_dot() const { return min_dot_; }
+
+ private:
+  const query::QueryObject* qo_;
+  double min_dot_;
+};
 
 /// Zero-copy sweep over one columnar page: binary-searches the decoded id
 /// column per workload range, then walks the position/attribute column
@@ -72,6 +118,7 @@ JoinCounters MergeCrossMatchInto(const storage::ColumnarBucketView& view,
   for (const query::WorkloadEntry& entry : batch) {
     for (const query::QueryObject& qo : entry.objects) {
       ++counters.workload_objects;
+      const RadiusTest test(qo);
       for (const htm::IdRange& r : qo.htm_ranges.ranges()) {
         if (!r.Overlaps(bucket_range)) continue;
         htm::HtmId lo = std::max(r.lo, bucket_range.lo);
@@ -80,7 +127,7 @@ JoinCounters MergeCrossMatchInto(const storage::ColumnarBucketView& view,
         for (size_t i = first; i < last; ++i) {
           ++counters.candidates_tested;
           double sep = 0.0;
-          if (!WithinRadius(qo, pos[i], &sep)) continue;
+          if (!test(pos[i], &sep)) continue;
           ++counters.spatial_matches;
           if (!entry.predicate.Matches(mag[i], color[i])) continue;
           ++counters.output_matches;
@@ -116,6 +163,7 @@ JoinCounters MergeCrossMatchInto(const storage::Bucket& bucket,
   for (const query::WorkloadEntry& entry : batch) {
     for (const query::QueryObject& qo : entry.objects) {
       ++counters.workload_objects;
+      const RadiusTest test(qo);
       for (const htm::IdRange& r : qo.htm_ranges.ranges()) {
         if (!r.Overlaps(bucket_range)) continue;
         htm::HtmId lo = std::max(r.lo, bucket_range.lo);
@@ -124,7 +172,7 @@ JoinCounters MergeCrossMatchInto(const storage::Bucket& bucket,
              bucket.ObjectsInRange(lo, hi)) {
           ++counters.candidates_tested;
           double sep = 0.0;
-          if (!WithinRadius(qo, co, &sep)) continue;
+          if (!test(co, &sep)) continue;
           ++counters.spatial_matches;
           if (!entry.predicate.Matches(co)) continue;
           ++counters.output_matches;

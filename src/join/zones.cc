@@ -154,10 +154,11 @@ JoinCounters ZonesCrossMatch(const storage::ColumnarBucketView& view,
       ++counters.workload_objects;
       candidates.clear();
       index.Candidates(qo, &candidates);
+      const RadiusTest test(qo);
       for (uint32_t i : candidates) {
         ++counters.candidates_tested;
         double sep = 0.0;
-        if (!WithinRadius(qo, pos[i], &sep)) continue;
+        if (!test(pos[i], &sep)) continue;
         ++counters.spatial_matches;
         if (!entry.predicate.Matches(mag[i], color[i])) continue;
         ++counters.output_matches;
@@ -186,10 +187,11 @@ JoinCounters ZonesCrossMatch(const storage::Bucket& bucket,
       ++counters.workload_objects;
       candidates.clear();
       index.Candidates(qo, &candidates);
+      const RadiusTest test(qo);
       for (const storage::CatalogObject* co : candidates) {
         ++counters.candidates_tested;
         double sep = 0.0;
-        if (!WithinRadius(qo, *co, &sep)) continue;
+        if (!test(*co, &sep)) continue;
         ++counters.spatial_matches;
         if (!entry.predicate.Matches(*co)) continue;
         ++counters.output_matches;

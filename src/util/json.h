@@ -41,7 +41,12 @@ class JsonObject {
     body_ += "\"" + key + "\": " + raw;
   }
   void Str(const std::string& key, const std::string& value) {
-    Field(key, "\"" + JsonEscape(value) + "\"");
+    // append, not a `"\"" + ... + "\""` chain: GCC 12 reports a false
+    // -Wrestrict on the inlined string insert that chain generates.
+    std::string quoted = "\"";
+    quoted.append(JsonEscape(value));
+    quoted.append("\"");
+    Field(key, quoted);
   }
   void Num(const std::string& key, double value) {
     Field(key, JsonDouble(value));

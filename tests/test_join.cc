@@ -1,15 +1,21 @@
 // Tests for the join layer. The central property: MergeCrossMatch,
 // ZonesCrossMatch, IndexedCrossMatch, and a brute-force O(n*m) reference
-// all produce identical match sets.
+// all produce identical match sets, and RadiusTest's dot-product stage never
+// changes a verdict or a separation of the exact test.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <set>
 #include <span>
+#include <string>
 #include <tuple>
+#include <utility>
 
 #include "join/evaluator.h"
 #include "join/hybrid.h"
@@ -312,6 +318,228 @@ TEST_P(ColumnarKernelTest, ColumnarPathsMatchRowPathsBitForBit) {
 
 INSTANTIATE_TEST_SUITE_P(Radii, ColumnarKernelTest,
                          ::testing::Values(1.0, 10.0, 600.0));
+
+// ------------------------------------------------------------ RadiusTest --
+
+// The radius test reads only the query position and radius.
+QueryObject QueryAt(const Vec3& pos, double radius_arcsec) {
+  QueryObject qo;
+  qo.pos = pos;
+  qo.radius_arcsec = radius_arcsec;
+  return qo;
+}
+
+Vec3 RandomUnitVector(Rng* rng) {
+  return Vec3{rng->Normal(), rng->Normal(), rng->Normal()}.Normalized();
+}
+
+// The unit vector `theta` radians from unit vector `a`, in a random
+// direction.
+Vec3 AtAngle(const Vec3& a, double theta, Rng* rng) {
+  const Vec3 r = RandomUnitVector(rng);
+  const Vec3 t = (r - a * r.Dot(a)).Normalized();
+  return (a * std::cos(theta) + t * std::sin(theta)).Normalized();
+}
+
+// Stage one may reject only what the exact test rejects. Over pairs whose
+// separation is within 1e-6 (relative) of the radius, pairs around stage
+// one's own bound, and identical and antipodal pairs, RadiusTest gives
+// WithinRadius's verdict, and every accepted separation has its bits.
+TEST(RadiusTestTest, AgreesBitForBitWithTheExactTest) {
+  // 0, 0.001″, 1″, 10″, 300″, 1°, 180° and 200°.
+  const double kRadiiArcsec[] = {0.0,   0.001,  1.0,      10.0,
+                                 300.0, 3600.0, 648000.0, 720000.0};
+  Rng rng(401);
+  uint64_t pairs = 0, accepted = 0, stage_one_rejects = 0;
+  uint64_t verdict_mismatches = 0, sep_mismatches = 0;
+  auto check = [&](const QueryObject& qo, const Vec3& pos) {
+    const RadiusTest test(qo);
+    double exact_sep = -1.0;
+    double sep = -1.0;
+    const bool exact = WithinRadius(qo, pos, &exact_sep);
+    const bool two_stage = test(pos, &sep);
+    ++pairs;
+    if (qo.pos.Dot(pos) < test.min_dot()) ++stage_one_rejects;
+    if (two_stage != exact) ++verdict_mismatches;
+    if (exact && two_stage) {
+      ++accepted;
+      if (std::bit_cast<uint64_t>(sep) != std::bit_cast<uint64_t>(exact_sep)) {
+        ++sep_mismatches;
+      }
+    }
+  };
+  for (double radius : kRadiiArcsec) {
+    const double r = radius / kArcsecPerDeg * kDegToRad;
+    // Stage one's bound as an angle (pi when stage one is off).
+    const double bound = std::acos(
+        std::max(RadiusTest(QueryAt(Vec3{1, 0, 0}, radius)).min_dot(), -1.0));
+    for (int i = 0; i < 100'000; ++i) {
+      const Vec3 a = RandomUnitVector(&rng);
+      const QueryObject qo = QueryAt(a, radius);
+      check(qo, AtAngle(a, r * (1.0 + rng.UniformDouble(-1e-6, 1e-6)), &rng));
+      check(qo, AtAngle(a, bound * rng.UniformDouble(0.5, 1.5), &rng));
+    }
+    for (int i = 0; i < 1000; ++i) {
+      const Vec3 a = RandomUnitVector(&rng);
+      check(QueryAt(a, radius), a);
+      check(QueryAt(a, radius), a * -1.0);
+    }
+  }
+  EXPECT_EQ(verdict_mismatches, 0u);
+  EXPECT_EQ(sep_mismatches, 0u);
+  EXPECT_GE(pairs, 1'000'000u);
+  EXPECT_GT(accepted, pairs / 4) << "degenerate test: too few accepted";
+  EXPECT_GT(stage_one_rejects, pairs / 8) << "stage one never engaged";
+}
+
+// The bound never exceeds cos(r + 1e-9) - 1e-12, and from 2 rad up (where
+// cos stops being a usable bound near pi) it sits below every dot product.
+TEST(RadiusTestTest, BoundStaysBelowTheCosineBound) {
+  const Vec3 x{1, 0, 0};
+  for (double radius : {0.0, 1.0, 300.0, 3600.0, 36000.0, 200'000.0}) {
+    const double w = radius / kArcsecPerDeg * kDegToRad + 1e-9;
+    const double min_dot = RadiusTest(QueryAt(x, radius)).min_dot();
+    EXPECT_LE(min_dot, std::cos(w) - 1e-12) << radius;
+    EXPECT_GE(min_dot, std::cos(w) - 1e-12 - w * w * w * w / 24 - 1e-15)
+        << radius;
+  }
+  const double two_rad = 2.0 * kRadToDeg * kArcsecPerDeg;
+  for (double radius :
+       {two_rad, 648000.0, 720000.0, std::numeric_limits<double>::infinity()}) {
+    EXPECT_LT(RadiusTest(QueryAt(x, radius)).min_dot(), -1.0 - 1e-13)
+        << radius;
+  }
+  // NaN compares false, so stage one passes every candidate to stage two.
+  EXPECT_TRUE(std::isnan(RadiusTest(QueryAt(x, std::nan(""))).min_dot()));
+}
+
+// ------------------------------------------------ wide-radius kernels --
+
+std::vector<Match> SortedByKey(std::vector<Match> ms) {
+  std::sort(ms.begin(), ms.end(), [](const Match& a, const Match& b) {
+    return std::tie(a.query_id, a.query_object_id, a.catalog_object_id) <
+           std::tie(b.query_id, b.query_object_id, b.catalog_object_id);
+  });
+  return ms;
+}
+
+// What a kernel must report for `batch` over `bucket`: the exact test
+// alone, run on every bucket object, decides the matches and their
+// separations; `window_size(qo)` is how many candidates the kernel's coarse
+// filter visits for qo.
+template <typename WindowSize>
+std::pair<JoinCounters, std::vector<Match>> ExactReference(
+    const storage::Bucket& bucket, const std::vector<WorkloadEntry>& batch,
+    WindowSize window_size) {
+  JoinCounters counters;
+  std::vector<Match> matches;
+  for (const auto& e : batch) {
+    for (const auto& qo : e.objects) {
+      ++counters.workload_objects;
+      counters.candidates_tested += window_size(qo);
+      for (const auto& co : bucket.objects()) {
+        double sep = 0.0;
+        if (!WithinRadius(qo, co, &sep)) continue;
+        ++counters.spatial_matches;
+        if (!e.predicate.Matches(co)) continue;
+        ++counters.output_matches;
+        matches.push_back(Match{e.query_id, qo.id, co.object_id, sep,
+                                co.ra_deg, co.dec_deg});
+      }
+    }
+  }
+  return {counters, SortedByKey(std::move(matches))};
+}
+
+void ExpectSameCounters(const JoinCounters& got, const JoinCounters& want,
+                        const std::string& kernel) {
+  EXPECT_EQ(got.workload_objects, want.workload_objects) << kernel;
+  EXPECT_EQ(got.candidates_tested, want.candidates_tested) << kernel;
+  EXPECT_EQ(got.spatial_matches, want.spatial_matches) << kernel;
+  EXPECT_EQ(got.output_matches, want.output_matches) << kernel;
+}
+
+// At 300″ the coarse windows hold several candidates per match, so stage
+// one rejects most pairs. All six kernels must still report exactly what
+// the exact test alone gives: every JoinCounters field, and every match
+// with its separation bits.
+TEST(WideRadiusJoinTest, AllKernelsMatchTheExactReference) {
+  constexpr double kRadius = 300.0;
+  SkyPoint center{150.0, 25.0};
+  auto objects = ClusteredObjects(4000, 251, center, 0.3);
+  std::sort(objects.begin(), objects.end(), storage::ObjectHtmLess);
+  for (size_t i = 0; i < objects.size(); ++i) objects[i].object_id = i;
+  storage::Bucket row_bucket(
+      0,
+      htm::IdRange{htm::LevelMin(htm::kObjectLevel),
+                   htm::LevelMax(htm::kObjectLevel)},
+      objects);
+  storage::Bucket col_bucket = ColumnarTwin(row_bucket);
+  ASSERT_TRUE(col_bucket.is_columnar());
+  auto tree = storage::BTreeIndex::BulkLoad(objects);
+  ASSERT_TRUE(tree.ok());
+
+  Predicate narrow;
+  narrow.min_mag = 16.0f;
+  auto batch = MakeBatch(center, 3, 40, kRadius, 257, narrow, &objects);
+
+  // Merge and indexed kernels visit the objects in the query's HTM ranges.
+  const auto [htm_want, htm_matches] =
+      ExactReference(row_bucket, batch, [&](const QueryObject& qo) {
+        uint64_t n = 0;
+        for (const auto& co : objects) {
+          for (const htm::IdRange& r : qo.htm_ranges.ranges()) {
+            if (co.htm_id >= r.lo && co.htm_id <= r.hi) ++n;
+          }
+        }
+        return n;
+      });
+  // Zones kernels visit the zone index's RA/Dec window.
+  const double zone_deg = kRadius / kArcsecPerDeg;
+  const ZoneIndex zones(row_bucket, zone_deg);
+  const auto [zone_want, zone_matches] =
+      ExactReference(row_bucket, batch, [&](const QueryObject& qo) {
+        std::vector<const CatalogObject*> window;
+        zones.Candidates(qo, &window);
+        return window.size();
+      });
+  ASSERT_GT(htm_want.candidates_tested, 2 * htm_want.spatial_matches);
+  ASSERT_GT(zone_want.candidates_tested, zone_want.spatial_matches);
+  ASSERT_GT(htm_want.spatial_matches, htm_want.output_matches);
+  ASSERT_GT(htm_want.output_matches, 0u);
+
+  auto expect_exact = [](const JoinCounters& got, std::vector<Match> out,
+                         const JoinCounters& want,
+                         const std::vector<Match>& want_matches,
+                         const std::string& kernel) {
+    ExpectSameCounters(got, want, kernel);
+    EXPECT_TRUE(SameMatches(SortedByKey(std::move(out)), want_matches))
+        << kernel;
+  };
+  const std::span<const WorkloadEntry> all(batch);
+  std::vector<Match> out;
+  JoinCounters got = MergeCrossMatch(row_bucket, batch, &out);
+  expect_exact(got, std::move(out), htm_want, htm_matches, "row merge");
+  out = {};
+  got = MergeCrossMatch(col_bucket, batch, &out);
+  expect_exact(got, std::move(out), htm_want, htm_matches, "columnar merge");
+  out = {};
+  got = IndexedCrossMatch(*tree, row_bucket.range(), batch, &out).join;
+  expect_exact(got, std::move(out), htm_want, htm_matches, "B+tree indexed");
+  out = {};
+  got = IndexedCrossMatchInto(col_bucket.view(), col_bucket.range(), all,
+                              &out)
+            .join;
+  expect_exact(got, std::move(out), htm_want, htm_matches,
+               "columnar indexed");
+  out = {};
+  got = ZonesCrossMatch(row_bucket, batch, zone_deg, &out);
+  expect_exact(got, std::move(out), zone_want, zone_matches, "row zones");
+  out = {};
+  got = ZonesCrossMatch(col_bucket, batch, zone_deg, &out);
+  expect_exact(got, std::move(out), zone_want, zone_matches,
+               "columnar zones");
+}
 
 // ---------------------------------------------------------------- Hybrid --
 

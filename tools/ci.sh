@@ -21,6 +21,11 @@
 #                        # with --io real over 2 volumes (prefetch on), then
 #                        # inspect --verify-checksums. Exercises the pread
 #                        # submission queues end to end on a real filesystem.
+#   tools/ci.sh --bench-smoke # End-to-end benchmark smoke: configures
+#                        # bench_e2e/ into .bench_build (Release) and runs
+#                        # `bench_e2e --smoke` — every workload at toy size,
+#                        # checked against its modeled oracle; fails on any
+#                        # mismatch. Correctness only, no timing asserted.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -81,6 +86,14 @@ if [ "${1:-}" = "--real-io" ]; then
   ./build/liferaft_tool inspect --store "$realio_tmp/cat.lfr" \
     --verify-checksums --volumes 2
   echo "real-io smoke OK"
+  exit 0
+fi
+
+if [ "${1:-}" = "--bench-smoke" ]; then
+  cmake -B .bench_build -S bench_e2e -DCMAKE_BUILD_TYPE=Release
+  cmake --build .bench_build -j
+  ./.bench_build/bench_e2e --smoke
+  echo "bench smoke OK"
   exit 0
 fi
 

@@ -55,7 +55,9 @@ class Flags {
       // A flag followed by another flag (or nothing) is boolean true:
       // `inspect --store F --verify-checksums`.
       if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
-        values_[key] = "1";
+        // Move-assigned, not `= "1"`: GCC 12 reports a false -Wrestrict on
+        // the inlined char* assignment.
+        values_[key] = std::string("1");
       } else {
         values_[key] = argv[++i];
       }
