@@ -1,9 +1,12 @@
 // Tests for the scenario-matrix harness: spec parsing, the built-in
-// grids, cell validation, invariant evaluation, and the golden three-cell
-// matrix whose JSON report must stay byte-identical (tests/data/).
+// grids, cell validation, invariant evaluation, and the two golden
+// matrices (three serving cells, eight pipeline cells) whose JSON reports
+// must stay byte-identical (tests/data/).
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -171,17 +174,20 @@ TEST(ScenarioGridTest, UnknownGridIsAnError) {
 
 // -------------------------------------------------------------- running --
 
-// The golden matrix: three tiny cells checked into tests/data/. The run
-// must reproduce the checked-in JSON report byte for byte — this is the
-// determinism claim of docs/SCENARIOS.md made enforceable, and it also
-// locks the report schema (a schema change must regenerate the golden).
-TEST(ScenarioMatrixTest, GoldenThreeCellReportIsByteIdentical) {
+// Runs tests/data/<stem>.spec and checks that every cell passes its
+// invariants and that the JSON report reproduces <stem>.json byte for
+// byte. This is the determinism claim of docs/SCENARIOS.md made
+// enforceable, and it also locks the report schema (a schema change must
+// regenerate the golden).
+void ExpectGoldenReport(const std::string& stem, size_t expected_cells,
+                        const std::string& spill_dir) {
   const std::string dir = LIFERAFT_TEST_DATA_DIR;
-  auto cells = ParseScenarioSpec(ReadFileOrDie(dir + "/scenario_golden.spec"));
+  auto cells = ParseScenarioSpec(ReadFileOrDie(dir + "/" + stem + ".spec"));
   ASSERT_TRUE(cells.ok()) << cells.status().ToString();
-  ASSERT_EQ(cells->size(), 3u);
+  ASSERT_EQ(cells->size(), expected_cells);
 
   ScenarioMatrixOptions options;
+  options.spill_dir = spill_dir;
   auto results = RunScenarioMatrix(*cells, options);
   ASSERT_TRUE(results.ok()) << results.status().ToString();
   for (const ScenarioResult& r : *results) {
@@ -189,7 +195,26 @@ TEST(ScenarioMatrixTest, GoldenThreeCellReportIsByteIdentical) {
         << r.cell.name << ": " << r.failures.front();
   }
   EXPECT_EQ(ScenarioReportJson(*results),
-            ReadFileOrDie(dir + "/scenario_golden.json"));
+            ReadFileOrDie(dir + "/" + stem + ".json"));
+}
+
+// The golden matrix: three tiny serving cells checked into tests/data/.
+TEST(ScenarioMatrixTest, GoldenThreeCellReportIsByteIdentical) {
+  ExpectGoldenReport("scenario_golden", 3, /*spill_dir=*/"");
+}
+
+// The pipeline golden: eight cells that together drive every modeled
+// branch of exec::BatchPipeline::Step (no prefetch, depth 1, depth 2 on
+// four arms, adaptive on hetero arms, spill restores on the bucket arm
+// and on a spill arm, per-class depth caps, dropped bets). Any change to
+// the modeled accounting moves a number in the report.
+TEST(ScenarioMatrixTest, PipelineGoldenReportIsByteIdentical) {
+  const std::filesystem::path spill_dir =
+      std::filesystem::temp_directory_path() /
+      ("liferaft_pipeline_golden_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(spill_dir);
+  ExpectGoldenReport("pipeline_golden", 8, spill_dir.string());
+  std::filesystem::remove_all(spill_dir);
 }
 
 TEST(ScenarioMatrixTest, InvariantFailuresAreReported) {
