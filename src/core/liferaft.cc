@@ -35,8 +35,6 @@ Result<std::unique_ptr<LifeRaft>> LifeRaft::Create(
   system->evaluator_ = std::make_unique<join::JoinEvaluator>(
       system->cache_.get(), system->catalog_->index(),
       storage::DiskModel(options.disk), options.hybrid);
-  system->evaluator_->set_use_match_arenas(options.match_arenas);
-  system->evaluator_->set_use_io_arenas(options.io_arenas);
   system->evaluator_->set_topology(system->topology_.get());
   if (options.num_threads > 1) {
     system->pool_ = std::make_unique<util::ThreadPool>(options.num_threads);
@@ -45,7 +43,6 @@ Result<std::unique_ptr<LifeRaft>> LifeRaft::Create(
   }
   system->manager_ = std::make_unique<query::WorkloadManager>(
       system->catalog_->num_buckets());
-  system->manager_->set_use_restore_arena(options.io_arenas);
 
   sched::LifeRaftConfig sched_config;
   sched_config.alpha = options.alpha;
@@ -58,16 +55,9 @@ Result<std::unique_ptr<LifeRaft>> LifeRaft::Create(
   // topologies (uniform topologies rank identically).
   system->scheduler_->AttachTopology(system->topology_.get());
 
-  exec::PipelineConfig pipeline_config;
-  pipeline_config.enable_prefetch = options.enable_prefetch;
-  pipeline_config.prefetch_depth = options.prefetch_depth;
-  pipeline_config.cancel_on_mispredict = options.cancel_on_mispredict;
-  pipeline_config.adaptive_prefetch = options.adaptive_prefetch;
-  pipeline_config.controller.max_depth = options.max_prefetch_depth;
-  pipeline_config.prefetch_aware_eviction = options.prefetch_aware_eviction;
   system->pipeline_ = std::make_unique<exec::BatchPipeline>(
       system->scheduler_.get(), system->manager_.get(),
-      system->evaluator_.get(), pipeline_config, system->topology_.get());
+      system->evaluator_.get(), options, system->topology_.get());
   return system;
 }
 
@@ -92,9 +82,8 @@ Status LifeRaft::Submit(const query::CrossMatchQuery& query) {
 
 Result<std::optional<BatchOutcome>> LifeRaft::ProcessNextBatch(
     bool collect_matches) {
-  pipeline_->set_collect_matches(collect_matches);
   LIFERAFT_ASSIGN_OR_RETURN(std::optional<exec::StepOutcome> step,
-                            pipeline_->Step(clock_.NowMs()));
+                            pipeline_->Step(clock_.NowMs(), collect_matches));
   if (!step.has_value()) return std::optional<BatchOutcome>{};
   clock_.Advance(step->TotalAdvanceMs());
 

@@ -24,17 +24,7 @@ Status LifeRaftOptions::Validate() const {
   if (cache_shards == 0) {
     return Status::InvalidArgument("cache_shards must be >= 1");
   }
-  if (prefetch_depth == 0) {
-    return Status::InvalidArgument("prefetch_depth must be >= 1");
-  }
-  if (max_prefetch_depth == 0) {
-    return Status::InvalidArgument("max_prefetch_depth must be >= 1");
-  }
-  if (adaptive_prefetch && prefetch_depth > max_prefetch_depth) {
-    return Status::InvalidArgument(
-        "prefetch_depth (adaptive starting depth) must be <= "
-        "max_prefetch_depth");
-  }
+  LIFERAFT_RETURN_IF_ERROR(PipelineConfig::Validate());
   LIFERAFT_RETURN_IF_ERROR(topology.Validate());
   return disk.Validate();
 }

@@ -6,6 +6,7 @@
 
 #include <cstddef>
 
+#include "exec/batch_pipeline.h"
 #include "join/hybrid.h"
 #include "sched/metric.h"
 #include "sched/qos.h"
@@ -16,8 +17,12 @@
 namespace liferaft::core {
 
 /// Options for LifeRaft::Create. Defaults follow the paper's experimental
-/// configuration (scaled: see DESIGN.md §5).
-struct LifeRaftOptions {
+/// configuration (scaled: see DESIGN.md §5). The prefetch knobs
+/// (enable_prefetch, prefetch_depth, adaptive_prefetch,
+/// max_prefetch_depth) are inherited from exec::PipelineConfig: enable them
+/// consistently across compared runs, since prefetched buckets count as
+/// resident for phi and so change the schedule.
+struct LifeRaftOptions : exec::PipelineConfig {
   /// Equal-count partitioning target (paper: 10,000 objects = 40 MB).
   size_t objects_per_bucket = 1000;
   /// Bucket cache capacity in buckets (paper: 20).
@@ -51,35 +56,6 @@ struct LifeRaftOptions {
   /// produces results identical to serial mode (see join::JoinEvaluator);
   /// scheduling and the virtual clock stay deterministic.
   size_t num_threads = 1;
-  /// Cross-batch prefetch pipelining through exec::BatchPipeline: while a
-  /// batch joins, start fetching the buckets the scheduler is predicted to
-  /// pick next, hiding their T_b behind matching compute on the virtual
-  /// clock. Deterministic; changes the schedule (prefetched buckets count
-  /// as resident for phi), so enable it consistently across compared runs.
-  bool enable_prefetch = false;
-  /// Predicted picks kept in flight when prefetching (>= 1). Under
-  /// adaptive_prefetch this only seeds the controller's starting depth.
-  size_t prefetch_depth = 1;
-  /// Drop prefetch bets that leave the scheduler's prediction window
-  /// instead of holding them pinned until claimed.
-  bool cancel_on_mispredict = false;
-  /// Feedback-driven prefetch depth between 0 and max_prefetch_depth:
-  /// shrink on mispredict bursts, grow while hidden latency per claim
-  /// stays positive (exec::PrefetchController). Implies window-based bet
-  /// cancelation and enables the prefetch pipeline.
-  bool adaptive_prefetch = false;
-  /// Depth ceiling for the adaptive controller (>= 1).
-  size_t max_prefetch_depth = 4;
-  /// Demote buckets inside the scheduler's prediction window last on
-  /// eviction; off restores plain LRU.
-  bool prefetch_aware_eviction = true;
-  /// Per-worker bump arenas for parallel match collection (no effect at
-  /// num_threads == 1); results are byte-identical on or off.
-  bool match_arenas = true;
-  /// Bump arenas for batch-scoped I/O scratch: spill-restore read buffers
-  /// (WorkloadManager) and worker-side bucket page decode buffers; results
-  /// are byte-identical on or off.
-  bool io_arenas = true;
 
   Status Validate() const;
 };

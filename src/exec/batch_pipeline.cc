@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
 
 #include "join/hybrid.h"
 #include "storage/async_io.h"
@@ -9,52 +10,72 @@
 
 namespace liferaft::exec {
 
+Status PipelineConfig::Validate() const {
+  if (prefetch_depth == 0) {
+    return Status::InvalidArgument("prefetch_depth must be >= 1");
+  }
+  if (max_prefetch_depth == 0) {
+    return Status::InvalidArgument("max_prefetch_depth must be >= 1");
+  }
+  if (adaptive_prefetch && prefetch_depth > max_prefetch_depth) {
+    return Status::InvalidArgument(
+        "prefetch_depth (adaptive starting depth) must be <= "
+        "max_prefetch_depth");
+  }
+  return Status::OK();
+}
+
 BatchPipeline::BatchPipeline(sched::Scheduler* scheduler,
                              query::WorkloadManager* manager,
                              join::JoinEvaluator* evaluator,
                              PipelineConfig config,
-                             const storage::StorageTopology* topology)
+                             const storage::StorageTopology* topology,
+                             storage::AsyncReader* reader)
     : scheduler_(scheduler),
       manager_(manager),
       evaluator_(evaluator),
       cache_(evaluator != nullptr ? evaluator->cache() : nullptr),
       topology_(topology),
+      reader_(reader),
       config_(config) {
   assert(scheduler_ != nullptr);
   assert(manager_ != nullptr);
   assert(evaluator_ != nullptr);
   assert(cache_ != nullptr);
-  if (config_.prefetch_depth == 0) config_.prefetch_depth = 1;
-  if (config_.adaptive_prefetch) {
-    // The fixed depth seeds every arm's controller; from there each arm's
-    // feedback loop owns its own depth. The controller's documented
-    // precondition: the config must validate (the engine/facade layers
-    // sanitize theirs; direct PipelineConfig users get the same check
-    // here).
-    config_.controller.initial_depth = config_.prefetch_depth;
-    if (config_.controller.max_depth == 0) config_.controller.max_depth = 1;
-    assert(config_.controller.Validate().ok());
-  }
+  assert(config_.Validate().ok());
   bucket_volumes_ = topology_ != nullptr ? topology_->num_volumes() : 1;
   const bool spill_arm = topology_ != nullptr && topology_->has_spill_arm();
   // The spill arm (when present) is the trailing entry: it carries no
   // bets and no controller, only telemetry for restore I/O.
   arms_.resize(bucket_volumes_ + (spill_arm ? 1 : 0));
   if (config_.adaptive_prefetch) {
+    // The fixed depth seeds every arm's controller; from there each arm's
+    // feedback loop owns its own depth.
+    PrefetchControllerConfig controller;
+    controller.initial_depth = config_.prefetch_depth;
+    controller.max_depth = config_.max_prefetch_depth;
     for (size_t v = 0; v < bucket_volumes_; ++v) {
-      arms_[v].controller =
-          std::make_unique<PrefetchController>(config_.controller);
+      arms_[v].controller = std::make_unique<PrefetchController>(controller);
     }
   }
 }
 
-sched::CacheProbe BatchPipeline::MakeCacheProbe(TimeMs now) const {
+sched::CacheProbe BatchPipeline::MakeCacheProbe(TimeMs now) {
+  if (reader_ != nullptr) {
+    // Harvest whatever the queues finished since the last step so the
+    // probe sees completed bets.
+    reader_->Poll();
+    return [this](storage::BucketIndex b) {
+      if (cache_->Contains(b)) return true;
+      auto it = real_bets_.find(b);
+      return it != real_bets_.end() && it->second.completed &&
+             it->second.status.ok();
+    };
+  }
   return [this, now](storage::BucketIndex b) {
     if (cache_->Contains(b)) return true;
-    // A prefetched bucket whose modeled fetch has completed is as good as
-    // resident for the metric's phi term. A bucket only ever bets on its
-    // own arm, but scanning every arm keeps the probe independent of the
-    // placement map.
+    // A bucket only ever bets on its own arm, but scanning every arm keeps
+    // the probe independent of the placement map.
     for (const Arm& arm : arms_) {
       for (const PendingPrefetch& p : arm.bets) {
         if (p.bucket == b && p.done_ms <= now) return true;
@@ -86,15 +107,13 @@ std::vector<storage::VolumeIoStats> BatchPipeline::volume_stats() const {
   return stats;
 }
 
-Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now) {
-  if (async_reader_ != nullptr) return StepReal(now);
+Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now,
+                                                      bool collect_matches) {
   // Adaptive mode reads each arm's depth from its controller (0 = off for
   // now) and always drops bets that leave the prediction window — the
   // drop doubles as that arm's controller's mispredict signal.
   const bool prefetch_on =
       config_.enable_prefetch || config_.adaptive_prefetch;
-  const bool drop_stale =
-      config_.cancel_on_mispredict || config_.adaptive_prefetch;
   // Prefetch bookkeeping spans only the bucket arms; the spill arm (the
   // trailing entry, when present) never carries bets.
   const size_t volumes = bucket_volumes_;
@@ -113,59 +132,32 @@ Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now) {
   std::vector<query::WorkloadEntry> entries =
       manager_->TakeBucket(*pick, &outcome.completed, &restored_bytes);
 
-  // Claim the outstanding bet on this bucket if the batch is the one it
-  // bet on: the bucket becomes resident (the evaluator sees a hit,
-  // charging no T_b) and the clock is charged only the un-hidden tail of
-  // the fetch. A bet on a different bucket stays pinned until its bucket
-  // is scheduled (or, under cancel_on_mispredict, until it leaves the
-  // prediction window below). Claim only when the evaluator will actually
-  // scan — an index-probing batch would never touch the fetched bucket.
-  // At depth > 1 a bet can still be queued behind its disk arm when its
-  // bucket comes up (modeled residual >= its full T_b); waiting out that
-  // whole queue would cost more than a plain foreground read, so the
-  // charge is capped at T_b — as if the arm preempted the backlog and
-  // fetched the bucket fresh — while the claim still reuses the physical
-  // read. A capped claim hides nothing. (At depth 1 the residual is at
-  // most T_b minus the previous batch's matching time, so the cap never
-  // binds and PR 2 accounting is reproduced exactly.) A bucket bets only
-  // on its own arm, so only pick_arm's queue can hold the bet.
-  auto bet = std::find_if(
-      pick_arm.bets.begin(), pick_arm.bets.end(),
-      [&](const PendingPrefetch& p) { return p.bucket == *pick; });
-  if (bet != pick_arm.bets.end()) {
-    uint64_t queue_objects = 0;
-    for (const query::WorkloadEntry& e : entries) {
-      queue_objects += e.objects.size();
-    }
-    if (WillScan(*pick, queue_objects)) {
-      outcome.fetch_residual_ms =
-          std::min(std::max(0.0, bet->done_ms - now), bet->fetch_ms);
-      const TimeMs hidden = bet->fetch_ms - outcome.fetch_residual_ms;
-      prefetch_hidden_ms_ += hidden;
-      pick_arm.stats.hidden_ms += hidden;
-      ++pick_arm.stats.prefetch_claims;
-      ++feedback[outcome.volume].claims;
-      feedback[outcome.volume].hidden_ms += hidden;
-      // A capped claim (residual == full fetch) reused the physical read
-      // but hid nothing — the bet was queued too deep: stale by depth.
-      if (hidden <= 0.0) ++feedback[outcome.volume].stale_claims;
-      LIFERAFT_RETURN_IF_ERROR(cache_->Get(*pick).status());
-      pick_arm.bets.erase(bet);
-    }
+  LIFERAFT_ASSIGN_OR_RETURN(Claim claim, ClaimPick(*pick, entries, now));
+  outcome.fetch_residual_ms = claim.residual_ms;
+  if (claim.claimed) {
+    prefetch_hidden_ms_ += claim.hidden_ms;
+    pick_arm.stats.hidden_ms += claim.hidden_ms;
+    ++pick_arm.stats.prefetch_claims;
+    PrefetchFeedback& fb = feedback[outcome.volume];
+    ++fb.claims;
+    fb.hidden_ms += claim.hidden_ms;
+    // A claim that hid nothing reused the physical read, but the bet was
+    // queued too deep: stale by depth.
+    if (claim.hidden_ms <= 0.0) ++fb.stale_claims;
   }
 
   // Predict the next picks and start their physical reads now, overlapping
   // the join below; their modeled fetch times are assigned after the
   // evaluation, when this batch's disk phase is known. The prediction is
-  // refreshed every live step — the window drives stale-bet cancelation
-  // and eviction protection, and a stale window would protect yesterday's
+  // refreshed every live step — the window drives stale-bet drops and
+  // eviction protection, and a stale window would protect yesterday's
   // predictions — and peeks deep enough (a) to judge every outstanding bet
   // (after a controller shrink more bets can be pending than the depth
   // admits new ones, and a still-predicted bet must not read as a
   // mispredict just because the window got smaller) and (b) to surface
   // candidates for EVERY arm, so an arm the front of the prediction does
   // not touch still gets its fetches started.
-  std::vector<std::vector<storage::BucketIndex>> newly_predicted(volumes);
+  std::vector<size_t> placed(volumes, 0);
   if (prefetch_on) {
     std::vector<size_t> want(volumes);
     for (size_t v = 0; v < volumes; ++v) {
@@ -179,21 +171,20 @@ Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now) {
     // empty window — every depth scaled to 0 — restores plain LRU).
     // Skipped when unchanged: the cache locks every shard to swap
     // windows.
-    if (config_.prefetch_aware_eviction && predicted != last_window_) {
+    if (predicted != last_window_) {
       cache_->SetPredictionWindow(predicted);
       last_window_ = predicted;
     }
-    if (drop_stale) {
-      // Drop bets that fell out of the prediction window: unpin so the
-      // cache may evict them. The arm time already modeled for them is
-      // not refunded — the bet was placed and lost — and any bytes the
-      // dropped bet had physically fetched are charged to its arm's
+    if (config_.adaptive_prefetch) {
+      // Drop bets that fell out of the prediction window. Arm time already
+      // modeled for them is not refunded — the bet was placed and lost —
+      // and any bytes they had fetched are charged to the arm's
       // controller as waste.
       for (size_t v = 0; v < volumes; ++v) {
         for (auto it = arms_[v].bets.begin(); it != arms_[v].bets.end();) {
           if (std::find(predicted.begin(), predicted.end(), it->bucket) ==
               predicted.end()) {
-            feedback[v].wasted_bytes += cache_->CancelPrefetch(it->bucket);
+            feedback[v].wasted_bytes += DropBet(it->bucket);
             it = arms_[v].bets.erase(it);
             ++feedback[v].cancels;
           } else {
@@ -206,119 +197,42 @@ Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now) {
     // service order so each arm's queue stays in that order.
     for (storage::BucketIndex b : predicted) {
       const storage::VolumeIndex v = VolumeOf(b);
-      if (arms_[v].bets.size() + newly_predicted[v].size() >=
-          current_prefetch_depth(v)) {
-        continue;
-      }
+      const std::deque<PendingPrefetch>& bets = arms_[v].bets;
+      if (bets.size() >= current_prefetch_depth(v)) continue;
       if (cache_->Contains(b)) continue;
-      const bool already_queued = std::any_of(
-          arms_[v].bets.begin(), arms_[v].bets.end(),
-          [&](const PendingPrefetch& p) { return p.bucket == b; });
+      const bool already_queued =
+          std::any_of(bets.begin(), bets.end(),
+                      [&](const PendingPrefetch& p) { return p.bucket == b; });
       if (already_queued) continue;
-      (void)cache_->PrefetchAsync(b);
-      newly_predicted[v].push_back(b);
+      PlaceBet(b);
+      ++placed[v];
     }
   }
 
   Result<join::BatchResult> evaluated =
-      evaluator_->EvaluateBucket(*pick, entries, config_.collect_matches);
+      evaluator_->EvaluateBucket(*pick, entries, collect_matches);
   if (!evaluated.ok()) {
-    // The bets issued above are not in any arm's queue yet (their modeled
-    // times need this batch's disk phase); cancel them before surfacing
-    // the error so no pin or inflight read is orphaned.
-    for (const std::vector<storage::BucketIndex>& arm_new : newly_predicted) {
-      for (storage::BucketIndex b : arm_new) cache_->CancelPrefetch(b);
+    // The bets placed above have no modeled times yet; drop them before
+    // surfacing the error so no pin or read is orphaned.
+    for (size_t v = 0; v < volumes; ++v) {
+      for (; placed[v] > 0; --placed[v]) {
+        DropBet(arms_[v].bets.back().bucket);
+        arms_[v].bets.pop_back();
+      }
     }
     return evaluated.status();
   }
   join::BatchResult result = std::move(*evaluated);
-  const storage::DiskModel& model = evaluator_->disk_model();
-  // Fetching spilled workload segments back from disk is sequential I/O —
-  // part of this batch's disk phase, so it also delays a prefetch's start
-  // on the batch's arm. The spill file is run-scoped scratch, costed with
-  // the default (evaluator) model rather than any volume's.
+  // Fetching spilled workload segments back from disk is sequential I/O.
+  // The spill file is run-scoped scratch, costed with the default
+  // (evaluator) model rather than any volume's. In measured mode the
+  // restore already happened physically inside TakeBucket, so this is
+  // telemetry only.
   outcome.restore_ms =
-      restored_bytes > 0 ? model.SequentialReadMs(restored_bytes) : 0.0;
-
-  // Independent arms: bets still in flight on the batch's own arm yield
-  // that arm to the foreground I/O — their completion slips by however
-  // long the arm was busy here — while bets on other arms run concurrently
-  // with the whole batch and slip nothing. New fetches queue behind their
-  // own arm only: behind this batch's foreground phase plus earlier bets
-  // on the batch's arm, behind just the earlier bets elsewhere — fetches
-  // never overlap fetches on the same arm's clock, and always overlap
-  // across arms. The claimed residual does NOT slip the survivors: a bet
-  // queued behind the claimed fetch already counted that fetch in its own
-  // done time (slipping it again would double-charge the arm), and a bet
-  // queued ahead of it finishes within the residual wait by construction.
-  // Only the batch's own disk phase (scan I/O + spill restores) is arm
-  // time the queue never anticipated. (Sums run left-to-right from `now`,
-  // matching the pre-exec loop's expressions bit for bit on one volume.)
-  //
-  // With a dedicated spill arm, restore I/O moves off the bucket arm: the
-  // batch still waits out the restore before its CPU phase (the join
-  // needs the restored objects, so foreground_done_ms — and with it the
-  // driver's clock — is charged identically), but the bucket arm frees as
-  // soon as its own scan I/O ends, so bets neither slip by the restore
-  // nor queue new fetches behind it.
-  const bool restore_on_spill_arm =
-      outcome.restore_ms > 0.0 && arms_.size() > bucket_volumes_;
-  const TimeMs unanticipated_disk_ms =
-      restore_on_spill_arm ? result.io_ms
-                           : result.io_ms + outcome.restore_ms;
-  const TimeMs foreground_done_ms =
-      now + outcome.fetch_residual_ms + result.io_ms + outcome.restore_ms;
-  const TimeMs pick_arm_done_ms =
-      restore_on_spill_arm
-          ? now + outcome.fetch_residual_ms + result.io_ms
-          : foreground_done_ms;
-  for (size_t v = 0; v < volumes; ++v) {
-    Arm& arm = arms_[v];
-    TimeMs arm_free_ms = v == outcome.volume ? pick_arm_done_ms : now;
-    for (PendingPrefetch& p : arm.bets) {
-      if (v == outcome.volume &&
-          p.done_ms > now + outcome.fetch_residual_ms) {
-        p.done_ms += unanticipated_disk_ms;
-      }
-      arm_free_ms = std::max(arm_free_ms, p.done_ms);
-    }
-    for (storage::BucketIndex b : newly_predicted[v]) {
-      const uint64_t bytes = cache_->store().ModeledBucketBytes(
-          b, config_.charge_encoded_bytes);
-      const TimeMs fetch_ms = ModelFor(b).SequentialReadMs(bytes);
-      arm_free_ms += fetch_ms;
-      arm.bets.push_back(PendingPrefetch{b, arm_free_ms, fetch_ms});
-      ++arm.stats.prefetch_issued;
-      arm.stats.busy_ms += fetch_ms;
-    }
-    arm.stats.busy_until_ms = std::max(arm.stats.busy_until_ms, arm_free_ms);
-  }
-
-  // Per-arm telemetry for the batch's own arm: its foreground disk phase
-  // (scan or probe I/O plus spill restores) and its consumed-work clock —
-  // the completion clock always runs at or ahead of this (the batch's CPU
-  // phase follows), so the run's max-over-arms makespan is well defined.
-  pick_arm.stats.busy_ms += unanticipated_disk_ms;
-  pick_arm.stats.consumed_until_ms =
-      std::max(pick_arm.stats.consumed_until_ms, pick_arm_done_ms);
-  if (result.strategy == join::JoinStrategy::kScan && !result.cache_hit) {
-    ++pick_arm.stats.foreground_reads;
-    pick_arm.stats.foreground_bytes += cache_->store().ModeledBucketBytes(
-        *pick, config_.charge_encoded_bytes);
-  }
-  if (restore_on_spill_arm) {
-    // The restore occupies the spill arm from the end of the batch's scan
-    // phase to foreground_done_ms; restores serialize trivially since the
-    // driver's clock passes foreground_done_ms before the next step.
-    Arm& spill = arms_.back();
-    spill.stats.busy_ms += outcome.restore_ms;
-    ++spill.stats.foreground_reads;
-    spill.stats.foreground_bytes += restored_bytes;
-    spill.stats.consumed_until_ms =
-        std::max(spill.stats.consumed_until_ms, foreground_done_ms);
-    spill.stats.busy_until_ms =
-        std::max(spill.stats.busy_until_ms, foreground_done_ms);
-  }
+      restored_bytes > 0
+          ? evaluator_->disk_model().SequentialReadMs(restored_bytes)
+          : 0.0;
+  AdvanceArmClocks(outcome, result, restored_bytes, placed, now);
 
   outcome.strategy = result.strategy;
   outcome.cache_hit = result.cache_hit;
@@ -338,12 +252,183 @@ Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now) {
   return std::optional<StepOutcome>(std::move(outcome));
 }
 
+Result<BatchPipeline::Claim> BatchPipeline::ClaimPick(
+    storage::BucketIndex pick,
+    const std::vector<query::WorkloadEntry>& entries, TimeMs now) {
+  // Claim only when the evaluator will actually scan — an index-probing
+  // batch would never touch the fetched bucket, so its bet stays pending.
+  uint64_t queue_objects = 0;
+  for (const query::WorkloadEntry& e : entries) {
+    queue_objects += e.objects.size();
+  }
+  if (!WillScan(pick, queue_objects)) return Claim{};
+  // A bucket bets only on its own arm, so only that arm's queue can hold
+  // the bet.
+  Arm& arm = arms_[VolumeOf(pick)];
+  auto bet = std::find_if(
+      arm.bets.begin(), arm.bets.end(),
+      [&](const PendingPrefetch& p) { return p.bucket == pick; });
+  Claim claim;
+  if (reader_ == nullptr) {
+    if (bet == arm.bets.end()) return claim;
+    // The bucket becomes resident (the evaluator sees a hit, charging no
+    // T_b) and the clock is charged only the un-hidden tail of the fetch.
+    // At depth > 1 a bet can still be queued behind its arm when its
+    // bucket comes up (modeled residual >= its full T_b); waiting out that
+    // whole queue would cost more than a plain foreground read, so the
+    // charge is capped at T_b — as if the arm preempted the backlog and
+    // fetched the bucket fresh — while the claim still reuses the physical
+    // read. A capped claim hides nothing. (At depth 1 the residual is at
+    // most T_b minus the previous batch's matching time, so the cap never
+    // binds.)
+    claim.residual_ms = std::min(std::max(0.0, bet->done_ms - now),
+                                 bet->fetch_ms);
+    claim.hidden_ms = bet->fetch_ms - claim.residual_ms;
+    claim.claimed = true;
+    arm.bets.erase(bet);
+    LIFERAFT_RETURN_IF_ERROR(cache_->Get(pick).status());
+    return claim;
+  }
+  if (bet != arm.bets.end()) {
+    // Block until the bet's read completes: the measured wait is the
+    // residual, and latency already spent behind earlier steps' compute
+    // is the hidden time.
+    arm.bets.erase(bet);
+    LIFERAFT_ASSIGN_OR_RETURN(RealBet read,
+                              AwaitRealBet(pick, &claim.residual_ms));
+    claim.hidden_ms = std::max(0.0, read.latency_ms - claim.residual_ms);
+    claim.claimed = true;
+    arm.stats.busy_ms += read.latency_ms;
+    return claim;
+  }
+  if (cache_->Contains(pick)) return claim;
+  // Foreground miss: route it through the same submission queue as the
+  // bets so it physically serializes behind them on the bucket's own
+  // volume, and charge the measured blocked time.
+  SubmitRealBet(pick);
+  LIFERAFT_ASSIGN_OR_RETURN(RealBet read,
+                            AwaitRealBet(pick, &claim.residual_ms));
+  arm.stats.busy_ms += read.latency_ms;
+  ++arm.stats.foreground_reads;
+  arm.stats.foreground_bytes += read.bytes;
+  return claim;
+}
+
+void BatchPipeline::PlaceBet(storage::BucketIndex b) {
+  if (reader_ != nullptr) {
+    SubmitRealBet(b);
+  } else {
+    (void)cache_->PrefetchAsync(b);
+  }
+  Arm& arm = arms_[VolumeOf(b)];
+  arm.bets.push_back(PendingPrefetch{b});
+  ++arm.stats.prefetch_issued;
+}
+
+uint64_t BatchPipeline::DropBet(storage::BucketIndex b) {
+  if (reader_ == nullptr) return cache_->CancelPrefetch(b);
+  auto it = real_bets_.find(b);
+  if (it == real_bets_.end()) return 0;
+  const uint64_t wasted =
+      it->second.completed && it->second.status.ok() ? it->second.bytes : 0;
+  real_bets_.erase(it);
+  return wasted;
+}
+
+void BatchPipeline::AdvanceArmClocks(const StepOutcome& outcome,
+                                     const join::BatchResult& result,
+                                     uint64_t restored_bytes,
+                                     const std::vector<size_t>& placed,
+                                     TimeMs now) {
+  if (reader_ != nullptr) return;
+  // Independent arms: bets still in flight on the batch's own arm yield
+  // that arm to the foreground I/O — their completion slips by however
+  // long the arm was busy here — while bets on other arms run concurrently
+  // with the whole batch and slip nothing. New fetches queue behind their
+  // own arm only: behind this batch's foreground phase plus earlier bets
+  // on the batch's arm, behind just the earlier bets elsewhere — fetches
+  // never overlap fetches on the same arm's clock, and always overlap
+  // across arms. The claimed residual does NOT slip the survivors: a bet
+  // queued behind the claimed fetch already counted that fetch in its own
+  // done time (slipping it again would double-charge the arm), and a bet
+  // queued ahead of it finishes within the residual wait by construction.
+  // Only the batch's own disk phase (scan I/O + spill restores) is arm
+  // time the queue never anticipated. (Sums run left-to-right from `now`
+  // in a fixed order, so modeled runs are bit-reproducible.)
+  //
+  // With a dedicated spill arm, restore I/O moves off the bucket arm: the
+  // batch still waits out the restore before its CPU phase (the join
+  // needs the restored objects, so foreground_done_ms — and with it the
+  // driver's clock — is charged identically), but the bucket arm frees as
+  // soon as its own scan I/O ends, so bets neither slip by the restore
+  // nor queue new fetches behind it.
+  const bool restore_on_spill_arm =
+      outcome.restore_ms > 0.0 && arms_.size() > bucket_volumes_;
+  const TimeMs unanticipated_disk_ms =
+      restore_on_spill_arm ? result.io_ms
+                           : result.io_ms + outcome.restore_ms;
+  const TimeMs foreground_done_ms =
+      now + outcome.fetch_residual_ms + result.io_ms + outcome.restore_ms;
+  const TimeMs pick_arm_done_ms =
+      restore_on_spill_arm
+          ? now + outcome.fetch_residual_ms + result.io_ms
+          : foreground_done_ms;
+  for (size_t v = 0; v < bucket_volumes_; ++v) {
+    Arm& arm = arms_[v];
+    TimeMs arm_free_ms = v == outcome.volume ? pick_arm_done_ms : now;
+    // The `placed[v]` newest bets were placed this step and are unpriced.
+    const auto fresh =
+        arm.bets.end() - static_cast<std::ptrdiff_t>(placed[v]);
+    for (auto p = arm.bets.begin(); p != fresh; ++p) {
+      if (v == outcome.volume &&
+          p->done_ms > now + outcome.fetch_residual_ms) {
+        p->done_ms += unanticipated_disk_ms;
+      }
+      arm_free_ms = std::max(arm_free_ms, p->done_ms);
+    }
+    for (auto p = fresh; p != arm.bets.end(); ++p) {
+      p->fetch_ms = evaluator_->SequentialModelFor(p->bucket)
+                        .SequentialReadMs(evaluator_->ModeledBytes(p->bucket));
+      arm_free_ms += p->fetch_ms;
+      p->done_ms = arm_free_ms;
+      arm.stats.busy_ms += p->fetch_ms;
+    }
+    arm.stats.busy_until_ms = std::max(arm.stats.busy_until_ms, arm_free_ms);
+  }
+
+  // Per-arm telemetry for the batch's own arm: its foreground disk phase
+  // (scan or probe I/O plus spill restores) and its consumed-work clock —
+  // the completion clock always runs at or ahead of this (the batch's CPU
+  // phase follows), so the run's max-over-arms makespan is well defined.
+  Arm& pick_arm = arms_[outcome.volume];
+  pick_arm.stats.busy_ms += unanticipated_disk_ms;
+  pick_arm.stats.consumed_until_ms =
+      std::max(pick_arm.stats.consumed_until_ms, pick_arm_done_ms);
+  if (result.strategy == join::JoinStrategy::kScan && !result.cache_hit) {
+    ++pick_arm.stats.foreground_reads;
+    pick_arm.stats.foreground_bytes += evaluator_->ModeledBytes(outcome.bucket);
+  }
+  if (restore_on_spill_arm) {
+    // The restore occupies the spill arm from the end of the batch's scan
+    // phase to foreground_done_ms; restores serialize trivially since the
+    // driver's clock passes foreground_done_ms before the next step.
+    Arm& spill = arms_.back();
+    spill.stats.busy_ms += outcome.restore_ms;
+    ++spill.stats.foreground_reads;
+    spill.stats.foreground_bytes += restored_bytes;
+    spill.stats.consumed_until_ms =
+        std::max(spill.stats.consumed_until_ms, foreground_done_ms);
+    spill.stats.busy_until_ms =
+        std::max(spill.stats.busy_until_ms, foreground_done_ms);
+  }
+}
+
 void BatchPipeline::SubmitRealBet(storage::BucketIndex b) {
   // The completion callback runs on THIS thread, inside the reader's
   // Poll()/Wait() — never concurrently — so real_bets_ needs no lock. The
-  // ticket check drops a late completion whose bet was already canceled
+  // ticket check drops a late completion whose bet was already dropped
   // (and possibly resubmitted under the same bucket index).
-  const uint64_t ticket = async_reader_->SubmitRead(
+  const uint64_t ticket = reader_->SubmitRead(
       b, [this](const storage::AsyncReadCompletion& c) {
         auto it = real_bets_.find(c.index);
         if (it == real_bets_.end() || it->second.ticket != c.ticket) return;
@@ -358,7 +443,8 @@ void BatchPipeline::SubmitRealBet(storage::BucketIndex b) {
   real_bets_[b] = std::move(slot);
 }
 
-TimeMs BatchPipeline::WaitForRealBet(storage::BucketIndex b) {
+Result<BatchPipeline::RealBet> BatchPipeline::AwaitRealBet(
+    storage::BucketIndex b, TimeMs* waited_ms) {
   const TimeMs t0 = wall_.NowMs();
   for (;;) {
     auto it = real_bets_.find(b);
@@ -367,200 +453,29 @@ TimeMs BatchPipeline::WaitForRealBet(storage::BucketIndex b) {
     // arms' bets delivered along the way are the overlap this mode
     // measures. The in_flight guard breaks a (should-be-impossible)
     // wait on a bet the queues no longer know about.
-    if (async_reader_->Wait() == 0 && async_reader_->in_flight() == 0) break;
+    if (reader_->Wait() == 0 && reader_->in_flight() == 0) break;
   }
-  return wall_.NowMs() - t0;
-}
-
-Result<std::optional<StepOutcome>> BatchPipeline::StepReal(TimeMs now) {
-  // The measured-time twin of Step: the same pick → prefetch → claim →
-  // evaluate loop, but bets are REAL reads on the per-volume submission
-  // queues and every I/O charge below is a wall-clock measurement, not
-  // DiskModel arithmetic. There are no modeled arm clocks to maintain —
-  // the physical queues ARE the arm serialization — so the whole
-  // done_ms/slip block of the modeled path has no counterpart here.
-  const bool prefetch_on =
-      config_.enable_prefetch || config_.adaptive_prefetch;
-  const bool drop_stale =
-      config_.cancel_on_mispredict || config_.adaptive_prefetch;
-  const size_t volumes = bucket_volumes_;
-  std::vector<PrefetchFeedback> feedback(volumes);
-
-  // Harvest whatever the queues finished since the last step so the
-  // residency probe sees completed bets.
-  async_reader_->Poll();
-
-  const sched::CacheProbe cached = [this](storage::BucketIndex b) {
-    if (cache_->Contains(b)) return true;
-    auto it = real_bets_.find(b);
-    return it != real_bets_.end() && it->second.completed &&
-           it->second.status.ok();
-  };
-  std::optional<storage::BucketIndex> pick =
-      scheduler_->PickBucket(*manager_, now, cached);
-  if (!pick.has_value()) return std::optional<StepOutcome>{};
-
-  StepOutcome outcome;
-  outcome.bucket = *pick;
-  outcome.volume = VolumeOf(*pick);
-  Arm& pick_arm = arms_[outcome.volume];
-  uint64_t restored_bytes = 0;
-  std::vector<query::WorkloadEntry> entries =
-      manager_->TakeBucket(*pick, &outcome.completed, &restored_bytes);
-
-  uint64_t queue_objects = 0;
-  for (const query::WorkloadEntry& e : entries) {
-    queue_objects += e.objects.size();
-  }
-  const bool will_scan = WillScan(*pick, queue_objects);
-
-  // Claim the bet on this bucket: block until its read completes (the
-  // measured wait is the step's fetch residual), hand the bucket to the
-  // cache so the evaluator sees a hit. Latency already hidden behind
-  // earlier steps' compute is the claim's hidden time.
-  auto bet_it = std::find_if(
-      pick_arm.bets.begin(), pick_arm.bets.end(),
-      [&](const PendingPrefetch& p) { return p.bucket == *pick; });
-  if (bet_it != pick_arm.bets.end() && will_scan) {
-    const TimeMs waited = WaitForRealBet(*pick);
-    RealBet bet = std::move(real_bets_[*pick]);
-    real_bets_.erase(*pick);
-    pick_arm.bets.erase(bet_it);  // callbacks never touch arm queues
-    if (!bet.status.ok()) return bet.status;
-    cache_->Put(*pick, bet.bucket);
-    cache_->mutable_store()->RecordPrefetchedRead(*bet.bucket);
-    outcome.fetch_residual_ms = waited;
-    const TimeMs hidden = std::max(0.0, bet.latency_ms - waited);
-    prefetch_hidden_ms_ += hidden;
-    pick_arm.stats.hidden_ms += hidden;
-    pick_arm.stats.busy_ms += bet.latency_ms;
-    ++pick_arm.stats.prefetch_claims;
-    ++feedback[outcome.volume].claims;
-    feedback[outcome.volume].hidden_ms += hidden;
-    if (hidden <= 0.0) ++feedback[outcome.volume].stale_claims;
-  } else if (will_scan && !cache_->Contains(*pick) &&
-             real_bets_.find(*pick) == real_bets_.end()) {
-    // Foreground miss: route it through the same submission queue as the
-    // bets so it physically serializes behind them on the bucket's own
-    // volume, and charge the measured blocked time.
-    SubmitRealBet(*pick);
-    const TimeMs waited = WaitForRealBet(*pick);
-    RealBet fetched = std::move(real_bets_[*pick]);
-    real_bets_.erase(*pick);
-    if (!fetched.status.ok()) return fetched.status;
-    cache_->Put(*pick, fetched.bucket);
-    cache_->mutable_store()->RecordPrefetchedRead(*fetched.bucket);
-    outcome.fetch_residual_ms = waited;
-    pick_arm.stats.busy_ms += fetched.latency_ms;
-    ++pick_arm.stats.foreground_reads;
-    pick_arm.stats.foreground_bytes += fetched.bytes;
-  }
-
-  // Predict the next picks and submit their reads NOW, before the join
-  // below — the queues work through them while the CPU matches, which is
-  // the overlap real mode exists to measure. Window publishing and
-  // stale-bet dropping mirror the modeled path; a dropped real bet is
-  // simply forgotten (the ticket check discards its late completion) and
-  // its fetched bytes, if any, are charged to the controller as waste.
-  if (prefetch_on) {
-    std::vector<size_t> want(volumes);
-    for (size_t v = 0; v < volumes; ++v) {
-      want[v] = std::max(current_prefetch_depth(v), arms_[v].bets.size());
-    }
-    std::vector<storage::BucketIndex> predicted =
-        scheduler_->PeekNextBucketsCovering(
-            *manager_, now, cached,
-            [this](storage::BucketIndex b) { return VolumeOf(b); }, want);
-    if (config_.prefetch_aware_eviction && predicted != last_window_) {
-      cache_->SetPredictionWindow(predicted);
-      last_window_ = predicted;
-    }
-    if (drop_stale) {
-      for (size_t v = 0; v < volumes; ++v) {
-        for (auto it = arms_[v].bets.begin(); it != arms_[v].bets.end();) {
-          if (std::find(predicted.begin(), predicted.end(), it->bucket) ==
-              predicted.end()) {
-            auto rb = real_bets_.find(it->bucket);
-            if (rb != real_bets_.end()) {
-              if (rb->second.completed && rb->second.status.ok()) {
-                feedback[v].wasted_bytes += rb->second.bytes;
-              }
-              real_bets_.erase(rb);
-            }
-            it = arms_[v].bets.erase(it);
-            ++feedback[v].cancels;
-          } else {
-            ++it;
-          }
-        }
-      }
-    }
-    for (storage::BucketIndex b : predicted) {
-      const storage::VolumeIndex v = VolumeOf(b);
-      if (arms_[v].bets.size() >= current_prefetch_depth(v)) continue;
-      if (cache_->Contains(b)) continue;
-      const bool already_queued = std::any_of(
-          arms_[v].bets.begin(), arms_[v].bets.end(),
-          [&](const PendingPrefetch& p) { return p.bucket == b; });
-      if (already_queued) continue;
-      SubmitRealBet(b);
-      // Queue order only; the modeled completion fields stay zero.
-      arms_[v].bets.push_back(PendingPrefetch{b, 0.0, 0.0});
-      ++arms_[v].stats.prefetch_issued;
-    }
-  }
-
-  Result<join::BatchResult> evaluated =
-      evaluator_->EvaluateBucket(*pick, entries, config_.collect_matches);
-  // On error the just-submitted bets stay pending in real_bets_; they hold
-  // no cache pins, and teardown's CancelOutstandingPrefetches drains them.
-  if (!evaluated.ok()) return evaluated.status();
-  join::BatchResult result = std::move(*evaluated);
-  // Spill restores happened physically inside TakeBucket (the spill file
-  // read is real I/O on every path); the modeled price is kept for the
-  // outcome's telemetry but no wall charge is added here — the driver's
-  // wall clock already contains the blocked time.
-  outcome.restore_ms =
-      restored_bytes > 0
-          ? evaluator_->disk_model().SequentialReadMs(restored_bytes)
-          : 0.0;
-
-  outcome.strategy = result.strategy;
-  outcome.cache_hit = result.cache_hit;
-  outcome.cost_ms = result.cost_ms;
-  outcome.io_ms = result.io_ms;
-  outcome.cpu_ms = result.cpu_ms;
-  outcome.counters = result.counters;
-  outcome.matches = std::move(result.matches);
-  for (size_t v = 0; v < volumes; ++v) {
-    if (arms_[v].controller != nullptr) {
-      arms_[v].controller->Observe(feedback[v]);
-    }
-  }
-  return std::optional<StepOutcome>(std::move(outcome));
+  *waited_ms = wall_.NowMs() - t0;
+  RealBet read = std::move(real_bets_[b]);
+  real_bets_.erase(b);
+  if (!read.status.ok()) return read.status;
+  cache_->Put(b, read.bucket);
+  cache_->mutable_store()->RecordPrefetchedRead(*read.bucket);
+  return read;
 }
 
 void BatchPipeline::CancelOutstandingPrefetches() {
   for (Arm& arm : arms_) {
-    if (async_reader_ == nullptr) {
-      for (const PendingPrefetch& p : arm.bets) {
-        cache_->CancelPrefetch(p.bucket);
-      }
-    }
+    for (const PendingPrefetch& p : arm.bets) DropBet(p.bucket);
     arm.bets.clear();
   }
-  if (async_reader_ != nullptr) {
-    // Real bets hold no cache pins. Forget them first (late completions
-    // then fail the ticket lookup and drop), then drain the queues so no
-    // worker still references the store when the caller tears down.
-    real_bets_.clear();
-    async_reader_->Drain();
-  }
+  // Measured bets hold no cache pins; their records are gone, so late
+  // completions fail the ticket lookup. Drain the queues so no worker
+  // still references the store when the caller tears down.
+  if (reader_ != nullptr) reader_->Drain();
   // End of run: no prediction is live, so stop protecting anything.
-  if (config_.prefetch_aware_eviction) {
-    cache_->SetPredictionWindow({});
-    last_window_.clear();
-  }
+  cache_->SetPredictionWindow({});
+  last_window_.clear();
 }
 
 }  // namespace liferaft::exec

@@ -1,71 +1,54 @@
 // The unified batch-execution pipeline: the paper's core scheduling loop —
 // pick a bucket, prefetch the predicted next picks, claim a completed
-// prefetch, evaluate the bucket's whole workload queue, account the
-// virtual-clock I/O — extracted into one place so both virtual-time
-// drivers (core::LifeRaft::ProcessNextBatch and sim::SimEngine's shared
-// mode) execute the identical loop. Before this layer existed the loop was
-// duplicated per driver and only the simulator had PR 2's prefetch
-// pipelining; now every feature of the loop lands in both drivers for
-// free.
+// prefetch, evaluate the bucket's whole workload queue, account the I/O —
+// in one place, so both drivers (core::LifeRaft::ProcessNextBatch and
+// sim::SimEngine's shared mode) run the identical loop.
+//
+// One loop, two I/O modes. Without a reader the pipeline is the
+// virtual-clock oracle: every fetch is DiskModel arithmetic and runs are
+// bit-reproducible. With a storage::AsyncReader (a constructor argument)
+// bets and foreground misses are real reads on the per-volume submission
+// queues, and a step's fetch residual is the wall time it blocked on them.
+// The modes differ in four private helpers, each holding both variants
+// side by side: the residency probe, claiming the pick's bet, placing and
+// dropping a bet, and advancing the modeled arm clocks after the join.
 //
 // Depth-K prefetch: with prefetching enabled the pipeline keeps up to
 // `prefetch_depth` predicted buckets in flight per disk arm
-// (Scheduler::PeekNextBuckets supplies the predicted service order).
-// Physical reads start immediately on the worker pool, overlapping the
-// current batch's join compute; the *modeled* fetches serialize per arm —
-// a prefetch's virtual completion time queues behind the current batch's
-// disk phase (when they share the arm) and behind every earlier prefetch
-// on its own arm, so no arm's clock ever overlaps two of its fetches. A
-// batch that claims its predicted bucket pays only the un-hidden residual
-// max(0, fetch_done - now), capped at the bucket's full T_b — a bet
-// queued so deep behind its arm that waiting would exceed a fresh
-// foreground read is charged as exactly that read (and hides nothing),
-// though the physical bytes are still reused. The full fetch minus the
-// charged residual is credited to prefetch_hidden_ms. At prefetch_depth
-// == 1 with cancel-on-mispredict off and a single volume this reproduces
-// the PR 2 engine pipeline tick-for-tick.
+// (Scheduler::PeekNextBucketsCovering supplies the predicted service
+// order). Physical reads start immediately, overlapping the current
+// batch's join compute; the *modeled* fetches serialize per arm — a
+// prefetch's virtual completion queues behind the current batch's disk
+// phase (when they share the arm) and behind every earlier prefetch on its
+// own arm. A batch that claims its predicted bucket pays only the
+// un-hidden residual max(0, fetch_done - now), capped at the bucket's full
+// T_b: a bet queued so deep that waiting would exceed a fresh foreground
+// read is charged as exactly that read (and hides nothing), though the
+// physical bytes are still reused. The full fetch minus the charged
+// residual is credited to prefetch_hidden_ms.
 //
 // Multi-volume topology (storage::StorageTopology): each volume is an
-// independent disk arm with its own in-flight bet queue, its own modeled
-// busy time, and — in adaptive mode — its own PrefetchController depth.
-// Scheduler::PeekNextBucketsCovering peeks the prediction deep enough to
-// surface candidates for every arm, so arms the front of the prediction
-// does not touch still get their fetches started; fetches on different
-// arms overlap both each other and the foreground batch's disk phase on
-// the virtual clocks, which is where the multi-spindle makespan win comes
-// from. A batch's foreground I/O contends only with its own bucket's arm:
-// bets on other arms neither slip nor delay it. A topology with a
-// dedicated spill arm (StorageTopologyConfig::spill_arm) contributes one
-// extra trailing arm that carries no bets and absorbs spill-restore busy
-// time, so restores stop contending with the restored bucket's own arm.
-// With a null topology (or num_volumes == 1) every bucket maps to arm 0
-// and the accounting reduces to the single-arm model byte for byte.
+// independent disk arm with its own bet queue, its own modeled busy time,
+// and — in adaptive mode — its own PrefetchController depth. Fetches on
+// different arms overlap each other and the foreground batch's disk
+// phase; a batch's foreground I/O contends only with its own bucket's arm.
+// A dedicated spill arm (StorageTopologyConfig::spill_arm) is one extra
+// trailing arm that carries no bets and absorbs spill-restore busy time.
+// With a null topology (or one volume) every bucket maps to arm 0.
 //
-// Mispredictions: by default an unclaimed prefetch is held (pinned) until
-// its bucket is eventually scheduled, its modeled completion slipping
-// whenever the foreground batch needs its disk arm. With
-// `cancel_on_mispredict` the pipeline instead drops queued prefetches that
-// have fallen out of the scheduler's current prediction window, unpinning
-// their buckets so the cache can evict them (the arm time already modeled
-// for them is not refunded — the bet was placed and lost).
+// Mispredictions: at a fixed depth an unclaimed prefetch stays pinned
+// until its bucket is scheduled, its modeled completion slipping whenever
+// the foreground batch needs its arm. With `adaptive_prefetch` each arm's
+// PrefetchController walks that arm's depth between 0 and
+// `max_prefetch_depth` from EWMAs of the stale-claim rate, hidden ms per
+// claim, and wasted bytes, and bets that leave the prediction window are
+// dropped — both the drain mechanism and the controller's mispredict
+// signal. Controllers see only virtual quantities and step counts in
+// modeled mode, so adaptive runs stay deterministic there.
 //
-// Adaptive depth (PR 4, per-arm since the topology refactor): with
-// `adaptive_prefetch` the fixed `prefetch_depth` becomes only the
-// starting point — each arm's PrefetchController tracks that arm's
-// stale-claim rate, hidden-ms per claim, and wasted prefetch bytes
-// (EWMAs over the virtual clock) and walks the arm's depth between 0 and
-// `controller.max_depth`: shrink on mispredict bursts, grow while deeper
-// bets keep hiding latency and dropped bets are not burning bandwidth.
-// Adaptive mode implies window-based cancelation (a shrunken window drops
-// the now-out-of-scope bets, which is both the drain mechanism and the
-// controller's mispredict signal). Still deterministic: controllers see
-// only virtual quantities and step counts.
-//
-// Prefetch-aware eviction: each time the pipeline peeks the prediction
-// window it publishes it to the cache (BucketCache::SetPredictionWindow),
-// so eviction demotes predicted buckets last and the prefetcher stops
-// evicting what it is about to fetch or claim. Opt out with
-// `prefetch_aware_eviction = false` for A/B comparison.
+// Every step publishes the prediction window to the cache
+// (BucketCache::SetPredictionWindow), so eviction demotes predicted
+// buckets last.
 
 #ifndef LIFERAFT_EXEC_BATCH_PIPELINE_H_
 #define LIFERAFT_EXEC_BATCH_PIPELINE_H_
@@ -93,35 +76,24 @@ class AsyncReader;  // storage/async_io.h
 
 namespace liferaft::exec {
 
-/// Knobs of the unified loop.
+/// Knobs of the unified loop, declared once: sim::EngineConfig and
+/// core::LifeRaftOptions inherit them.
 struct PipelineConfig {
   /// Cross-batch prefetch pipelining (see file comment). Changes the
   /// schedule (prefetched buckets count as resident for phi) but stays
   /// deterministic and thread-count independent.
   bool enable_prefetch = false;
-  /// Predicted picks kept in flight PER ARM (>= 1). Depth 1 on a single
-  /// volume is the PR 2 pipeline.
+  /// Predicted picks kept in flight PER ARM (>= 1). Under
+  /// adaptive_prefetch this only seeds every arm's starting depth.
   size_t prefetch_depth = 1;
-  /// Drop queued prefetches that leave the scheduler's prediction window
-  /// instead of holding them pinned until claimed.
-  bool cancel_on_mispredict = false;
-  /// Feedback-driven per-arm depth scaling between 0 and
-  /// controller.max_depth (see file comment); prefetch_depth seeds every
-  /// arm's starting depth. Implies window-based cancelation of stale bets.
+  /// Feedback-driven per-arm depth between 0 and max_prefetch_depth (see
+  /// file comment). Drops bets that leave the prediction window, and
+  /// enables the pipeline regardless of enable_prefetch.
   bool adaptive_prefetch = false;
-  /// Tuning of the adaptive controllers (used when adaptive_prefetch).
-  PrefetchControllerConfig controller;
-  /// Publish the prediction window to the cache so eviction demotes
-  /// predicted buckets last (BucketCache::SetPredictionWindow).
-  bool prefetch_aware_eviction = true;
-  /// Materialize match tuples (disable for scheduling-scale experiments).
-  bool collect_matches = true;
-  /// Price prefetch bets and foreground reads by the store's real encoded
-  /// page bytes instead of the kBytesPerObject estimate (see
-  /// JoinEvaluator::set_charge_encoded_bytes; keep the two in sync so bet
-  /// fetch times match foreground fetch times). Off by default — v1/v2
-  /// runs stay byte-identical.
-  bool charge_encoded_bytes = false;
+  /// Depth ceiling of the adaptive controllers (>= 1).
+  size_t max_prefetch_depth = 4;
+
+  Status Validate() const;
 };
 
 /// Everything one pipeline step produced; the driver advances its clock by
@@ -137,7 +109,8 @@ struct StepOutcome {
   TimeMs cost_ms = 0.0;
   TimeMs io_ms = 0.0;
   TimeMs cpu_ms = 0.0;
-  /// Un-hidden tail of a claimed prefetch, charged before the batch.
+  /// Fetch time charged before the batch: the un-hidden tail of a claimed
+  /// prefetch, or in measured mode the wall time spent waiting on a read.
   TimeMs fetch_residual_ms = 0.0;
   /// Sequential I/O for workload segments restored from the spill file.
   TimeMs restore_ms = 0.0;
@@ -156,45 +129,36 @@ struct StepOutcome {
 /// One archive's pick→prefetch→claim→evaluate→account loop. The pipeline
 /// borrows every component (nothing is owned) and keeps only the
 /// per-arm prefetch bookkeeping as state; drivers own the completion
-/// clock and call Step with their current virtual time.
+/// clock and call Step with their current time.
 class BatchPipeline {
  public:
   /// @param scheduler bucket scheduling policy (not owned)
   /// @param manager   workload queues (not owned)
   /// @param evaluator join evaluator layered over the bucket cache (not
-  ///                  owned; supplies the cache, disk model, and hybrid
-  ///                  config)
-  /// @param topology  volume map with per-volume disk models (not owned;
-  ///                  may be null = single volume using the evaluator's
-  ///                  model)
+  ///                  owned; supplies the cache and prices every fetch
+  ///                  with its T_b)
+  /// @param config    must Validate()
+  /// @param topology  volume map (not owned; may be null = one volume)
+  /// @param reader    per-volume submission queues for measured I/O (not
+  ///                  owned; null = the modeled oracle). Must outlive the
+  ///                  pipeline.
   BatchPipeline(sched::Scheduler* scheduler, query::WorkloadManager* manager,
                 join::JoinEvaluator* evaluator, PipelineConfig config,
-                const storage::StorageTopology* topology = nullptr);
+                const storage::StorageTopology* topology = nullptr,
+                storage::AsyncReader* reader = nullptr);
 
-  /// Runs one scheduling step at virtual time `now`. Returns nullopt when
-  /// no queue has pending work (outstanding prefetch bets stay pending —
-  /// work may still arrive for them). With a real-I/O reader attached
-  /// (AttachRealIo) this dispatches to the measured-time path instead of
-  /// the DiskModel arithmetic.
-  Result<std::optional<StepOutcome>> Step(TimeMs now);
-
-  /// Switches the pipeline into real-I/O mode: prefetch bets and
-  /// foreground misses are submitted to `reader`'s per-volume submission
-  /// queues (storage/async_io.h) and the step's fetch_residual_ms carries
-  /// the MEASURED wall time the step blocked on the queues, not a modeled
-  /// quantity. The modeled Step path is untouched — a pipeline that never
-  /// attaches a reader is bit-identical to one built before this API
-  /// existed. Call before the first Step; `reader` must outlive the
-  /// pipeline (or a CancelOutstandingPrefetches + AttachRealIo(nullptr)).
-  void AttachRealIo(storage::AsyncReader* reader) { async_reader_ = reader; }
-  bool real_io() const { return async_reader_ != nullptr; }
+  /// Runs one scheduling step at time `now` (virtual ms; measured mode
+  /// charges wall ms). Returns nullopt when no queue has pending work
+  /// (outstanding prefetch bets stay pending — work may still arrive for
+  /// them). `collect_matches` materializes the batch's match tuples.
+  Result<std::optional<StepOutcome>> Step(TimeMs now, bool collect_matches);
 
   /// Drops every outstanding prefetch bet on every arm (end of run /
   /// drain).
   void CancelOutstandingPrefetches();
 
-  /// Virtual fetch time hidden behind compute by claimed prefetches,
-  /// summed over all arms (per-arm split in volume_stats()).
+  /// Fetch time hidden behind compute by claimed prefetches, summed over
+  /// all arms (per-arm split in volume_stats()).
   TimeMs prefetch_hidden_ms() const { return prefetch_hidden_ms_; }
 
   /// Arm `volume`'s adaptive controller, or null when adaptive_prefetch
@@ -206,15 +170,13 @@ class BatchPipeline {
 
   /// The depth the next Step will prefetch arm `volume` to (that arm's
   /// controller depth in adaptive mode, the fixed config depth
-  /// otherwise), limited by the external depth cap. The zero-arg form
-  /// reads arm 0.
+  /// otherwise), limited by the external depth cap.
   size_t current_prefetch_depth(size_t volume) const {
     const size_t raw = arms_[volume].controller != nullptr
                            ? arms_[volume].controller->depth()
                            : config_.prefetch_depth;
     return std::min(raw, depth_cap_);
   }
-  size_t current_prefetch_depth() const { return current_prefetch_depth(0); }
 
   /// Caps every arm's next-step prefetch depth — adaptive or fixed — at
   /// `cap`. The default (SIZE_MAX) never binds; the serving engine drives
@@ -222,7 +184,6 @@ class BatchPipeline {
   /// The cap limits how many NEW bets a step places; bets already in
   /// flight are untouched (the window-based stale drop drains them).
   void set_depth_cap(size_t cap) { depth_cap_ = cap; }
-  size_t depth_cap() const { return depth_cap_; }
 
   /// Number of disk arms including the dedicated spill arm, if any.
   size_t num_volumes() const { return arms_.size(); }
@@ -234,16 +195,6 @@ class BatchPipeline {
   /// Per-arm I/O telemetry accumulated so far (index = volume).
   std::vector<storage::VolumeIoStats> volume_stats() const;
 
-  /// Residency probe for the scheduler's phi term at time `now`: resident
-  /// in cache, or bet on by a prefetch whose modeled fetch has completed —
-  /// which steers the metric toward the bucket we bet on, making the
-  /// prediction self-fulfilling.
-  sched::CacheProbe MakeCacheProbe(TimeMs now) const;
-
-  /// Per-call match materialization (core::LifeRaft's ProcessNextBatch
-  /// exposes this per batch).
-  void set_collect_matches(bool collect) { config_.collect_matches = collect; }
-
   /// Outstanding bets across all arms.
   size_t pending_prefetches() const;
 
@@ -251,11 +202,14 @@ class BatchPipeline {
   /// One outstanding prefetch bet.
   struct PendingPrefetch {
     storage::BucketIndex bucket;
-    /// Virtual time at which the modeled fetch completes on its arm
+    /// Modeled mode: virtual time at which the fetch completes on its arm
     /// (queued behind the arm's foreground I/O and earlier prefetches).
-    TimeMs done_ms;
-    /// Full modeled fetch cost (T_b of the bucket), for hidden-time stats.
-    TimeMs fetch_ms;
+    /// Zero until AdvanceArmClocks prices the bet, and always in measured
+    /// mode.
+    TimeMs done_ms = 0.0;
+    /// Modeled mode: full fetch cost (T_b of the bucket), for hidden-time
+    /// stats.
+    TimeMs fetch_ms = 0.0;
   };
 
   /// One disk arm: its outstanding bets in predicted service order (= that
@@ -267,7 +221,7 @@ class BatchPipeline {
     storage::VolumeIoStats stats;
   };
 
-  /// Completion-side record of one real-I/O bet: filled in by the
+  /// Completion-side record of one measured read: filled in by the
   /// submission-queue callback (which the reader invokes on THIS thread,
   /// inside Poll()/Wait() — never on a worker, so no locking). The ticket
   /// guards against a late completion of a dropped-and-resubmitted bet
@@ -283,22 +237,57 @@ class BatchPipeline {
     uint64_t bytes = 0;
   };
 
-  /// The measured-time twin of Step (see AttachRealIo).
-  Result<std::optional<StepOutcome>> StepReal(TimeMs now);
-  /// Submits bucket `b` to the reader and records the bet in real_bets_.
+  /// What claiming the pick's fetch cost the step.
+  struct Claim {
+    /// Fetch time to charge before the batch.
+    TimeMs residual_ms = 0.0;
+    /// Fetch latency the claimed bet hid behind earlier compute.
+    TimeMs hidden_ms = 0.0;
+    /// True if a bet was claimed (not set by a foreground read).
+    bool claimed = false;
+  };
+
+  // The four places where the I/O modes differ.
+
+  /// Residency probe for the scheduler's phi term at time `now`: resident
+  /// in cache, or bet on by a prefetch whose fetch has landed — modeled:
+  /// its virtual fetch completed by `now`; measured: its read completed
+  /// OK (harvested here). Steering the metric toward the buckets we bet on
+  /// makes the prediction self-fulfilling.
+  sched::CacheProbe MakeCacheProbe(TimeMs now);
+  /// Claims the bet on `pick` when the batch will scan: modeled, charges
+  /// the un-hidden residual; measured, waits for the read. A measured
+  /// scan miss without a bet is read through the submission queue too.
+  Result<Claim> ClaimPick(storage::BucketIndex pick,
+                          const std::vector<query::WorkloadEntry>& entries,
+                          TimeMs now);
+  /// Starts the physical read of a new bet on `b` and queues it on b's
+  /// arm: a pinned cache prefetch (modeled) or a submitted read
+  /// (measured).
+  void PlaceBet(storage::BucketIndex b);
+  /// Forgets the bet on `b`: unpins the prefetch (modeled) or drops the
+  /// read record so its late completion is discarded (measured). Returns
+  /// the bytes the bet had already fetched, now wasted. The caller removes
+  /// it from its arm's queue.
+  uint64_t DropBet(storage::BucketIndex b);
+  /// Modeled mode only: slips the bets on the pick's arm by the batch's
+  /// disk phase, prices the `placed[v]` newest bets on every arm, and
+  /// records the batch's foreground and spill-restore arm time. Measured
+  /// mode does nothing — its physical queues are the arm clocks.
+  void AdvanceArmClocks(const StepOutcome& outcome,
+                        const join::BatchResult& result,
+                        uint64_t restored_bytes,
+                        const std::vector<size_t>& placed, TimeMs now);
+
+  /// Measured mode: submits a read of `b` and records it in real_bets_.
   void SubmitRealBet(storage::BucketIndex b);
-  /// Blocks on the reader until real_bets_[b] completes, harvesting other
-  /// arms' completions along the way; returns the measured wall wait.
-  TimeMs WaitForRealBet(storage::BucketIndex b);
+  /// Measured mode: blocks until the read of `b` completes, harvesting
+  /// other arms' completions along the way, then hands the bucket to the
+  /// cache. Returns the completion; `*waited_ms` gets the wall wait.
+  Result<RealBet> AwaitRealBet(storage::BucketIndex b, TimeMs* waited_ms);
 
   storage::VolumeIndex VolumeOf(storage::BucketIndex b) const {
     return topology_ != nullptr ? topology_->VolumeOf(b) : 0;
-  }
-  /// Disk model for bucket `b`'s sequential fetches: its volume's model
-  /// under a topology, the evaluator's global model otherwise.
-  const storage::DiskModel& ModelFor(storage::BucketIndex b) const {
-    return topology_ != nullptr ? topology_->ModelFor(b)
-                                : evaluator_->disk_model();
   }
   /// True if the evaluator would take the scan path for this batch with
   /// the bucket resident — i.e. claiming the prefetch will actually be
@@ -313,6 +302,8 @@ class BatchPipeline {
   join::JoinEvaluator* evaluator_;
   storage::BucketCache* cache_;
   const storage::StorageTopology* topology_;
+  /// Measured-mode submission queues (null = modeled). Not owned.
+  storage::AsyncReader* reader_;
   PipelineConfig config_;
 
   /// One entry per bucket volume (exactly one without a topology), plus a
@@ -329,10 +320,8 @@ class BatchPipeline {
   /// windows — the cache locks every shard to swap them).
   std::vector<storage::BucketIndex> last_window_;
 
-  /// Real-I/O mode (null = modeled). Not owned.
-  storage::AsyncReader* async_reader_ = nullptr;
-  /// Outstanding real bets by bucket; arm.bets still carries the queue
-  /// ORDER (with zeroed modeled times), this map carries the completions.
+  /// Measured mode: outstanding reads by bucket. Arm queues carry the bet
+  /// ORDER; this map carries the completions.
   std::unordered_map<storage::BucketIndex, RealBet> real_bets_;
   WallClock wall_;
 };

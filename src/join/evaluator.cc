@@ -9,16 +9,16 @@
 namespace liferaft::join {
 namespace {
 
-/// Match storage of one parallel slice: arena-backed when the executing
-/// worker's arena is enabled for this batch, shared-heap otherwise (same
-/// type either way, so the kernels instantiate once).
+/// Match storage of one evaluation unit: arena-backed on a pool worker,
+/// shared-heap on the serial path (same type either way, so the kernels
+/// instantiate once).
 using SliceMatches = util::ArenaVector<query::Match>;
 
-/// The allocator for a slice task running on the current thread: the
-/// worker's own arena when arenas are on, the heap off-pool or when off.
-util::ArenaAllocator<query::Match> SliceAllocator(bool use_arenas) {
+/// The allocator for a unit running on the current thread: the worker's
+/// own arena on the parallel paths, the heap on the serial ones.
+util::ArenaAllocator<query::Match> SliceAllocator(bool parallel) {
   return util::ArenaAllocator<query::Match>(
-      use_arenas ? util::ThreadPool::CurrentArena() : nullptr);
+      parallel ? util::ThreadPool::CurrentArena() : nullptr);
 }
 
 uint64_t CountObjects(const std::vector<query::WorkloadEntry>& batch) {
@@ -50,16 +50,16 @@ std::vector<std::span<const query::WorkloadEntry>> SliceBatch(
 /// Fans `kernel(slice, out)` across the pool, one task per contiguous
 /// slice of `batch`, and merges counters and matches in slice (= entry)
 /// order, which makes the result identical to one serial kernel call over
-/// the whole batch. With `use_arenas` each slice appends its matches into
-/// the executing worker's bump arena (reclaimed by the caller's next
-/// ResetArenas); the in-order merge into `out` copies them to the shared
-/// heap, so nothing arena-backed escapes the call. Every task is drained
-/// before any exception propagates: tasks reference stack-owned inputs, so
-/// unwinding while a worker still runs would be a use-after-free.
+/// the whole batch. Each slice appends its matches into the executing
+/// worker's bump arena (reclaimed by the caller's next ResetArenas); the
+/// in-order merge into `out` copies them to the shared heap, so nothing
+/// arena-backed escapes the call. Every task is drained before any
+/// exception propagates: tasks reference stack-owned inputs, so unwinding
+/// while a worker still runs would be a use-after-free.
 template <typename Counters, typename Kernel>
 Counters ParallelJoin(util::ThreadPool& pool,
                       const std::vector<query::WorkloadEntry>& batch,
-                      std::vector<query::Match>* out, bool use_arenas,
+                      std::vector<query::Match>* out,
                       const Kernel& kernel) {
   struct SliceResult {
     Counters counters{};
@@ -71,8 +71,9 @@ Counters ParallelJoin(util::ThreadPool& pool,
     auto slices = SliceBatch(batch, pool.num_threads());
     futures.reserve(slices.size());
     for (auto slice : slices) {
-      futures.push_back(pool.Submit([&kernel, slice, collect, use_arenas] {
-        SliceResult r{Counters{}, SliceMatches(SliceAllocator(use_arenas))};
+      futures.push_back(pool.Submit([&kernel, slice, collect] {
+        SliceResult r{Counters{},
+                      SliceMatches(SliceAllocator(/*parallel=*/true))};
         r.counters = kernel(slice, collect ? &r.matches : nullptr);
         return r;
       }));
@@ -123,10 +124,9 @@ Result<BatchResult> JoinEvaluator::EvaluateBucket(
           : ChooseStrategy(config_, queue_objects, bucket_objects, cached);
 
   const bool parallel = pool_ != nullptr && batch.size() > 1;
-  const bool arenas = use_match_arenas_ && parallel;
   // Batch boundary: the previous batch's slice vectors are all merged and
   // destroyed, so every worker arena can be reclaimed in one bump.
-  if (arenas) pool_->ResetArenas();
+  if (parallel) pool_->ResetArenas();
   std::vector<query::Match>* out = collect_matches ? &result.matches
                                                    : nullptr;
   if (result.strategy == JoinStrategy::kScan) {
@@ -145,7 +145,7 @@ Result<BatchResult> JoinEvaluator::EvaluateBucket(
     result.cost_ms = result.io_ms + result.cpu_ms;
     if (parallel) {
       result.counters = ParallelJoin<JoinCounters>(
-          *pool_, batch, out, arenas,
+          *pool_, batch, out,
           [b](std::span<const query::WorkloadEntry> slice,
               SliceMatches* slice_out) {
             return MergeCrossMatchInto(*b, slice, slice_out);
@@ -163,7 +163,7 @@ Result<BatchResult> JoinEvaluator::EvaluateBucket(
     IndexedJoinCounters counters;
     if (parallel) {
       counters = ParallelJoin<IndexedJoinCounters>(
-          *pool_, batch, out, arenas,
+          *pool_, batch, out,
           [this, range](std::span<const query::WorkloadEntry> slice,
                         SliceMatches* slice_out) {
             return IndexedCrossMatchInto(*index_, range, slice, slice_out);
@@ -202,13 +202,11 @@ Result<std::vector<PerQueryResult>> JoinEvaluator::EvaluatePerQueryWindow(
   const bool worker_reads =
       mode == PerQueryMode::kNoShareScan && parallel &&
       cache_->mutable_store()->SupportsConcurrentReads();
-  const bool arenas = use_match_arenas_ && parallel;
-  // Worker-side bucket reads route their transient decode buffers through
-  // the executing worker's arena when io arenas are on; the buffers die
-  // inside the read, so the same window-boundary reset covers them.
-  const bool io_arenas = use_io_arenas_ && worker_reads;
   // Window boundary: every prior task's arena-backed vectors are gone.
-  if (arenas || io_arenas) pool_->ResetArenas();
+  // Worker-side bucket reads route their transient decode buffers through
+  // the executing worker's arena too; the buffers die inside the read, so
+  // the same reset covers them.
+  if (parallel) pool_->ResetArenas();
   std::vector<std::vector<std::shared_ptr<const storage::Bucket>>> buckets;
   if (mode == PerQueryMode::kNoShareScan && !worker_reads) {
     buckets.resize(window.size());
@@ -233,14 +231,13 @@ Result<std::vector<PerQueryResult>> JoinEvaluator::EvaluatePerQueryWindow(
 
   // Deterministic in isolation: reads only this query's (immutable) inputs,
   // so it computes the same result on any thread at any time. Materialized
-  // matches are per-query scratch (counts are the result), so they go to
-  // the executing worker's arena when arenas are on.
-  auto evaluate_one = [this, mode, collect_matches, worker_reads, arenas,
-                       io_arenas, &window,
-                       &buckets](size_t i) -> Result<QueryEval> {
+  // matches are per-query scratch (counts are the result), so on the
+  // parallel path they go to the executing worker's arena.
+  auto evaluate_one = [this, mode, collect_matches, worker_reads, parallel,
+                       &window, &buckets](size_t i) -> Result<QueryEval> {
     const PerQueryWork& work = window[i];
     QueryEval eval;
-    SliceMatches out(SliceAllocator(arenas));
+    SliceMatches out(SliceAllocator(parallel));
     SliceMatches* outp = collect_matches ? &out : nullptr;
     size_t wi = 0;
     for (const query::BucketWorkload& w : *work.workloads) {
@@ -256,8 +253,7 @@ Result<std::vector<PerQueryResult>> JoinEvaluator::EvaluatePerQueryWindow(
         if (worker_reads) {
           LIFERAFT_ASSIGN_OR_RETURN(
               b, cache_->mutable_store()->ReadBucketForPrefetchScratch(
-                     w.bucket, io_arenas ? util::ThreadPool::CurrentArena()
-                                         : nullptr));
+                     w.bucket, util::ThreadPool::CurrentArena()));
           ++eval.reads;
           eval.read_bytes += b->EstimatedBytes();
           eval.read_objects += b->size();

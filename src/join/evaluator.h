@@ -84,14 +84,15 @@ struct EvaluatorStats {
 /// single-threaded path, so scheduling and the virtual clock stay
 /// deterministic.
 ///
-/// Match arenas: with a pool attached (and use_match_arenas on, the
-/// default), each parallel slice collects its match tuples into the
-/// executing worker's bump arena (util::Arena via ThreadPool::CurrentArena)
-/// instead of the shared heap; the owner merges the slices in order and
-/// resets every arena at the next batch boundary. This removes allocator
-/// contention from the match fan-out without changing a single byte of
-/// output — the off switch exists to prove exactly that (and for A/B
-/// benchmarking).
+/// Match arenas: with a pool attached, each parallel slice collects its
+/// match tuples into the executing worker's bump arena (util::Arena via
+/// ThreadPool::CurrentArena) instead of the shared heap; the owner merges
+/// the slices in order and resets every arena at the next batch boundary.
+/// This removes allocator contention from the match fan-out without
+/// changing a single byte of output. The parallel NoShare path likewise
+/// passes the worker's arena into the store's bucket reads
+/// (ReadBucketForPrefetchScratch), so page decode buffers stop touching
+/// the heap.
 class JoinEvaluator {
  public:
   /// @param cache  bucket cache layered over the archive's store (not
@@ -132,20 +133,6 @@ class JoinEvaluator {
   void set_thread_pool(util::ThreadPool* pool) { pool_ = pool; }
   util::ThreadPool* thread_pool() const { return pool_; }
 
-  /// Per-worker match arenas for the parallel paths (no effect without a
-  /// pool). Off = every slice allocates match storage from the shared heap,
-  /// byte-identical results either way.
-  void set_use_match_arenas(bool use) { use_match_arenas_ = use; }
-  bool use_match_arenas() const { return use_match_arenas_; }
-
-  /// Per-worker arenas for transient I/O scratch: the parallel NoShare
-  /// path passes the executing worker's arena into the store's bucket
-  /// reads (ReadBucketForPrefetchScratch), so page decode buffers stop
-  /// touching the heap. Dispatch-scoped scratch only — results are
-  /// byte-identical on or off.
-  void set_use_io_arenas(bool use) { use_io_arenas_ = use; }
-  bool use_io_arenas() const { return use_io_arenas_; }
-
   /// Attaches the multi-volume topology (not owned; may be null = single
   /// volume). A bucket's sequential T_b is then charged from its volume's
   /// disk model — scan fetches in shared mode and NoShare full reads —
@@ -173,8 +160,9 @@ class JoinEvaluator {
   void ResetStats() { stats_ = EvaluatorStats{}; }
   storage::BucketCache* cache() { return cache_; }
 
- private:
   /// Disk model for bucket `b`'s sequential reads (see set_topology).
+  /// Together with ModeledBytes this is T_b, which exec::BatchPipeline
+  /// also uses to price prefetch bets.
   const storage::DiskModel& SequentialModelFor(
       storage::BucketIndex b) const {
     return topology_ != nullptr ? topology_->ModelFor(b) : model_;
@@ -186,14 +174,13 @@ class JoinEvaluator {
     return cache_->store().ModeledBucketBytes(b, charge_encoded_bytes_);
   }
 
+ private:
   storage::BucketCache* cache_;
   const storage::BTreeIndex* index_;
   storage::DiskModel model_;
   HybridConfig config_;
   const storage::StorageTopology* topology_ = nullptr;
   util::ThreadPool* pool_ = nullptr;
-  bool use_match_arenas_ = true;
-  bool use_io_arenas_ = true;
   bool charge_encoded_bytes_ = false;
   EvaluatorStats stats_;
 };

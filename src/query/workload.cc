@@ -128,12 +128,8 @@ std::vector<WorkloadEntry> WorkloadManager::TakeBucket(
     uint64_t bytes = 0;
     // The previous dispatch's restore buffers are long dead (they never
     // outlive Restore), so the arena can be reclaimed wholesale here.
-    util::Arena* scratch = nullptr;
-    if (use_restore_arena_) {
-      restore_arena_.Reset();
-      scratch = &restore_arena_;
-    }
-    Status st = spill_->Restore(b, &entries, &bytes, scratch);
+    restore_arena_.Reset();
+    Status st = spill_->Restore(b, &entries, &bytes, &restore_arena_);
     // A spill-file failure loses queued work; surface loudly. (The API
     // predates Status plumbing here; corruption of our own scratch file
     // is a process-fatal invariant violation.)

@@ -106,13 +106,6 @@ class WorkloadManager {
 
   const SpillStats& spill_stats() const { return spill_stats_; }
 
-  /// Routes spill-restore read buffers through a manager-owned bump arena
-  /// (reset at each dispatch) instead of the heap. The buffers are
-  /// dispatch-scoped scratch, so restored entries are byte-identical on
-  /// or off; the switch exists to prove that and for A/B benchmarking.
-  void set_use_restore_arena(bool use) { use_restore_arena_ = use; }
-  bool use_restore_arena() const { return use_restore_arena_; }
-
   /// Admits a pre-processed query: installs one WorkloadEntry per bucket
   /// workload. Returns the number of buckets the query joined.
   /// InvalidArgument if the query has no workloads or is already pending.
@@ -160,10 +153,9 @@ class WorkloadManager {
   std::unique_ptr<WorkloadSpillFile> spill_;
   uint64_t memory_budget_objects_ = 0;  // 0 = unlimited (spill disabled)
   SpillStats spill_stats_;
-  /// Dispatch-scoped scratch for restore read buffers (see
-  /// set_use_restore_arena); reset at the top of every TakeBucket.
+  /// Dispatch-scoped scratch for spill-restore read buffers, so they stop
+  /// touching the heap; reset at the top of every restoring TakeBucket.
   util::Arena restore_arena_;
-  bool use_restore_arena_ = true;
 };
 
 }  // namespace liferaft::query

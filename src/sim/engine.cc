@@ -57,8 +57,9 @@ Result<bool> SimEngine::SharedStep() {
   // The pick→prefetch→claim→evaluate→account loop lives in
   // exec::BatchPipeline (shared with core::LifeRaft); the engine only owns
   // the clock and the per-query outcome bookkeeping.
-  LIFERAFT_ASSIGN_OR_RETURN(std::optional<exec::StepOutcome> outcome,
-                            pipeline_->Step(clock_));
+  LIFERAFT_ASSIGN_OR_RETURN(
+      std::optional<exec::StepOutcome> outcome,
+      pipeline_->Step(clock_, config_.collect_matches));
   if (!outcome.has_value()) return false;
   if (config_.io_mode == IoMode::kReal) {
     // Measured execution: the clock IS elapsed wall time. (max: an idle
@@ -132,13 +133,12 @@ Result<bool> SimEngine::PerQueryStep(
 
 Status SimEngine::PrepareRun(size_t expected_queries) {
   LIFERAFT_RETURN_IF_ERROR(config_.disk.Validate());
+  LIFERAFT_RETURN_IF_ERROR(config_.exec::PipelineConfig::Validate());
   if (config_.mode == ExecutionMode::kShared && scheduler_ == nullptr) {
     return Status::FailedPrecondition("shared mode requires a scheduler");
   }
-  if ((config_.mode == ExecutionMode::kIndexOnly ||
-       config_.mode == ExecutionMode::kShared) &&
-      catalog_->index() == nullptr &&
-      config_.mode == ExecutionMode::kIndexOnly) {
+  if (config_.mode == ExecutionMode::kIndexOnly &&
+      catalog_->index() == nullptr) {
     return Status::FailedPrecondition("index-only mode requires an index");
   }
 
@@ -198,8 +198,6 @@ Status SimEngine::PrepareRun(size_t expected_queries) {
       config_.cache_capacity_bytes);
   evaluator_ = std::make_unique<join::JoinEvaluator>(
       cache_.get(), catalog_->index(), model_, config_.hybrid);
-  evaluator_->set_use_match_arenas(config_.match_arenas);
-  evaluator_->set_use_io_arenas(config_.io_arenas);
   evaluator_->set_topology(topology_.get());
   evaluator_->set_charge_encoded_bytes(config_.charge_encoded_bytes);
   if (config_.num_threads > 1) {
@@ -213,30 +211,18 @@ Status SimEngine::PrepareRun(size_t expected_queries) {
   }
   manager_ =
       std::make_unique<query::WorkloadManager>(catalog_->num_buckets());
-  manager_->set_use_restore_arena(config_.io_arenas);
   if (!config_.spill_path.empty() &&
       config_.mode == ExecutionMode::kShared) {
     LIFERAFT_RETURN_IF_ERROR(manager_->EnableSpill(
         config_.spill_path, config_.workload_memory_budget));
   }
   if (config_.mode == ExecutionMode::kShared) {
-    exec::PipelineConfig pipeline_config;
-    pipeline_config.enable_prefetch = config_.enable_prefetch;
-    pipeline_config.prefetch_depth = config_.prefetch_depth;
-    pipeline_config.cancel_on_mispredict = config_.cancel_on_mispredict;
-    pipeline_config.adaptive_prefetch = config_.adaptive_prefetch;
-    pipeline_config.controller.max_depth =
-        std::max<size_t>(config_.max_prefetch_depth, 1);
-    pipeline_config.prefetch_aware_eviction = config_.prefetch_aware_eviction;
-    pipeline_config.collect_matches = config_.collect_matches;
-    pipeline_config.charge_encoded_bytes = config_.charge_encoded_bytes;
-    pipeline_ = std::make_unique<exec::BatchPipeline>(
-        scheduler_.get(), manager_.get(), evaluator_.get(), pipeline_config,
-        topology_.get());
     if (config_.io_mode == IoMode::kReal) {
       async_reader_ = catalog_->store()->NewAsyncReader(topology_.get());
-      pipeline_->AttachRealIo(async_reader_.get());
     }
+    pipeline_ = std::make_unique<exec::BatchPipeline>(
+        scheduler_.get(), manager_.get(), evaluator_.get(), config_,
+        topology_.get(), async_reader_.get());
   }
   wall_base_ms_ = wall_.NowMs();
   return Status::OK();
@@ -384,7 +370,6 @@ RunMetrics SimEngine::AssembleMetrics(size_t n) {
     metrics.real_io = async_reader_->VolumeStats();
   }
   if (pipeline_ != nullptr && pipeline_->controller() != nullptr) {
-    metrics.prefetch_final_depth = pipeline_->controller()->depth();
     metrics.prefetch_stale_ewma = pipeline_->controller()->stale_ewma();
     // Depths exist only for bucket arms; a spill arm has no controller.
     metrics.arm_final_depths.reserve(pipeline_->bucket_volumes());

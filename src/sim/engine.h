@@ -57,8 +57,10 @@ enum class IoMode { kModeled, kReal };
 
 const char* IoModeName(IoMode mode);
 
-/// Engine configuration.
-struct EngineConfig {
+/// Engine configuration. The prefetch knobs (enable_prefetch,
+/// prefetch_depth, adaptive_prefetch, max_prefetch_depth) are inherited
+/// from exec::PipelineConfig and apply in shared mode.
+struct EngineConfig : exec::PipelineConfig {
   ExecutionMode mode = ExecutionMode::kShared;
   /// Virtual-clock oracle vs measured wall-clock execution (see IoMode).
   /// kModeled leaves every code path and result bit-identical to builds
@@ -104,43 +106,6 @@ struct EngineConfig {
   /// counters and I/O charges are merged in arrival order, so scheduling,
   /// cache traffic, and the virtual clock are unchanged.
   size_t num_threads = 1;
-  /// Cross-batch prefetch pipelining (shared mode): while a batch joins,
-  /// start fetching the bucket the scheduler is predicted to pick next
-  /// (Scheduler::PeekNextBucket), pinned in cache until claimed. The
-  /// virtual clock models one disk arm: the prefetch begins when the
-  /// current batch's disk phase ends and only the in-memory matching time
-  /// hides fetch latency; an early-arriving batch pays the residual
-  /// max(0, fetch_done - now). Changes the schedule (prefetched buckets
-  /// count as resident for phi), so results are NOT comparable to
-  /// non-prefetch runs; they are still deterministic and independent of
-  /// num_threads. The loop itself lives in exec::BatchPipeline, shared
-  /// with core::LifeRaft.
-  bool enable_prefetch = false;
-  /// Predicted picks kept in flight when prefetching (>= 1); depth 1 is
-  /// the PR 2 single-bet pipeline. Under adaptive_prefetch this is only
-  /// the controller's starting depth.
-  size_t prefetch_depth = 1;
-  /// Drop prefetch bets that leave the scheduler's prediction window
-  /// instead of holding them pinned until claimed.
-  bool cancel_on_mispredict = false;
-  /// Feedback-driven prefetch depth: an exec::PrefetchController scales
-  /// the depth between 0 and max_prefetch_depth from the observed
-  /// stale-claim rate and hidden-ms per claim (implies window-based bet
-  /// cancelation; enables the pipeline regardless of enable_prefetch).
-  /// Deterministic, like everything on the virtual clock.
-  bool adaptive_prefetch = false;
-  /// Depth ceiling for the adaptive controller (>= 1).
-  size_t max_prefetch_depth = 4;
-  /// Demote buckets inside the scheduler's prediction window last on
-  /// eviction (BucketCache::SetPredictionWindow); off = plain LRU.
-  bool prefetch_aware_eviction = true;
-  /// Per-worker bump arenas for parallel match collection (no effect at
-  /// num_threads == 1). Results are byte-identical on or off.
-  bool match_arenas = true;
-  /// Bump arenas for batch-scoped I/O scratch: spill-restore read buffers
-  /// and worker-side bucket page decode buffers. Results are
-  /// byte-identical on or off.
-  bool io_arenas = true;
   /// Optional workload-adaptive alpha: when set and the scheduler is a
   /// LifeRaftScheduler, the engine re-selects alpha from the observed
   /// arrival rate after every admission.

@@ -74,11 +74,10 @@ struct RunMetrics {
   /// are in `cache`.
   TimeMs prefetch_hidden_ms = 0.0;
   /// Adaptive-prefetch telemetry (meaningful only when
-  /// EngineConfig::adaptive_prefetch): arm 0's controller depth at end of
-  /// run and its stale-claim EWMA — how mispredicted the tail of the run
-  /// looked to the feedback loop. (Multi-volume runs have one controller
-  /// per arm; arm 0 keeps this field's single-volume meaning.)
-  size_t prefetch_final_depth = 0;
+  /// EngineConfig::adaptive_prefetch): arm 0's stale-claim EWMA at end of
+  /// run — how mispredicted the tail of the run looked to the feedback
+  /// loop. (Multi-volume runs have one controller per arm; arm 0 keeps
+  /// this field's single-volume meaning.)
   double prefetch_stale_ewma = 0.0;
   /// Per-volume I/O telemetry (index = volume; one entry per disk arm,
   /// exactly one for single-volume runs; empty in per-query modes, which
@@ -86,10 +85,9 @@ struct RunMetrics {
   /// counts, modeled busy and hidden time, and each arm's consumed-work
   /// and speculative busy-until clocks.
   std::vector<storage::VolumeIoStats> volumes;
-  /// Each arm's prefetch-controller depth at end of run (one entry per
-  /// volume under adaptive_prefetch, empty otherwise). prefetch_final_depth
-  /// keeps reporting arm 0 for single-volume compatibility; this vector is
-  /// the multi-arm view.
+  /// Each arm's prefetch depth at end of run, as the next step would use
+  /// it (controller depth under any QoS depth cap; one entry per bucket
+  /// volume under adaptive_prefetch, empty otherwise).
   std::vector<size_t> arm_final_depths;
 
   /// Real-I/O mode (EngineConfig::io_mode == kReal): measured wall-clock

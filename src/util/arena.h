@@ -16,8 +16,8 @@
 //
 // ArenaAllocator<T> degrades gracefully: constructed with a null arena it
 // forwards to ::operator new/delete, so the same container type serves
-// both the arena path and the plain-heap path (the `match_arenas` off
-// switch, and any call site that runs outside a worker thread).
+// both the arena path and the plain-heap path (serial evaluation, and any
+// call site that runs outside a worker thread).
 
 #ifndef LIFERAFT_UTIL_ARENA_H_
 #define LIFERAFT_UTIL_ARENA_H_

@@ -340,22 +340,9 @@ namespace {
 class RealIoModeTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    workload::CatalogGenConfig gen;
-    gen.num_objects = 20'000;
-    gen.seed = 137;
-    auto objects = workload::GenerateCatalog(gen);
-    ASSERT_TRUE(objects.ok());
-    auto partition = storage::PartitionCatalog(std::move(*objects), 1000);
-    ASSERT_TRUE(partition.ok());
-    path_ = (std::filesystem::temp_directory_path() /
-             ("liferaft_realio_" + std::to_string(::getpid())))
-                .string();
-    ASSERT_TRUE(storage::FileStore::Create(path_, partition->buckets).ok());
-    auto store = storage::FileStore::Open(path_);
-    ASSERT_TRUE(store.ok());
-    auto catalog = storage::Catalog::FromStore(std::move(*store));
-    ASSERT_TRUE(catalog.ok());
-    catalog_ = std::move(*catalog);
+    path_ = TempPath("v1");
+    catalog_ = WriteCatalog(path_, storage::BucketFormat::kRowV1);
+    ASSERT_NE(catalog_, nullptr);
 
     workload::TraceConfig tc;
     tc.num_queries = 16;
@@ -370,6 +357,36 @@ class RealIoModeTest : public ::testing::Test {
 
   void TearDown() override { std::remove(path_.c_str()); }
 
+  static std::string TempPath(const std::string& tag) {
+    return (std::filesystem::temp_directory_path() /
+            ("liferaft_realio_" + std::to_string(::getpid()) + "_" + tag))
+        .string();
+  }
+
+  /// Writes the fixture's archive to `path` in `format` and opens it as a
+  /// catalog (null on failure).
+  static std::unique_ptr<storage::Catalog> WriteCatalog(
+      const std::string& path, storage::BucketFormat format) {
+    workload::CatalogGenConfig gen;
+    gen.num_objects = 20'000;
+    gen.seed = 137;
+    auto objects = workload::GenerateCatalog(gen);
+    EXPECT_TRUE(objects.ok());
+    if (!objects.ok()) return nullptr;
+    auto partition = storage::PartitionCatalog(std::move(*objects), 1000);
+    EXPECT_TRUE(partition.ok());
+    if (!partition.ok()) return nullptr;
+    Status created = storage::FileStore::Create(path, partition->buckets,
+                                                format);
+    EXPECT_TRUE(created.ok()) << created.ToString();
+    auto store = storage::FileStore::Open(path);
+    EXPECT_TRUE(store.ok()) << store.status().ToString();
+    if (!store.ok()) return nullptr;
+    auto catalog = storage::Catalog::FromStore(std::move(*store));
+    EXPECT_TRUE(catalog.ok()) << catalog.status().ToString();
+    return catalog.ok() ? std::move(*catalog) : nullptr;
+  }
+
   EngineConfig BaseConfig(size_t num_volumes) {
     EngineConfig config;
     config.enable_prefetch = true;
@@ -382,11 +399,17 @@ class RealIoModeTest : public ::testing::Test {
 
   Result<RunMetrics> Drain(const EngineConfig& config,
                            std::map<query::QueryId, uint64_t>* matches) {
+    return DrainOn(catalog_.get(), config, matches);
+  }
+
+  Result<RunMetrics> DrainOn(storage::Catalog* catalog,
+                             const EngineConfig& config,
+                             std::map<query::QueryId, uint64_t>* matches) {
     sched::LifeRaftConfig sc;
     sc.alpha = 0.25;
-    SimEngine engine(catalog_.get(),
+    SimEngine engine(catalog,
                      std::make_unique<sched::LifeRaftScheduler>(
-                         catalog_->store(), storage::DiskModel{}, sc),
+                         catalog->store(), storage::DiskModel{}, sc),
                      config);
     auto metrics = engine.Run(trace_, arrivals_);
     if (metrics.ok() && matches != nullptr) {
@@ -435,6 +458,63 @@ TEST_F(RealIoModeTest, RealModeMatchesModeledJoinResults) {
   EXPECT_GT(real_metrics->makespan_ms, 0.0);
 }
 
+// The cross-mode oracle: on one trace, every measured run returns the
+// modeled oracle's per-query match counts — on both page formats at 1, 2
+// and 4 volumes, and with prefetch off, adaptive depth, and spilling.
+// Completion order may differ between the modes; results may not.
+TEST_F(RealIoModeTest, EveryRealRunMatchesTheModeledOracle) {
+  std::map<query::QueryId, uint64_t> oracle;
+  auto modeled = Drain(BaseConfig(1), &oracle);
+  ASSERT_TRUE(modeled.ok()) << modeled.status().ToString();
+  ASSERT_EQ(oracle.size(), trace_.size());
+
+  const std::string v2_path = TempPath("v2");
+  std::unique_ptr<storage::Catalog> v2 =
+      WriteCatalog(v2_path, storage::BucketFormat::kColumnarV2);
+  ASSERT_NE(v2, nullptr);
+
+  auto expect_oracle = [&](storage::Catalog* catalog, EngineConfig config,
+                           const std::string& label) {
+    SCOPED_TRACE(label);
+    config.io_mode = IoMode::kReal;
+    std::map<query::QueryId, uint64_t> matches;
+    auto metrics = DrainOn(catalog, config, &matches);
+    EXPECT_TRUE(metrics.ok()) << metrics.status().ToString();
+    if (!metrics.ok()) return RunMetrics{};
+    EXPECT_TRUE(metrics->real_io_enabled);
+    EXPECT_EQ(matches, oracle);
+    return *metrics;
+  };
+
+  for (size_t volumes : {size_t{1}, size_t{2}, size_t{4}}) {
+    const std::string suffix = " volumes=" + std::to_string(volumes);
+    expect_oracle(catalog_.get(), BaseConfig(volumes), "v1" + suffix);
+    expect_oracle(v2.get(), BaseConfig(volumes), "v2" + suffix);
+  }
+
+  EngineConfig off = BaseConfig(2);
+  off.enable_prefetch = false;
+  RunMetrics m = expect_oracle(v2.get(), off, "prefetch off");
+  for (const storage::VolumeIoStats& v : m.volumes) {
+    EXPECT_EQ(v.prefetch_issued, 0u);
+  }
+
+  EngineConfig adaptive = BaseConfig(2);
+  adaptive.adaptive_prefetch = true;
+  adaptive.max_prefetch_depth = 3;
+  expect_oracle(v2.get(), adaptive, "adaptive");
+
+  EngineConfig spill = BaseConfig(2);
+  spill.spill_path = TempPath("spill");
+  spill.workload_memory_budget = 2000;  // well below the trace's queues
+  m = expect_oracle(catalog_.get(), spill, "spill");
+  EXPECT_GT(m.spill.segments_restored, 0u) << "budget never triggered";
+  std::remove(spill.spill_path.c_str());
+
+  v2.reset();
+  std::remove(v2_path.c_str());
+}
+
 TEST_F(RealIoModeTest, ModeledJsonCarriesNoRealIoSection) {
   std::map<query::QueryId, uint64_t> matches;
   auto modeled = Drain(BaseConfig(1), &matches);
@@ -474,8 +554,8 @@ TEST_F(RealIoModeTest, ServeRejectsRealMode) {
 }
 
 TEST_F(RealIoModeTest, AdaptiveRealModeCompletesWithFaultFreeQueues) {
-  // Adaptive depth + cancel-on-mispredict over real queues: stale bets are
-  // dropped (late completions discarded by ticket), everything drains.
+  // Adaptive depth over real queues: bets that leave the prediction window
+  // are dropped (late completions discarded by ticket), everything drains.
   EngineConfig config = BaseConfig(2);
   config.enable_prefetch = false;
   config.adaptive_prefetch = true;

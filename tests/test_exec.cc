@@ -2,7 +2,7 @@
 // evaluate→account loop shared by core::LifeRaft and sim::SimEngine's
 // shared mode. The key contracts:
 //  * join results (per-query match counts) are invariant across the whole
-//    feature matrix — shard counts, prefetch depths, cancel heuristics —
+//    feature matrix — shard counts, prefetch depths, adaptive depth —
 //    because scheduling only reorders work, never changes matching;
 //  * depth-K prefetching hides at least as much fetch latency as the
 //    depth-1 (PR 2) pipeline on a saturated drain;
@@ -56,12 +56,29 @@ TEST(BatchPipelineTest, EmptyManagerYieldsNoStep) {
   config.enable_prefetch = true;
   BatchPipeline pipeline(&scheduler, &manager, &evaluator, config);
 
-  auto step = pipeline.Step(0.0);
+  auto step = pipeline.Step(0.0, /*collect_matches=*/true);
   ASSERT_TRUE(step.ok()) << step.status().ToString();
   EXPECT_FALSE(step->has_value());
   EXPECT_EQ(pipeline.pending_prefetches(), 0u);
   EXPECT_EQ(pipeline.prefetch_hidden_ms(), 0.0);
   pipeline.CancelOutstandingPrefetches();  // no-op on an idle pipeline
+}
+
+// One Validate serves the pipeline, the engine, and the facade.
+TEST(PipelineConfigTest, ValidateRejectsBadDepths) {
+  PipelineConfig config;
+  EXPECT_TRUE(config.Validate().ok());
+  config.prefetch_depth = 0;
+  EXPECT_FALSE(config.Validate().ok());
+  config = PipelineConfig{};
+  config.max_prefetch_depth = 0;
+  EXPECT_FALSE(config.Validate().ok());
+  config = PipelineConfig{};
+  config.adaptive_prefetch = true;
+  config.prefetch_depth = config.max_prefetch_depth + 1;
+  EXPECT_FALSE(config.Validate().ok());
+  config.adaptive_prefetch = false;  // the ceiling binds adaptive mode only
+  EXPECT_TRUE(config.Validate().ok());
 }
 
 // ------------------------------------------------- adaptive controller --
@@ -307,6 +324,18 @@ TEST_F(PipelineDrainFixture, ResultsInvariantAcrossShardsAndDepth) {
   }
 }
 
+// The engine checks the inherited pipeline knobs before it builds
+// anything, instead of silently clamping them.
+TEST_F(PipelineDrainFixture, EngineRejectsInvalidPipelineConfig) {
+  sim::EngineConfig config;
+  config.enable_prefetch = true;
+  config.prefetch_depth = 0;
+  sim::SimEngine engine(catalog_.get(), LifeRaftSched(), config);
+  auto metrics = engine.Run(trace_, arrivals_);
+  ASSERT_FALSE(metrics.ok());
+  EXPECT_EQ(metrics.status().code(), StatusCode::kInvalidArgument);
+}
+
 // Identical config -> identical run, shard count included: the sharded
 // cache is deterministic, so two depth-2/4-shard drains agree on every
 // virtual quantity.
@@ -342,27 +371,6 @@ TEST_F(PipelineDrainFixture, DepthTwoHidesAtLeastDepthOne) {
   EXPECT_LE(d2.makespan_ms, d1.makespan_ms);
 }
 
-// Cancel-on-mispredict drops stale bets instead of pinning them; results
-// stay exact and the prefetch ledger reconciles (every issue is claimed or
-// canceled by the end of the run).
-TEST_F(PipelineDrainFixture, CancelOnMispredictReconcilesAndStaysExact) {
-  sim::EngineConfig base_config;
-  base_config.collect_matches = true;
-  std::map<query::QueryId, uint64_t> base_matches;
-  sim::RunMetrics base = Drain(base_config, &base_matches);
-
-  sim::EngineConfig config = base_config;
-  config.enable_prefetch = true;
-  config.prefetch_depth = 2;
-  config.cancel_on_mispredict = true;
-  std::map<query::QueryId, uint64_t> matches;
-  sim::RunMetrics metrics = Drain(config, &matches);
-  EXPECT_EQ(metrics.queries_completed, base.queries_completed);
-  EXPECT_EQ(matches, base_matches);
-  EXPECT_EQ(metrics.cache.prefetch_issued,
-            metrics.cache.prefetch_claims + metrics.cache.prefetch_cancels);
-}
-
 // ------------------------------------------------- adaptive drains --
 
 // Join results must be invariant under the adaptive controller, like
@@ -388,7 +396,8 @@ TEST_F(PipelineDrainFixture, AdaptiveResultsInvariantAndLedgerReconciles) {
   EXPECT_LT(metrics.makespan_ms, base.makespan_ms);
   EXPECT_EQ(metrics.cache.prefetch_issued,
             metrics.cache.prefetch_claims + metrics.cache.prefetch_cancels);
-  EXPECT_LE(metrics.prefetch_final_depth, config.max_prefetch_depth);
+  ASSERT_EQ(metrics.arm_final_depths.size(), 1u);
+  EXPECT_LE(metrics.arm_final_depths[0], config.max_prefetch_depth);
 }
 
 // Same config, same trajectory: the controller sees only virtual-clock
@@ -402,7 +411,7 @@ TEST_F(PipelineDrainFixture, AdaptiveDrainIsDeterministic) {
   sim::RunMetrics b = Drain(config, nullptr);
   EXPECT_EQ(a.makespan_ms, b.makespan_ms);
   EXPECT_EQ(a.prefetch_hidden_ms, b.prefetch_hidden_ms);
-  EXPECT_EQ(a.prefetch_final_depth, b.prefetch_final_depth);
+  EXPECT_EQ(a.arm_final_depths, b.arm_final_depths);
   EXPECT_EQ(a.prefetch_stale_ewma, b.prefetch_stale_ewma);
   EXPECT_EQ(a.cache.evictions, b.cache.evictions);
   EXPECT_EQ(a.cache.prefetch_wasted_bytes, b.cache.prefetch_wasted_bytes);
@@ -458,20 +467,14 @@ class MispredictingScheduler : public sched::Scheduler {
 
 // Under injected mispredictions the adaptive controller must never end a
 // drain slower than the fixed depth-1 pipeline handed the same bad
-// predictor — neither the hold-forever variant (whose pinned bets accrue
-// hidden-ms by luck while its schedule pays for the pins) nor the
-// apples-to-apples cancel-on-mispredict variant, which it must beat on
-// hidden latency too: the controller shuts a hopeless predictor off
+// predictor, whose pinned bets accrue hidden-ms by luck while its schedule
+// pays for the pins: the controller shuts a hopeless predictor off
 // (depth 0) instead of feeding it.
 TEST_F(PipelineDrainFixture, AdaptiveNeverUnderperformsDepthOneOnMispredicts) {
   sim::EngineConfig fixed;
   fixed.enable_prefetch = true;
   fixed.prefetch_depth = 1;
   sim::RunMetrics d1_hold = DrainWith(
-      std::make_unique<MispredictingScheduler>(LifeRaftSched()), fixed,
-      nullptr);
-  fixed.cancel_on_mispredict = true;
-  sim::RunMetrics d1_cancel = DrainWith(
       std::make_unique<MispredictingScheduler>(LifeRaftSched()), fixed,
       nullptr);
 
@@ -483,32 +486,11 @@ TEST_F(PipelineDrainFixture, AdaptiveNeverUnderperformsDepthOneOnMispredicts) {
       std::make_unique<MispredictingScheduler>(LifeRaftSched()), adaptive,
       nullptr);
   EXPECT_LE(ad.makespan_ms, d1_hold.makespan_ms);
-  EXPECT_LE(ad.makespan_ms, d1_cancel.makespan_ms);
-  EXPECT_GE(ad.prefetch_hidden_ms, d1_cancel.prefetch_hidden_ms);
   // The bad predictor's cost is visible to the report: dropped bets whose
   // bytes were fetched for nothing, and a saturated stale EWMA.
   EXPECT_GT(ad.cache.prefetch_wasted_bytes, 0u);
   EXPECT_EQ(ad.cache.prefetch_issued,
             ad.cache.prefetch_claims + ad.cache.prefetch_cancels);
-}
-
-// Prefetch-aware eviction in vivo: with the window published every step,
-// protected-tier conflicts and wasted bytes are observable and the run
-// stays deterministic; turning protection off is a pure A/B knob.
-TEST_F(PipelineDrainFixture, EvictionProtectionKnobIsDeterministicAB) {
-  sim::EngineConfig config;
-  config.collect_matches = true;
-  config.enable_prefetch = true;
-  config.prefetch_depth = 2;
-  std::map<query::QueryId, uint64_t> with_matches;
-  std::map<query::QueryId, uint64_t> without_matches;
-  sim::RunMetrics with_protection = Drain(config, &with_matches);
-  config.prefetch_aware_eviction = false;
-  sim::RunMetrics without_protection = Drain(config, &without_matches);
-  EXPECT_EQ(with_matches, without_matches)
-      << "eviction policy must never change join results";
-  EXPECT_GT(with_protection.prefetch_hidden_ms, 0.0);
-  EXPECT_GT(without_protection.prefetch_hidden_ms, 0.0);
 }
 
 // The core facade routes ProcessNextBatch through the same pipeline, so

@@ -322,7 +322,6 @@ TEST_F(ServeFixture, ReportsPerArmControllerDepths) {
   for (size_t d : metrics->arm_final_depths) {
     EXPECT_LE(d, config.max_prefetch_depth);
   }
-  EXPECT_EQ(metrics->arm_final_depths[0], metrics->prefetch_final_depth);
 }
 
 // ------------------------------------- per-QoS-class prefetch configs --

@@ -271,39 +271,6 @@ void ExpectIdenticalRuns(const sim::RunMetrics& a, const sim::RunMetrics& b,
   }
 }
 
-// Per-worker match arenas change only where slice matches are stored
-// before the in-order merge; runs with arenas on and off must be
-// byte-identical in every virtual quantity and every outcome, in shared
-// and per-query modes alike.
-TEST_F(ParallelSharedFixture, MatchArenasOnOffAreByteIdentical) {
-  Rng rng(97);
-  auto arrivals = *sim::PoissonArrivals(trace_.size(), 2.0, &rng);
-  for (sim::ExecutionMode mode :
-       {sim::ExecutionMode::kShared, sim::ExecutionMode::kNoShare}) {
-    SCOPED_TRACE(sim::ExecutionModeName(mode));
-    sim::EngineConfig config;
-    config.mode = mode;
-    config.collect_matches = true;
-    config.num_threads = 4;
-    config.match_arenas = true;
-    sim::SimEngine with_arenas(
-        catalog_.get(),
-        mode == sim::ExecutionMode::kShared ? LifeRaftSched() : nullptr,
-        config);
-    auto on = with_arenas.Run(trace_, arrivals);
-    ASSERT_TRUE(on.ok()) << on.status().ToString();
-
-    config.match_arenas = false;
-    sim::SimEngine without_arenas(
-        catalog_.get(),
-        mode == sim::ExecutionMode::kShared ? LifeRaftSched() : nullptr,
-        config);
-    auto off = without_arenas.Run(trace_, arrivals);
-    ASSERT_TRUE(off.ok()) << off.status().ToString();
-    ExpectIdenticalRuns(*on, *off, with_arenas, without_arenas);
-  }
-}
-
 // The per-query baselines are embarrassingly parallel across queries; a
 // pool-backed run must reproduce the serial FIFO accounting byte for byte:
 // same virtual clock, same I/O charges, same peak workload buffering.

@@ -483,31 +483,6 @@ TEST_F(MultiVolumeDrainFixture, VolumeAlignedCacheShardsKeepResults) {
   EXPECT_EQ(sharded_matches, base_matches);
 }
 
-// I/O arenas are allocation plumbing only: a spilling drain restores the
-// same entries and reads the same bytes with the restore arena on or off.
-TEST_F(MultiVolumeDrainFixture, RestoreArenaOnOffIsByteIdentical) {
-  auto spill_config = [&](bool io_arenas) {
-    EngineConfig config = PrefetchConfig(2);
-    config.io_arenas = io_arenas;
-    config.spill_path =
-        (std::filesystem::temp_directory_path() /
-         ("liferaft_topology_spill_" + std::to_string(::getpid()) +
-          (io_arenas ? "_on" : "_off")))
-            .string();
-    config.workload_memory_budget = 2000;  // force spilling
-    return config;
-  };
-  std::map<query::QueryId, uint64_t> on_matches, off_matches;
-  RunMetrics on = Drain(spill_config(true), &on_matches);
-  RunMetrics off = Drain(spill_config(false), &off_matches);
-  ASSERT_GT(on.spill.segments_restored, 0u) << "budget never triggered";
-  EXPECT_EQ(on.spill.segments_spilled, off.spill.segments_spilled);
-  EXPECT_EQ(on.spill.bytes_restored, off.spill.bytes_restored);
-  EXPECT_EQ(on.makespan_ms, off.makespan_ms);
-  EXPECT_EQ(on.store.bucket_reads, off.store.bucket_reads);
-  EXPECT_EQ(on_matches, off_matches);
-}
-
 // ------------------------------------------------ spill-arm satellite --
 
 // A dedicated spill arm with spilling disabled is pure configuration: no
@@ -616,10 +591,10 @@ TEST_F(MultiVolumeDrainFixture, SpillArmWithPrefetchKeepsResultsDeterministic) {
 namespace liferaft::join {
 namespace {
 
-// The parallel NoShare fan-out reads buckets store-direct on workers; with
-// io arenas the page decode buffers come from the executing worker's
-// arena. Results must be byte-identical to the arena-off and serial paths
-// (FileStore exercises the scratch buffer for real).
+// The parallel NoShare fan-out reads buckets store-direct on workers, and
+// the page decode buffers come from the executing worker's arena. Results
+// must be byte-identical to the serial path (FileStore exercises the
+// scratch buffer for real).
 TEST(NoShareIoArenaTest, WorkerReadsByteIdenticalOnOff) {
   workload::CatalogGenConfig gen;
   gen.num_objects = 8000;
@@ -654,30 +629,25 @@ TEST(NoShareIoArenaTest, WorkerReadsByteIdenticalOnOff) {
                                   &workloads[i]});
   }
 
-  auto evaluate = [&](util::ThreadPool* pool, bool io_arenas) {
+  auto evaluate = [&](util::ThreadPool* pool) {
     storage::BucketCache cache(store->get(), 4);
     JoinEvaluator evaluator(&cache, /*index=*/nullptr, storage::DiskModel{},
                             HybridConfig{});
     evaluator.set_thread_pool(pool);
-    evaluator.set_use_io_arenas(io_arenas);
     auto results = evaluator.EvaluatePerQueryWindow(
         PerQueryMode::kNoShareScan, window, /*collect_matches=*/true);
     EXPECT_TRUE(results.ok()) << results.status().ToString();
     return results.ok() ? *results : std::vector<PerQueryResult>{};
   };
 
-  std::vector<PerQueryResult> serial = evaluate(nullptr, true);
+  std::vector<PerQueryResult> serial = evaluate(nullptr);
   util::ThreadPool pool(4);
-  std::vector<PerQueryResult> arena_on = evaluate(&pool, true);
-  std::vector<PerQueryResult> arena_off = evaluate(&pool, false);
+  std::vector<PerQueryResult> arena = evaluate(&pool);
   ASSERT_EQ(serial.size(), window.size());
-  ASSERT_EQ(arena_on.size(), window.size());
-  ASSERT_EQ(arena_off.size(), window.size());
+  ASSERT_EQ(arena.size(), window.size());
   for (size_t i = 0; i < window.size(); ++i) {
-    EXPECT_EQ(arena_on[i].matches, serial[i].matches) << "query " << i;
-    EXPECT_EQ(arena_off[i].matches, serial[i].matches) << "query " << i;
-    EXPECT_EQ(arena_on[i].cost_ms, serial[i].cost_ms) << "query " << i;
-    EXPECT_EQ(arena_off[i].cost_ms, serial[i].cost_ms) << "query " << i;
+    EXPECT_EQ(arena[i].matches, serial[i].matches) << "query " << i;
+    EXPECT_EQ(arena[i].cost_ms, serial[i].cost_ms) << "query " << i;
   }
   std::remove(path.c_str());
 }
