@@ -14,9 +14,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/prefetch_controller.h"
@@ -544,6 +547,68 @@ TEST_F(PipelineDrainFixture, CoreFacadePrefetchHidesFetchLatency) {
   storage::CacheStats stats = (*pipelined)->cache_stats();
   EXPECT_EQ(stats.prefetch_issued,
             stats.prefetch_claims + stats.prefetch_cancels);
+}
+
+// Both drivers assemble the same execution stack, so a core-facade drain
+// and an engine Run with every arrival at 0 agree bit for bit: the same
+// virtual clock, the same completion order and times, the same matches.
+// Each configuration adds one feature to the one before it.
+TEST_F(PipelineDrainFixture, CoreFacadeDrainEqualsEngineRun) {
+  sim::EngineConfig config;
+  config.collect_matches = true;
+  std::vector<std::pair<std::string, std::function<void()>>> steps = {
+      {"plain", [] {}},
+      {"depth 2",
+       [&] {
+         config.enable_prefetch = true;
+         config.prefetch_depth = 2;
+       }},
+      {"4 shards", [&] { config.cache_shards = 4; }},
+      {"2 volumes", [&] { config.topology.num_volumes = 2; }},
+      {"3 threads", [&] { config.num_threads = 3; }},
+      {"adaptive", [&] { config.adaptive_prefetch = true; }},
+  };
+  for (const auto& [name, apply] : steps) {
+    SCOPED_TRACE(name);
+    apply();
+    std::map<query::QueryId, uint64_t> engine_matches;
+    sim::SimEngine engine(catalog_.get(), LifeRaftSched(), config);
+    auto run = engine.Run(trace_, arrivals_);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    for (const sim::QueryOutcome& o : engine.outcomes()) {
+      engine_matches[o.id] = o.matches;
+    }
+
+    core::LifeRaftOptions options;
+    options.objects_per_bucket = 1000;
+    options.alpha = 0.25;
+    static_cast<exec::PipelineConfig&>(options) = config;
+    options.cache_capacity = config.cache_capacity;
+    options.cache_shards = config.cache_shards;
+    options.hybrid = config.hybrid;
+    options.disk = config.disk;
+    options.topology = config.topology;
+    options.num_threads = config.num_threads;
+    auto system = core::LifeRaft::Create(catalog_objects_, options);
+    ASSERT_TRUE(system.ok()) << system.status().ToString();
+    for (const auto& q : trace_) ASSERT_TRUE((*system)->Submit(q).ok());
+    std::map<query::QueryId, uint64_t> core_matches;
+    auto drained = (*system)->Drain([&](const core::BatchOutcome& b) {
+      for (const query::Match& m : b.matches) ++core_matches[m.query_id];
+    });
+    ASSERT_TRUE(drained.ok()) << drained.status().ToString();
+
+    EXPECT_EQ((*system)->now_ms(), run->makespan_ms);
+    ASSERT_EQ(drained->size(), engine.outcomes().size());
+    for (size_t i = 0; i < drained->size(); ++i) {
+      const core::QueryCompletion& c = (*drained)[i];
+      const sim::QueryOutcome& o = engine.outcomes()[i];
+      EXPECT_EQ(c.id, o.id) << "completion " << i;
+      EXPECT_EQ(c.arrival_ms, o.arrival_ms) << "completion " << i;
+      EXPECT_EQ(c.completion_ms, o.completion_ms) << "completion " << i;
+      EXPECT_EQ(core_matches[c.id], engine_matches[c.id]) << "query " << c.id;
+    }
+  }
 }
 
 }  // namespace
