@@ -85,15 +85,6 @@ sched::CacheProbe BatchPipeline::MakeCacheProbe(TimeMs now) {
   };
 }
 
-bool BatchPipeline::WillScan(storage::BucketIndex bucket,
-                             uint64_t queue_objects) const {
-  if (evaluator_->index() == nullptr) return true;
-  return join::ChooseStrategy(evaluator_->hybrid_config(), queue_objects,
-                              cache_->store().BucketObjectCount(bucket),
-                              /*bucket_cached=*/true) ==
-         join::JoinStrategy::kScan;
-}
-
 size_t BatchPipeline::pending_prefetches() const {
   size_t total = 0;
   for (const Arm& arm : arms_) total += arm.bets.size();
@@ -132,7 +123,7 @@ Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now,
   std::vector<query::WorkloadEntry> entries =
       manager_->TakeBucket(*pick, &outcome.completed, &restored_bytes);
 
-  LIFERAFT_ASSIGN_OR_RETURN(Claim claim, ClaimPick(*pick, entries, now));
+  LIFERAFT_ASSIGN_OR_RETURN(Claim claim, ClaimPick(*pick, now));
   outcome.fetch_residual_ms = claim.residual_ms;
   if (claim.claimed) {
     prefetch_hidden_ms_ += claim.hidden_ms;
@@ -253,17 +244,10 @@ Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now,
 }
 
 Result<BatchPipeline::Claim> BatchPipeline::ClaimPick(
-    storage::BucketIndex pick,
-    const std::vector<query::WorkloadEntry>& entries, TimeMs now) {
-  // Claim only when the evaluator will actually scan — an index-probing
-  // batch would never touch the fetched bucket, so its bet stays pending.
-  uint64_t queue_objects = 0;
-  for (const query::WorkloadEntry& e : entries) {
-    queue_objects += e.objects.size();
-  }
-  if (!WillScan(pick, queue_objects)) return Claim{};
-  // A bucket bets only on its own arm, so only that arm's queue can hold
-  // the bet.
+    storage::BucketIndex pick, TimeMs now) {
+  // A claimed bet makes the bucket resident, and the evaluator always
+  // scans a resident bucket. A bucket bets only on its own arm, so only
+  // that arm's queue can hold the bet.
   Arm& arm = arms_[VolumeOf(pick)];
   auto bet = std::find_if(
       arm.bets.begin(), arm.bets.end(),

@@ -255,12 +255,10 @@ class BatchPipeline {
   /// OK (harvested here). Steering the metric toward the buckets we bet on
   /// makes the prediction self-fulfilling.
   sched::CacheProbe MakeCacheProbe(TimeMs now);
-  /// Claims the bet on `pick` when the batch will scan: modeled, charges
-  /// the un-hidden residual; measured, waits for the read. A measured
-  /// scan miss without a bet is read through the submission queue too.
-  Result<Claim> ClaimPick(storage::BucketIndex pick,
-                          const std::vector<query::WorkloadEntry>& entries,
-                          TimeMs now);
+  /// Claims the bet on `pick`: modeled, charges the un-hidden residual;
+  /// measured, waits for the read. A measured miss without a bet is read
+  /// through the submission queue too.
+  Result<Claim> ClaimPick(storage::BucketIndex pick, TimeMs now);
   /// Starts the physical read of a new bet on `b` and queues it on b's
   /// arm: a pinned cache prefetch (modeled) or a submitted read
   /// (measured).
@@ -289,13 +287,6 @@ class BatchPipeline {
   storage::VolumeIndex VolumeOf(storage::BucketIndex b) const {
     return topology_ != nullptr ? topology_->VolumeOf(b) : 0;
   }
-  /// True if the evaluator would take the scan path for this batch with
-  /// the bucket resident — i.e. claiming the prefetch will actually be
-  /// consumed. Under prefer_scan_when_cached=false a small batch probes
-  /// the index and would never touch the fetched bucket (ChooseStrategy
-  /// ignores residency in that config, so the evaluator reaches the same
-  /// strategy whether or not we claim).
-  bool WillScan(storage::BucketIndex bucket, uint64_t queue_objects) const;
 
   sched::Scheduler* scheduler_;
   query::WorkloadManager* manager_;

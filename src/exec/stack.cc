@@ -1,0 +1,71 @@
+#include "exec/stack.h"
+
+#include "sched/liferaft_scheduler.h"
+
+namespace liferaft::exec {
+
+Status StackConfig::Validate() const {
+  if (cache_capacity == 0) {
+    return Status::InvalidArgument("cache_capacity must be positive");
+  }
+  if (cache_shards == 0) {
+    return Status::InvalidArgument("cache_shards must be >= 1");
+  }
+  if (hybrid.index_threshold < 0.0) {
+    return Status::InvalidArgument("index_threshold must be >= 0");
+  }
+  if (num_threads == 0) {
+    return Status::InvalidArgument("num_threads must be >= 1");
+  }
+  LIFERAFT_RETURN_IF_ERROR(PipelineConfig::Validate());
+  LIFERAFT_RETURN_IF_ERROR(topology.Validate());
+  return disk.Validate();
+}
+
+Result<std::unique_ptr<ExecutionStack>> ExecutionStack::Create(
+    const StackConfig& config, storage::Catalog* catalog,
+    sched::Scheduler* scheduler, util::ThreadPool* pool,
+    uint64_t cache_capacity_bytes, bool charge_encoded_bytes, bool real_io) {
+  auto stack = std::unique_ptr<ExecutionStack>(new ExecutionStack());
+  LIFERAFT_ASSIGN_OR_RETURN(
+      storage::StorageTopology topology,
+      storage::StorageTopology::Create(catalog->num_buckets(),
+                                       config.topology, config.disk));
+  stack->topology_ =
+      std::make_unique<storage::StorageTopology>(std::move(topology));
+  // Volume-aligned cache sharding only when there genuinely are volumes
+  // to align with: a single-volume topology would collapse every bucket
+  // into shard 0 instead of reproducing the by-bucket-id map.
+  stack->cache_ = std::make_unique<storage::BucketCache>(
+      catalog->store(), config.cache_capacity, config.cache_shards,
+      stack->topology_->num_volumes() > 1 ? stack->topology_.get() : nullptr,
+      cache_capacity_bytes);
+  stack->evaluator_ = std::make_unique<join::JoinEvaluator>(
+      stack->cache_.get(), catalog->index(), storage::DiskModel(config.disk),
+      config.hybrid);
+  stack->evaluator_->set_topology(stack->topology_.get());
+  stack->evaluator_->set_charge_encoded_bytes(charge_encoded_bytes);
+  stack->evaluator_->set_thread_pool(pool);
+  stack->cache_->set_thread_pool(pool);
+  stack->manager_ =
+      std::make_unique<query::WorkloadManager>(catalog->num_buckets());
+  if (scheduler == nullptr) return stack;
+
+  // Cost-based policies price T_b with the owning volume's model
+  // (heterogeneous volume_disk; uniform topologies rank identically), and
+  // one flag governs every T_b consumer: ranking must price fetches the
+  // same way the evaluator and pipeline charge them.
+  scheduler->AttachTopology(stack->topology_.get());
+  if (auto* lr = dynamic_cast<sched::LifeRaftScheduler*>(scheduler)) {
+    lr->set_charge_encoded_bytes(charge_encoded_bytes);
+  }
+  if (real_io) {
+    stack->reader_ = catalog->store()->NewAsyncReader(stack->topology_.get());
+  }
+  stack->pipeline_ = std::make_unique<BatchPipeline>(
+      scheduler, stack->manager_.get(), stack->evaluator_.get(), config,
+      stack->topology_.get(), stack->reader_.get());
+  return stack;
+}
+
+}  // namespace liferaft::exec

@@ -152,10 +152,6 @@ class JoinEvaluator {
   bool charge_encoded_bytes() const { return charge_encoded_bytes_; }
 
   const storage::DiskModel& disk_model() const { return model_; }
-  const HybridConfig& hybrid_config() const { return config_; }
-  /// The spatial index (null forces the scan path); exec::BatchPipeline
-  /// consults it to predict whether a batch will claim a prefetched bucket.
-  const storage::BTreeIndex* index() const { return index_; }
   const EvaluatorStats& stats() const { return stats_; }
   void ResetStats() { stats_ = EvaluatorStats{}; }
   storage::BucketCache* cache() { return cache_; }

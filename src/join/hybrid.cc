@@ -16,9 +16,7 @@ const char* JoinStrategyName(JoinStrategy s) {
 
 JoinStrategy ChooseStrategy(const HybridConfig& config, uint64_t queue_objects,
                             uint64_t bucket_objects, bool bucket_cached) {
-  if (bucket_cached && config.prefer_scan_when_cached) {
-    return JoinStrategy::kScan;
-  }
+  if (bucket_cached) return JoinStrategy::kScan;
   if (bucket_objects == 0) return JoinStrategy::kIndexed;
   double ratio =
       static_cast<double>(queue_objects) / static_cast<double>(bucket_objects);

@@ -26,14 +26,12 @@ struct HybridConfig {
   /// Use the indexed join when queue_size / bucket_size is strictly below
   /// this (paper: ~0.03). Set to 0 to always scan, to >1 to always probe.
   double index_threshold = 0.03;
-  /// A cached bucket costs no T_b, so scanning always wins for resident
-  /// buckets; when true (default, matching the paper's cache-aware
-  /// scheduling) residency overrides the threshold.
-  bool prefer_scan_when_cached = true;
 };
 
 /// Picks the plan for a batch of `queue_objects` workload objects against a
-/// bucket of `bucket_objects` objects.
+/// bucket of `bucket_objects` objects. A cached bucket costs no T_b, so a
+/// resident bucket is always scanned (the paper's cache-aware scheduling);
+/// otherwise the threshold decides.
 JoinStrategy ChooseStrategy(const HybridConfig& config, uint64_t queue_objects,
                             uint64_t bucket_objects, bool bucket_cached);
 

@@ -21,17 +21,17 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
-#include "exec/batch_pipeline.h"
-#include "join/evaluator.h"
+#include "exec/stack.h"
 #include "query/workload.h"
 #include "sched/adaptive.h"
 #include "sched/scheduler.h"
 #include "sim/run_metrics.h"
 #include "sim/serve.h"
 #include "storage/catalog.h"
-#include "storage/topology.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -57,23 +57,16 @@ enum class IoMode { kModeled, kReal };
 
 const char* IoModeName(IoMode mode);
 
-/// Engine configuration. The prefetch knobs (enable_prefetch,
-/// prefetch_depth, adaptive_prefetch, max_prefetch_depth) are inherited
-/// from exec::PipelineConfig and apply in shared mode.
-struct EngineConfig : exec::PipelineConfig {
+/// Engine configuration. The execution-stack knobs (cache, hybrid join,
+/// disk model, topology, threads, and the prefetch knobs, which apply in
+/// shared mode) are inherited from exec::StackConfig, which
+/// core::LifeRaftOptions shares; the fields below are the engine's own.
+struct EngineConfig : exec::StackConfig {
   ExecutionMode mode = ExecutionMode::kShared;
   /// Virtual-clock oracle vs measured wall-clock execution (see IoMode).
   /// kModeled leaves every code path and result bit-identical to builds
   /// that predate real I/O.
   IoMode io_mode = IoMode::kModeled;
-  /// Bucket cache capacity in buckets (paper: 20). Shared mode only.
-  size_t cache_capacity = 20;
-  /// Lock/LRU shards of the bucket cache (clamped to [1, cache_capacity]).
-  /// 1 reproduces the unsharded cache exactly; higher values split the
-  /// capacity into independent LRU domains, which changes eviction
-  /// patterns (and with them modeled timings) deterministically while
-  /// join results stay exact.
-  size_t cache_shards = 1;
   /// Optional cache byte budget (BucketCache capacity_bytes; 0 = off).
   /// When set, residency is additionally bounded by charged bytes — real
   /// encoded page size for columnar buckets, the kBytesPerObject estimate
@@ -86,26 +79,8 @@ struct EngineConfig : exec::PipelineConfig {
   /// it has them. Off by default: runs are then provably independent of
   /// the on-disk format, which is what the v1/v2 identity tests pin down.
   bool charge_encoded_bytes = false;
-  join::HybridConfig hybrid;
-  /// Disk cost model; with a multi-volume topology this is the default
-  /// every volume inherits unless topology.volume_disk overrides it.
-  storage::DiskModelParams disk;
-  /// Multi-volume storage topology (num_volumes, range/hash placement,
-  /// optional per-volume disk params): each volume models an independent
-  /// disk arm with its own prefetch queue and virtual busy time, so the
-  /// shared-mode pipeline overlaps fetches across arms. The default
-  /// single volume reproduces the pre-topology engine byte for byte.
-  /// Per-query modes use it only for per-volume T_b charging.
-  storage::StorageTopologyConfig topology;
   /// Keep match tuples (disable for scheduling-scale experiments).
   bool collect_matches = false;
-  /// Worker threads for join work. 1 = serial, the paper's loop. In shared
-  /// mode the batch's join is sliced across workers by workload entry; in
-  /// NoShare/IndexOnly the ready queries fan out one task per query. Either
-  /// way parallel runs produce results byte-identical to serial runs:
-  /// counters and I/O charges are merged in arrival order, so scheduling,
-  /// cache traffic, and the virtual clock are unchanged.
-  size_t num_threads = 1;
   /// Optional workload-adaptive alpha: when set and the scheduler is a
   /// LifeRaftScheduler, the engine re-selects alpha from the observed
   /// arrival rate after every admission.
@@ -126,7 +101,8 @@ struct QueryOutcome {
   TimeMs completion_ms = 0.0;
   size_t parts = 0;
   uint64_t matches = 0;
-  /// QoS class assigned at admission (serving mode; kBatch for Run).
+  /// QoS class assigned at admission from the query's fan-out (Run uses
+  /// ServeConfig's default interactive_max_parts).
   QosClass qos = QosClass::kBatch;
 
   TimeMs ResponseMs() const { return completion_ms - arrival_ms; }
@@ -142,19 +118,22 @@ class SimEngine {
             std::unique_ptr<sched::Scheduler> scheduler, EngineConfig config);
 
   /// Replays `queries[i]` arriving at `arrivals_ms[i]` (parallel arrays;
-  /// arrivals must be ascending) until every query completes. Returns the
-  /// run's metrics; per-query outcomes are available via outcomes().
+  /// arrivals must be ascending) until every query completes: Serve with
+  /// unbounded admission over these arrival times, in any execution and
+  /// I/O mode. Returns the run's metrics, serving fields included (nothing
+  /// is shed); per-query outcomes are available via outcomes().
   Result<RunMetrics> Run(const std::vector<query::CrossMatchQuery>& queries,
                          const std::vector<TimeMs>& arrivals_ms);
 
-  /// Continuous serving (shared mode only): queries arrive open-loop per
-  /// `serve.arrivals`, are QoS-classified by fan-out, and pass the
-  /// admission controller before entering the workload manager — arrivals
-  /// it sheds never execute and are reported per class in
+  /// Continuous serving (shared mode, modeled I/O): queries arrive
+  /// open-loop per `serve.arrivals`, are QoS-classified by fan-out, and
+  /// pass the admission controller before entering the workload manager —
+  /// arrivals it sheds never execute and are reported per class in
   /// RunMetrics::qos_classes. With an EngineConfig::alpha_selector the
   /// LifeRaft alpha is re-selected online from the controller's offered-
-  /// rate estimate. A kTrace spec with no shedding bounds and no selector
-  /// reproduces Run(queries, trace) exactly.
+  /// rate estimate. Run and Serve share one loop, so a kTrace spec in an
+  /// otherwise default ServeConfig reproduces Run(queries, trace)
+  /// exactly, whole report included.
   Result<RunMetrics> Serve(const std::vector<query::CrossMatchQuery>& queries,
                            const ServeConfig& serve);
 
@@ -172,15 +151,22 @@ class SimEngine {
     TimeMs arrival_ms;
   };
 
-  // Validates the disk model / scheduler preconditions, resets all run
-  // state, and (re)builds topology, cache, evaluator, manager, and — in
-  // shared mode — the batch pipeline. Shared verbatim between Run and
-  // Serve so both drive the identical execution stack.
+  // Validates the config and the mode's preconditions, resets all run
+  // state, and rebuilds the execution stack (plus the spill file, in
+  // shared mode).
   Status PrepareRun(size_t expected_queries);
-  // Collects the common (mode-independent) portion of RunMetrics from the
-  // engine's post-loop state. `n` is the query count used for the
-  // throughput denominator.
-  RunMetrics AssembleMetrics(size_t n);
+  // The loop Run and Serve share: admits each arrival through `serve`'s
+  // admission controller once the clock reaches it, steps the execution
+  // mode, and idles the clock to the next arrival when no work is
+  // pending.
+  Result<RunMetrics> ServeLoop(
+      const std::vector<query::CrossMatchQuery>& queries,
+      const std::vector<TimeMs>& arrivals_ms, const ServeConfig& serve);
+  // Collects RunMetrics from the engine's post-loop state and the
+  // admission controller that saw every arrival; `shed_by_class` splits
+  // its sheds by QoS class.
+  RunMetrics AssembleMetrics(const AdmissionController& admission,
+                             const size_t (&shed_by_class)[kNumQosClasses]);
 
   // One scheduling step in shared mode (delegates to the unified
   // exec::BatchPipeline); advances the clock. Returns false if there was
@@ -197,22 +183,14 @@ class SimEngine {
   storage::Catalog* catalog_;
   std::unique_ptr<sched::Scheduler> scheduler_;
   EngineConfig config_;
-
-  // Run state. Declaration order matters: the cache (and evaluator)
-  // borrow the topology, so topology_ must outlive them on destruction.
-  storage::DiskModel model_;
+  /// Reused across runs; declared before the stack that borrows it, so
+  /// it outlives the cache's teardown drain.
   std::unique_ptr<util::ThreadPool> pool_;  // non-null iff num_threads > 1
-  std::unique_ptr<storage::StorageTopology> topology_;
-  std::unique_ptr<storage::BucketCache> cache_;
-  std::unique_ptr<join::JoinEvaluator> evaluator_;
-  std::unique_ptr<query::WorkloadManager> manager_;
-  /// Real-I/O submission queues (io_mode == kReal only). Declared before
-  /// pipeline_ — the pipeline borrows the reader, so the reader must be
-  /// destroyed (workers joined) after it; and after topology_/the store,
-  /// which the reader's workers reference.
-  std::unique_ptr<storage::AsyncReader> async_reader_;
-  /// The unified pick→prefetch→claim→evaluate→account loop (shared mode).
-  std::unique_ptr<exec::BatchPipeline> pipeline_;
+
+  // Run state.
+  /// Topology, cache, evaluator, manager, reader, and (shared mode) the
+  /// pipeline, rebuilt by every PrepareRun.
+  std::unique_ptr<exec::ExecutionStack> stack_;
   std::vector<AdmittedQuery> fifo_;  // per-query modes; front = next
   size_t fifo_head_ = 0;
   TimeMs clock_ = 0.0;
@@ -226,8 +204,8 @@ class SimEngine {
   uint64_t total_matches_ = 0;
   uint64_t fifo_pending_objects_ = 0;
   uint64_t peak_pending_objects_ = 0;
-  /// Admitted-but-incomplete interactive queries (serving mode; always 0
-  /// in Run). Drives which QosPrefetchConfig entry caps the pipeline.
+  /// Admitted-but-incomplete interactive queries. Drives which
+  /// QosPrefetchConfig entry caps the pipeline.
   size_t pending_interactive_ = 0;
 };
 

@@ -19,9 +19,9 @@
 
 namespace liferaft::sim {
 
-/// Per-QoS-class serving telemetry (SimEngine::Serve only; closed-workload
-/// runs leave RunMetrics::qos_classes empty). Latencies are admission-to-
-/// completion on the virtual clock.
+/// Per-QoS-class serving telemetry (SimEngine::Run and Serve alike; a
+/// closed drain sheds nothing). Latencies are admission-to-completion on
+/// the engine clock.
 struct QosClassMetrics {
   std::string name;
   size_t completed = 0;
@@ -101,7 +101,8 @@ struct RunMetrics {
   std::vector<storage::AsyncVolumeStats> real_io;
 
   // ------------------------------------------------------- serving mode --
-  // Filled by SimEngine::Serve; zero / empty for closed-workload Run.
+  // Filled by SimEngine::Run and Serve alike; a closed-workload Run
+  // offers every query and sheds none.
 
   /// Arrivals offered to the admission controller (admitted + shed).
   uint64_t queries_offered = 0;

@@ -4,8 +4,8 @@
 // admission controller that sheds load when the buffered workload outgrows
 // what the disk arms can drain, and then flow through the same
 // pick→prefetch→claim→evaluate→account pipeline the closed-workload drain
-// uses. Serving is strictly opt-in: SimEngine::Run is untouched and the
-// closed-drain virtual clock stays byte-identical.
+// uses. SimEngine::Run is the same loop with a default ServeConfig, which
+// admits everything and caps nothing.
 
 #ifndef LIFERAFT_SIM_SERVE_H_
 #define LIFERAFT_SIM_SERVE_H_

@@ -7,7 +7,9 @@
 //  * depth-K prefetching hides at least as much fetch latency as the
 //    depth-1 (PR 2) pipeline on a saturated drain;
 //  * the core facade, now routed through the same pipeline, gets working
-//    prefetch for free.
+//    prefetch for free;
+//  * both drivers build one execution stack, so a facade drain equals an
+//    engine Run bit for bit.
 
 #include "exec/batch_pipeline.h"
 
@@ -327,16 +329,40 @@ TEST_F(PipelineDrainFixture, ResultsInvariantAcrossShardsAndDepth) {
   }
 }
 
-// The engine checks the inherited pipeline knobs before it builds
-// anything, instead of silently clamping them.
+// The engine checks the inherited stack knobs before it builds anything,
+// instead of silently clamping or ignoring them, in Run and Serve alike.
 TEST_F(PipelineDrainFixture, EngineRejectsInvalidPipelineConfig) {
-  sim::EngineConfig config;
-  config.enable_prefetch = true;
-  config.prefetch_depth = 0;
-  sim::SimEngine engine(catalog_.get(), LifeRaftSched(), config);
-  auto metrics = engine.Run(trace_, arrivals_);
-  ASSERT_FALSE(metrics.ok());
-  EXPECT_EQ(metrics.status().code(), StatusCode::kInvalidArgument);
+  std::vector<std::pair<std::string, std::function<void(sim::EngineConfig*)>>>
+      bad = {
+          {"prefetch_depth = 0",
+           [](sim::EngineConfig* c) {
+             c->enable_prefetch = true;
+             c->prefetch_depth = 0;
+           }},
+          {"cache_capacity = 0",
+           [](sim::EngineConfig* c) { c->cache_capacity = 0; }},
+          {"cache_shards = 0",
+           [](sim::EngineConfig* c) { c->cache_shards = 0; }},
+          {"num_threads = 0",
+           [](sim::EngineConfig* c) { c->num_threads = 0; }},
+          {"hybrid.index_threshold = -1",
+           [](sim::EngineConfig* c) { c->hybrid.index_threshold = -1.0; }},
+      };
+  sim::ServeConfig serve;
+  serve.arrivals.kind = sim::ArrivalSpec::Kind::kTrace;
+  serve.arrivals.trace = arrivals_;
+  for (const auto& [name, apply] : bad) {
+    SCOPED_TRACE(name);
+    sim::EngineConfig config;
+    apply(&config);
+    sim::SimEngine engine(catalog_.get(), LifeRaftSched(), config);
+    auto run = engine.Run(trace_, arrivals_);
+    ASSERT_FALSE(run.ok());
+    EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+    auto served = engine.Serve(trace_, serve);
+    ASSERT_FALSE(served.ok());
+    EXPECT_EQ(served.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 // Identical config -> identical run, shard count included: the sharded
@@ -582,13 +608,7 @@ TEST_F(PipelineDrainFixture, CoreFacadeDrainEqualsEngineRun) {
     core::LifeRaftOptions options;
     options.objects_per_bucket = 1000;
     options.alpha = 0.25;
-    static_cast<exec::PipelineConfig&>(options) = config;
-    options.cache_capacity = config.cache_capacity;
-    options.cache_shards = config.cache_shards;
-    options.hybrid = config.hybrid;
-    options.disk = config.disk;
-    options.topology = config.topology;
-    options.num_threads = config.num_threads;
+    static_cast<exec::StackConfig&>(options) = config;
     auto system = core::LifeRaft::Create(catalog_objects_, options);
     ASSERT_TRUE(system.ok()) << system.status().ToString();
     for (const auto& q : trace_) ASSERT_TRUE((*system)->Submit(q).ok());

@@ -556,8 +556,6 @@ TEST(HybridTest, ThresholdSelectsStrategy) {
 TEST(HybridTest, CachedBucketPrefersScan) {
   HybridConfig config;
   EXPECT_EQ(ChooseStrategy(config, 1, 10000, true), JoinStrategy::kScan);
-  config.prefer_scan_when_cached = false;
-  EXPECT_EQ(ChooseStrategy(config, 1, 10000, true), JoinStrategy::kIndexed);
 }
 
 TEST(HybridTest, DegenerateThresholds) {

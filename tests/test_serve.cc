@@ -12,6 +12,7 @@
 #include "sched/liferaft_scheduler.h"
 #include "sim/arrivals.h"
 #include "sim/engine.h"
+#include "sim/run_metrics.h"
 #include "sim/serve.h"
 #include "storage/catalog.h"
 #include "util/random.h"
@@ -207,7 +208,7 @@ TEST_F(ServeFixture, ServeSmokeCompletesEverythingUnbounded) {
 TEST_F(ServeFixture, TraceServeReproducesClosedRunExactly) {
   // Serving a recorded trace with no shedding bounds and no alpha
   // selector must be the closed-workload drain, bit for bit: same virtual
-  // makespan, same I/O, same matches.
+  // makespan, same I/O, same matches — the whole report.
   Rng rng(101);
   auto arrivals = *PoissonArrivals(trace_.size(), 0.5, &rng);
 
@@ -229,6 +230,7 @@ TEST_F(ServeFixture, TraceServeReproducesClosedRunExactly) {
   EXPECT_EQ(served->queries_completed, run->queries_completed);
   EXPECT_DOUBLE_EQ(served->avg_response_ms, run->avg_response_ms);
   EXPECT_EQ(served->peak_pending_objects, run->peak_pending_objects);
+  EXPECT_EQ(RunMetricsJson(*served), RunMetricsJson(*run));
 }
 
 TEST_F(ServeFixture, SheddingKeepsAccountsBalanced) {

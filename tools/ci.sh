@@ -11,12 +11,14 @@
 #                        # per-volume FileStore lanes + concurrent admission
 #                        # control + submission-queue workers/completions)
 #   tools/ci.sh --asan   # ASan+UBSan smoke: builds test_exec, test_storage,
-#                        # test_topology, test_columnar, and test_async_io
-#                        # with -fsanitize=address,undefined and runs them
-#                        # (arena lifetimes incl. I/O scratch, prefetch
-#                        # claim/cancel memory, eviction-tier bookkeeping,
-#                        # columnar page decode over corrupted input, and
-#                        # async-reader fault injection/teardown)
+#                        # test_topology, test_columnar, test_async_io,
+#                        # test_core, test_sim, test_serve, and
+#                        # test_thread_pool with -fsanitize=address,undefined
+#                        # and runs them (arena lifetimes incl. I/O scratch,
+#                        # prefetch claim/cancel memory, eviction-tier
+#                        # bookkeeping, columnar page decode over corrupted
+#                        # input, async-reader fault injection/teardown, and
+#                        # both drivers' execution-stack teardown order)
 #   tools/ci.sh --real-io # Wall-clock I/O smoke: gen-catalog to disk, replay
 #                        # with --io real over 2 volumes (prefetch on), then
 #                        # inspect --verify-checksums. Exercises the pread
@@ -38,7 +40,7 @@ if [ "${1:-}" = "--asan" ]; then
     -DLIFERAFT_BUILD_EXAMPLES=OFF \
     -DLIFERAFT_BUILD_TOOLS=OFF
   cmake --build build-asan -j --target test_exec test_storage test_topology \
-    test_columnar test_async_io
+    test_columnar test_async_io test_core test_sim test_serve test_thread_pool
   # Leak checking is on by default under ASan; -fno-sanitize-recover
   # already turned every UBSan diagnostic into a hard failure.
   ./build-asan/test_exec
@@ -46,6 +48,10 @@ if [ "${1:-}" = "--asan" ]; then
   ./build-asan/test_topology
   ./build-asan/test_columnar
   ./build-asan/test_async_io
+  ./build-asan/test_core
+  ./build-asan/test_sim
+  ./build-asan/test_serve
+  ./build-asan/test_thread_pool
   echo "asan+ubsan smoke OK"
   exit 0
 fi
