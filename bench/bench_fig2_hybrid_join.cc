@@ -37,10 +37,12 @@ void Run() {
         i, workload::RandomPointInCap(&rng, center, 2.0), 18.0f, 0.5f));
   }
   std::sort(objects.begin(), objects.end(), storage::ObjectHtmLess);
-  storage::Bucket bucket(0,
-                         htm::IdRange{htm::LevelMin(htm::kObjectLevel),
-                                      htm::LevelMax(htm::kObjectLevel)},
-                         objects);
+  auto page = storage::ColumnarPage::Encode(
+      htm::IdRange{htm::LevelMin(htm::kObjectLevel),
+                   htm::LevelMax(htm::kObjectLevel)},
+      objects);
+  if (!page.ok()) std::exit(1);
+  const storage::Bucket bucket(0, std::move(*page));
   auto index = storage::BTreeIndex::BulkLoad(objects);
   if (!index.ok()) std::exit(1);
 

@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 
 #include "htm/cover.h"
@@ -113,12 +112,12 @@ struct JoinFixture {
       entry.objects.push_back(query::MakeQueryObject(
           i, workload::RandomPointInCap(&rng, center, 3.0), radius_arcsec));
     }
-    return JoinFixture{
-        storage::Bucket(0,
-                        htm::IdRange{htm::LevelMin(htm::kObjectLevel),
-                                     htm::LevelMax(htm::kObjectLevel)},
-                        std::move(objects)),
-        {std::move(entry)}};
+    auto page = storage::ColumnarPage::Encode(
+        htm::IdRange{htm::LevelMin(htm::kObjectLevel),
+                     htm::LevelMax(htm::kObjectLevel)},
+        objects);
+    return JoinFixture{storage::Bucket(0, std::move(*page)),
+                       {std::move(entry)}};
   }
 };
 
@@ -443,47 +442,6 @@ void BM_EngineNoShareThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineNoShareThreads)->Arg(1)->Arg(4);
 
-/// A row bucket's columnar twin via a real encode/parse round trip.
-std::shared_ptr<const storage::ColumnarPage> ColumnarPageOf(
-    const storage::Bucket& bucket) {
-  std::string encoded;
-  storage::EncodeColumnarPage(bucket, &encoded);
-  std::unique_ptr<char[]> buf(new char[encoded.size()]);
-  std::memcpy(buf.get(), encoded.data(), encoded.size());
-  return *storage::ColumnarPage::Parse(std::move(buf), encoded.size());
-}
-
-/// Zero-copy columnar scan (arg 0) vs decode-to-rows-then-scan (arg 1)
-/// over the same parsed v2 page: the price the row path pays to
-/// materialize 10k CatalogObjects per bucket touch, which the span-based
-/// kernel skips entirely. Results are identical by construction (the
-/// identity tests pin that); this bench tracks the CPU delta.
-void BM_ColumnarScanVsDecode(benchmark::State& state) {
-  auto fixture = JoinFixture::Make(10'000, 1000);
-  const auto page = ColumnarPageOf(fixture.bucket);
-  const bool decode_rows = state.range(0) != 0;
-  storage::Bucket columnar(0, page);
-  for (auto _ : state) {
-    if (decode_rows) {
-      std::vector<storage::CatalogObject> rows;
-      rows.reserve(page->size());
-      for (size_t i = 0; i < page->size(); ++i) {
-        rows.push_back(page->MaterializeObject(i));
-      }
-      storage::Bucket row_bucket(0, fixture.bucket.range(), std::move(rows));
-      auto counters =
-          join::MergeCrossMatch(row_bucket, fixture.batch, nullptr);
-      benchmark::DoNotOptimize(counters);
-    } else {
-      auto counters =
-          join::MergeCrossMatch(columnar, fixture.batch, nullptr);
-      benchmark::DoNotOptimize(counters);
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_ColumnarScanVsDecode)->Arg(0)->Arg(1);
-
 /// The join kernel's per-candidate cost at a wide radius: 1000 query
 /// objects with a 300-arcsec radius merge-joined against one parsed
 /// 10k-object columnar page. Most HTM-window candidates lie outside the
@@ -492,10 +450,10 @@ BENCHMARK(BM_ColumnarScanVsDecode)->Arg(0)->Arg(1);
 /// second.
 void BM_CrossMatchWideRadius(benchmark::State& state) {
   auto fixture = JoinFixture::Make(10'000, 1000, 300.0);
-  storage::Bucket columnar(0, ColumnarPageOf(fixture.bucket));
   uint64_t candidates = 0;
   for (auto _ : state) {
-    auto counters = join::MergeCrossMatch(columnar, fixture.batch, nullptr);
+    auto counters =
+        join::MergeCrossMatch(fixture.bucket, fixture.batch, nullptr);
     candidates += counters.candidates_tested;
     benchmark::DoNotOptimize(counters);
   }
@@ -503,6 +461,24 @@ void BM_CrossMatchWideRadius(benchmark::State& state) {
       static_cast<double>(candidates), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_CrossMatchWideRadius)->UseRealTime();
+
+/// BM_CrossMatchWideRadius's fixture through the zones kernel, with zones
+/// as tall as the radius: the 300-arcsec arm of BM_ZonesCrossMatch, so the
+/// two scan kernels compare at the radius where their candidate windows
+/// differ most.
+void BM_ZonesCrossMatchWideRadius(benchmark::State& state) {
+  auto fixture = JoinFixture::Make(10'000, 1000, 300.0);
+  uint64_t candidates = 0;
+  for (auto _ : state) {
+    auto counters = join::ZonesCrossMatch(fixture.bucket, fixture.batch,
+                                          300.0 / kArcsecPerDeg, nullptr);
+    candidates += counters.candidates_tested;
+    benchmark::DoNotOptimize(counters);
+  }
+  state.counters["candidates_per_second"] = benchmark::Counter(
+      static_cast<double>(candidates), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ZonesCrossMatchWideRadius)->UseRealTime();
 
 /// End-to-end saturated drain at a FIXED cache byte budget over the same
 /// partition written as row v1 (arg 0) and columnar v2 (arg 1), with

@@ -79,50 +79,6 @@ IndexedJoinCounters IndexedCrossMatchInto(
   return counters;
 }
 
-/// Columnar form: probes one page's sorted HTM-id column — the per-page
-/// mini-index — with the same per-object probe accounting, scanning the
-/// position/attribute columns zero-copy. No B+tree leaves exist on this
-/// path, so leaves_visited stays 0; candidate order and match bytes are
-/// identical to the B+tree probe restricted to the same bucket.
-template <typename MatchVec>
-IndexedJoinCounters IndexedCrossMatchInto(
-    const storage::ColumnarBucketView& view, const htm::IdRange& restrict_to,
-    std::span<const query::WorkloadEntry> batch, MatchVec* out) {
-  IndexedJoinCounters counters;
-  const std::span<const Vec3> pos = view.positions();
-  const std::span<const double> ra = view.ra();
-  const std::span<const double> dec = view.dec();
-  const std::span<const float> mag = view.mag();
-  const std::span<const float> color = view.color();
-  for (const query::WorkloadEntry& entry : batch) {
-    for (const query::QueryObject& qo : entry.objects) {
-      ++counters.join.workload_objects;
-      ++counters.probes;
-      const RadiusTest test(qo);
-      for (const htm::IdRange& r : qo.htm_ranges.ranges()) {
-        if (!r.Overlaps(restrict_to)) continue;
-        htm::HtmId lo = std::max(r.lo, restrict_to.lo);
-        htm::HtmId hi = std::min(r.hi, restrict_to.hi);
-        const auto [first, last] = view.EqualRange(lo, hi);
-        for (size_t i = first; i < last; ++i) {
-          ++counters.join.candidates_tested;
-          double sep = 0.0;
-          if (!test(pos[i], &sep)) continue;
-          ++counters.join.spatial_matches;
-          if (!entry.predicate.Matches(mag[i], color[i])) continue;
-          ++counters.join.output_matches;
-          if (out != nullptr) {
-            out->push_back(query::Match{entry.query_id, qo.id,
-                                        view.object_id(i), sep, ra[i],
-                                        dec[i]});
-          }
-        }
-      }
-    }
-  }
-  return counters;
-}
-
 /// The std::vector instantiation of IndexedCrossMatchInto.
 IndexedJoinCounters IndexedCrossMatch(
     const storage::BTreeIndex& index, const htm::IdRange& restrict_to,

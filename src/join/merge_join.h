@@ -46,9 +46,9 @@ struct JoinCounters {
 bool WithinRadius(const query::QueryObject& qo,
                   const storage::CatalogObject& co, double* sep_arcsec);
 
-/// Position-only form for the columnar scan path: same formula, same
-/// bits — the Vec3 comes from the same SkyToUnitVector(ra, dec) the row
-/// decode runs.
+/// Position-only form for the page scan kernels: same formula, same
+/// bits — the Vec3 comes from the same SkyToUnitVector(ra, dec) that
+/// MakeObject runs.
 bool WithinRadius(const query::QueryObject& qo, const Vec3& pos,
                   double* sep_arcsec);
 
@@ -97,24 +97,28 @@ class RadiusTest {
   double min_dot_;
 };
 
-/// Zero-copy sweep over one columnar page: binary-searches the decoded id
-/// column per workload range, then walks the position/attribute column
-/// spans in place. No CatalogObject is materialized on this path — match
-/// output is built straight from the columns — so the only per-scan
-/// allocation is the output vector (arena-backed in the parallel
-/// evaluator). Candidate order, counters, and match bytes are identical
-/// to the row sweep below by construction.
+/// Cross-matches every entry of a bucket's workload batch against the
+/// bucket via sorted-range sweep: binary-searches the page's id column per
+/// workload range, then walks the position/attribute column spans in
+/// place, appending matches to `*out` (skipped when null). No
+/// CatalogObject is materialized — match output is built straight from
+/// the columns. Entries are processed in order and touch no shared state,
+/// so disjoint slices of a batch may run on different threads and be
+/// concatenated in slice order. Generic over the output vector so the
+/// parallel evaluator can append into per-worker arena-backed vectors
+/// (util::ArenaVector) while every other caller keeps std::vector.
 template <typename MatchVec>
-JoinCounters MergeCrossMatchInto(const storage::ColumnarBucketView& view,
+JoinCounters MergeCrossMatchInto(const storage::Bucket& bucket,
                                  std::span<const query::WorkloadEntry> batch,
                                  MatchVec* out) {
   JoinCounters counters;
-  const htm::IdRange bucket_range = view.range();
-  const std::span<const Vec3> pos = view.positions();
-  const std::span<const double> ra = view.ra();
-  const std::span<const double> dec = view.dec();
-  const std::span<const float> mag = view.mag();
-  const std::span<const float> color = view.color();
+  const storage::ColumnarPage& page = bucket.page();
+  const htm::IdRange bucket_range = bucket.range();
+  const std::span<const Vec3> pos = page.positions();
+  const std::span<const double> ra = page.ra();
+  const std::span<const double> dec = page.dec();
+  const std::span<const float> mag = page.mag();
+  const std::span<const float> color = page.color();
   for (const query::WorkloadEntry& entry : batch) {
     for (const query::QueryObject& qo : entry.objects) {
       ++counters.workload_objects;
@@ -123,7 +127,7 @@ JoinCounters MergeCrossMatchInto(const storage::ColumnarBucketView& view,
         if (!r.Overlaps(bucket_range)) continue;
         htm::HtmId lo = std::max(r.lo, bucket_range.lo);
         htm::HtmId hi = std::min(r.hi, bucket_range.hi);
-        const auto [first, last] = view.EqualRange(lo, hi);
+        const auto [first, last] = page.EqualRange(lo, hi);
         for (size_t i = first; i < last; ++i) {
           ++counters.candidates_tested;
           double sep = 0.0;
@@ -133,52 +137,8 @@ JoinCounters MergeCrossMatchInto(const storage::ColumnarBucketView& view,
           ++counters.output_matches;
           if (out != nullptr) {
             out->push_back(query::Match{entry.query_id, qo.id,
-                                        view.object_id(i), sep, ra[i],
+                                        page.object_id(i), sep, ra[i],
                                         dec[i]});
-          }
-        }
-      }
-    }
-  }
-  return counters;
-}
-
-/// Cross-matches every entry of a bucket's workload batch against the
-/// bucket via sorted-range sweep, appending matches to `*out` (skipped
-/// when null). Entries are processed in order and touch no shared state,
-/// so disjoint slices of a batch may run on different threads and be
-/// concatenated in slice order. Generic over the output vector so the
-/// parallel evaluator can append into per-worker arena-backed vectors
-/// (util::ArenaVector) while every other caller keeps std::vector.
-/// Columnar buckets dispatch to the zero-copy page sweep above.
-template <typename MatchVec>
-JoinCounters MergeCrossMatchInto(const storage::Bucket& bucket,
-                                 std::span<const query::WorkloadEntry> batch,
-                                 MatchVec* out) {
-  if (bucket.is_columnar()) {
-    return MergeCrossMatchInto(bucket.view(), batch, out);
-  }
-  JoinCounters counters;
-  const htm::IdRange bucket_range = bucket.range();
-  for (const query::WorkloadEntry& entry : batch) {
-    for (const query::QueryObject& qo : entry.objects) {
-      ++counters.workload_objects;
-      const RadiusTest test(qo);
-      for (const htm::IdRange& r : qo.htm_ranges.ranges()) {
-        if (!r.Overlaps(bucket_range)) continue;
-        htm::HtmId lo = std::max(r.lo, bucket_range.lo);
-        htm::HtmId hi = std::min(r.hi, bucket_range.hi);
-        for (const storage::CatalogObject& co :
-             bucket.ObjectsInRange(lo, hi)) {
-          ++counters.candidates_tested;
-          double sep = 0.0;
-          if (!test(co, &sep)) continue;
-          ++counters.spatial_matches;
-          if (!entry.predicate.Matches(co)) continue;
-          ++counters.output_matches;
-          if (out != nullptr) {
-            out->push_back(query::Match{entry.query_id, qo.id, co.object_id,
-                                        sep, co.ra_deg, co.dec_deg});
           }
         }
       }

@@ -8,6 +8,7 @@
 #ifndef LIFERAFT_JOIN_ZONES_H_
 #define LIFERAFT_JOIN_ZONES_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "join/merge_join.h"
@@ -16,40 +17,17 @@
 
 namespace liferaft::join {
 
-/// Zone-indexed view of one bucket's objects. Build once per bucket batch,
-/// reuse across all workload entries.
+/// Zone index over one bucket page: zones hold row indices sorted by the
+/// ra column, so candidate generation walks the column spans in place and
+/// no CatalogObject row is ever materialized. Build once per bucket batch,
+/// reuse across all workload entries. Borrows the page.
 class ZoneIndex {
  public:
   /// @param zone_height_deg zone height; must be >= the largest error
   ///        radius being matched for single-neighbor-zone correctness
   ///        (callers pass max radius, we still search all overlapped zones
   ///        so larger radii remain correct).
-  ZoneIndex(const storage::Bucket& bucket, double zone_height_deg);
-
-  /// All bucket objects within `radius_arcsec` of the query object.
-  void Candidates(const query::QueryObject& qo,
-                  std::vector<const storage::CatalogObject*>* out) const;
-
-  size_t num_zones() const { return zones_.size(); }
-
- private:
-  struct Zone {
-    std::vector<const storage::CatalogObject*> by_ra;  // sorted by ra_deg
-  };
-
-  int ZoneOf(double dec_deg) const;
-
-  double zone_height_deg_;
-  std::vector<Zone> zones_;  // zone 0 starts at dec = -90
-};
-
-/// Zone index over a columnar page: zones hold row indices sorted by the
-/// ra column, so candidate generation walks the column spans in place and
-/// no CatalogObject row is ever materialized.
-class ColumnarZoneIndex {
- public:
-  ColumnarZoneIndex(const storage::ColumnarBucketView& view,
-                    double zone_height_deg);
+  ZoneIndex(const storage::ColumnarPage& page, double zone_height_deg);
 
   /// Row indices of all page objects within `radius_arcsec` of the query
   /// object.
@@ -65,22 +43,15 @@ class ColumnarZoneIndex {
 
   int ZoneOf(double dec_deg) const;
 
-  storage::ColumnarBucketView view_;
+  const storage::ColumnarPage* page_;
   double zone_height_deg_;
   std::vector<Zone> zones_;  // zone 0 starts at dec = -90
 };
 
 /// Cross-matches a workload batch against a bucket using the zones
-/// algorithm. Result set is identical to MergeCrossMatch (order may
-/// differ). Columnar buckets dispatch to the zero-copy overload below.
+/// algorithm, scanning the page's ra/dec/mag/color columns in place.
+/// Result set is identical to MergeCrossMatch (order may differ).
 JoinCounters ZonesCrossMatch(const storage::Bucket& bucket,
-                             const std::vector<query::WorkloadEntry>& batch,
-                             double zone_height_deg,
-                             std::vector<query::Match>* out);
-
-/// Zones over one columnar page, scanning the ra/dec/mag/color columns in
-/// place. Result set identical to the row form on the same objects.
-JoinCounters ZonesCrossMatch(const storage::ColumnarBucketView& view,
                              const std::vector<query::WorkloadEntry>& batch,
                              double zone_height_deg,
                              std::vector<query::Match>* out);

@@ -25,8 +25,7 @@ struct Predicate {
     return Matches(o.mag, o.color);
   }
 
-  /// Attribute-column form for the columnar scan path (identical result to
-  /// the row form by construction).
+  /// Attribute-column form for the page scan kernels.
   bool Matches(float mag, float color) const {
     return mag >= min_mag && mag <= max_mag && color >= min_color &&
            color <= max_color;

@@ -68,10 +68,10 @@ struct EngineConfig : exec::StackConfig {
   /// that predate real I/O.
   IoMode io_mode = IoMode::kModeled;
   /// Optional cache byte budget (BucketCache capacity_bytes; 0 = off).
-  /// When set, residency is additionally bounded by charged bytes — real
-  /// encoded page size for columnar buckets, the kBytesPerObject estimate
-  /// otherwise — so at a fixed MB budget a compressed catalog keeps more
-  /// buckets resident. Combine with a generous cache_capacity (e.g. the
+  /// When set, residency is additionally bounded by charged bytes — the
+  /// store's real page size (either file format), the kBytesPerObject
+  /// estimate for MemStore — so at a fixed MB budget a compressed catalog
+  /// keeps more buckets resident. Combine with a generous cache_capacity (e.g. the
   /// bucket count) for a pure byte budget.
   uint64_t cache_capacity_bytes = 0;
   /// Price every T_b consumer (scheduler U_t, evaluator scan/NoShare

@@ -1,12 +1,10 @@
 // A bucket: one equal-sized, HTM-contiguous partition of the fact table.
 // Buckets are LifeRaft's unit of I/O and of scheduling.
 //
-// A bucket holds its objects in one of two representations:
-//   - row: a sorted std::vector<CatalogObject> (MemStore, v1 file pages);
-//   - columnar: a shared, parsed v2 page (storage/columnar.h) whose
-//     fixed-width columns are scanned zero-copy by the join kernels.
-// Both answer the same queries; objects() materializes rows lazily from a
-// columnar page, so row-oriented consumers keep working unchanged.
+// A bucket is its catalog index plus one shared, parsed v2 page
+// (storage/columnar.h) whose fixed-width columns the join kernels scan in
+// place. Every store hands out this one form: v2 file pages as read,
+// partitioned catalogs and v1 file pages encoded by ColumnarPage::Encode.
 
 #ifndef LIFERAFT_STORAGE_BUCKET_H_
 #define LIFERAFT_STORAGE_BUCKET_H_
@@ -14,12 +12,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <span>
-#include <vector>
 
 #include "htm/range_set.h"
 #include "storage/columnar.h"
-#include "storage/object.h"
 
 namespace liferaft::storage {
 
@@ -29,63 +24,44 @@ using BucketIndex = uint32_t;
 /// An HTM-contiguous run of catalog objects, sorted by HTM ID.
 class Bucket {
  public:
-  Bucket(BucketIndex index, htm::IdRange range,
-         std::vector<CatalogObject> objects);
-
-  /// Columnar representation: the bucket borrows nothing and copies
-  /// nothing — it shares the parsed page (cache entries, in-flight
-  /// prefetches, and scan slices all point at the same bytes).
-  Bucket(BucketIndex index, std::shared_ptr<const ColumnarPage> page);
+  /// The bucket borrows nothing and copies nothing — it shares the parsed
+  /// page (cache entries, in-flight prefetches, and scan slices all point
+  /// at the same bytes).
+  Bucket(BucketIndex index, std::shared_ptr<const ColumnarPage> page)
+      : index_(index),
+        range_(page->range()),
+        size_(page->size()),
+        page_(std::move(page)) {}
 
   /// Position of this bucket in its catalog (HTM-curve order).
   BucketIndex index() const { return index_; }
   /// Inclusive level-14 HTM ID range this bucket owns. Bucket ranges of a
   /// catalog tile the whole curve without gaps.
   const htm::IdRange& range() const { return range_; }
-  /// All objects, sorted by (htm_id, object_id). Columnar buckets
-  /// materialize the rows on first call (thread-safe, cached in the shared
-  /// page); the zero-copy scan paths never call this.
-  const std::vector<CatalogObject>& objects() const {
-    return page_ == nullptr ? objects_ : page_->rows();
-  }
   /// Object count (the equal-count partitioning target).
   size_t size() const { return size_; }
-
-  /// True when this bucket is backed by a v2 columnar page.
-  bool is_columnar() const { return page_ != nullptr; }
-  /// The backing page (columnar buckets only; nullptr otherwise).
-  const ColumnarPage* page() const { return page_.get(); }
-  /// Zero-copy scan handle (columnar buckets only; callers must check
-  /// is_columnar() first).
-  ColumnarBucketView view() const { return ColumnarBucketView(page_.get()); }
-
-  /// Real encoded on-disk page bytes, or 0 when the bucket has no encoded
-  /// form (row buckets from MemStore / v1 pages).
-  uint64_t encoded_bytes() const {
-    return page_ == nullptr ? 0 : page_->encoded_bytes();
-  }
-
-  /// Objects whose HTM ID lies in [lo, hi] (binary search; objects are
-  /// sorted by HTM ID). Materializes rows on columnar buckets — kernels
-  /// that can scan zero-copy use view().EqualRange() instead.
-  std::span<const CatalogObject> ObjectsInRange(htm::HtmId lo,
-                                                htm::HtmId hi) const;
+  /// The objects, sorted by HTM ID, as columns.
+  const ColumnarPage& page() const { return *page_; }
 
   /// Approximate in-memory/on-disk size. The paper's 10,000-object buckets
   /// are 40 MB, i.e. ~4 KB/object of full row payload; we model that ratio
   /// rather than sizeof(CatalogObject) so I/O-cost arithmetic matches the
   /// paper's regime.
-  uint64_t EstimatedBytes() const;
+  uint64_t EstimatedBytes() const {
+    return static_cast<uint64_t>(size_) * kBytesPerObject;
+  }
 
   /// Bytes per object used by EstimatedBytes().
   static constexpr uint64_t kBytesPerObject = 4096;
 
  private:
   BucketIndex index_;
+  // Cached off the page: MemStore answers BucketObjectCount from size_,
+  // and the scheduler prices every active bucket through that on each
+  // pick.
   htm::IdRange range_;
-  std::vector<CatalogObject> objects_;  // sorted by (htm_id, object_id)
+  size_t size_;
   std::shared_ptr<const ColumnarPage> page_;
-  size_t size_ = 0;
 };
 
 }  // namespace liferaft::storage

@@ -205,7 +205,7 @@ void BucketCache::InsertMru(Shard& shard, BucketIndex index,
   // Charges are only tracked in byte mode, keeping count-only shards
   // bit-for-bit on their pre-byte-mode behavior.
   const uint64_t bytes =
-      shard.capacity_bytes > 0 ? ChargedBytes(*bucket) : 0;
+      shard.capacity_bytes > 0 ? ChargedBytes(index) : 0;
   shard.lru.push_front(Entry{index, std::move(bucket), /*pins=*/0, bytes});
   shard.map[index] = shard.lru.begin();
   shard.bytes_used += bytes;

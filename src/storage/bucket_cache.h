@@ -133,9 +133,10 @@ class BucketCache {
   ///                   the count capacity. 0 (default) disables byte
   ///                   accounting entirely — byte-identical to the
   ///                   pre-byte-mode cache. When set, each resident bucket
-  ///                   is charged its real encoded page size when it has
-  ///                   one (columnar v2 buckets) and the kBytesPerObject
-  ///                   estimate otherwise, and eviction also runs while a
+  ///                   is charged the store's real page size when it has
+  ///                   one (FileStore, either format) and the
+  ///                   kBytesPerObject estimate otherwise (MemStore), and
+  ///                   eviction also runs while a
   ///                   shard is over its byte slice — so at a fixed MB
   ///                   budget, smaller encoded pages mean more resident
   ///                   buckets. The count bound still applies; callers
@@ -304,12 +305,11 @@ class BucketCache {
                  std::shared_ptr<const Bucket> bucket);
   void EvictOverCapacity(Shard& shard);
 
-  /// Bytes a resident bucket is charged in byte mode: the real encoded
-  /// page size when the bucket carries one, the modeled estimate
-  /// otherwise.
-  static uint64_t ChargedBytes(const Bucket& b) {
-    const uint64_t encoded = b.encoded_bytes();
-    return encoded > 0 ? encoded : b.EstimatedBytes();
+  /// Bytes a resident bucket is charged in byte mode: the store's real
+  /// page size (either file format), the modeled estimate when it has
+  /// none (MemStore).
+  uint64_t ChargedBytes(BucketIndex index) const {
+    return store_->ModeledBucketBytes(index, /*charge_encoded=*/true);
   }
 
   BucketStore* store_;

@@ -37,7 +37,7 @@ struct StoreStats {
 /// BucketCache may invoke ReadBucket from whichever thread holds the
 /// bucket's shard lock, so an implementation MUST make ReadBucket safe to
 /// call concurrently with itself and with ReadBucketForPrefetch (MemStore
-/// serves immutable materialized buckets; FileStore reads pages with
+/// serves immutable in-memory pages; FileStore reads pages with
 /// positional pread(2) calls that share no mutable state).
 /// ReadBucketForPrefetch exists for the prefetch
 /// pipeline: a cache worker calls it concurrently with other reads, and

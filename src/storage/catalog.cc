@@ -53,8 +53,10 @@ Result<std::unique_ptr<Catalog>> Catalog::FromStore(
     for (BucketIndex b = 0; b < catalog->store_->num_buckets(); ++b) {
       LIFERAFT_ASSIGN_OR_RETURN(std::shared_ptr<const Bucket> bucket,
                                 catalog->store_->ReadBucket(b));
-      const std::vector<CatalogObject>& objs = bucket->objects();
-      objects.insert(objects.end(), objs.begin(), objs.end());
+      const ColumnarPage& page = bucket->page();
+      for (size_t i = 0; i < page.size(); ++i) {
+        objects.push_back(page.MaterializeObject(i));
+      }
     }
     // Buckets arrive in curve order with sorted contents, but re-sort in
     // case a store implementation relaxes that.

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
+#include <string>
 
 #include "geom/spherical.h"
-#include "storage/bucket.h"
 #include "util/coding.h"
 #include "util/crc32.h"
 
@@ -47,10 +48,9 @@ unsigned BitsFor(uint64_t v) {
   return bits;
 }
 
-}  // namespace
-
-void EncodeColumnarPage(const Bucket& bucket, std::string* out) {
-  const std::vector<CatalogObject>& objects = bucket.objects();
+/// Serializes `objects` as the v2 page of a bucket owning `range`.
+std::string EncodePage(const htm::IdRange& range,
+                       std::span<const CatalogObject> objects) {
   const uint32_t count = static_cast<uint32_t>(objects.size());
   std::string page(Layout::kHeaderBytes, '\0');
   PokeFixed32(&page, 0, Layout::kPageMagic);
@@ -58,8 +58,8 @@ void EncodeColumnarPage(const Bucket& bucket, std::string* out) {
   PokeFixed32(&page, Layout::kCountOffset, count);
   {
     std::string fixed;
-    PutFixed64(&fixed, bucket.range().lo);
-    PutFixed64(&fixed, bucket.range().hi);
+    PutFixed64(&fixed, range.lo);
+    PutFixed64(&fixed, range.hi);
     page.replace(Layout::kRangeLoOffset, 16, fixed);
   }
 
@@ -135,7 +135,17 @@ void EncodeColumnarPage(const Bucket& bucket, std::string* out) {
               static_cast<uint32_t>(page.size()));
   const uint32_t crc = Crc32(page.data(), page.size());
   PutFixed32(&page, crc);
-  out->append(page);
+  return page;
+}
+
+}  // namespace
+
+Result<std::shared_ptr<const ColumnarPage>> ColumnarPage::Encode(
+    const htm::IdRange& range, std::span<const CatalogObject> objects) {
+  const std::string page = EncodePage(range, objects);
+  std::unique_ptr<char[]> buf(new char[page.size()]);
+  std::memcpy(buf.get(), page.data(), page.size());
+  return Parse(std::move(buf), page.size());
 }
 
 Result<std::shared_ptr<const ColumnarPage>> ColumnarPage::Parse(
@@ -185,14 +195,15 @@ Result<std::shared_ptr<const ColumnarPage>> ColumnarPage::Parse(
   page->range_ = htm::IdRange{range_lo, range_hi};
 
   // Id column: decode eagerly — the deltas are unsigned, so the decoded
-  // sequence is monotone by construction, and a corrupt column surfaces
-  // here (truncated varints, ids escaping the bucket range) instead of as
-  // wrong join results later.
+  // sequence is monotone by construction (an encoded decrease wraps and
+  // overflows the accumulator), and a corrupt column surfaces here
+  // (truncated varints, ids out of order or escaping the bucket range)
+  // instead of as wrong join results later.
   page->ids_.reserve(count);
   const char* ids_end =
       GetDeltaVarint64(p + col[0], p + col[1], count, &page->ids_);
   if (ids_end == nullptr || ids_end != p + col[1]) {
-    return corrupt("bad id column");
+    return corrupt("bad id column (truncated, or ids out of order)");
   }
   if (count > 0 &&
       (page->ids_.front() < range_lo || page->ids_.back() > range_hi)) {
@@ -265,23 +276,12 @@ std::span<const Vec3> ColumnarPage::positions() const {
   return pos_;
 }
 
-const std::vector<CatalogObject>& ColumnarPage::rows() const {
-  std::call_once(rows_once_, [this] {
-    rows_.reserve(size());
-    const std::span<const Vec3> pos = positions();
-    for (size_t i = 0; i < size(); ++i) {
-      CatalogObject o;
-      o.object_id = object_id(i);
-      o.htm_id = ids_[i];
-      o.pos = pos[i];
-      o.ra_deg = ra_[i];
-      o.dec_deg = dec_[i];
-      o.mag = mag_[i];
-      o.color = color_[i];
-      rows_.push_back(o);
-    }
-  });
-  return rows_;
+std::pair<size_t, size_t> ColumnarPage::EqualRange(htm::HtmId lo,
+                                                   htm::HtmId hi) const {
+  auto first = std::lower_bound(ids_.begin(), ids_.end(), lo);
+  auto last = std::upper_bound(ids_.begin(), ids_.end(), hi);
+  return {static_cast<size_t>(first - ids_.begin()),
+          static_cast<size_t>(last - ids_.begin())};
 }
 
 CatalogObject ColumnarPage::MaterializeObject(size_t i) const {
@@ -289,21 +289,12 @@ CatalogObject ColumnarPage::MaterializeObject(size_t i) const {
   CatalogObject o;
   o.object_id = object_id(i);
   o.htm_id = ids_[i];
-  o.pos = positions()[i];
   o.ra_deg = ra_[i];
   o.dec_deg = dec_[i];
+  o.pos = SkyToUnitVector(o.sky());
   o.mag = mag_[i];
   o.color = color_[i];
   return o;
-}
-
-std::pair<size_t, size_t> ColumnarBucketView::EqualRange(htm::HtmId lo,
-                                                         htm::HtmId hi) const {
-  const std::span<const htm::HtmId> ids = page_->ids();
-  auto first = std::lower_bound(ids.begin(), ids.end(), lo);
-  auto last = std::upper_bound(ids.begin(), ids.end(), hi);
-  return {static_cast<size_t>(first - ids.begin()),
-          static_cast<size_t>(last - ids.begin())};
 }
 
 }  // namespace liferaft::storage

@@ -23,17 +23,19 @@
 //   [color column]    count x f32   — 4-aligned, scanned zero-copy
 //   [page crc u32]    Crc32 (util/crc32.h) over [0, crc offset)
 //
-// The fixed-width position/attribute columns are stored raw so a
-// ColumnarBucketView can hand out std::span views straight off the cached
-// page bytes (little-endian hosts; the same assumption every fixed-width
-// decode in util/coding.h optimizes to). The unit-vector position is
-// recomputed from ra/dec on first use — same doubles in, same bits out as
-// the v1 row decode, which is what keeps join results byte-identical
-// across formats.
+// The fixed-width position/attribute columns are stored raw so the page
+// hands out std::span views straight off its bytes (little-endian hosts;
+// the same assumption every fixed-width decode in util/coding.h optimizes
+// to). The unit-vector position is recomputed from ra/dec on first use —
+// the same SkyToUnitVector(ra, dec) MakeObject runs, so a page built from
+// objects joins bit for bit like the objects themselves.
 //
+// Every in-memory bucket is one of these pages: a v2 file's page as read,
+// or one built by Encode() (partitioned catalogs, transcoded v1 pages).
 // Parse() validates structure, checksum, and the decoded id column (in
-// range, monotone by construction of the delta code) and returns a clean
-// Status on any corruption; no decoded state outlives a failed Parse.
+// range, and ascending: a decreasing id overflows the delta decode) and
+// returns a clean Status on any corruption; no decoded state outlives a
+// failed Parse.
 
 #ifndef LIFERAFT_STORAGE_COLUMNAR_H_
 #define LIFERAFT_STORAGE_COLUMNAR_H_
@@ -42,7 +44,7 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -52,8 +54,6 @@
 #include "util/status.h"
 
 namespace liferaft::storage {
-
-class Bucket;
 
 /// Byte offsets of the fixed page-header fields (shared with tests that
 /// craft corrupt pages deliberately).
@@ -80,22 +80,26 @@ enum class ObjectIdEncoding : uint8_t {
   kPackedFor = 1,
 };
 
-/// Serializes one bucket's objects into a v2 page, appended to `*out`.
-void EncodeColumnarPage(const Bucket& bucket, std::string* out);
-
 /// One parsed, validated, immutable columnar page. Owns the page bytes;
 /// shared between the cache, in-flight prefetches, and scan slices.
 class ColumnarPage {
  public:
   /// Takes ownership of `data` (a full page of `size` bytes, 8-aligned as
   /// operator new[] guarantees) and validates everything up front except
-  /// the lazily materialized derived state.
+  /// the lazily materialized positions.
   static Result<std::shared_ptr<const ColumnarPage>> Parse(
       std::unique_ptr<char[]> data, size_t size);
 
+  /// Encodes `objects` as the page of a bucket owning `range`, then
+  /// Parses it. The objects must be sorted by HTM id with every id inside
+  /// `range`; input that is not fails Parse and comes back as Corruption.
+  static Result<std::shared_ptr<const ColumnarPage>> Encode(
+      const htm::IdRange& range, std::span<const CatalogObject> objects);
+
   size_t size() const { return ids_.size(); }
   const htm::IdRange& range() const { return range_; }
-  uint64_t encoded_bytes() const { return encoded_bytes_; }
+  /// The encoded page, exactly as a v2 file stores it.
+  std::string_view bytes() const { return {data_.get(), encoded_bytes_}; }
 
   /// The decoded sorted HTM-id column (monotone non-decreasing, every id
   /// inside range()).
@@ -115,17 +119,16 @@ class ColumnarPage {
   }
 
   /// Unit-vector positions, materialized from ra/dec on first use
-  /// (thread-safe; scan slices share one page). Bit-identical to the v1
-  /// row decode's cached pos.
+  /// (thread-safe; scan slices share one page). Bit-identical to
+  /// MakeObject's pos.
   std::span<const Vec3> positions() const;
 
-  /// Full rows, materialized on first use for row-oriented consumers
-  /// (ZoneIndex, tools, legacy tests). Sorted by (htm_id, object_id) like
-  /// every v1 bucket.
-  const std::vector<CatalogObject>& rows() const;
+  /// Row index window [first, last) of ids in [lo, hi] (binary search on
+  /// the sorted id column).
+  std::pair<size_t, size_t> EqualRange(htm::HtmId lo, htm::HtmId hi) const;
 
-  /// Row `i` materialized alone (match output, predicate application on
-  /// the slow path).
+  /// Row `i` as a CatalogObject (index builds, tools, tests). Computes its
+  /// own position, so it never materializes positions().
   CatalogObject MaterializeObject(size_t i) const;
 
  private:
@@ -148,36 +151,6 @@ class ColumnarPage {
 
   mutable std::once_flag pos_once_;
   mutable std::vector<Vec3> pos_;
-  mutable std::once_flag rows_once_;
-  mutable std::vector<CatalogObject> rows_;
-};
-
-/// Lightweight scan handle over one page: the join kernels' zero-copy
-/// interface (binary search over the id column, column spans, per-row
-/// materialization only on match). Copyable; borrows the page.
-class ColumnarBucketView {
- public:
-  explicit ColumnarBucketView(const ColumnarPage* page) : page_(page) {}
-
-  size_t size() const { return page_->size(); }
-  const htm::IdRange& range() const { return page_->range(); }
-  std::span<const htm::HtmId> ids() const { return page_->ids(); }
-  std::span<const Vec3> positions() const { return page_->positions(); }
-  std::span<const double> ra() const { return page_->ra(); }
-  std::span<const double> dec() const { return page_->dec(); }
-  std::span<const float> mag() const { return page_->mag(); }
-  std::span<const float> color() const { return page_->color(); }
-  uint64_t object_id(size_t i) const { return page_->object_id(i); }
-  CatalogObject MaterializeObject(size_t i) const {
-    return page_->MaterializeObject(i);
-  }
-
-  /// Row index window [first, last) of ids in [lo, hi] (binary search on
-  /// the sorted id column; mirrors Bucket::ObjectsInRange).
-  std::pair<size_t, size_t> EqualRange(htm::HtmId lo, htm::HtmId hi) const;
-
- private:
-  const ColumnarPage* page_;
 };
 
 }  // namespace liferaft::storage

@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "geom/spherical.h"
 #include "storage/async_io.h"
 #include "storage/columnar.h"
 #include "util/arena.h"
@@ -37,6 +36,8 @@ void AppendRecord(std::string* out, const CatalogObject& o) {
   PutFloat(out, o.color);
 }
 
+/// Leaves pos unset: the transcoded page recomputes positions from
+/// ra/dec itself.
 CatalogObject ParseRecord(const char* p) {
   CatalogObject o;
   o.object_id = GetFixed64(p);
@@ -45,7 +46,6 @@ CatalogObject ParseRecord(const char* p) {
   o.dec_deg = GetDouble(p + 24);
   o.mag = GetFloat(p + 32);
   o.color = GetFloat(p + 36);
-  o.pos = SkyToUnitVector(o.sky());
   return o;
 }
 
@@ -230,14 +230,17 @@ Status FileStore::Create(const std::string& path,
   offsets.reserve(buckets.size());
   for (const Bucket& b : buckets) {
     offsets.push_back(written + out.size());
+    const ColumnarPage& page = b.page();
     if (format == BucketFormat::kColumnarV2) {
-      EncodeColumnarPage(b, &out);
+      out.append(page.bytes());
     } else {
       std::string payload;
       PutFixed64(&payload, b.range().lo);
       PutFixed64(&payload, b.range().hi);
       PutFixed32(&payload, static_cast<uint32_t>(b.size()));
-      for (const auto& o : b.objects()) AppendRecord(&payload, o);
+      for (size_t i = 0; i < page.size(); ++i) {
+        AppendRecord(&payload, page.MaterializeObject(i));
+      }
       uint32_t crc = Crc32(payload.data(), payload.size());
       out += payload;
       PutFixed32(&out, crc);
@@ -442,11 +445,12 @@ Result<std::shared_ptr<const Bucket>> FileStore::ReadBucketPage(
     return Status::Corruption("bucket " + std::to_string(index) +
                               " page smaller than its header");
   }
-  // The page buffer dies inside this call, so a caller-scoped bump arena
-  // (per-query NoShare worker reads) can back it; deallocation is then a
-  // no-op and the bytes are reclaimed wholesale at the caller's next
-  // window boundary (~40 bytes/object held per read until then). Null
-  // arena = plain heap, byte-identical decode either way.
+  // The page buffer and its decoded records die inside this call, so a
+  // caller-scoped bump arena (per-query NoShare worker reads) can back
+  // them; deallocation is then a no-op and the bytes are reclaimed
+  // wholesale at the caller's next window boundary (~100 bytes/object held
+  // per read until then). Null arena = plain heap, byte-identical decode
+  // either way.
   util::ArenaVector<char> page(page_size, '\0',
                                util::ArenaAllocator<char>(scratch));
   LIFERAFT_RETURN_IF_ERROR(ReadSpan(fd, offsets_[index], page.data(),
@@ -464,13 +468,22 @@ Result<std::shared_ptr<const Bucket>> FileStore::ReadBucketPage(
                               " checksum mismatch");
   }
 
-  std::vector<CatalogObject> objects;
+  util::ArenaVector<CatalogObject> objects{
+      util::ArenaAllocator<CatalogObject>(scratch)};
   objects.reserve(count);
   const char* p = page.data() + kBucketHeaderBytes;
   for (uint32_t i = 0; i < count; ++i, p += kRecordBytes) {
     objects.push_back(ParseRecord(p));
   }
-  return std::make_shared<const Bucket>(index, range, std::move(objects));
+  // Transcode to the one in-memory form. Encode parses what it wrote, so
+  // records out of HTM order or outside the page's range fail here with a
+  // clean Status instead of misdirecting every binary search over them.
+  auto transcoded = ColumnarPage::Encode(range, objects);
+  if (!transcoded.ok()) {
+    return Status::Corruption("bucket " + std::to_string(index) + ": " +
+                              transcoded.status().message());
+  }
+  return std::make_shared<const Bucket>(index, std::move(transcoded).value());
 }
 
 }  // namespace liferaft::storage

@@ -19,7 +19,8 @@
 // storage/columnar.h: delta+varint HTM-id column, compressed object-id
 // column, raw fixed-width position/attribute columns scanned zero-copy.
 // Open() auto-detects the version from the file header; a store holds pages
-// of one version only.
+// of one version only. Buckets come back in one form either way: a v2 page
+// as read, a v1 page transcoded by ColumnarPage::Encode.
 //
 // The unit-vector position is recomputed from ra/dec at load time rather
 // than stored, keeping records compact and making the file byte-stable
@@ -70,7 +71,7 @@ class FileStore : public BucketStore {
   FileStore& operator=(const FileStore&) = delete;
 
   /// Serializes a partitioned catalog to `path` in the given format,
-  /// overwriting any existing file.
+  /// overwriting any existing file. v2 writes each bucket's page verbatim.
   static Status Create(const std::string& path,
                        const std::vector<Bucket>& buckets,
                        BucketFormat format = BucketFormat::kRowV1);
@@ -141,9 +142,10 @@ class FileStore : public BucketStore {
 
   /// The raw read+checksum+decode of one bucket page — one ReadSpan of the
   /// whole page on the bucket's volume descriptor; records no stats.
-  /// `scratch`, when non-null, backs the transient v1 page buffer (v2
-  /// pages live on in the returned bucket, so they always own their bytes
-  /// on the heap).
+  /// `scratch`, when non-null, backs the transient v1 page buffer and its
+  /// decoded records (pages live on in the returned bucket, so they always
+  /// own their bytes on the heap). A v1 page that fails the transcode
+  /// returns Corruption.
   Result<std::shared_ptr<const Bucket>> ReadBucketPage(BucketIndex index,
                                                        util::Arena* scratch);
 

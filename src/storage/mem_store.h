@@ -1,4 +1,4 @@
-// In-memory BucketStore. The catalog's buckets are materialized once and
+// In-memory BucketStore. The catalog's bucket pages are encoded once and
 // served by shared pointer; the simulator charges modeled I/O time when a
 // read would have gone to disk.
 
@@ -12,7 +12,8 @@
 
 namespace liferaft::storage {
 
-/// BucketStore over materialized in-memory buckets.
+/// BucketStore over in-memory bucket pages. It reports no encoded size, so
+/// byte-priced consumers charge the kBytesPerObject estimate.
 class MemStore : public BucketStore {
  public:
   /// Takes ownership of a partitioned catalog.
@@ -23,12 +24,12 @@ class MemStore : public BucketStore {
   size_t BucketObjectCount(BucketIndex index) const override {
     return index < buckets_.size() ? buckets_[index]->size() : 0;
   }
-  /// Materialized buckets are immutable shared pointers and the stats
+  /// Buckets are immutable shared pointers and the stats
   /// counters are atomic, so ReadBucket is safe from any thread with no
   /// locking at all — the sharded-cache stress tests lean on this.
   Result<std::shared_ptr<const Bucket>> ReadBucket(BucketIndex index) override;
-  /// A prefetch worker hands a materialized bucket out with no
-  /// synchronization at all.
+  /// A prefetch worker hands a bucket out with no synchronization at
+  /// all.
   bool SupportsConcurrentReads() const override { return true; }
   Result<std::shared_ptr<const Bucket>> ReadBucketForPrefetch(
       BucketIndex index) override;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
 
 namespace liferaft::storage {
 
@@ -72,14 +73,16 @@ Result<PartitionResult> PartitionCatalog(std::vector<CatalogObject> objects,
 
   PartitionResult result;
   result.buckets.reserve(cuts.size());
+  const std::span<const CatalogObject> sorted(objects);
   for (size_t i = 0; i < cuts.size(); ++i) {
     size_t begin = cuts[i];
     size_t end = (i + 1 < cuts.size()) ? cuts[i + 1] : objects.size();
-    std::vector<CatalogObject> slice(objects.begin() + begin,
-                                     objects.begin() + end);
-    result.buckets.emplace_back(static_cast<BucketIndex>(i),
-                                map->RangeOf(static_cast<BucketIndex>(i)),
-                                std::move(slice));
+    const auto index = static_cast<BucketIndex>(i);
+    LIFERAFT_ASSIGN_OR_RETURN(
+        std::shared_ptr<const ColumnarPage> page,
+        ColumnarPage::Encode(map->RangeOf(index),
+                             sorted.subspan(begin, end - begin)));
+    result.buckets.emplace_back(index, std::move(page));
   }
   result.map = std::move(map);
   return result;

@@ -42,7 +42,7 @@ class BucketMap {
   std::vector<htm::HtmId> bounds_;  // bounds_[0] == LevelMin(kObjectLevel)
 };
 
-/// Result of partitioning: the map plus the materialized buckets.
+/// Result of partitioning: the map plus one encoded page per bucket.
 struct PartitionResult {
   std::shared_ptr<const BucketMap> map;
   std::vector<Bucket> buckets;

@@ -20,6 +20,17 @@
 namespace liferaft {
 namespace {
 
+// One bucket owning the whole curve, over objects sorted by HTM id.
+storage::Bucket WholeCurveBucket(
+    const std::vector<storage::CatalogObject>& objects) {
+  auto page = storage::ColumnarPage::Encode(
+      htm::IdRange{htm::LevelMin(htm::kObjectLevel),
+                   htm::LevelMax(htm::kObjectLevel)},
+      objects);
+  EXPECT_TRUE(page.ok()) << page.status().ToString();
+  return storage::Bucket(0, std::move(*page));
+}
+
 // ------------------------------------------------------- polar geometry --
 
 TEST(PolarEdgeTest, ObjectsExactlyAtPolesGetValidIds) {
@@ -48,10 +59,7 @@ TEST(PolarEdgeTest, ZonesMatchesMergeNearPole) {
         i, {rng.UniformDouble(0, 360), rng.UniformDouble(88.5, 90.0)}));
   }
   std::sort(objects.begin(), objects.end(), storage::ObjectHtmLess);
-  storage::Bucket bucket(0,
-                         htm::IdRange{htm::LevelMin(htm::kObjectLevel),
-                                      htm::LevelMax(htm::kObjectLevel)},
-                         objects);
+  const storage::Bucket bucket = WholeCurveBucket(objects);
   query::WorkloadEntry entry;
   entry.query_id = 1;
   for (int i = 0; i < 50; ++i) {
@@ -76,11 +84,7 @@ TEST(PolarEdgeTest, ZonesMatchesMergeNearPole) {
 TEST(RaWrapEdgeTest, MatchesAcrossRaZero) {
   // A query object at RA ~0 must match archive objects at RA ~360.
   auto co = storage::MakeObject(7, {359.9995, 10.0});
-  std::vector<storage::CatalogObject> objects = {co};
-  storage::Bucket bucket(0,
-                         htm::IdRange{htm::LevelMin(htm::kObjectLevel),
-                                      htm::LevelMax(htm::kObjectLevel)},
-                         objects);
+  const storage::Bucket bucket = WholeCurveBucket({co});
   query::WorkloadEntry entry;
   entry.query_id = 1;
   entry.objects.push_back(query::MakeQueryObject(0, {0.0005, 10.0}, 10.0));

@@ -8,11 +8,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <memory>
 #include <set>
-#include <span>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -107,13 +105,24 @@ std::set<MatchKey> Keys(const std::vector<Match>& ms) {
   return keys;
 }
 
-// Brute force over a bucket (no coarse filter at all).
-std::vector<Match> BruteForce(const storage::Bucket& bucket,
+// One bucket owning the whole curve, over objects sorted by HTM id: keeps a
+// test focused on join correctness rather than partitioning.
+storage::Bucket WholeCurveBucket(const std::vector<CatalogObject>& objects) {
+  auto page = storage::ColumnarPage::Encode(
+      htm::IdRange{htm::LevelMin(htm::kObjectLevel),
+                   htm::LevelMax(htm::kObjectLevel)},
+      objects);
+  EXPECT_TRUE(page.ok()) << page.status().ToString();
+  return storage::Bucket(0, std::move(*page));
+}
+
+// Brute force over a bucket's objects (no coarse filter at all).
+std::vector<Match> BruteForce(const std::vector<CatalogObject>& objects,
                               const std::vector<WorkloadEntry>& batch) {
   std::vector<Match> out;
   for (const auto& e : batch) {
     for (const auto& qo : e.objects) {
-      for (const auto& co : bucket.objects()) {
+      for (const auto& co : objects) {
         double sep = 0.0;
         if (WithinRadius(qo, co, &sep) && e.predicate.Matches(co)) {
           out.push_back(Match{e.query_id, qo.id, co.object_id, sep});
@@ -131,14 +140,7 @@ TEST_P(JoinAgreementTest, AllStrategiesAgreeWithBruteForce) {
   SkyPoint center{150.0, 25.0};
   auto objects = ClusteredObjects(4000, 251, center, 0.3);
   std::sort(objects.begin(), objects.end(), storage::ObjectHtmLess);
-
-  // One bucket covering the whole curve keeps the test focused on join
-  // correctness rather than partitioning.
-  storage::Bucket bucket(
-      0,
-      htm::IdRange{htm::LevelMin(htm::kObjectLevel),
-                   htm::LevelMax(htm::kObjectLevel)},
-      objects);
+  const storage::Bucket bucket = WholeCurveBucket(objects);
   auto tree = storage::BTreeIndex::BulkLoad(objects);
   ASSERT_TRUE(tree.ok());
 
@@ -149,7 +151,7 @@ TEST_P(JoinAgreementTest, AllStrategiesAgreeWithBruteForce) {
   ZonesCrossMatch(bucket, batch, std::max(radius / kArcsecPerDeg, 0.05),
                   &zones_out);
   IndexedCrossMatch(*tree, bucket.range(), batch, &indexed_out);
-  auto brute = BruteForce(bucket, batch);
+  auto brute = BruteForce(objects, batch);
 
   EXPECT_EQ(Keys(merge_out), Keys(brute)) << "merge != brute, r=" << radius;
   EXPECT_EQ(Keys(zones_out), Keys(brute)) << "zones != brute, r=" << radius;
@@ -164,11 +166,7 @@ TEST(MergeJoinTest, PredicatesFilterOutput) {
   SkyPoint center{150.0, 25.0};
   auto objects = ClusteredObjects(2000, 263, center, 0.2);
   std::sort(objects.begin(), objects.end(), storage::ObjectHtmLess);
-  storage::Bucket bucket(
-      0,
-      htm::IdRange{htm::LevelMin(htm::kObjectLevel),
-                   htm::LevelMax(htm::kObjectLevel)},
-      objects);
+  const storage::Bucket bucket = WholeCurveBucket(objects);
 
   auto open_batch = MakeBatch(center, 2, 30, 30.0, 269);
   Predicate narrow;
@@ -192,11 +190,7 @@ TEST(MergeJoinTest, CountersAddUp) {
   SkyPoint center{80.0, -10.0};
   auto objects = ClusteredObjects(1000, 271, center, 0.2);
   std::sort(objects.begin(), objects.end(), storage::ObjectHtmLess);
-  storage::Bucket bucket(
-      0,
-      htm::IdRange{htm::LevelMin(htm::kObjectLevel),
-                   htm::LevelMax(htm::kObjectLevel)},
-      objects);
+  const storage::Bucket bucket = WholeCurveBucket(objects);
   auto batch = MakeBatch(center, 2, 25, 5.0, 277);
   std::vector<Match> out;
   auto counters = MergeCrossMatch(bucket, batch, &out);
@@ -241,18 +235,7 @@ TEST(MergeJoinTest, RespectsBucketBoundary) {
   EXPECT_FALSE(seen.empty());
 }
 
-// -------------------------------------------------------- columnar kernels --
-
-// A columnar twin of a row bucket, via a real encode/parse round trip.
-storage::Bucket ColumnarTwin(const storage::Bucket& row_bucket) {
-  std::string page;
-  storage::EncodeColumnarPage(row_bucket, &page);
-  std::unique_ptr<char[]> buf(new char[page.size()]);
-  std::memcpy(buf.get(), page.data(), page.size());
-  auto parsed = storage::ColumnarPage::Parse(std::move(buf), page.size());
-  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
-  return storage::Bucket(row_bucket.index(), std::move(*parsed));
-}
+// ------------------------------------------------- page vs row kernels --
 
 bool SameMatches(const std::vector<Match>& a, const std::vector<Match>& b) {
   if (a.size() != b.size()) return false;
@@ -270,10 +253,11 @@ bool SameMatches(const std::vector<Match>& a, const std::vector<Match>& b) {
 
 class ColumnarKernelTest : public ::testing::TestWithParam<double> {};
 
-// The zero-copy columnar sweeps must reproduce the row kernels EXACTLY:
-// same matches in the same order with bit-identical separations and
-// positions, and the same counters — that is what makes the on-disk
-// format invisible to every result the engine reports.
+// The merge sweep over a bucket page must reproduce the B+tree kernel over
+// the same objects as rows EXACTLY: same matches in the same order with
+// bit-identical separations and positions, and the same counters. Both
+// visit each HTM window in (htm_id, object_id) order, so the scan and
+// probe paths of the hybrid join report one result.
 TEST_P(ColumnarKernelTest, ColumnarPathsMatchRowPathsBitForBit) {
   const double radius = GetParam();
   SkyPoint center{150.0, 25.0};
@@ -281,39 +265,26 @@ TEST_P(ColumnarKernelTest, ColumnarPathsMatchRowPathsBitForBit) {
   std::sort(objects.begin(), objects.end(), storage::ObjectHtmLess);
   for (size_t i = 0; i < objects.size(); ++i) objects[i].object_id = i;
 
-  storage::Bucket row_bucket(
-      0,
-      htm::IdRange{htm::LevelMin(htm::kObjectLevel),
-                   htm::LevelMax(htm::kObjectLevel)},
-      objects);
-  storage::Bucket col_bucket = ColumnarTwin(row_bucket);
-  ASSERT_TRUE(col_bucket.is_columnar());
+  const storage::Bucket bucket = WholeCurveBucket(objects);
+  auto tree = storage::BTreeIndex::BulkLoad(objects);
+  ASSERT_TRUE(tree.ok());
 
   Predicate narrow;
   narrow.min_mag = 16.0f;
   auto batch = MakeBatch(center, 3, 40, radius, 257, narrow, &objects);
 
-  std::vector<Match> row_merge, col_merge;
-  auto row_merge_c = MergeCrossMatch(row_bucket, batch, &row_merge);
-  auto col_merge_c = MergeCrossMatch(col_bucket, batch, &col_merge);
-  EXPECT_TRUE(SameMatches(row_merge, col_merge)) << "merge r=" << radius;
-  EXPECT_EQ(row_merge_c.candidates_tested, col_merge_c.candidates_tested);
-  EXPECT_EQ(row_merge_c.spatial_matches, col_merge_c.spatial_matches);
-  EXPECT_EQ(row_merge_c.output_matches, col_merge_c.output_matches);
-
-  const double zone_deg = std::max(radius / kArcsecPerDeg, 0.05);
-  std::vector<Match> row_zones, col_zones;
-  ZonesCrossMatch(row_bucket, batch, zone_deg, &row_zones);
-  ZonesCrossMatch(col_bucket, batch, zone_deg, &col_zones);
-  EXPECT_TRUE(SameMatches(row_zones, col_zones)) << "zones r=" << radius;
-
-  // The columnar indexed path probes the id column directly (no B+tree);
-  // it must agree with the row merge sweep on the same restriction.
-  std::vector<Match> col_indexed;
-  IndexedCrossMatchInto(col_bucket.view(), col_bucket.range(),
-                        std::span<const WorkloadEntry>(batch), &col_indexed);
-  EXPECT_EQ(Keys(col_indexed), Keys(row_merge)) << "indexed r=" << radius;
-  EXPECT_FALSE(row_merge.empty()) << "degenerate test: no matches";
+  std::vector<Match> merge, indexed;
+  const JoinCounters merge_c = MergeCrossMatch(bucket, batch, &merge);
+  const JoinCounters indexed_c =
+      IndexedCrossMatch(*tree, bucket.range(), batch, &indexed).join;
+  EXPECT_TRUE(SameMatches(merge, indexed)) << "r=" << radius;
+  EXPECT_EQ(merge_c.workload_objects, indexed_c.workload_objects);
+  EXPECT_EQ(merge_c.candidates_tested, indexed_c.candidates_tested);
+  EXPECT_EQ(merge_c.spatial_matches, indexed_c.spatial_matches);
+  EXPECT_EQ(merge_c.output_matches, indexed_c.output_matches);
+  EXPECT_GT(merge_c.spatial_matches, merge_c.output_matches)
+      << "degenerate test: the predicate filters nothing";
+  EXPECT_FALSE(merge.empty()) << "degenerate test: no matches";
 }
 
 INSTANTIATE_TEST_SUITE_P(Radii, ColumnarKernelTest,
@@ -429,15 +400,15 @@ std::vector<Match> SortedByKey(std::vector<Match> ms) {
 // filter visits for qo.
 template <typename WindowSize>
 std::pair<JoinCounters, std::vector<Match>> ExactReference(
-    const storage::Bucket& bucket, const std::vector<WorkloadEntry>& batch,
-    WindowSize window_size) {
+    const std::vector<CatalogObject>& objects,
+    const std::vector<WorkloadEntry>& batch, WindowSize window_size) {
   JoinCounters counters;
   std::vector<Match> matches;
   for (const auto& e : batch) {
     for (const auto& qo : e.objects) {
       ++counters.workload_objects;
       counters.candidates_tested += window_size(qo);
-      for (const auto& co : bucket.objects()) {
+      for (const auto& co : objects) {
         double sep = 0.0;
         if (!WithinRadius(qo, co, &sep)) continue;
         ++counters.spatial_matches;
@@ -460,22 +431,16 @@ void ExpectSameCounters(const JoinCounters& got, const JoinCounters& want,
 }
 
 // At 300″ the coarse windows hold several candidates per match, so stage
-// one rejects most pairs. All six kernels must still report exactly what
-// the exact test alone gives: every JoinCounters field, and every match
-// with its separation bits.
+// one rejects most pairs. The merge, B+tree and zones kernels must still
+// report exactly what the exact test alone gives: every JoinCounters
+// field, and every match with its separation bits.
 TEST(WideRadiusJoinTest, AllKernelsMatchTheExactReference) {
   constexpr double kRadius = 300.0;
   SkyPoint center{150.0, 25.0};
   auto objects = ClusteredObjects(4000, 251, center, 0.3);
   std::sort(objects.begin(), objects.end(), storage::ObjectHtmLess);
   for (size_t i = 0; i < objects.size(); ++i) objects[i].object_id = i;
-  storage::Bucket row_bucket(
-      0,
-      htm::IdRange{htm::LevelMin(htm::kObjectLevel),
-                   htm::LevelMax(htm::kObjectLevel)},
-      objects);
-  storage::Bucket col_bucket = ColumnarTwin(row_bucket);
-  ASSERT_TRUE(col_bucket.is_columnar());
+  const storage::Bucket bucket = WholeCurveBucket(objects);
   auto tree = storage::BTreeIndex::BulkLoad(objects);
   ASSERT_TRUE(tree.ok());
 
@@ -485,7 +450,7 @@ TEST(WideRadiusJoinTest, AllKernelsMatchTheExactReference) {
 
   // Merge and indexed kernels visit the objects in the query's HTM ranges.
   const auto [htm_want, htm_matches] =
-      ExactReference(row_bucket, batch, [&](const QueryObject& qo) {
+      ExactReference(objects, batch, [&](const QueryObject& qo) {
         uint64_t n = 0;
         for (const auto& co : objects) {
           for (const htm::IdRange& r : qo.htm_ranges.ranges()) {
@@ -494,12 +459,12 @@ TEST(WideRadiusJoinTest, AllKernelsMatchTheExactReference) {
         }
         return n;
       });
-  // Zones kernels visit the zone index's RA/Dec window.
+  // The zones kernel visits the zone index's RA/Dec window.
   const double zone_deg = kRadius / kArcsecPerDeg;
-  const ZoneIndex zones(row_bucket, zone_deg);
+  const ZoneIndex zones(bucket.page(), zone_deg);
   const auto [zone_want, zone_matches] =
-      ExactReference(row_bucket, batch, [&](const QueryObject& qo) {
-        std::vector<const CatalogObject*> window;
+      ExactReference(objects, batch, [&](const QueryObject& qo) {
+        std::vector<uint32_t> window;
         zones.Candidates(qo, &window);
         return window.size();
       });
@@ -516,29 +481,15 @@ TEST(WideRadiusJoinTest, AllKernelsMatchTheExactReference) {
     EXPECT_TRUE(SameMatches(SortedByKey(std::move(out)), want_matches))
         << kernel;
   };
-  const std::span<const WorkloadEntry> all(batch);
   std::vector<Match> out;
-  JoinCounters got = MergeCrossMatch(row_bucket, batch, &out);
-  expect_exact(got, std::move(out), htm_want, htm_matches, "row merge");
+  JoinCounters got = MergeCrossMatch(bucket, batch, &out);
+  expect_exact(got, std::move(out), htm_want, htm_matches, "merge");
   out = {};
-  got = MergeCrossMatch(col_bucket, batch, &out);
-  expect_exact(got, std::move(out), htm_want, htm_matches, "columnar merge");
-  out = {};
-  got = IndexedCrossMatch(*tree, row_bucket.range(), batch, &out).join;
+  got = IndexedCrossMatch(*tree, bucket.range(), batch, &out).join;
   expect_exact(got, std::move(out), htm_want, htm_matches, "B+tree indexed");
   out = {};
-  got = IndexedCrossMatchInto(col_bucket.view(), col_bucket.range(), all,
-                              &out)
-            .join;
-  expect_exact(got, std::move(out), htm_want, htm_matches,
-               "columnar indexed");
-  out = {};
-  got = ZonesCrossMatch(row_bucket, batch, zone_deg, &out);
-  expect_exact(got, std::move(out), zone_want, zone_matches, "row zones");
-  out = {};
-  got = ZonesCrossMatch(col_bucket, batch, zone_deg, &out);
-  expect_exact(got, std::move(out), zone_want, zone_matches,
-               "columnar zones");
+  got = ZonesCrossMatch(bucket, batch, zone_deg, &out);
+  expect_exact(got, std::move(out), zone_want, zone_matches, "zones");
 }
 
 // ---------------------------------------------------------------- Hybrid --

@@ -194,7 +194,7 @@ TEST(PartitionerEdgeTest, HeavyDuplicateRunsKeepIdsTogether) {
   // No HTM ID appears in two buckets.
   std::map<htm::HtmId, std::set<storage::BucketIndex>> where;
   for (const auto& b : result->buckets) {
-    for (const auto& o : b.objects()) where[o.htm_id].insert(b.index());
+    for (htm::HtmId id : b.page().ids()) where[id].insert(b.index());
   }
   for (const auto& [id, buckets] : where) {
     EXPECT_EQ(buckets.size(), 1u) << "HTM ID " << id << " split";

@@ -64,33 +64,57 @@ TEST(ObjectTest, OrderingIsTotal) {
 
 // ---------------------------------------------------------------- Bucket --
 
-TEST(BucketTest, ObjectsInRangeBinarySearch) {
+const htm::IdRange kFullCurve{htm::LevelMin(htm::kObjectLevel),
+                              htm::LevelMax(htm::kObjectLevel)};
+
+// One bucket owning the whole curve, over objects sorted by HTM id.
+Bucket WholeCurveBucket(const std::vector<CatalogObject>& objects) {
+  auto page = ColumnarPage::Encode(kFullCurve, objects);
+  EXPECT_TRUE(page.ok()) << page.status().ToString();
+  return Bucket(0, std::move(*page));
+}
+
+TEST(BucketTest, EqualRangeBinarySearch) {
   auto objects = RandomObjects(500, 101);
   std::sort(objects.begin(), objects.end(), ObjectHtmLess);
-  htm::IdRange full{htm::LevelMin(htm::kObjectLevel),
-                    htm::LevelMax(htm::kObjectLevel)};
-  Bucket b(0, full, objects);
+  const Bucket b = WholeCurveBucket(objects);
+  const ColumnarPage& page = b.page();
 
   htm::HtmId mid = objects[250].htm_id;
-  auto span = b.ObjectsInRange(mid, mid);
-  EXPECT_GE(span.size(), 1u);
-  for (const auto& o : span) EXPECT_EQ(o.htm_id, mid);
+  auto [first, last] = page.EqualRange(mid, mid);
+  EXPECT_GE(last - first, 1u);
+  for (size_t i = first; i < last; ++i) EXPECT_EQ(page.ids()[i], mid);
 
-  auto all = b.ObjectsInRange(full.lo, full.hi);
-  EXPECT_EQ(all.size(), objects.size());
+  auto all = page.EqualRange(kFullCurve.lo, kFullCurve.hi);
+  EXPECT_EQ(all.first, 0u);
+  EXPECT_EQ(all.second, objects.size());
 
-  auto none = b.ObjectsInRange(full.lo, objects.front().htm_id - 1);
-  EXPECT_TRUE(none.empty());
+  auto none = page.EqualRange(kFullCurve.lo, objects.front().htm_id - 1);
+  EXPECT_EQ(none.first, none.second);
+}
+
+TEST(BucketTest, EncodeRejectsObjectsOutOfOrderOrRange) {
+  auto objects = RandomObjects(50, 105);
+  std::sort(objects.begin(), objects.end(), ObjectHtmLess);
+  ASSERT_TRUE(ColumnarPage::Encode(kFullCurve, objects).ok());
+
+  auto swapped = objects;
+  std::swap(swapped.front(), swapped.back());
+  auto unsorted = ColumnarPage::Encode(kFullCurve, swapped);
+  ASSERT_FALSE(unsorted.ok());
+  EXPECT_EQ(unsorted.status().code(), StatusCode::kCorruption);
+
+  const htm::IdRange narrow{objects.front().htm_id + 1, kFullCurve.hi};
+  auto outside = ColumnarPage::Encode(narrow, objects);
+  ASSERT_FALSE(outside.ok());
+  EXPECT_EQ(outside.status().code(), StatusCode::kCorruption);
 }
 
 TEST(BucketTest, EstimatedBytesMatchesPaperScale) {
   // 10,000 objects -> ~40 MB, the paper's bucket size.
   auto objects = RandomObjects(100, 103);
   std::sort(objects.begin(), objects.end(), ObjectHtmLess);
-  Bucket b(0,
-           htm::IdRange{htm::LevelMin(htm::kObjectLevel),
-                        htm::LevelMax(htm::kObjectLevel)},
-           objects);
+  const Bucket b = WholeCurveBucket(objects);
   EXPECT_EQ(b.EstimatedBytes(), 100u * Bucket::kBytesPerObject);
   EXPECT_NEAR(10000.0 * Bucket::kBytesPerObject / (1024.0 * 1024.0), 40.0,
               1.0);
@@ -135,9 +159,9 @@ TEST(PartitionerTest, EveryObjectInItsBucketRange) {
   size_t total = 0;
   for (const auto& b : result->buckets) {
     total += b.size();
-    for (const auto& o : b.objects()) {
-      EXPECT_TRUE(b.range().Contains(o.htm_id));
-      EXPECT_EQ(result->map->BucketOf(o.htm_id), b.index());
+    for (htm::HtmId id : b.page().ids()) {
+      EXPECT_TRUE(b.range().Contains(id));
+      EXPECT_EQ(result->map->BucketOf(id), b.index());
     }
   }
   EXPECT_EQ(total, 3000u);
@@ -250,8 +274,25 @@ class FileStoreTest : public ::testing::Test {
   std::filesystem::path path_;
 };
 
+// Bit-exact, not approximately equal: the v1/v2/memory identity claims
+// depend on round-tripped doubles, and the positions recomputed from
+// them, having the input's bits.
+void ExpectBitIdentical(const CatalogObject& got, const CatalogObject& want) {
+  EXPECT_EQ(got.object_id, want.object_id);
+  EXPECT_EQ(got.htm_id, want.htm_id);
+  EXPECT_EQ(got.ra_deg, want.ra_deg);
+  EXPECT_EQ(got.dec_deg, want.dec_deg);
+  EXPECT_EQ(got.mag, want.mag);
+  EXPECT_EQ(got.color, want.color);
+  EXPECT_EQ(got.pos.x, want.pos.x);
+  EXPECT_EQ(got.pos.y, want.pos.y);
+  EXPECT_EQ(got.pos.z, want.pos.z);
+}
+
 TEST_F(FileStoreTest, RoundTripPreservesEverything) {
-  auto partition = PartitionCatalog(RandomObjects(2000, 151), 250);
+  auto objects = RandomObjects(2000, 151);
+  std::sort(objects.begin(), objects.end(), ObjectHtmLess);
+  auto partition = PartitionCatalog(objects, 250);
   ASSERT_TRUE(partition.ok());
   ASSERT_TRUE(FileStore::Create(path_.string(), partition->buckets).ok());
 
@@ -259,6 +300,7 @@ TEST_F(FileStoreTest, RoundTripPreservesEverything) {
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   ASSERT_EQ((*store)->num_buckets(), partition->buckets.size());
 
+  size_t next = 0;  // buckets hold consecutive runs of the sorted input
   for (BucketIndex i = 0; i < (*store)->num_buckets(); ++i) {
     auto bucket = (*store)->ReadBucket(i);
     ASSERT_TRUE(bucket.ok()) << bucket.status().ToString();
@@ -267,16 +309,10 @@ TEST_F(FileStoreTest, RoundTripPreservesEverything) {
     ASSERT_EQ(loaded.size(), original.size());
     EXPECT_EQ(loaded.range(), original.range());
     for (size_t j = 0; j < loaded.size(); ++j) {
-      const auto& a = loaded.objects()[j];
-      const auto& b = original.objects()[j];
-      EXPECT_EQ(a.object_id, b.object_id);
-      EXPECT_EQ(a.htm_id, b.htm_id);
-      EXPECT_DOUBLE_EQ(a.ra_deg, b.ra_deg);
-      EXPECT_DOUBLE_EQ(a.dec_deg, b.dec_deg);
-      EXPECT_FLOAT_EQ(a.mag, b.mag);
-      EXPECT_NEAR((a.pos - b.pos).Norm(), 0.0, 1e-14);
+      ExpectBitIdentical(loaded.page().MaterializeObject(j), objects[next++]);
     }
   }
+  EXPECT_EQ(next, objects.size());
   // Bucket map reconstructed identically.
   const BucketMap& m1 = (*store)->bucket_map();
   const BucketMap& m2 = *partition->map;
@@ -353,7 +389,8 @@ std::vector<CatalogObject> CurveOrderedObjects(size_t n, uint64_t seed) {
 }
 
 TEST_F(FileStoreTest, ColumnarRoundTripIsBitExact) {
-  auto partition = PartitionCatalog(CurveOrderedObjects(2000, 151), 250);
+  const auto objects = CurveOrderedObjects(2000, 151);  // sorted
+  auto partition = PartitionCatalog(objects, 250);
   ASSERT_TRUE(partition.ok());
   ASSERT_TRUE(FileStore::Create(path_.string(), partition->buckets,
                                 BucketFormat::kColumnarV2)
@@ -364,43 +401,27 @@ TEST_F(FileStoreTest, ColumnarRoundTripIsBitExact) {
   EXPECT_EQ((*store)->format(), BucketFormat::kColumnarV2);
   ASSERT_EQ((*store)->num_buckets(), partition->buckets.size());
 
+  size_t next = 0;  // buckets hold consecutive runs of the sorted input
   for (BucketIndex i = 0; i < (*store)->num_buckets(); ++i) {
     auto bucket = (*store)->ReadBucket(i);
     ASSERT_TRUE(bucket.ok()) << bucket.status().ToString();
     const Bucket& loaded = **bucket;
     const Bucket& original = partition->buckets[i];
-    EXPECT_TRUE(loaded.is_columnar());
-    EXPECT_GT(loaded.encoded_bytes(), 0u);
-    EXPECT_EQ((*store)->EncodedBucketBytes(i), loaded.encoded_bytes());
+    // The file holds the partition's pages verbatim.
+    EXPECT_EQ((*store)->EncodedBucketBytes(i), loaded.page().bytes().size());
+    EXPECT_EQ(loaded.page().bytes(), original.page().bytes());
     ASSERT_EQ(loaded.size(), original.size());
     EXPECT_EQ(loaded.range(), original.range());
-    for (size_t j = 0; j < loaded.size(); ++j) {
-      const auto& a = loaded.objects()[j];
-      const auto& b = original.objects()[j];
-      EXPECT_EQ(a.object_id, b.object_id);
-      EXPECT_EQ(a.htm_id, b.htm_id);
-      // Bit-exact, not approximately equal: the v1/v2 identity claim
-      // depends on the round-tripped doubles having identical bits.
-      EXPECT_EQ(a.ra_deg, b.ra_deg);
-      EXPECT_EQ(a.dec_deg, b.dec_deg);
-      EXPECT_EQ(a.mag, b.mag);
-      EXPECT_EQ(a.color, b.color);
-      EXPECT_EQ(a.pos.x, b.pos.x);
-      EXPECT_EQ(a.pos.y, b.pos.y);
-      EXPECT_EQ(a.pos.z, b.pos.z);
-    }
-    // The zero-copy view agrees with the materialized rows.
-    ColumnarBucketView view = loaded.view();
-    ASSERT_EQ(view.size(), loaded.size());
-    for (size_t j = 0; j < view.size(); ++j) {
-      EXPECT_EQ(view.ids()[j], original.objects()[j].htm_id);
-      EXPECT_EQ(view.object_id(j), original.objects()[j].object_id);
-      EXPECT_EQ(view.ra()[j], original.objects()[j].ra_deg);
-      EXPECT_EQ(view.dec()[j], original.objects()[j].dec_deg);
-      EXPECT_EQ(view.mag()[j], original.objects()[j].mag);
-      EXPECT_EQ(view.color()[j], original.objects()[j].color);
+    const ColumnarPage& page = loaded.page();
+    for (size_t j = 0; j < loaded.size(); ++j, ++next) {
+      ExpectBitIdentical(page.MaterializeObject(j), objects[next]);
+      // The kernels' position column too.
+      EXPECT_EQ(page.positions()[j].x, objects[next].pos.x);
+      EXPECT_EQ(page.positions()[j].y, objects[next].pos.y);
+      EXPECT_EQ(page.positions()[j].z, objects[next].pos.z);
     }
   }
+  EXPECT_EQ(next, objects.size());
 }
 
 TEST_F(FileStoreTest, ColumnarHandlesNonSequentialIds) {
@@ -417,8 +438,8 @@ TEST_F(FileStoreTest, ColumnarHandlesNonSequentialIds) {
     auto bucket = (*store)->ReadBucket(i);
     ASSERT_TRUE(bucket.ok()) << bucket.status().ToString();
     for (size_t j = 0; j < (*bucket)->size(); ++j) {
-      EXPECT_EQ((*bucket)->objects()[j].object_id,
-                partition->buckets[i].objects()[j].object_id);
+      EXPECT_EQ((*bucket)->page().object_id(j),
+                partition->buckets[i].page().object_id(j));
     }
   }
 }
@@ -436,8 +457,54 @@ TEST_F(FileStoreTest, RowV1IsAutoDetected) {
   EXPECT_EQ((*store)->format(), BucketFormat::kRowV1);
   auto bucket = (*store)->ReadBucket(0);
   ASSERT_TRUE(bucket.ok());
-  EXPECT_FALSE((*bucket)->is_columnar());
   EXPECT_EQ((*bucket)->size(), 100u);
+  // The transcoded page is the page the partition encoded: v1 loses
+  // nothing.
+  EXPECT_EQ((*bucket)->page().bytes(), partition->buckets[0].page().bytes());
+}
+
+TEST_F(FileStoreTest, RowV1RejectsRecordsOutOfHtmOrder) {
+  // A v1 page whose crc is valid but whose records are out of HTM order
+  // would misdirect every binary search over it; the read must refuse it.
+  auto partition = PartitionCatalog(CurveOrderedObjects(300, 167), 100);
+  ASSERT_TRUE(partition.ok());
+  ASSERT_TRUE(FileStore::Create(path_.string(), partition->buckets,
+                                BucketFormat::kRowV1)
+                  .ok());
+  std::string bytes;
+  {
+    std::ifstream f(path_, std::ios::binary);
+    std::stringstream ss;
+    ss << f.rdbuf();
+    bytes = ss.str();
+  }
+  // Page 0 follows the 20-byte file header: range (16) | count (4) |
+  // 40-byte records | crc.
+  constexpr size_t kPage = 20;
+  constexpr size_t kRecords = kPage + 20;
+  constexpr size_t kRecordBytes = 40;
+  const uint32_t count = GetFixed32(bytes.data() + kPage + 16);
+  ASSERT_EQ(count, 100u);
+  const size_t last = kRecords + (count - 1) * kRecordBytes;
+  std::string first_record = bytes.substr(kRecords, kRecordBytes);
+  bytes.replace(kRecords, kRecordBytes, bytes.substr(last, kRecordBytes));
+  bytes.replace(last, kRecordBytes, first_record);
+  const size_t crc_at = kRecords + count * kRecordBytes;
+  std::string crc;
+  PutFixed32(&crc, Crc32(bytes.data() + kPage, crc_at - kPage));
+  bytes.replace(crc_at, 4, crc);
+  {
+    std::ofstream f(path_, std::ios::binary | std::ios::trunc);
+    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  auto store = FileStore::Open(path_.string());
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  auto bucket = (*store)->ReadBucket(0);
+  ASSERT_FALSE(bucket.ok());
+  EXPECT_EQ(bucket.status().code(), StatusCode::kCorruption)
+      << bucket.status().ToString();
+  EXPECT_TRUE((*store)->ReadBucket(1).ok());
 }
 
 TEST_F(FileStoreTest, ColumnarShrinksEncodedBytesByThirtyPercent) {
@@ -1079,6 +1146,27 @@ TEST_F(CacheTestFixture, ByteBudgetHoldsMoreEncodedBuckets) {
   // everything fits.
   EXPECT_GT(resident, 2u);
   EXPECT_LE(cache.resident_bytes(), estimate_budget);
+  std::filesystem::remove(path);
+}
+
+TEST_F(CacheTestFixture, ByteBudgetChargesRowV1PagesTheirFileBytes) {
+  // A v1 bucket has a real page size too: byte mode charges what the file
+  // holds, not the kBytesPerObject estimate.
+  auto path = std::filesystem::temp_directory_path() /
+              ("liferaft_cache_v1_" + std::to_string(::getpid()) + ".lfr");
+  auto partition = PartitionCatalog(RandomObjects(1000, 197), 100);
+  ASSERT_TRUE(partition.ok());
+  ASSERT_TRUE(FileStore::Create(path.string(), partition->buckets,
+                                BucketFormat::kRowV1)
+                  .ok());
+  auto store = FileStore::Open(path.string());
+  ASSERT_TRUE(store.ok());
+
+  BucketCache cache(store->get(), 10, 1, nullptr,
+                    10 * 100 * Bucket::kBytesPerObject);
+  ASSERT_TRUE(cache.Get(3).ok());
+  EXPECT_EQ(cache.resident_bytes(), (*store)->EncodedBucketBytes(3));
+  EXPECT_LT(cache.resident_bytes(), 100 * Bucket::kBytesPerObject);
   std::filesystem::remove(path);
 }
 

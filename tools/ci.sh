@@ -12,13 +12,15 @@
 #                        # control + submission-queue workers/completions)
 #   tools/ci.sh --asan   # ASan+UBSan smoke: builds test_exec, test_storage,
 #                        # test_topology, test_columnar, test_async_io,
-#                        # test_core, test_sim, test_serve, and
-#                        # test_thread_pool with -fsanitize=address,undefined
-#                        # and runs them (arena lifetimes incl. I/O scratch,
-#                        # prefetch claim/cancel memory, eviction-tier
-#                        # bookkeeping, columnar page decode over corrupted
-#                        # input, async-reader fault injection/teardown, and
-#                        # both drivers' execution-stack teardown order)
+#                        # test_core, test_sim, test_serve, test_thread_pool,
+#                        # test_join, and test_properties with
+#                        # -fsanitize=address,undefined and runs them (arena
+#                        # lifetimes incl. I/O scratch, prefetch claim/cancel
+#                        # memory, eviction-tier bookkeeping, columnar page
+#                        # decode over corrupted input, every join kernel
+#                        # over Encode-built pages, async-reader fault
+#                        # injection/teardown, and both drivers'
+#                        # execution-stack teardown order)
 #   tools/ci.sh --real-io # Wall-clock I/O smoke: gen-catalog to disk, replay
 #                        # with --io real over 2 volumes (prefetch on), then
 #                        # inspect --verify-checksums. Exercises the pread
@@ -40,7 +42,8 @@ if [ "${1:-}" = "--asan" ]; then
     -DLIFERAFT_BUILD_EXAMPLES=OFF \
     -DLIFERAFT_BUILD_TOOLS=OFF
   cmake --build build-asan -j --target test_exec test_storage test_topology \
-    test_columnar test_async_io test_core test_sim test_serve test_thread_pool
+    test_columnar test_async_io test_core test_sim test_serve test_thread_pool \
+    test_join test_properties
   # Leak checking is on by default under ASan; -fno-sanitize-recover
   # already turned every UBSan diagnostic into a hard failure.
   ./build-asan/test_exec
@@ -52,6 +55,8 @@ if [ "${1:-}" = "--asan" ]; then
   ./build-asan/test_sim
   ./build-asan/test_serve
   ./build-asan/test_thread_pool
+  ./build-asan/test_join
+  ./build-asan/test_properties
   echo "asan+ubsan smoke OK"
   exit 0
 fi

@@ -121,8 +121,10 @@ Result<std::unique_ptr<storage::Catalog>> LoadCatalog(
   for (storage::BucketIndex i = 0; i < store->num_buckets(); ++i) {
     LIFERAFT_ASSIGN_OR_RETURN(std::shared_ptr<const storage::Bucket> b,
                               store->ReadBucket(i));
-    objects.insert(objects.end(), b->objects().begin(),
-                   b->objects().end());
+    const storage::ColumnarPage& page = b->page();
+    for (size_t j = 0; j < page.size(); ++j) {
+      objects.push_back(page.MaterializeObject(j));
+    }
     if (objects_per_bucket == 0) {
       objects_per_bucket = std::max(objects_per_bucket, b->size());
     }
