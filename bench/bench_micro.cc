@@ -1,8 +1,8 @@
 // Microbenchmarks (google-benchmark) for the hot substrate operations:
 // HTM point location and cone covers, B+tree range scans, the merge and
-// zones cross-match kernels, and the LRU cache. These are the real-CPU
-// costs under the simulator's virtual-time experiments; regressions here
-// inflate wall-clock for every figure bench.
+// zones cross-match kernels, the page checksum and parse, and the LRU
+// cache. These are the real-CPU costs under the simulator's virtual-time
+// experiments; regressions here inflate wall-clock for every figure bench.
 
 #include <benchmark/benchmark.h>
 
@@ -11,7 +11,10 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <memory>
+#include <string_view>
 
 #include "htm/cover.h"
 #include "htm/htm.h"
@@ -28,6 +31,7 @@
 #include "storage/file_store.h"
 #include "storage/mem_store.h"
 #include "storage/partitioner.h"
+#include "util/crc32.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 #include "workload/catalog_gen.h"
@@ -96,21 +100,24 @@ struct JoinFixture {
   storage::Bucket bucket;
   std::vector<query::WorkloadEntry> batch;
 
+  /// Bucket and queue objects are uniform in a cap of `cap_deg` around one
+  /// centre.
   static JoinFixture Make(size_t bucket_objects, size_t queue_objects,
-                          double radius_arcsec = 10.0) {
+                          double radius_arcsec = 10.0, double cap_deg = 3.0) {
     Rng rng(37);
     SkyPoint center{120.0, 10.0};
     std::vector<storage::CatalogObject> objects;
     for (size_t i = 0; i < bucket_objects; ++i) {
       objects.push_back(storage::MakeObject(
-          i, workload::RandomPointInCap(&rng, center, 3.0)));
+          i, workload::RandomPointInCap(&rng, center, cap_deg)));
     }
     std::sort(objects.begin(), objects.end(), storage::ObjectHtmLess);
     query::WorkloadEntry entry;
     entry.query_id = 1;
     for (size_t i = 0; i < queue_objects; ++i) {
       entry.objects.push_back(query::MakeQueryObject(
-          i, workload::RandomPointInCap(&rng, center, 3.0), radius_arcsec));
+          i, workload::RandomPointInCap(&rng, center, cap_deg),
+          radius_arcsec));
     }
     auto page = storage::ColumnarPage::Encode(
         htm::IdRange{htm::LevelMin(htm::kObjectLevel),
@@ -144,6 +151,55 @@ void BM_ZonesCrossMatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ZonesCrossMatch)->Arg(100)->Arg(1000);
+
+/// The page checksum alone, over one 1 MB buffer (a cold-drain page is
+/// ~1.1 MB): bytes_per_second is Crc32's throughput.
+void BM_Crc32(benchmark::State& state) {
+  Rng rng(43);
+  std::vector<unsigned char> buf(1 << 20);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.Next());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(buf.data(), buf.size()));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(buf.size()));
+}
+BENCHMARK(BM_Crc32);
+
+/// What one page read costs between the read queue and the join result:
+/// each iteration copies the encoded page into a fresh buffer (as a read
+/// does), Parses it (crc included) and merge-joins one batch, so every
+/// iteration computes its positions anew. The join benches above re-scan
+/// one parsed page and cannot see that cost.
+/// /0 is cold-drain's shape: a 40k-object page (~1.1 MB) over 1/50 of the
+/// sky (a 16.26° cap) and a sparse batch of 360 query objects at 10″ (a
+/// cold-drain page serves ~360 query objects and ~2 candidates a drain).
+/// /1 is hot-join's: a 2k-object page and 500 query objects at 300″,
+/// whose windows cover most rows. `candidates` is
+/// JoinCounters::candidates_tested per iteration.
+void BM_ParsePageAndJoin(benchmark::State& state) {
+  const JoinFixture fixture =
+      state.range(0) == 1 ? JoinFixture::Make(2'000, 500, 300.0)
+                          : JoinFixture::Make(40'000, 360, 10.0, 16.26);
+  const std::string_view bytes = fixture.bucket.page().bytes();
+  uint64_t candidates = 0;
+  for (auto _ : state) {
+    std::unique_ptr<char[]> buf(new char[bytes.size()]);
+    std::memcpy(buf.get(), bytes.data(), bytes.size());
+    auto page = storage::ColumnarPage::Parse(std::move(buf), bytes.size());
+    if (!page.ok()) {
+      state.SkipWithError(page.status().ToString().c_str());
+      break;
+    }
+    const storage::Bucket bucket(0, std::move(*page));
+    const join::JoinCounters counters =
+        join::MergeCrossMatch(bucket, fixture.batch, nullptr);
+    candidates = counters.candidates_tested;
+    benchmark::DoNotOptimize(counters);
+  }
+  state.counters["candidates"] = static_cast<double>(candidates);
+}
+BENCHMARK(BM_ParsePageAndJoin)->Arg(0)->Arg(1);
 
 void BM_BucketCacheGet(benchmark::State& state) {
   auto partition = storage::PartitionCatalog(BenchObjects(50'000), 1000);

@@ -99,12 +99,13 @@ class RadiusTest {
 
 /// Cross-matches every entry of a bucket's workload batch against the
 /// bucket via sorted-range sweep: binary-searches the page's id column per
-/// workload range, then walks the position/attribute column spans in
-/// place, appending matches to `*out` (skipped when null). No
-/// CatalogObject is materialized — match output is built straight from
-/// the columns. Entries are processed in order and touch no shared state,
-/// so disjoint slices of a batch may run on different threads and be
-/// concatenated in slice order. Generic over the output vector so the
+/// workload range, then walks that window's positions (Positions) and
+/// attribute column spans in place, appending matches to `*out` (skipped
+/// when null). No CatalogObject is materialized — match output is built
+/// straight from the columns. Entries are processed in order and share
+/// only the page, whose position blocks fill thread-safely, so disjoint
+/// slices of a batch may run on different threads and be concatenated
+/// in slice order. Generic over the output vector so the
 /// parallel evaluator can append into per-worker arena-backed vectors
 /// (util::ArenaVector) while every other caller keeps std::vector.
 template <typename MatchVec>
@@ -114,7 +115,6 @@ JoinCounters MergeCrossMatchInto(const storage::Bucket& bucket,
   JoinCounters counters;
   const storage::ColumnarPage& page = bucket.page();
   const htm::IdRange bucket_range = bucket.range();
-  const std::span<const Vec3> pos = page.positions();
   const std::span<const double> ra = page.ra();
   const std::span<const double> dec = page.dec();
   const std::span<const float> mag = page.mag();
@@ -128,10 +128,12 @@ JoinCounters MergeCrossMatchInto(const storage::Bucket& bucket,
         htm::HtmId lo = std::max(r.lo, bucket_range.lo);
         htm::HtmId hi = std::min(r.hi, bucket_range.hi);
         const auto [first, last] = page.EqualRange(lo, hi);
+        if (first == last) continue;
+        const std::span<const Vec3> pos = page.Positions(first, last);
         for (size_t i = first; i < last; ++i) {
           ++counters.candidates_tested;
           double sep = 0.0;
-          if (!test(pos[i], &sep)) continue;
+          if (!test(pos[i - first], &sep)) continue;
           ++counters.spatial_matches;
           if (!entry.predicate.Matches(mag[i], color[i])) continue;
           ++counters.output_matches;

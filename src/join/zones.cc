@@ -78,7 +78,6 @@ JoinCounters ZonesCrossMatch(const storage::Bucket& bucket,
   JoinCounters counters;
   const storage::ColumnarPage& page = bucket.page();
   ZoneIndex index(page, zone_height_deg);
-  const std::span<const Vec3> pos = page.positions();
   const std::span<const double> ra = page.ra();
   const std::span<const double> dec = page.dec();
   const std::span<const float> mag = page.mag();
@@ -93,7 +92,7 @@ JoinCounters ZonesCrossMatch(const storage::Bucket& bucket,
       for (uint32_t i : candidates) {
         ++counters.candidates_tested;
         double sep = 0.0;
-        if (!test(pos[i], &sep)) continue;
+        if (!test(page.Positions(i, i + 1)[0], &sep)) continue;
         ++counters.spatial_matches;
         if (!entry.predicate.Matches(mag[i], color[i])) continue;
         ++counters.output_matches;

@@ -239,6 +239,8 @@ Result<std::shared_ptr<const ColumnarPage>> ColumnarPage::Parse(
                    std::to_string(oid_encoding));
   }
 
+  page->pos_ready_.reset(new std::atomic<uint8_t>[
+      (n + kPositionBlockRows - 1) / kPositionBlockRows]());
   page->ra_ = reinterpret_cast<const double*>(p + col[2]);
   page->dec_ = reinterpret_cast<const double*>(p + col[3]);
   page->mag_ = reinterpret_cast<const float*>(p + col[4]);
@@ -264,16 +266,23 @@ uint64_t ColumnarPage::UnpackFor(size_t i) const {
   return width == 64 ? v : (v & ((uint64_t{1} << width) - 1));
 }
 
-std::span<const Vec3> ColumnarPage::positions() const {
-  std::call_once(pos_once_, [this] {
-    pos_.reserve(size());
-    const std::span<const double> ra = this->ra();
-    const std::span<const double> dec = this->dec();
-    for (size_t i = 0; i < size(); ++i) {
-      pos_.push_back(SkyToUnitVector(SkyPoint{ra[i], dec[i]}));
+void ColumnarPage::FillPositions(size_t first_block, size_t end_block) const {
+  std::lock_guard<std::mutex> lock(pos_mu_);
+  if (!pos_) {
+    // Raw storage, not new Vec3[n]: Vec3's member initializers would write
+    // (and so fault in) every page of the buffer up front.
+    pos_.reset(static_cast<Vec3*>(::operator new(size() * sizeof(Vec3))));
+  }
+  Vec3* pos = pos_.get();
+  for (size_t b = first_block; b < end_block; ++b) {
+    if (pos_ready_[b].load(std::memory_order_relaxed) != 0) continue;
+    const size_t first = b * kPositionBlockRows;
+    const size_t last = std::min(first + kPositionBlockRows, size());
+    for (size_t i = first; i < last; ++i) {
+      ::new (pos + i) Vec3(SkyToUnitVector(SkyPoint{ra_[i], dec_[i]}));
     }
-  });
-  return pos_;
+    pos_ready_[b].store(1, std::memory_order_release);
+  }
 }
 
 std::pair<size_t, size_t> ColumnarPage::EqualRange(htm::HtmId lo,

@@ -26,7 +26,8 @@
 // The fixed-width position/attribute columns are stored raw so the page
 // hands out std::span views straight off its bytes (little-endian hosts;
 // the same assumption every fixed-width decode in util/coding.h optimizes
-// to). The unit-vector position is recomputed from ra/dec on first use —
+// to). Unit-vector positions are not stored: Positions() computes them
+// from ra/dec in 64-row blocks, only for the blocks a join touches, with
 // the same SkyToUnitVector(ra, dec) MakeObject runs, so a page built from
 // objects joins bit for bit like the objects themselves.
 //
@@ -40,9 +41,12 @@
 #ifndef LIFERAFT_STORAGE_COLUMNAR_H_
 #define LIFERAFT_STORAGE_COLUMNAR_H_
 
+#include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <new>
 #include <span>
 #include <string_view>
 #include <utility>
@@ -85,8 +89,8 @@ enum class ObjectIdEncoding : uint8_t {
 class ColumnarPage {
  public:
   /// Takes ownership of `data` (a full page of `size` bytes, 8-aligned as
-  /// operator new[] guarantees) and validates everything up front except
-  /// the lazily materialized positions.
+  /// operator new[] guarantees) and validates everything up front.
+  /// Positions are left to Positions(), which computes them per block.
   static Result<std::shared_ptr<const ColumnarPage>> Parse(
       std::unique_ptr<char[]> data, size_t size);
 
@@ -118,23 +122,55 @@ class ColumnarPage {
     return oid_base_ + UnpackFor(i);
   }
 
-  /// Unit-vector positions, materialized from ra/dec on first use
-  /// (thread-safe; scan slices share one page). Bit-identical to
-  /// MakeObject's pos.
-  std::span<const Vec3> positions() const;
+  /// Rows per lazily filled position block.
+  static constexpr size_t kPositionBlockRows = 64;
+
+  /// Unit-vector positions of rows [first, last), bit-identical to
+  /// MakeObject's pos; an empty window returns an empty span. Computes
+  /// only the kPositionBlockRows-row blocks the window overlaps that no
+  /// earlier call filled, so a join pays only for the blocks it scans.
+  /// Thread-safe: scan slices share one page. The fast path is one
+  /// acquire load per block; a miss fills the window's missing blocks
+  /// under the page's mutex. The span stays valid for the page's
+  /// lifetime.
+  std::span<const Vec3> Positions(size_t first, size_t last) const {
+    assert(last <= size());
+    if (first >= last) return {};
+    const size_t end_block = (last - 1) / kPositionBlockRows + 1;
+    for (size_t b = first / kPositionBlockRows; b < end_block; ++b) {
+      if (pos_ready_[b].load(std::memory_order_acquire) == 0) {
+        FillPositions(b, end_block);
+        break;
+      }
+    }
+    // Every block of the window is ready, so pos_ was set before a
+    // release store this thread acquired (or under the mutex it held).
+    return {pos_.get() + first, last - first};
+  }
 
   /// Row index window [first, last) of ids in [lo, hi] (binary search on
   /// the sorted id column).
   std::pair<size_t, size_t> EqualRange(htm::HtmId lo, htm::HtmId hi) const;
 
   /// Row `i` as a CatalogObject (index builds, tools, tests). Computes its
-  /// own position, so it never materializes positions().
+  /// own position and fills no position block.
   CatalogObject MaterializeObject(size_t i) const;
 
  private:
   ColumnarPage() = default;
 
   uint64_t UnpackFor(size_t i) const;
+
+  /// Slow path of Positions(): under pos_mu_, allocates pos_ if this is the
+  /// page's first miss, then fills and publishes every block in
+  /// [first_block, end_block) not yet ready.
+  void FillPositions(size_t first_block, size_t end_block) const;
+
+  /// Frees pos_ as the raw storage FillPositions allocates (Vec3 is
+  /// trivially destructible, so no element destructor runs).
+  struct RawDelete {
+    void operator()(Vec3* p) const { ::operator delete(p); }
+  };
 
   std::unique_ptr<char[]> data_;
   uint64_t encoded_bytes_ = 0;
@@ -149,8 +185,15 @@ class ColumnarPage {
   const float* mag_ = nullptr;
   const float* color_ = nullptr;
 
-  mutable std::once_flag pos_once_;
-  mutable std::vector<Vec3> pos_;
+  /// One byte per kPositionBlockRows-row block, set (release) once the
+  /// block's positions are written; allocated zeroed by Parse.
+  std::unique_ptr<std::atomic<uint8_t>[]> pos_ready_;
+  /// Guards pos_ and the filling of blocks; readers that see a block
+  /// ready read it without the lock.
+  mutable std::mutex pos_mu_;
+  /// size() positions as raw storage, allocated at the first miss so a
+  /// page no join scans never holds it; blocks not ready are unwritten.
+  mutable std::unique_ptr<Vec3, RawDelete> pos_;
 };
 
 }  // namespace liferaft::storage

@@ -5,27 +5,53 @@
 namespace liferaft {
 namespace {
 
-std::array<uint32_t, 256> BuildTable() {
-  std::array<uint32_t, 256> table{};
+/// Slicing-by-8 tables: kTables[0] is the classic byte-at-a-time table,
+/// and kTables[k][b] is the CRC of byte b followed by k zero bytes, so
+/// eight lookups fold eight input bytes into the running CRC at once.
+using Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+Tables BuildTables() {
+  Tables t{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (uint32_t i = 0; i < 256; ++i) {
+    for (size_t k = 1; k < t.size(); ++k) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
 }
 
-const std::array<uint32_t, 256> kTable = BuildTable();
+const Tables kTables = BuildTables();
+
+/// Little-endian 32-bit load. Written as one expression so the compiler
+/// merges it into a single load; util/coding.h's GetFixed32 loop stays
+/// four byte loads at -O2, which made BM_Crc32 ~1.5x slower.
+uint32_t Load32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
 
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t len, uint32_t seed) {
   const auto* p = static_cast<const unsigned char*>(data);
+  const Tables& t = kTables;
   uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (size_t i = 0; i < len; ++i) {
-    c = kTable[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  for (; len >= 8; p += 8, len -= 8) {
+    const uint32_t lo = Load32(p) ^ c;
+    const uint32_t hi = Load32(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; len > 0; ++p, --len) {
+    c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

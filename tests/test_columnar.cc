@@ -5,25 +5,35 @@
 // in it iff they agree bit for bit. Covered across the grid that changes
 // cache/topology behavior (cache shards x volumes), for both the closed
 // drain and continuous serving, plus the v1 auto-detect regression and the
-// byte-budget cache advantage of the compressed format.
+// byte-budget cache advantage of the compressed format. The page's lazily
+// filled position blocks are pinned here too: every window, including one
+// read by several threads at once, returns MakeObject's bits.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <span>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
+#include "geom/spherical.h"
+#include "htm/htm.h"
 #include "sched/liferaft_scheduler.h"
 #include "sim/arrivals.h"
 #include "sim/engine.h"
 #include "sim/run_metrics.h"
 #include "sim/serve.h"
 #include "storage/catalog.h"
+#include "storage/columnar.h"
 #include "storage/file_store.h"
 #include "storage/partitioner.h"
+#include "util/random.h"
 #include "workload/catalog_gen.h"
 #include "workload/trace_gen.h"
 
@@ -212,6 +222,124 @@ TEST_F(ColumnarIdentityTest, ByteBudgetCacheFavorsColumnar) {
   EXPECT_GT(v2.cache.HitRate(), 0.4);
   EXPECT_LT(v2.makespan_ms, v1.makespan_ms);
   EXPECT_EQ(v1.total_matches, v2.total_matches);
+}
+
+// ------------------------------------------------------------ Positions --
+
+constexpr size_t kBlock = storage::ColumnarPage::kPositionBlockRows;
+
+// `n` random sky objects sorted by HTM id (MakeObject computes each pos).
+std::vector<storage::CatalogObject> SortedObjects(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<storage::CatalogObject> objects;
+  for (size_t i = 0; i < n; ++i) {
+    objects.push_back(storage::MakeObject(i, workload::RandomSkyPoint(&rng)));
+  }
+  std::sort(objects.begin(), objects.end(), storage::ObjectHtmLess);
+  return objects;
+}
+
+// A fresh page (no position block filled yet) over `objects`.
+std::shared_ptr<const storage::ColumnarPage> FreshPage(
+    const std::vector<storage::CatalogObject>& objects) {
+  auto page = storage::ColumnarPage::Encode(
+      htm::IdRange{htm::LevelMin(htm::kObjectLevel),
+                   htm::LevelMax(htm::kObjectLevel)},
+      objects);
+  EXPECT_TRUE(page.ok()) << page.status().ToString();
+  return std::move(*page);
+}
+
+// Positions(first, last) has last - first rows, each equal bit for bit to
+// both MakeObject's pos and SkyToUnitVector of the page's own ra/dec.
+void ExpectWindowBits(const storage::ColumnarPage& page,
+                      const std::vector<storage::CatalogObject>& objects,
+                      size_t first, size_t last) {
+  const std::span<const Vec3> pos = page.Positions(first, last);
+  ASSERT_EQ(pos.size(), last - first) << "[" << first << ", " << last << ")";
+  for (size_t i = first; i < last; ++i) {
+    const Vec3 expected =
+        SkyToUnitVector(SkyPoint{page.ra()[i], page.dec()[i]});
+    const Vec3& got = pos[i - first];
+    EXPECT_EQ(got.x, expected.x) << "row " << i;
+    EXPECT_EQ(got.y, expected.y) << "row " << i;
+    EXPECT_EQ(got.z, expected.z) << "row " << i;
+    EXPECT_EQ(got.x, objects[i].pos.x) << "row " << i;
+    EXPECT_EQ(got.y, objects[i].pos.y) << "row " << i;
+    EXPECT_EQ(got.z, objects[i].pos.z) << "row " << i;
+  }
+}
+
+TEST(ColumnarPositionsTest, WindowsAtBlockEdgesMatchMakeObjectBitForBit) {
+  // 200 rows: three full blocks and a last partial one of 8 rows.
+  const auto objects = SortedObjects(200, 1201);
+  const std::vector<std::pair<size_t, size_t>> windows = {
+      {63, 64},  {63, 65},   {64, 65},   {65, 66},   {0, 63},
+      {0, 64},   {0, 65},    {63, 200},  {64, 200},  {65, 200},
+      {62, 129}, {127, 129}, {192, 200}, {199, 200}, {190, 200},
+      {0, 200}};
+  // Each window first on a fresh page, so it does the filling itself...
+  for (const auto& [first, last] : windows) {
+    ExpectWindowBits(*FreshPage(objects), objects, first, last);
+  }
+  // ...then all of them on one page, where later windows find some of
+  // their blocks already filled by earlier ones.
+  auto shared = FreshPage(objects);
+  for (const auto& [first, last] : windows) {
+    ExpectWindowBits(*shared, objects, first, last);
+  }
+}
+
+TEST(ColumnarPositionsTest, SmallPagesAndEmptyWindows) {
+  const auto one = SortedObjects(1, 1203);
+  ExpectWindowBits(*FreshPage(one), one, 0, 1);
+
+  const auto block = SortedObjects(kBlock, 1207);
+  ExpectWindowBits(*FreshPage(block), block, kBlock - 1, kBlock);
+  ExpectWindowBits(*FreshPage(block), block, 0, kBlock);
+
+  auto page = FreshPage(block);
+  EXPECT_TRUE(page->Positions(0, 0).empty());
+  EXPECT_TRUE(page->Positions(5, 5).empty());
+  EXPECT_TRUE(page->Positions(kBlock, kBlock).empty());
+  ExpectWindowBits(*page, block, 0, kBlock);
+
+  auto empty = FreshPage({});
+  EXPECT_EQ(empty->size(), 0u);
+  EXPECT_TRUE(empty->Positions(0, 0).empty());
+}
+
+// Scan slices of one batch share a page: four threads reading overlapping
+// random windows of a fresh page must all see MakeObject's bits while
+// other threads fill neighbouring blocks (run under tools/ci.sh --tsan).
+TEST(ColumnarPositionsTest, ConcurrentOverlappingWindowsAgree) {
+  constexpr int kThreads = 4;
+  constexpr int kPages = 50;
+  constexpr int kWindowsPerThread = 100;
+  const auto objects = SortedObjects(1000, 1213);
+  const size_t n = objects.size();
+  for (int p = 0; p < kPages; ++p) {
+    auto page = FreshPage(objects);
+    std::atomic<int> mismatches{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        Rng rng(static_cast<uint64_t>(p * kThreads + t));
+        for (int w = 0; w < kWindowsPerThread; ++w) {
+          const size_t first = rng.UniformU64(n);
+          const size_t last =
+              first + 1 + rng.UniformU64(std::min<size_t>(3 * kBlock,
+                                                          n - first));
+          const std::span<const Vec3> pos = page->Positions(first, last);
+          for (size_t i = first; i < last; ++i) {
+            if (!(pos[i - first] == objects[i].pos)) ++mismatches;
+          }
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    ASSERT_EQ(mismatches.load(), 0) << "page " << p;
+  }
 }
 
 }  // namespace

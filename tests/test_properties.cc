@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "htm/cover.h"
 #include "htm/htm.h"
@@ -36,6 +38,53 @@ TEST(Crc32Test, IncrementalMatchesOneShot) {
   uint32_t part = Crc32(data, 10);
   part = Crc32(data + 10, sizeof(data) - 1 - 10, part);
   EXPECT_EQ(whole, part);
+}
+
+// Byte-at-a-time table CRC-32 over the same polynomial: the reference the
+// slicing-by-8 Crc32 must equal bit for bit.
+uint32_t BytewiseCrc32(const unsigned char* p, size_t len, uint32_t seed) {
+  static const std::array<uint32_t, 256> table = [] {
+    std::array<uint32_t, 256> t{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  // Every length up to 1100 bytes from each start offset 0-7, so the
+  // eight-byte loop meets every alignment and every tail length.
+  Rng rng(613);
+  std::vector<unsigned char> buf(1100 + 8);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.Next() & 0xFF);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 1100; ++len) {
+      ASSERT_EQ(Crc32(buf.data() + offset, len),
+                BytewiseCrc32(buf.data() + offset, len, 0))
+          << "offset " << offset << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32Test, SeedChainsAtEverySplitPoint) {
+  Rng rng(617);
+  std::vector<unsigned char> buf(1100);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.Next() & 0xFF);
+  const uint32_t whole = BytewiseCrc32(buf.data(), buf.size(), 0);
+  ASSERT_EQ(Crc32(buf.data(), buf.size()), whole);
+  for (size_t split = 0; split <= buf.size(); ++split) {
+    const uint32_t head = Crc32(buf.data(), split);
+    ASSERT_EQ(Crc32(buf.data() + split, buf.size() - split, head), whole)
+        << "split " << split;
+  }
 }
 
 TEST(Crc32Test, DetectsSingleBitFlips) {

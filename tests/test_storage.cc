@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <span>
 #include <sstream>
 #include <vector>
 
@@ -413,12 +414,13 @@ TEST_F(FileStoreTest, ColumnarRoundTripIsBitExact) {
     ASSERT_EQ(loaded.size(), original.size());
     EXPECT_EQ(loaded.range(), original.range());
     const ColumnarPage& page = loaded.page();
+    const std::span<const Vec3> pos = page.Positions(0, page.size());
     for (size_t j = 0; j < loaded.size(); ++j, ++next) {
       ExpectBitIdentical(page.MaterializeObject(j), objects[next]);
       // The kernels' position column too.
-      EXPECT_EQ(page.positions()[j].x, objects[next].pos.x);
-      EXPECT_EQ(page.positions()[j].y, objects[next].pos.y);
-      EXPECT_EQ(page.positions()[j].z, objects[next].pos.z);
+      EXPECT_EQ(pos[j].x, objects[next].pos.x);
+      EXPECT_EQ(pos[j].y, objects[next].pos.y);
+      EXPECT_EQ(pos[j].z, objects[next].pos.z);
     }
   }
   EXPECT_EQ(next, objects.size());

@@ -5,11 +5,13 @@
 #
 #   tools/ci.sh          # docs check + tier-1 build & test + serving smoke
 #   tools/ci.sh --tsan   # ThreadSanitizer smoke: builds test_thread_pool,
-#                        # test_storage, test_topology, test_serve, and
-#                        # test_async_io with -fsanitize=thread and runs
-#                        # them (work stealing + sharded-cache races +
-#                        # per-volume FileStore lanes + concurrent admission
-#                        # control + submission-queue workers/completions)
+#                        # test_storage, test_topology, test_serve,
+#                        # test_async_io, and test_columnar with
+#                        # -fsanitize=thread and runs them (work stealing +
+#                        # sharded-cache races + per-volume FileStore lanes +
+#                        # concurrent admission control + submission-queue
+#                        # workers/completions + columnar pages' position
+#                        # blocks filled by concurrent readers)
 #   tools/ci.sh --asan   # ASan+UBSan smoke: builds test_exec, test_storage,
 #                        # test_topology, test_columnar, test_async_io,
 #                        # test_core, test_sim, test_serve, test_thread_pool,
@@ -69,13 +71,15 @@ if [ "${1:-}" = "--tsan" ]; then
     -DLIFERAFT_BUILD_BENCH=OFF \
     -DLIFERAFT_BUILD_EXAMPLES=OFF \
     -DLIFERAFT_BUILD_TOOLS=OFF
-  cmake --build build-tsan -j --target test_thread_pool test_storage test_topology test_serve test_async_io
+  cmake --build build-tsan -j --target test_thread_pool test_storage \
+    test_topology test_serve test_async_io test_columnar
   # halt_on_error so a reported race fails the job, not just the log.
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/test_thread_pool
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/test_storage
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/test_topology
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/test_serve
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/test_async_io
+  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/test_columnar
   echo "tsan smoke OK"
   exit 0
 fi
