@@ -1,8 +1,9 @@
 // Microbenchmarks (google-benchmark) for the hot substrate operations:
 // HTM point location and cone covers, B+tree range scans, the merge and
-// zones cross-match kernels, the page checksum and parse, and the LRU
-// cache. These are the real-CPU costs under the simulator's virtual-time
-// experiments; regressions here inflate wall-clock for every figure bench.
+// zones cross-match kernels, the page checksum and parse, the
+// pre-processor's query split, and the LRU cache. These are the real-CPU
+// costs under the simulator's virtual-time experiments; regressions here
+// inflate wall-clock for every figure bench.
 
 #include <benchmark/benchmark.h>
 
@@ -21,6 +22,7 @@
 #include "join/evaluator.h"
 #include "join/merge_join.h"
 #include "join/zones.h"
+#include "query/preprocessor.h"
 #include "query/query.h"
 #include "sched/liferaft_scheduler.h"
 #include "sim/engine.h"
@@ -200,6 +202,41 @@ void BM_ParsePageAndJoin(benchmark::State& state) {
   state.counters["candidates"] = static_cast<double>(candidates);
 }
 BENCHMARK(BM_ParsePageAndJoin)->Arg(0)->Arg(1);
+
+/// The Query Pre-Processor's split of one query into per-bucket
+/// workloads, as every admission runs it. /0 is hot-join's shape: 200
+/// objects at 300″ in a 10° cap on a 200-bucket map (a 300″ cover has
+/// about 11 ranges, so many objects reach two buckets). /1 is
+/// cold-drain's: 24 objects at 10″ in a 30° cap on 50 buckets. `pairs` is
+/// the (object, bucket) pairs per split, `buckets` its workloads.
+void BM_SplitQueryByBucket(benchmark::State& state) {
+  const bool cold = state.range(0) == 1;
+  auto partition = storage::PartitionCatalog(BenchObjects(200'000),
+                                             cold ? 4'000 : 1'000);
+  Rng rng(47);
+  const SkyPoint center{200.0, 20.0};
+  query::CrossMatchQuery q;
+  q.id = 1;
+  for (uint64_t i = 0; i < (cold ? 24u : 200u); ++i) {
+    q.objects.push_back(query::MakeQueryObject(
+        i, workload::RandomPointInCap(&rng, center, cold ? 30.0 : 10.0),
+        cold ? 10.0 : 300.0));
+  }
+  size_t pairs = 0;
+  size_t buckets = 0;
+  for (auto _ : state) {
+    auto workloads = query::SplitQueryByBucket(q, *partition->map);
+    buckets = workloads.size();
+    pairs = 0;
+    for (const auto& w : workloads) pairs += w.objects.size();
+    benchmark::DoNotOptimize(workloads);
+  }
+  state.counters["pairs"] = static_cast<double>(pairs);
+  state.counters["buckets"] = static_cast<double>(buckets);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(q.objects.size()));
+}
+BENCHMARK(BM_SplitQueryByBucket)->Arg(0)->Arg(1);
 
 void BM_BucketCacheGet(benchmark::State& state) {
   auto partition = storage::PartitionCatalog(BenchObjects(50'000), 1000);

@@ -48,7 +48,7 @@ Status LifeRaft::Submit(const query::CrossMatchQuery& query) {
 
   auto workloads = query::SplitQueryByBucket(query, catalog_->bucket_map());
   LIFERAFT_RETURN_IF_ERROR(
-      stack_->manager().Admit(stamped, workloads).status());
+      stack_->manager().Admit(stamped, std::move(workloads)).status());
   arrivals_[query.id] = stamped.arrival_ms;
   return Status::OK();
 }

@@ -120,8 +120,9 @@ Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now,
   outcome.volume = VolumeOf(*pick);
   Arm& pick_arm = arms_[outcome.volume];
   uint64_t restored_bytes = 0;
-  std::vector<query::WorkloadEntry> entries =
-      manager_->TakeBucket(*pick, &outcome.completed, &restored_bytes);
+  LIFERAFT_ASSIGN_OR_RETURN(
+      std::vector<query::WorkloadEntry> entries,
+      manager_->TakeBucket(*pick, &outcome.completed, &restored_bytes));
 
   LIFERAFT_ASSIGN_OR_RETURN(Claim claim, ClaimPick(*pick, now));
   outcome.fetch_residual_ms = claim.residual_ms;

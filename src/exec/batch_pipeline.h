@@ -150,7 +150,9 @@ class BatchPipeline {
   /// Runs one scheduling step at time `now` (virtual ms; measured mode
   /// charges wall ms). Returns nullopt when no queue has pending work
   /// (outstanding prefetch bets stay pending — work may still arrive for
-  /// them). `collect_matches` materializes the batch's match tuples.
+  /// them). `collect_matches` materializes the batch's match tuples. A
+  /// failed spill restore of the picked bucket, or a failed read, returns
+  /// its Status.
   Result<std::optional<StepOutcome>> Step(TimeMs now, bool collect_matches);
 
   /// Drops every outstanding prefetch bet on every arm (end of run /

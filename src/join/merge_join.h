@@ -89,6 +89,16 @@ class RadiusTest {
     return (*this)(co.pos, sep_arcsec);
   }
 
+  /// Stage one as a scan: the first index in [from, pos.size()) that
+  /// stage one accepts, or pos.size(). Call the unchanged WithinRadius on
+  /// it for operator()'s verdict.
+  size_t NextCandidate(std::span<const Vec3> pos, size_t from) const {
+    const Vec3 q = qo_->pos;
+    const double min_dot = min_dot_;
+    while (from < pos.size() && q.Dot(pos[from]) < min_dot) ++from;
+    return from;
+  }
+
   /// Stage one's bound on the dot product.
   double min_dot() const { return min_dot_; }
 
@@ -98,9 +108,12 @@ class RadiusTest {
 };
 
 /// Cross-matches every entry of a bucket's workload batch against the
-/// bucket via sorted-range sweep: binary-searches the page's id column per
-/// workload range, then walks that window's positions (Positions) and
-/// attribute column spans in place, appending matches to `*out` (skipped
+/// bucket via sorted-range sweep: binary-searches the page's id column once
+/// per workload object, for its hull (first range's lo to last range's hi,
+/// clipped to the bucket), then finds each range's window inside the hull,
+/// starting where the previous window ended. Each window's positions
+/// (Positions) are scanned with RadiusTest::NextCandidate, and attribute
+/// column spans are read in place, appending matches to `*out` (skipped
 /// when null). No CatalogObject is materialized — match output is built
 /// straight from the columns. Entries are processed in order and share
 /// only the page, whose position blocks fill thread-safely, so disjoint
@@ -115,6 +128,7 @@ JoinCounters MergeCrossMatchInto(const storage::Bucket& bucket,
   JoinCounters counters;
   const storage::ColumnarPage& page = bucket.page();
   const htm::IdRange bucket_range = bucket.range();
+  const htm::HtmId* const ids = page.ids().data();
   const std::span<const double> ra = page.ra();
   const std::span<const double> dec = page.dec();
   const std::span<const float> mag = page.mag();
@@ -122,19 +136,34 @@ JoinCounters MergeCrossMatchInto(const storage::Bucket& bucket,
   for (const query::WorkloadEntry& entry : batch) {
     for (const query::QueryObject& qo : entry.objects) {
       ++counters.workload_objects;
+      const std::vector<htm::IdRange>& ranges = qo.htm_ranges.ranges();
+      if (ranges.empty()) continue;
+      const htm::HtmId hull_lo = std::max(ranges.front().lo, bucket_range.lo);
+      const htm::HtmId hull_hi = std::min(ranges.back().hi, bucket_range.hi);
+      if (hull_lo > hull_hi) continue;
+      // Ranges ascend and are disjoint, so every window lies inside the
+      // hull's rows and after the previous window.
+      auto [next, hull_end] = page.EqualRange(hull_lo, hull_hi);
       const RadiusTest test(qo);
-      for (const htm::IdRange& r : qo.htm_ranges.ranges()) {
+      for (const htm::IdRange& r : ranges) {
+        if (next == hull_end) break;
         if (!r.Overlaps(bucket_range)) continue;
-        htm::HtmId lo = std::max(r.lo, bucket_range.lo);
-        htm::HtmId hi = std::min(r.hi, bucket_range.hi);
-        const auto [first, last] = page.EqualRange(lo, hi);
+        const htm::HtmId lo = std::max(r.lo, bucket_range.lo);
+        const htm::HtmId hi = std::min(r.hi, bucket_range.hi);
+        const size_t first = static_cast<size_t>(
+            std::lower_bound(ids + next, ids + hull_end, lo) - ids);
+        const size_t last = static_cast<size_t>(
+            std::upper_bound(ids + first, ids + hull_end, hi) - ids);
+        next = last;
         if (first == last) continue;
+        counters.candidates_tested += last - first;
         const std::span<const Vec3> pos = page.Positions(first, last);
-        for (size_t i = first; i < last; ++i) {
-          ++counters.candidates_tested;
+        for (size_t k = test.NextCandidate(pos, 0); k < pos.size();
+             k = test.NextCandidate(pos, k + 1)) {
           double sep = 0.0;
-          if (!test(pos[i - first], &sep)) continue;
+          if (!WithinRadius(qo, pos[k], &sep)) continue;
           ++counters.spatial_matches;
+          const size_t i = first + k;
           if (!entry.predicate.Matches(mag[i], color[i])) continue;
           ++counters.output_matches;
           if (out != nullptr) {

@@ -23,8 +23,10 @@ struct BucketWorkload {
 /// Splits a query's objects by bucket. An object overlapping several
 /// buckets is assigned to each (duplicate elimination is unnecessary: the
 /// spatial join on point data matches each archive object in exactly one
-/// bucket). The returned workloads are sorted by bucket index and
-/// non-empty.
+/// bucket). Each object appears once per bucket it reaches, identified by
+/// its position in the query, not its id. The returned workloads are
+/// sorted by bucket index and non-empty; each keeps the query's object
+/// order.
 std::vector<BucketWorkload> SplitQueryByBucket(
     const CrossMatchQuery& query, const storage::BucketMap& map);
 

@@ -108,6 +108,9 @@ Status WorkloadSpillFile::Restore(storage::BucketIndex bucket,
                                   util::Arena* scratch) {
   auto it = segments_.find(bucket);
   if (it == segments_.end()) return Status::OK();  // nothing spilled
+  auto failure = [bucket](const char* what) {
+    return "spill restore of bucket " + std::to_string(bucket) + ": " + what;
+  };
   uint64_t read_total = 0;
   for (const Segment& seg : it->second) {
     // Segment read buffer: batch-scoped scratch, so a caller-provided
@@ -116,22 +119,22 @@ Status WorkloadSpillFile::Restore(storage::BucketIndex bucket,
     util::ArenaVector<char> record(seg.length, '\0',
                                    util::ArenaAllocator<char>(scratch));
     if (std::fseek(file_, static_cast<long>(seg.offset), SEEK_SET) != 0) {
-      return Status::IOError("restore seek failed");
+      return Status::IOError(failure("seek failed"));
     }
     if (std::fread(record.data(), 1, record.size(), file_) !=
         record.size()) {
-      return Status::IOError("restore read failed");
+      return Status::IOError(failure("read failed"));
     }
     read_total += seg.length;
 
     uint64_t payload_size = GetFixed64(record.data());
     uint32_t crc = GetFixed32(record.data() + 8);
     if (payload_size + 12 != record.size()) {
-      return Status::Corruption("spill segment length mismatch");
+      return Status::Corruption(failure("segment length mismatch"));
     }
     const char* payload = record.data() + 12;
     if (Crc32(payload, payload_size) != crc) {
-      return Status::Corruption("spill segment checksum mismatch");
+      return Status::Corruption(failure("segment checksum mismatch"));
     }
 
     const char* p = payload;

@@ -52,7 +52,9 @@ class WorkloadSpillFile {
   /// the number of file bytes read (for I/O cost accounting). `scratch`,
   /// if non-null, bump-allocates the transient segment read buffers —
   /// they die inside the call, so the owner may reset the arena between
-  /// Restore calls; restored entries are byte-identical either way.
+  /// Restore calls; restored entries are byte-identical either way. A
+  /// failed seek or read (IOError) or a bad segment (Corruption) names the
+  /// bucket; the segments are kept and *out may hold a partial restore.
   Status Restore(storage::BucketIndex bucket, std::vector<WorkloadEntry>* out,
                  uint64_t* bytes_read = nullptr,
                  util::Arena* scratch = nullptr);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 namespace liferaft::query {
 
@@ -81,9 +82,8 @@ Status WorkloadManager::MaybeSpill() {
   return Status::OK();
 }
 
-Result<size_t> WorkloadManager::Admit(
-    const CrossMatchQuery& query,
-    const std::vector<BucketWorkload>& workloads) {
+Result<size_t> WorkloadManager::Admit(const CrossMatchQuery& query,
+                                      std::vector<BucketWorkload> workloads) {
   if (workloads.empty()) {
     return Status::InvalidArgument("query " + std::to_string(query.id) +
                                    " produced no bucket workloads");
@@ -100,12 +100,12 @@ Result<size_t> WorkloadManager::Admit(
       return Status::InvalidArgument("empty bucket workload");
     }
   }
-  for (const BucketWorkload& w : workloads) {
+  for (BucketWorkload& w : workloads) {
     WorkloadEntry entry;
     entry.query_id = query.id;
     entry.arrival_ms = query.arrival_ms;
     entry.predicate = query.predicate;
-    entry.objects = w.objects;
+    entry.objects = std::move(w.objects);
     total_pending_objects_ += entry.objects.size();
     resident_objects_ += entry.objects.size();
     queues_[w.bucket].Push(std::move(entry));
@@ -116,31 +116,30 @@ Result<size_t> WorkloadManager::Admit(
   return workloads.size();
 }
 
-std::vector<WorkloadEntry> WorkloadManager::TakeBucket(
+Result<std::vector<WorkloadEntry>> WorkloadManager::TakeBucket(
     storage::BucketIndex b, std::vector<QueryId>* completed,
     uint64_t* restored_bytes) {
   assert(b < queues_.size());
-  resident_objects_ -= queues_[b].resident_objects();
-  std::vector<WorkloadEntry> entries = queues_[b].TakeAll();
-  active_.erase(b);
-
+  // Restore before touching the queue, so a failed restore leaves the
+  // bucket's work and every count in place.
+  std::vector<WorkloadEntry> restored;
+  uint64_t bytes = 0;
   if (spill_ != nullptr && spill_->HasSegments(b)) {
-    uint64_t bytes = 0;
     // The previous dispatch's restore buffers are long dead (they never
     // outlive Restore), so the arena can be reclaimed wholesale here.
     restore_arena_.Reset();
-    Status st = spill_->Restore(b, &entries, &bytes, &restore_arena_);
-    // A spill-file failure loses queued work; surface loudly. (The API
-    // predates Status plumbing here; corruption of our own scratch file
-    // is a process-fatal invariant violation.)
-    assert(st.ok() && "workload spill restore failed");
-    (void)st;
+    LIFERAFT_RETURN_IF_ERROR(
+        spill_->Restore(b, &restored, &bytes, &restore_arena_));
     ++spill_stats_.segments_restored;
     spill_stats_.bytes_restored += bytes;
-    if (restored_bytes != nullptr) *restored_bytes = bytes;
-  } else if (restored_bytes != nullptr) {
-    *restored_bytes = 0;
   }
+  if (restored_bytes != nullptr) *restored_bytes = bytes;
+
+  resident_objects_ -= queues_[b].resident_objects();
+  std::vector<WorkloadEntry> entries = queues_[b].TakeAll();
+  active_.erase(b);
+  entries.insert(entries.end(), std::make_move_iterator(restored.begin()),
+                 std::make_move_iterator(restored.end()));
 
   for (const WorkloadEntry& e : entries) {
     total_pending_objects_ -= e.objects.size();

@@ -107,10 +107,11 @@ class WorkloadManager {
   const SpillStats& spill_stats() const { return spill_stats_; }
 
   /// Admits a pre-processed query: installs one WorkloadEntry per bucket
-  /// workload. Returns the number of buckets the query joined.
-  /// InvalidArgument if the query has no workloads or is already pending.
+  /// workload, moving each workload's objects into its entry. Returns the
+  /// number of buckets the query joined. InvalidArgument if the query has
+  /// no workloads or is already pending; nothing is moved then.
   Result<size_t> Admit(const CrossMatchQuery& query,
-                       const std::vector<BucketWorkload>& workloads);
+                       std::vector<BucketWorkload> workloads);
 
   /// Queue of bucket `b` (always valid; may be empty).
   const WorkloadQueue& queue(storage::BucketIndex b) const {
@@ -126,9 +127,11 @@ class WorkloadManager {
   /// Decrements the owning queries' outstanding counts; every query that
   /// reaches zero is appended to `completed`. `restored_bytes`, if
   /// non-null, receives the spill-file bytes read for I/O accounting.
-  std::vector<WorkloadEntry> TakeBucket(storage::BucketIndex b,
-                                        std::vector<QueryId>* completed,
-                                        uint64_t* restored_bytes = nullptr);
+  /// A failed spill restore returns its IOError or Corruption, naming the
+  /// bucket, and leaves the queue and every count as they were.
+  Result<std::vector<WorkloadEntry>> TakeBucket(
+      storage::BucketIndex b, std::vector<QueryId>* completed,
+      uint64_t* restored_bytes = nullptr);
 
   /// Outstanding sub-query count for a pending query (0 if unknown/done).
   size_t PendingParts(QueryId id) const;

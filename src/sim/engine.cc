@@ -275,7 +275,8 @@ Result<RunMetrics> SimEngine::ServeLoop(
         stamped.id = q.id;               // the workloads
         stamped.arrival_ms = arrival;
         stamped.predicate = q.predicate;
-        LIFERAFT_RETURN_IF_ERROR(manager.Admit(stamped, workloads).status());
+        LIFERAFT_RETURN_IF_ERROR(
+            manager.Admit(stamped, std::move(workloads)).status());
         peak_pending_objects_ =
             std::max(peak_pending_objects_, manager.total_pending_objects());
       } else {

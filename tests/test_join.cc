@@ -15,6 +15,7 @@
 #include <tuple>
 #include <utility>
 
+#include "htm/htm.h"
 #include "join/evaluator.h"
 #include "join/hybrid.h"
 #include "join/indexed_join.h"
@@ -363,6 +364,41 @@ TEST(RadiusTestTest, AgreesBitForBitWithTheExactTest) {
   EXPECT_GT(stage_one_rejects, pairs / 8) << "stage one never engaged";
 }
 
+// The scan form of stage one stops exactly on the rows operator() would
+// pass to WithinRadius, NaN dot products and a NaN radius included.
+TEST(RadiusTestTest, NextCandidateStopsWhereStageOneAccepts) {
+  Rng rng(409);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double radius : {0.0, 10.0, 300.0, 3600.0, nan}) {
+    const QueryObject qo = QueryAt(RandomUnitVector(&rng), radius);
+    const RadiusTest test(qo);
+    // Separations up to 3 radii (30″ at r = 0 and for NaN).
+    const double scale = radius > 0.0 ? radius : 10.0;
+    std::vector<Vec3> pos;
+    for (int i = 0; i < 2000; ++i) {
+      const double theta =
+          scale / kArcsecPerDeg * kDegToRad * rng.UniformDouble(0.0, 3.0);
+      pos.push_back(i % 97 == 0 ? Vec3{nan, 0, 0}
+                                : AtAngle(qo.pos, theta, &rng));
+    }
+    std::vector<size_t> want;
+    for (size_t i = 0; i < pos.size(); ++i) {
+      if (!(qo.pos.Dot(pos[i]) < test.min_dot())) want.push_back(i);
+    }
+    std::vector<size_t> got;
+    for (size_t i = test.NextCandidate(pos, 0); i < pos.size();
+         i = test.NextCandidate(pos, i + 1)) {
+      got.push_back(i);
+    }
+    EXPECT_EQ(got, want) << "r=" << radius;
+    if (std::isnan(radius)) {
+      EXPECT_EQ(got.size(), pos.size()) << "NaN radius: stage one is off";
+    } else {
+      EXPECT_LT(want.size(), pos.size()) << "stage one never engaged";
+    }
+  }
+}
+
 // The bound never exceeds cos(r + 1e-9) - 1e-12, and from 2 rad up (where
 // cos stops being a usable bound near pi) it sits below every dot product.
 TEST(RadiusTestTest, BoundStaysBelowTheCosineBound) {
@@ -490,6 +526,80 @@ TEST(WideRadiusJoinTest, AllKernelsMatchTheExactReference) {
   out = {};
   got = ZonesCrossMatch(bucket, batch, zone_deg, &out);
   expect_exact(got, std::move(out), zone_want, zone_matches, "zones");
+}
+
+// Query objects on the trixels either side of each bound of a partitioned
+// bucket: their hulls straddle the bucket range, so some of their ranges
+// lie outside it and one window is clipped at a bound. The merge kernel
+// must still report what the exact test gives over the bucket's own
+// objects, and the B+tree kernel restricted to the bucket range, bit for
+// bit: every JoinCounters field and every match.
+TEST(MergeJoinTest, HullStraddlingTheBucketRangeMatchesTheReferences) {
+  constexpr double kRadius = 300.0;
+  SkyPoint center{150.0, 25.0};
+  auto objects = ClusteredObjects(4000, 251, center, 0.3);
+  std::sort(objects.begin(), objects.end(), storage::ObjectHtmLess);
+  for (size_t i = 0; i < objects.size(); ++i) objects[i].object_id = i;
+  auto partition = storage::PartitionCatalog(objects, 400);
+  ASSERT_TRUE(partition.ok());
+  auto tree = storage::BTreeIndex::BulkLoad(objects);
+  ASSERT_TRUE(tree.ok());
+
+  Rng rng(419);
+  size_t straddling = 0;
+  uint64_t matches = 0;
+  for (const storage::Bucket& bucket : partition->buckets) {
+    const htm::IdRange range = bucket.range();
+    std::vector<CatalogObject> in_bucket;
+    for (const auto& co : objects) {
+      if (range.Contains(co.htm_id)) in_bucket.push_back(co);
+    }
+    WorkloadEntry entry;
+    entry.query_id = 1;
+    entry.predicate.min_mag = 16.0f;
+    uint64_t next_id = 0;
+    for (htm::HtmId id : {range.lo, range.lo - 1, range.hi, range.hi + 1}) {
+      if (id < htm::LevelMin(htm::kObjectLevel) ||
+          id > htm::LevelMax(htm::kObjectLevel)) {
+        continue;
+      }
+      const SkyPoint c = htm::IdToCenter(id);
+      for (int k = 0; k < 4; ++k) {
+        const SkyPoint p{c.ra_deg + rng.Normal(0, 0.01),
+                         c.dec_deg + rng.Normal(0, 0.01)};
+        entry.objects.push_back(MakeQueryObject(next_id++, p, kRadius));
+      }
+    }
+    for (const QueryObject& qo : entry.objects) {
+      const auto& ranges = qo.htm_ranges.ranges();
+      const bool reaches_in = qo.htm_ranges.Overlaps(range);
+      const bool reaches_out =
+          ranges.front().lo < range.lo || ranges.back().hi > range.hi;
+      straddling += reaches_in && reaches_out;
+    }
+    const std::vector<WorkloadEntry> batch = {entry};
+
+    const auto [want, want_matches] =
+        ExactReference(in_bucket, batch, [&](const QueryObject& qo) {
+          uint64_t n = 0;
+          for (const auto& co : in_bucket) {
+            n += qo.htm_ranges.Contains(co.htm_id);
+          }
+          return n;
+        });
+    std::vector<Match> merge, indexed;
+    const JoinCounters merge_c = MergeCrossMatch(bucket, batch, &merge);
+    const JoinCounters indexed_c =
+        IndexedCrossMatch(*tree, range, batch, &indexed).join;
+    ExpectSameCounters(merge_c, want, "merge");
+    ExpectSameCounters(indexed_c, want, "B+tree indexed");
+    EXPECT_TRUE(SameMatches(merge, indexed)) << "bucket " << bucket.index();
+    EXPECT_TRUE(SameMatches(SortedByKey(merge), want_matches))
+        << "bucket " << bucket.index();
+    matches += want.output_matches;
+  }
+  EXPECT_GT(straddling, 20u) << "degenerate test: no hull straddles a bound";
+  EXPECT_GT(matches, 0u) << "degenerate test: no matches";
 }
 
 // ---------------------------------------------------------------- Hybrid --

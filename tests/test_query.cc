@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
+#include <map>
+
 #include "htm/htm.h"
 #include "query/preprocessor.h"
 #include "query/query.h"
@@ -168,6 +172,121 @@ TEST_F(PreprocessorTest, WorkloadsSortedAndDeduplicated) {
   }
 }
 
+TEST_F(PreprocessorTest, ObjectsSharingAnIdAreBothAssigned) {
+  // Ids come from the shipping site and need not be unique: two distinct
+  // objects with one id are two sub-query objects.
+  CrossMatchQuery q;
+  q.id = 4;
+  q.objects.push_back(MakeQueryObject(7, {50.0, 10.0}, 3.0));
+  q.objects.push_back(MakeQueryObject(7, {50.001, 10.0}, 3.0));
+  const BucketIndex home = map_->BucketOf(htm::PointToId(q.objects[0].sky()));
+  ASSERT_EQ(map_->BucketOf(htm::PointToId(q.objects[1].sky())), home);
+  auto workloads = SplitQueryByBucket(q, *map_);
+  const BucketWorkload* w = nullptr;
+  for (const auto& candidate : workloads) {
+    if (candidate.bucket == home) w = &candidate;
+  }
+  ASSERT_NE(w, nullptr);
+  ASSERT_EQ(w->objects.size(), 2u);
+  EXPECT_EQ(w->objects[0].ra_deg, 50.0);
+  EXPECT_EQ(w->objects[1].ra_deg, 50.001);
+}
+
+// Reference split: per range, one BucketsOverlapping and one map lookup
+// per bucket, deduplicated by id. For queries with distinct object ids it
+// is the specification SplitQueryByBucket must match.
+std::vector<BucketWorkload> MapBasedSplit(const CrossMatchQuery& query,
+                                          const storage::BucketMap& map) {
+  std::map<BucketIndex, std::vector<QueryObject>> by_bucket;
+  for (const QueryObject& o : query.objects) {
+    for (const htm::IdRange& r : o.htm_ranges.ranges()) {
+      auto [lo_bucket, hi_bucket] = map.BucketsOverlapping(r.lo, r.hi);
+      for (BucketIndex b = lo_bucket; b <= hi_bucket; ++b) {
+        auto& vec = by_bucket[b];
+        if (vec.empty() || vec.back().id != o.id) vec.push_back(o);
+      }
+    }
+  }
+  std::vector<BucketWorkload> out;
+  for (auto& [bucket, objects] : by_bucket) {
+    out.push_back(BucketWorkload{bucket, std::move(objects)});
+  }
+  return out;
+}
+
+// Random queries of 3", 300" and 900" objects, a third of them placed on
+// the trixels either side of a bucket bound and a third on mesh-root
+// edges (dec 0, RA multiples of 90, the poles): the split must give the
+// reference's buckets, object order and ranges exactly.
+TEST(PreprocessorEquivalenceTest, MatchesTheMapBasedSplit) {
+  size_t multi_bucket_objects = 0;
+  size_t multi_range_objects = 0;
+  for (size_t per_bucket : {250u, 25u}) {
+    auto partition =
+        storage::PartitionCatalog(RandomObjects(5000, 229), per_bucket);
+    ASSERT_TRUE(partition.ok());
+    const storage::BucketMap& map = *partition->map;
+    Rng rng(1201 + per_bucket);
+    for (QueryId id = 1; id <= 40; ++id) {
+      CrossMatchQuery q;
+      q.id = id;
+      const double radius = std::array<double, 3>{3.0, 300.0, 900.0}[id % 3];
+      for (uint64_t i = 0; i < 60; ++i) {
+        SkyPoint p;
+        switch (rng.UniformU64(3)) {
+          case 0: {
+            const auto b = static_cast<BucketIndex>(
+                1 + rng.UniformU64(map.num_buckets() - 1));
+            const htm::HtmId bound = map.RangeOf(b).lo;
+            p = htm::IdToCenter(rng.Bernoulli(0.5) ? bound : bound - 1);
+            break;
+          }
+          case 1: {
+            const double edge_ra =
+                90.0 * static_cast<double>(rng.UniformU64(4));
+            p = SkyPoint{std::fmod(edge_ra + rng.Normal(0, 0.05) + 360.0,
+                                   360.0),
+                         rng.Bernoulli(0.2)
+                             ? (rng.Bernoulli(0.5) ? 89.99 : -89.99)
+                             : rng.Normal(0, 0.05)};
+            break;
+          }
+          default:
+            p = SkyPoint{rng.UniformDouble(0, 360),
+                         std::asin(rng.UniformDouble(-1, 1)) * kRadToDeg};
+        }
+        q.objects.push_back(MakeQueryObject(i, p, radius));
+      }
+      const auto got = SplitQueryByBucket(q, map);
+      const auto want = MapBasedSplit(q, map);
+      ASSERT_EQ(got.size(), want.size()) << "query " << id;
+      for (size_t w = 0; w < want.size(); ++w) {
+        EXPECT_EQ(got[w].bucket, want[w].bucket);
+        ASSERT_EQ(got[w].objects.size(), want[w].objects.size());
+        for (size_t k = 0; k < want[w].objects.size(); ++k) {
+          const QueryObject& a = got[w].objects[k];
+          const QueryObject& b = want[w].objects[k];
+          EXPECT_EQ(a.id, b.id);
+          EXPECT_EQ(a.ra_deg, b.ra_deg);
+          EXPECT_EQ(a.dec_deg, b.dec_deg);
+          EXPECT_EQ(a.radius_arcsec, b.radius_arcsec);
+          EXPECT_EQ(a.htm_ranges.ranges(), b.htm_ranges.ranges());
+        }
+      }
+      for (const QueryObject& o : q.objects) {
+        const auto& ranges = o.htm_ranges.ranges();
+        const auto [lo, hi] =
+            map.BucketsOverlapping(ranges.front().lo, ranges.back().hi);
+        multi_bucket_objects += lo != hi;
+        multi_range_objects += ranges.size() > 1;
+      }
+    }
+  }
+  // Both paths of the split ran: single-bucket hulls and per-range runs.
+  EXPECT_GT(multi_bucket_objects, 100u);
+  EXPECT_GT(multi_range_objects, 100u);
+}
+
 // -------------------------------------------------------- WorkloadManager --
 
 CrossMatchQuery SmallQuery(QueryId id, TimeMs arrival, double ra, double dec,
@@ -229,7 +348,8 @@ TEST_F(WorkloadManagerTest, TakeBucketCompletesQueries) {
       manager_->active_buckets().begin(), manager_->active_buckets().end());
   for (size_t i = 0; i < active.size(); ++i) {
     auto entries = manager_->TakeBucket(active[i], &completed);
-    EXPECT_FALSE(entries.empty());
+    ASSERT_TRUE(entries.ok()) << entries.status().ToString();
+    EXPECT_FALSE(entries->empty());
     if (i + 1 < active.size()) {
       EXPECT_TRUE(completed.empty());
     }

@@ -6,13 +6,19 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <string>
+#include <vector>
 
+#include "exec/batch_pipeline.h"
+#include "join/evaluator.h"
 #include "query/preprocessor.h"
 #include "query/spill.h"
 #include "query/workload.h"
 #include "sched/liferaft_scheduler.h"
 #include "sim/arrivals.h"
 #include "sim/engine.h"
+#include "storage/bucket_cache.h"
 #include "storage/catalog.h"
 #include "util/random.h"
 #include "workload/catalog_gen.h"
@@ -172,14 +178,61 @@ TEST_F(SpillManagerTest, TakeBucketRestoresSpilledEntries) {
   std::vector<QueryId> completed;
   uint64_t restored_bytes = 0;
   auto entries = manager_->TakeBucket(5, &completed, &restored_bytes);
+  ASSERT_TRUE(entries.ok()) << entries.status().ToString();
   // Both the resident and the spilled entry come back.
   size_t total = 0;
-  for (const auto& e : entries) total += e.objects.size();
+  for (const auto& e : *entries) total += e.objects.size();
   EXPECT_EQ(total, 70u);
   EXPECT_GT(restored_bytes, 0u);
   ASSERT_EQ(completed.size(), 2u);
   EXPECT_EQ(manager_->total_pending_objects(), 0u);
   EXPECT_EQ(manager_->resident_objects(), 0u);
+}
+
+// Flips one byte of the file at `offset` in place.
+void FlipByte(const std::string& path, std::streamoff offset) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(f.is_open()) << path;
+  char c = 0;
+  f.seekg(offset);
+  ASSERT_TRUE(f.read(&c, 1));
+  c = static_cast<char>(c ^ 0x5a);
+  f.seekp(offset);
+  ASSERT_TRUE(f.write(&c, 1));
+}
+
+// A corrupt segment must fail the dispatch in every build type, name the
+// bucket, and leave the work pending rather than drop it.
+TEST_F(SpillManagerTest, CorruptSegmentFailsTakeBucketAndKeepsTheWork) {
+  const std::string path = TempPath("corrupt");
+  ASSERT_TRUE(manager_->EnableSpill(path, 50).ok());
+  Place(1, 5, 60, 0.0);  // first segment, at offset 0
+  Place(2, 9, 60, 1.0);  // second segment; its seek flushes the first
+  ASSERT_EQ(manager_->spill_stats().segments_spilled, 2u);
+  // Byte 20 is inside bucket 5's first entry (12-byte segment header,
+  // 4-byte entry count, then the query id).
+  FlipByte(path, 20);
+
+  std::vector<QueryId> completed;
+  uint64_t restored_bytes = 0;
+  auto entries = manager_->TakeBucket(5, &completed, &restored_bytes);
+  ASSERT_FALSE(entries.ok());
+  EXPECT_EQ(entries.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(entries.status().message().find("bucket 5"), std::string::npos)
+      << entries.status().ToString();
+  EXPECT_TRUE(completed.empty());
+  EXPECT_EQ(manager_->PendingParts(1), 1u);
+  EXPECT_EQ(manager_->total_pending_objects(), 120u);
+  EXPECT_EQ(manager_->queue(5).total_objects(), 60u);
+  EXPECT_EQ(manager_->active_buckets().count(5), 1u);
+  EXPECT_EQ(manager_->spill_stats().segments_restored, 0u);
+
+  // The intact segment still restores.
+  auto other = manager_->TakeBucket(9, &completed, &restored_bytes);
+  ASSERT_TRUE(other.ok()) << other.status().ToString();
+  ASSERT_EQ(other->size(), 1u);
+  EXPECT_EQ((*other)[0].objects.size(), 60u);
+  EXPECT_EQ(completed, std::vector<QueryId>{2});
 }
 
 TEST_F(SpillManagerTest, NoSpillWithoutEnable) {
@@ -197,6 +250,75 @@ TEST_F(SpillManagerTest, EnableSpillValidation) {
 
 }  // namespace
 }  // namespace liferaft::query
+
+namespace liferaft::exec {
+namespace {
+
+// The pipeline surfaces a failed restore as its Step's Status: the run
+// stops with an error naming the bucket instead of leaving the query
+// pending forever.
+TEST(SpillPipelineTest, CorruptSegmentFailsTheStepNamingTheBucket) {
+  workload::CatalogGenConfig gen;
+  gen.num_objects = 2000;
+  gen.seed = 7;
+  auto objects = workload::GenerateCatalog(gen);
+  ASSERT_TRUE(objects.ok());
+  storage::CatalogOptions options;
+  options.objects_per_bucket = 500;
+  auto catalog = storage::Catalog::Build(std::move(*objects), options);
+  ASSERT_TRUE(catalog.ok());
+  ASSERT_GE((*catalog)->num_buckets(), 4u);
+
+  storage::BucketCache cache((*catalog)->store(), 4);
+  join::JoinEvaluator evaluator(&cache, (*catalog)->index(),
+                                storage::DiskModel{}, join::HybridConfig{});
+  query::WorkloadManager manager((*catalog)->num_buckets());
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("liferaft_spill_pipeline_" + std::to_string(::getpid())))
+          .string();
+  ASSERT_TRUE(manager.EnableSpill(path, 50).ok());
+  // Two single-bucket queries of 60 objects each: both spill, bucket 1's
+  // first.
+  for (query::QueryId id : {1u, 2u}) {
+    const storage::BucketIndex b = id == 1 ? 1 : 3;
+    const htm::IdRange range = (*catalog)->bucket_map().RangeOf(b);
+    query::CrossMatchQuery q;
+    q.id = id;
+    query::BucketWorkload w;
+    w.bucket = b;
+    for (uint64_t i = 0; i < 60; ++i) {
+      query::QueryObject qo;
+      qo.id = i;
+      qo.htm_ranges.Add(range.lo, range.lo);
+      w.objects.push_back(qo);
+    }
+    ASSERT_TRUE(manager.Admit(q, {w}).ok());
+  }
+  ASSERT_EQ(manager.spill_stats().segments_spilled, 2u);
+  query::FlipByte(path, 20);
+
+  sched::LifeRaftScheduler scheduler((*catalog)->store(),
+                                     storage::DiskModel{},
+                                     sched::LifeRaftConfig{});
+  BatchPipeline pipeline(&scheduler, &manager, &evaluator, PipelineConfig{});
+  Status failure;
+  for (int step = 0; step < 4 && failure.ok(); ++step) {
+    auto outcome = pipeline.Step(0.0, /*collect_matches=*/false);
+    if (!outcome.ok()) {
+      failure = outcome.status();
+    } else if (!outcome->has_value()) {
+      break;
+    }
+  }
+  EXPECT_EQ(failure.code(), StatusCode::kCorruption) << failure.ToString();
+  EXPECT_NE(failure.message().find("bucket 1"), std::string::npos)
+      << failure.ToString();
+  EXPECT_EQ(manager.PendingParts(1), 1u);
+}
+
+}  // namespace
+}  // namespace liferaft::exec
 
 namespace liferaft::sim {
 namespace {

@@ -15,14 +15,16 @@
 #   tools/ci.sh --asan   # ASan+UBSan smoke: builds test_exec, test_storage,
 #                        # test_topology, test_columnar, test_async_io,
 #                        # test_core, test_sim, test_serve, test_thread_pool,
-#                        # test_join, and test_properties with
-#                        # -fsanitize=address,undefined and runs them (arena
-#                        # lifetimes incl. I/O scratch, prefetch claim/cancel
-#                        # memory, eviction-tier bookkeeping, columnar page
-#                        # decode over corrupted input, every join kernel
-#                        # over Encode-built pages, async-reader fault
-#                        # injection/teardown, and both drivers'
-#                        # execution-stack teardown order)
+#                        # test_join, test_properties, test_query, and
+#                        # test_spill with -fsanitize=address,undefined and
+#                        # runs them (arena lifetimes incl. I/O scratch,
+#                        # prefetch claim/cancel memory, eviction-tier
+#                        # bookkeeping, columnar page decode over corrupted
+#                        # input, every join kernel over Encode-built pages,
+#                        # async-reader fault injection/teardown, both
+#                        # drivers' execution-stack teardown order, and query
+#                        # objects moved through admission, spill and
+#                        # restore)
 #   tools/ci.sh --real-io # Wall-clock I/O smoke: gen-catalog to disk, replay
 #                        # with --io real over 2 volumes (prefetch on), then
 #                        # inspect --verify-checksums. Exercises the pread
@@ -45,7 +47,7 @@ if [ "${1:-}" = "--asan" ]; then
     -DLIFERAFT_BUILD_TOOLS=OFF
   cmake --build build-asan -j --target test_exec test_storage test_topology \
     test_columnar test_async_io test_core test_sim test_serve test_thread_pool \
-    test_join test_properties
+    test_join test_properties test_query test_spill
   # Leak checking is on by default under ASan; -fno-sanitize-recover
   # already turned every UBSan diagnostic into a hard failure.
   ./build-asan/test_exec
@@ -59,6 +61,8 @@ if [ "${1:-}" = "--asan" ]; then
   ./build-asan/test_thread_pool
   ./build-asan/test_join
   ./build-asan/test_properties
+  ./build-asan/test_query
+  ./build-asan/test_spill
   echo "asan+ubsan smoke OK"
   exit 0
 fi
