@@ -380,8 +380,8 @@ void BM_EngineSharedAdaptivePrefetch(benchmark::State& state) {
     makespan = metrics->makespan_ms;
     hidden = metrics->prefetch_hidden_ms;
     final_depth = static_cast<double>(metrics->arm_final_depths[0]);
-    wasted_kb =
-        static_cast<double>(metrics->cache.prefetch_wasted_bytes) / 1024.0;
+    const storage::VolumeIoStats bets = storage::SumOverArms(metrics->volumes);
+    wasted_kb = static_cast<double>(bets.prefetch_wasted_bytes) / 1024.0;
     benchmark::DoNotOptimize(metrics);
   }
   state.counters["virtual_makespan_ms"] = makespan;

@@ -89,7 +89,7 @@ Result<std::vector<QueryCompletion>> LifeRaft::Drain(
   }
   // The queues are empty: any prefetch bet still pending targets a bucket
   // with no work, so the bet cannot pay off until new queries arrive —
-  // drop it rather than holding its pin across an idle period.
+  // drop it rather than carry it across an idle period.
   stack_->pipeline()->CancelOutstandingPrefetches();
   return std::vector<QueryCompletion>(completions_.begin() + first_new,
                                       completions_.end());

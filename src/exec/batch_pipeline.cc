@@ -133,22 +133,21 @@ Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now,
     PrefetchFeedback& fb = feedback[outcome.volume];
     ++fb.claims;
     fb.hidden_ms += claim.hidden_ms;
-    // A claim that hid nothing reused the physical read, but the bet was
-    // queued too deep: stale by depth.
+    // A claim that hid nothing was queued too deep: stale by depth.
     if (claim.hidden_ms <= 0.0) ++fb.stale_claims;
   }
 
-  // Predict the next picks and start their physical reads now, overlapping
-  // the join below; their modeled fetch times are assigned after the
-  // evaluation, when this batch's disk phase is known. The prediction is
-  // refreshed every live step — the window drives stale-bet drops and
-  // eviction protection, and a stale window would protect yesterday's
-  // predictions — and peeks deep enough (a) to judge every outstanding bet
-  // (after a controller shrink more bets can be pending than the depth
-  // admits new ones, and a still-predicted bet must not read as a
-  // mispredict just because the window got smaller) and (b) to surface
-  // candidates for EVERY arm, so an arm the front of the prediction does
-  // not touch still gets its fetches started.
+  // Predict the next picks and bet on them now (measured mode starts their
+  // reads, overlapping the join below); their modeled fetch times are
+  // assigned after the evaluation, when this batch's disk phase is known.
+  // The prediction is refreshed every live step — the window drives
+  // stale-bet drops and eviction protection, and a stale window would
+  // protect yesterday's predictions — and peeks deep enough (a) to judge
+  // every outstanding bet (after a controller shrink more bets can be
+  // pending than the depth admits new ones, and a still-predicted bet must
+  // not read as a mispredict just because the window got smaller) and (b)
+  // to surface candidates for EVERY arm, so an arm the front of the
+  // prediction does not touch still gets its fetches started.
   std::vector<size_t> placed(volumes, 0);
   if (prefetch_on) {
     std::vector<size_t> want(volumes);
@@ -205,7 +204,7 @@ Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now,
       evaluator_->EvaluateBucket(*pick, entries, collect_matches);
   if (!evaluated.ok()) {
     // The bets placed above have no modeled times yet; drop them before
-    // surfacing the error so no pin or read is orphaned.
+    // surfacing the error so no read is orphaned.
     for (size_t v = 0; v < volumes; ++v) {
       for (; placed[v] > 0; --placed[v]) {
         DropBet(arms_[v].bets.back().bucket);
@@ -256,16 +255,16 @@ Result<BatchPipeline::Claim> BatchPipeline::ClaimPick(
   Claim claim;
   if (reader_ == nullptr) {
     if (bet == arm.bets.end()) return claim;
-    // The bucket becomes resident (the evaluator sees a hit, charging no
-    // T_b) and the clock is charged only the un-hidden tail of the fetch.
-    // At depth > 1 a bet can still be queued behind its arm when its
-    // bucket comes up (modeled residual >= its full T_b); waiting out that
-    // whole queue would cost more than a plain foreground read, so the
-    // charge is capped at T_b — as if the arm preempted the backlog and
-    // fetched the bucket fresh — while the claim still reuses the physical
-    // read. A capped claim hides nothing. (At depth 1 the residual is at
-    // most T_b minus the previous batch's matching time, so the cap never
-    // binds.)
+    // The claim reads the page into the cache (billing the store for it
+    // now: an unclaimed bet never reaches the store's ledger), so the
+    // evaluator sees a hit, charging no T_b, and the clock is charged only
+    // the un-hidden tail of the modeled fetch. At depth > 1 a bet can
+    // still be queued behind its arm when its bucket comes up (modeled
+    // residual >= its full T_b); waiting out that whole queue would cost
+    // more than a plain foreground read, so the charge is capped at T_b —
+    // as if the arm preempted the backlog and fetched the bucket fresh. A
+    // capped claim hides nothing. (At depth 1 the residual is at most T_b
+    // minus the previous batch's matching time, so the cap never binds.)
     claim.residual_ms = std::min(std::max(0.0, bet->done_ms - now),
                                  bet->fetch_ms);
     claim.hidden_ms = bet->fetch_ms - claim.residual_ms;
@@ -300,23 +299,26 @@ Result<BatchPipeline::Claim> BatchPipeline::ClaimPick(
 }
 
 void BatchPipeline::PlaceBet(storage::BucketIndex b) {
-  if (reader_ != nullptr) {
-    SubmitRealBet(b);
-  } else {
-    (void)cache_->PrefetchAsync(b);
-  }
+  if (reader_ != nullptr) SubmitRealBet(b);
   Arm& arm = arms_[VolumeOf(b)];
   arm.bets.push_back(PendingPrefetch{b});
   ++arm.stats.prefetch_issued;
 }
 
 uint64_t BatchPipeline::DropBet(storage::BucketIndex b) {
-  if (reader_ == nullptr) return cache_->CancelPrefetch(b);
-  auto it = real_bets_.find(b);
-  if (it == real_bets_.end()) return 0;
-  const uint64_t wasted =
-      it->second.completed && it->second.status.ok() ? it->second.bytes : 0;
-  real_bets_.erase(it);
+  uint64_t wasted = 0;
+  if (reader_ == nullptr) {
+    // The modeled arm spent the bet's fetch on it.
+    wasted = cache_->store().ModeledBucketBytes(b, /*charge_encoded=*/false);
+  } else if (auto it = real_bets_.find(b); it != real_bets_.end()) {
+    if (it->second.completed && it->second.status.ok()) {
+      wasted = it->second.bytes;
+    }
+    real_bets_.erase(it);
+  }
+  Arm& arm = arms_[VolumeOf(b)];
+  ++arm.stats.prefetch_drops;
+  arm.stats.prefetch_wasted_bytes += wasted;
   return wasted;
 }
 
@@ -454,9 +456,9 @@ void BatchPipeline::CancelOutstandingPrefetches() {
     for (const PendingPrefetch& p : arm.bets) DropBet(p.bucket);
     arm.bets.clear();
   }
-  // Measured bets hold no cache pins; their records are gone, so late
-  // completions fail the ticket lookup. Drain the queues so no worker
-  // still references the store when the caller tears down.
+  // Measured bets' records are gone, so late completions fail the ticket
+  // lookup. Drain the queues so no worker still references the store
+  // when the caller tears down.
   if (reader_ != nullptr) reader_->Drain();
   // End of run: no prediction is live, so stop protecting anything.
   cache_->SetPredictionWindow({});

@@ -16,15 +16,17 @@
 // Depth-K prefetch: with prefetching enabled the pipeline keeps up to
 // `prefetch_depth` predicted buckets in flight per disk arm
 // (Scheduler::PeekNextBucketsCovering supplies the predicted service
-// order). Physical reads start immediately, overlapping the current
-// batch's join compute; the *modeled* fetches serialize per arm — a
-// prefetch's virtual completion queues behind the current batch's disk
-// phase (when they share the arm) and behind every earlier prefetch on its
-// own arm. A batch that claims its predicted bucket pays only the
-// un-hidden residual max(0, fetch_done - now), capped at the bucket's full
-// T_b: a bet queued so deep that waiting would exceed a fresh foreground
-// read is charged as exactly that read (and hides nothing), though the
-// physical bytes are still reused. The full fetch minus the charged
+// order). The pipeline is the only owner of these bets; the bucket cache
+// holds only claimed buckets. Modeled bets are arm-clock bookkeeping:
+// their fetches serialize per arm — a bet's virtual completion queues
+// behind the current batch's disk phase (when they share the arm) and
+// behind every earlier bet on its own arm — and the page is read into the
+// cache only when the bet is claimed. Measured bets are reads submitted at
+// once, overlapping the current batch's join compute. A batch that claims
+// its predicted bucket pays only the un-hidden residual
+// max(0, fetch_done - now), capped at the bucket's full T_b: a bet queued
+// so deep that waiting would exceed a fresh foreground read is charged as
+// exactly that read (and hides nothing). The full fetch minus the charged
 // residual is credited to prefetch_hidden_ms.
 //
 // Multi-volume topology (storage::StorageTopology): each volume is an
@@ -36,15 +38,18 @@
 // trailing arm that carries no bets and absorbs spill-restore busy time.
 // With a null topology (or one volume) every bucket maps to arm 0.
 //
-// Mispredictions: at a fixed depth an unclaimed prefetch stays pinned
-// until its bucket is scheduled, its modeled completion slipping whenever
-// the foreground batch needs its arm. With `adaptive_prefetch` each arm's
-// PrefetchController walks that arm's depth between 0 and
+// Mispredictions: at a fixed depth an unclaimed bet stays queued on its
+// arm until its bucket is scheduled, its modeled completion slipping
+// whenever the foreground batch needs its arm. With `adaptive_prefetch`
+// each arm's PrefetchController walks that arm's depth between 0 and
 // `max_prefetch_depth` from EWMAs of the stale-claim rate, hidden ms per
 // claim, and wasted bytes, and bets that leave the prediction window are
 // dropped — both the drain mechanism and the controller's mispredict
-// signal. Controllers see only virtual quantities and step counts in
-// modeled mode, so adaptive runs stay deterministic there.
+// signal. A dropped bet's bytes (modeled: the bucket's modeled size;
+// measured: what its read moved) are its waste, charged to its arm's
+// ledger (VolumeIoStats::prefetch_drops / prefetch_wasted_bytes).
+// Controllers see only virtual quantities and step counts in modeled
+// mode, so adaptive runs stay deterministic there.
 //
 // Every step publishes the prediction window to the cache
 // (BucketCache::SetPredictionWindow), so eviction demotes predicted
@@ -257,18 +262,19 @@ class BatchPipeline {
   /// OK (harvested here). Steering the metric toward the buckets we bet on
   /// makes the prediction self-fulfilling.
   sched::CacheProbe MakeCacheProbe(TimeMs now);
-  /// Claims the bet on `pick`: modeled, charges the un-hidden residual;
-  /// measured, waits for the read. A measured miss without a bet is read
-  /// through the submission queue too.
+  /// Claims the bet on `pick`: modeled, charges the un-hidden residual and
+  /// reads the page through the cache; measured, waits for the read. A
+  /// measured miss without a bet is read through the submission queue too.
   Result<Claim> ClaimPick(storage::BucketIndex pick, TimeMs now);
-  /// Starts the physical read of a new bet on `b` and queues it on b's
-  /// arm: a pinned cache prefetch (modeled) or a submitted read
-  /// (measured).
+  /// Queues a new bet on `b` on b's arm. Measured mode also submits its
+  /// read; a modeled bet is priced by AdvanceArmClocks and read when
+  /// claimed.
   void PlaceBet(storage::BucketIndex b);
-  /// Forgets the bet on `b`: unpins the prefetch (modeled) or drops the
-  /// read record so its late completion is discarded (measured). Returns
-  /// the bytes the bet had already fetched, now wasted. The caller removes
-  /// it from its arm's queue.
+  /// Forgets the bet on `b` and counts the drop on its arm. Measured mode
+  /// drops the read record so a late completion is discarded. Returns the
+  /// bet's wasted bytes (modeled: the bucket's modeled bytes, the fetch
+  /// its arm spent; measured: the bytes its read had moved). The caller
+  /// removes it from its arm's queue.
   uint64_t DropBet(storage::BucketIndex b);
   /// Modeled mode only: slips the bets on the pick's arm by the batch's
   /// disk phase, prices the `placed[v]` newest bets on every arm, and

@@ -27,9 +27,9 @@
 // recovered predictor can climb back up. All inputs are virtual-clock
 // quantities and step counts, so the trajectory is deterministic.
 //
-// Wasted bytes as a grow cost term: canceled-after-fetch bets have a
-// direct physical cost (the bucket was read and thrown away —
-// BucketCache's prefetch_wasted_bytes) that the stale *rate* alone can
+// Wasted bytes as a grow cost term: dropped bets have a direct cost (the
+// arm spent the bucket's fetch and nothing used it — the arm ledger's
+// VolumeIoStats::prefetch_wasted_bytes) that the stale *rate* alone can
 // understate: a workload can keep the stale fraction under grow_threshold
 // while every individual mispredict burns a full bucket of bandwidth. The
 // controller therefore also tracks an EWMA of wasted bytes per step and
@@ -92,9 +92,10 @@ struct PrefetchFeedback {
   uint32_t cancels = 0;
   /// Fetch latency hidden by this step's claims (virtual ms).
   TimeMs hidden_ms = 0.0;
-  /// Physical bytes fetched by bets this step dropped without a claim
-  /// (the cache's prefetch_wasted_bytes delta; deterministic — a dropped
-  /// in-flight read is waited out, so whether it fetched is not a race).
+  /// Bytes of the bets this step dropped without a claim, as returned by
+  /// the pipeline's drops (this arm's prefetch_wasted_bytes delta):
+  /// modeled bytes in the modeled oracle, so adaptive runs stay
+  /// deterministic there; bytes actually read in measured mode.
   uint64_t wasted_bytes = 0;
 };
 

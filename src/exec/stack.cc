@@ -46,7 +46,6 @@ Result<std::unique_ptr<ExecutionStack>> ExecutionStack::Create(
   stack->evaluator_->set_topology(stack->topology_.get());
   stack->evaluator_->set_charge_encoded_bytes(charge_encoded_bytes);
   stack->evaluator_->set_thread_pool(pool);
-  stack->cache_->set_thread_pool(pool);
   stack->manager_ =
       std::make_unique<query::WorkloadManager>(catalog->num_buckets());
   if (scheduler == nullptr) return stack;

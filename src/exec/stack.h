@@ -77,8 +77,8 @@ class ExecutionStack {
   ///                  pipeline. Null builds no pipeline (the engine's
   ///                  per-query modes).
   /// @param pool      join worker pool (not owned; null = serial). Must
-  ///                  outlive the stack: the cache drains in-flight
-  ///                  prefetches on destruction.
+  ///                  outlive the stack: the evaluator fans batch joins
+  ///                  and per-query work out on it.
   /// @param cache_capacity_bytes  cache byte budget (0 = count bound only;
   ///                  see storage::BucketCache)
   /// @param charge_encoded_bytes  price every T_b consumer — the

@@ -123,15 +123,9 @@ class JoinEvaluator {
       PerQueryMode mode, const std::vector<PerQueryWork>& window,
       bool collect_matches = false);
 
-  /// True if the bucket is resident in cache (the metric's phi term).
-  bool IsCached(storage::BucketIndex bucket) const {
-    return cache_->Contains(bucket);
-  }
-
   /// Attaches a worker pool (not owned; may be null to restore serial
   /// execution). The pool must outlive the evaluator's last EvaluateBucket.
   void set_thread_pool(util::ThreadPool* pool) { pool_ = pool; }
-  util::ThreadPool* thread_pool() const { return pool_; }
 
   /// Attaches the multi-volume topology (not owned; may be null = single
   /// volume). A bucket's sequential T_b is then charged from its volume's

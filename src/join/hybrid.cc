@@ -4,16 +4,6 @@
 
 namespace liferaft::join {
 
-const char* JoinStrategyName(JoinStrategy s) {
-  switch (s) {
-    case JoinStrategy::kScan:
-      return "scan";
-    case JoinStrategy::kIndexed:
-      return "indexed";
-  }
-  return "?";
-}
-
 JoinStrategy ChooseStrategy(const HybridConfig& config, uint64_t queue_objects,
                             uint64_t bucket_objects, bool bucket_cached) {
   if (bucket_cached) return JoinStrategy::kScan;

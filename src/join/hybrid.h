@@ -19,8 +19,6 @@ enum class JoinStrategy {
   kIndexed,  ///< one index probe per workload object
 };
 
-const char* JoinStrategyName(JoinStrategy s);
-
 /// Hybrid-strategy configuration.
 struct HybridConfig {
   /// Use the indexed join when queue_size / bucket_size is strictly below

@@ -21,16 +21,6 @@ const char* ExecutionModeName(ExecutionMode mode) {
   return "?";
 }
 
-const char* IoModeName(IoMode mode) {
-  switch (mode) {
-    case IoMode::kModeled:
-      return "modeled";
-    case IoMode::kReal:
-      return "real";
-  }
-  return "?";
-}
-
 SimEngine::SimEngine(storage::Catalog* catalog,
                      std::unique_ptr<sched::Scheduler> scheduler,
                      EngineConfig config)
@@ -166,8 +156,8 @@ Status SimEngine::PrepareRun(size_t expected_queries) {
   outcomes_.clear();
   outcomes_.reserve(expected_queries);
   total_matches_ = 0;
-  // The old stack (and any in-flight prefetch its cache still holds) is
-  // torn down while the pool it may reference is still alive.
+  // The old stack goes first, so two stacks (and their readers' I/O
+  // threads) never coexist.
   stack_.reset();
   catalog_->store()->ResetStats();
   LIFERAFT_ASSIGN_OR_RETURN(

@@ -55,8 +55,6 @@ const char* ExecutionModeName(ExecutionMode mode);
 ///    defined on the virtual clock.
 enum class IoMode { kModeled, kReal };
 
-const char* IoModeName(IoMode mode);
-
 /// Engine configuration. The execution-stack knobs (cache, hybrid join,
 /// disk model, topology, threads, and the prefetch knobs, which apply in
 /// shared mode) are inherited from exec::StackConfig, which
@@ -183,8 +181,8 @@ class SimEngine {
   storage::Catalog* catalog_;
   std::unique_ptr<sched::Scheduler> scheduler_;
   EngineConfig config_;
-  /// Reused across runs; declared before the stack that borrows it, so
-  /// it outlives the cache's teardown drain.
+  /// Reused across runs; declared before the stack whose evaluator
+  /// borrows it, so it outlives the stack.
   std::unique_ptr<util::ThreadPool> pool_;  // non-null iff num_threads > 1
 
   // Run state.

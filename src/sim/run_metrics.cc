@@ -39,8 +39,9 @@ std::string RunMetricsJson(const RunMetrics& m) {
   o.Int("cache_hits", m.cache.hits);
   o.Int("cache_misses", m.cache.misses);
   o.Num("cache_hit_rate", m.cache.HitRate());
-  o.Int("prefetch_issued", m.cache.prefetch_issued);
-  o.Int("prefetch_claims", m.cache.prefetch_claims);
+  const storage::VolumeIoStats bets = storage::SumOverArms(m.volumes);
+  o.Int("prefetch_issued", bets.prefetch_issued);
+  o.Int("prefetch_claims", bets.prefetch_claims);
   o.Num("prefetch_hidden_ms", m.prefetch_hidden_ms);
   o.Int("segments_spilled", m.spill.segments_spilled);
   o.Int("segments_restored", m.spill.segments_restored);

@@ -70,8 +70,9 @@ struct RunMetrics {
   query::SpillStats spill;
   /// Virtual fetch time hidden behind compute by the cross-batch prefetch
   /// pipeline (zero unless EngineConfig::enable_prefetch or
-  /// adaptive_prefetch); issue/claim counts (and wasted prefetch bytes)
-  /// are in `cache`.
+  /// adaptive_prefetch). The bet ledger — issue/claim/drop counts and
+  /// wasted bytes — is kept per arm in `volumes` (storage::SumOverArms
+  /// totals it).
   TimeMs prefetch_hidden_ms = 0.0;
   /// Adaptive-prefetch telemetry (meaningful only when
   /// EngineConfig::adaptive_prefetch): arm 0's stale-claim EWMA at end of

@@ -4,16 +4,6 @@
 #include <utility>
 
 namespace liferaft::storage {
-namespace {
-
-/// Wraps an already-known result in a ready shared_future.
-BucketCache::BucketFuture ReadyFuture(Result<std::shared_ptr<const Bucket>> r) {
-  std::promise<Result<std::shared_ptr<const Bucket>>> promise;
-  promise.set_value(std::move(r));
-  return promise.get_future().share();
-}
-
-}  // namespace
 
 BucketCache::BucketCache(BucketStore* store, size_t capacity,
                          size_t num_shards, const StorageTopology* topology,
@@ -46,33 +36,10 @@ BucketCache::BucketCache(BucketStore* store, size_t capacity,
   }
 }
 
-BucketCache::~BucketCache() {
-  // Drain workers still reading on our behalf; they reference the store.
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (auto& [index, inflight] : shard->inflight) {
-      if (inflight.future.valid()) inflight.future.wait();
-    }
-  }
-}
-
 bool BucketCache::Contains(BucketIndex index) const {
   const Shard& shard = ShardFor(index);
   std::lock_guard<std::mutex> lock(shard.mu);
   return shard.map.find(index) != shard.map.end();
-}
-
-bool BucketCache::IsPrefetchPending(BucketIndex index) const {
-  const Shard& shard = ShardFor(index);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return shard.inflight.find(index) != shard.inflight.end();
-}
-
-bool BucketCache::IsPinned(BucketIndex index) const {
-  const Shard& shard = ShardFor(index);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(index);
-  return it != shard.map.end() && it->second->pins > 0;
 }
 
 size_t BucketCache::size() const {
@@ -98,14 +65,6 @@ CacheStats BucketCache::stats() const {
   snapshot.hits = stats_.hits.load(std::memory_order_relaxed);
   snapshot.misses = stats_.misses.load(std::memory_order_relaxed);
   snapshot.evictions = stats_.evictions.load(std::memory_order_relaxed);
-  snapshot.prefetch_issued =
-      stats_.prefetch_issued.load(std::memory_order_relaxed);
-  snapshot.prefetch_claims =
-      stats_.prefetch_claims.load(std::memory_order_relaxed);
-  snapshot.prefetch_cancels =
-      stats_.prefetch_cancels.load(std::memory_order_relaxed);
-  snapshot.prefetch_wasted_bytes =
-      stats_.prefetch_wasted_bytes.load(std::memory_order_relaxed);
   snapshot.evictions_protected =
       stats_.evictions_protected.load(std::memory_order_relaxed);
   return snapshot;
@@ -115,10 +74,6 @@ void BucketCache::ResetStats() {
   stats_.hits.store(0, std::memory_order_relaxed);
   stats_.misses.store(0, std::memory_order_relaxed);
   stats_.evictions.store(0, std::memory_order_relaxed);
-  stats_.prefetch_issued.store(0, std::memory_order_relaxed);
-  stats_.prefetch_claims.store(0, std::memory_order_relaxed);
-  stats_.prefetch_cancels.store(0, std::memory_order_relaxed);
-  stats_.prefetch_wasted_bytes.store(0, std::memory_order_relaxed);
   stats_.evictions_protected.store(0, std::memory_order_relaxed);
 }
 
@@ -131,22 +86,17 @@ void BucketCache::EvictOverCapacity(Shard& shard) {
          (shard.capacity_bytes > 0 &&
           shard.bytes_used > shard.capacity_bytes)) {
     // Victim order, scanning LRU-to-MRU and never the front entry (the
-    // one the triggering insert/claim just touched) until nothing else
-    // is evictable:
-    //  1. the LRU unpinned entry outside the prediction window;
-    //  2. the LRU unpinned entry inside it — protection demotes, it must
-    //     not starve the cache of evictable space (counted in
-    //     evictions_protected);
-    //  3. the front entry itself, when every other entry is pinned (the
-    //     pre-window degenerate case; with no window this reproduces
-    //     plain LRU exactly).
-    // If everything including the front is pinned, stay over capacity
-    // until a pin is released.
+    // one the triggering insert just touched) until nothing else is
+    // evictable:
+    //  1. the LRU entry outside the prediction window;
+    //  2. the LRU entry inside it — protection demotes, it must not starve
+    //     the cache of evictable space (counted in evictions_protected);
+    //  3. the front entry itself, when it is the only entry (with no
+    //     window this reproduces plain LRU exactly).
     auto victim = shard.lru.end();
     auto protected_victim = shard.lru.end();
     for (auto it = std::prev(shard.lru.end()); it != shard.lru.begin();
          --it) {
-      if (it->pins != 0) continue;
       if (shard.window.find(it->index) == shard.window.end()) {
         victim = it;
         break;
@@ -158,12 +108,10 @@ void BucketCache::EvictOverCapacity(Shard& shard) {
       if (protected_victim != shard.lru.end()) {
         victim = protected_victim;
         victim_protected = true;
-      } else if (!shard.lru.empty() && shard.lru.begin()->pins == 0) {
+      } else {
         victim = shard.lru.begin();
         victim_protected =
             shard.window.find(victim->index) != shard.window.end();
-      } else {
-        return;  // all pinned
       }
     }
     if (victim_protected) {
@@ -190,23 +138,13 @@ void BucketCache::SetPredictionWindow(std::span<const BucketIndex> window) {
   }
 }
 
-uint64_t BucketCache::RecordWastedPrefetch(const Inflight& inflight) {
-  // The future is resolved by the caller (wait/get); only a successful
-  // physical read counts — an Unimplemented store fetched nothing.
-  const Result<std::shared_ptr<const Bucket>>& r = inflight.future.get();
-  if (!r.ok()) return 0;
-  const uint64_t bytes = (*r)->EstimatedBytes();
-  stats_.prefetch_wasted_bytes.fetch_add(bytes, std::memory_order_relaxed);
-  return bytes;
-}
-
 void BucketCache::InsertMru(Shard& shard, BucketIndex index,
                             std::shared_ptr<const Bucket> bucket) {
   // Charges are only tracked in byte mode, keeping count-only shards
   // bit-for-bit on their pre-byte-mode behavior.
   const uint64_t bytes =
       shard.capacity_bytes > 0 ? ChargedBytes(index) : 0;
-  shard.lru.push_front(Entry{index, std::move(bucket), /*pins=*/0, bytes});
+  shard.lru.push_front(Entry{index, std::move(bucket), bytes});
   shard.map[index] = shard.lru.begin();
   shard.bytes_used += bytes;
   EvictOverCapacity(shard);
@@ -220,43 +158,13 @@ void BucketCache::Put(BucketIndex index, std::shared_ptr<const Bucket> bucket) {
     Touch(shard, it->second);
     return;
   }
+  stats_.misses.fetch_add(1, std::memory_order_relaxed);
   InsertMru(shard, index, std::move(bucket));
 }
 
 Result<std::shared_ptr<const Bucket>> BucketCache::Get(BucketIndex index) {
   Shard& shard = ShardFor(index);
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto pending = shard.inflight.find(index);
-  if (pending != shard.inflight.end()) {
-    if (pending->second.pinned_resident) {
-      // The prefetch merely pinned a bucket that was already here.
-      auto it = shard.map.find(index);
-      assert(it != shard.map.end() && it->second->pins > 0);
-      --it->second->pins;
-      stats_.hits.fetch_add(1, std::memory_order_relaxed);
-      stats_.prefetch_claims.fetch_add(1, std::memory_order_relaxed);
-      Touch(shard, it->second);
-      shard.inflight.erase(pending);
-      std::shared_ptr<const Bucket> bucket = it->second->bucket;
-      EvictOverCapacity(shard);  // the unpin may re-enable an eviction
-      return bucket;
-    }
-    Result<std::shared_ptr<const Bucket>> fetched = pending->second.future.get();
-    shard.inflight.erase(pending);
-    if (fetched.ok()) {
-      // The bucket did come from the store.
-      stats_.misses.fetch_add(1, std::memory_order_relaxed);
-      stats_.prefetch_claims.fetch_add(1, std::memory_order_relaxed);
-      store_->RecordPrefetchedRead(**fetched);
-      InsertMru(shard, index, *fetched);
-      return *fetched;
-    }
-    if (fetched.status().code() != StatusCode::kUnimplemented) {
-      return fetched.status();
-    }
-    // Store without prefetch-read support: degrade to a plain miss below.
-    stats_.prefetch_cancels.fetch_add(1, std::memory_order_relaxed);
-  }
   auto it = shard.map.find(index);
   if (it != shard.map.end()) {
     stats_.hits.fetch_add(1, std::memory_order_relaxed);
@@ -270,72 +178,9 @@ Result<std::shared_ptr<const Bucket>> BucketCache::Get(BucketIndex index) {
   return bucket;
 }
 
-BucketCache::BucketFuture BucketCache::PrefetchAsync(BucketIndex index) {
-  Shard& shard = ShardFor(index);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto pending = shard.inflight.find(index);
-  if (pending != shard.inflight.end()) return pending->second.future;
-  stats_.prefetch_issued.fetch_add(1, std::memory_order_relaxed);
-
-  Inflight inflight;
-  auto resident = shard.map.find(index);
-  if (resident != shard.map.end()) {
-    ++resident->second->pins;
-    inflight.pinned_resident = true;
-    inflight.future = ReadyFuture(resident->second->bucket);
-  } else if (!store_->SupportsConcurrentReads()) {
-    // No safe side-channel read: resolve to Unimplemented so the eventual
-    // Get degrades to a plain miss — the same behavior whether or not a
-    // pool is attached, keeping runs thread-count independent.
-    inflight.future = ReadyFuture(
-        Status::Unimplemented("store does not support prefetch reads"));
-  } else if (pool_ != nullptr) {
-    inflight.future =
-        pool_->Submit([store = store_, index] {
-               return store->ReadBucketForPrefetch(index);
-             })
-            .share();
-  } else {
-    inflight.future = ReadyFuture(store_->ReadBucketForPrefetch(index));
-  }
-  BucketFuture future = inflight.future;
-  shard.inflight.emplace(index, std::move(inflight));
-  return future;
-}
-
-uint64_t BucketCache::CancelPrefetch(BucketIndex index) {
-  Shard& shard = ShardFor(index);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto pending = shard.inflight.find(index);
-  if (pending == shard.inflight.end()) return 0;
-  uint64_t wasted = 0;
-  if (pending->second.pinned_resident) {
-    auto it = shard.map.find(index);
-    assert(it != shard.map.end() && it->second->pins > 0);
-    --it->second->pins;
-    EvictOverCapacity(shard);  // the unpin may re-enable an eviction
-  } else if (pending->second.future.valid()) {
-    // Discard the fetched bucket unrecorded in the I/O ledger, but charge
-    // its bytes to the wasted-prefetch counter — the mispredict's cost.
-    pending->second.future.wait();
-    wasted = RecordWastedPrefetch(pending->second);
-  }
-  stats_.prefetch_cancels.fetch_add(1, std::memory_order_relaxed);
-  shard.inflight.erase(pending);
-  return wasted;
-}
-
 void BucketCache::Clear() {
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    for (auto& [index, inflight] : shard->inflight) {
-      if (inflight.future.valid()) {
-        inflight.future.wait();
-        if (!inflight.pinned_resident) RecordWastedPrefetch(inflight);
-      }
-      stats_.prefetch_cancels.fetch_add(1, std::memory_order_relaxed);
-    }
-    shard->inflight.clear();
     shard->lru.clear();
     shard->map.clear();
     shard->window.clear();

@@ -5,62 +5,52 @@
 // gravitates toward cached, contentious buckets.
 //
 // Sharding: the bucket id hashes (modulo) to one of N shards, each with its
-// own mutex, LRU list, and pin/prefetch state, so worker threads touching
-// different shards never contend on a single cache-wide lock. Capacity is
-// split as evenly as possible across shards; at num_shards == 1 every code
-// path, eviction decision, and counter is byte-identical to the pre-shard
-// cache. Hit/miss/eviction/prefetch statistics are aggregated atomically
-// across shards (std::atomic counters), so stats() reports identical
-// numbers at num_shards == 1 as the unsharded cache did.
+// own mutex and LRU list, so worker threads touching different shards never
+// contend on a single cache-wide lock. Capacity is split as evenly as
+// possible across shards; at num_shards == 1 every code path, eviction
+// decision, and counter is byte-identical to the pre-shard cache.
+// Hit/miss/eviction statistics are aggregated atomically across shards
+// (std::atomic counters), so stats() reports identical numbers at
+// num_shards == 1 as the unsharded cache did.
 //
-// Prefetch contract (cross-batch pipelining): PrefetchAsync(i) starts
-// pulling bucket i toward the cache ahead of need, overlapping the
-// physical read with the owner thread's join compute. A prefetched bucket
-// is *pinned* from issue to claim — it cannot be evicted before use:
-//  * already-resident buckets are pinned in place (eviction skips them,
-//    transiently exceeding capacity if every entry is pinned);
-//  * in-flight buckets live outside the LRU until the owner claims them
-//    via Get(), which inserts them most-recently-used and only then runs
-//    eviction.
-// Stats for a prefetched read are recorded at claim time on the owner
-// thread (never from the worker), so I/O accounting stays deterministic.
+// The cache holds only claimed buckets. Prefetch bets — reads started
+// ahead of need — belong to exec::BatchPipeline; a bet's bucket enters the
+// cache when the pipeline claims it, through Get (the modeled oracle reads
+// the page then) or Put (measured mode read it on a submission queue).
+// Either way a bucket that was not resident counts one miss.
 //
 // Prefetch-aware eviction (two LRU tiers per shard): the prefetch pipeline
 // publishes the scheduler's current prediction window via
 // SetPredictionWindow — the buckets it expects to serve (and therefore
 // fetch or reuse) next. Eviction demotes those buckets last: the victim is
-// the least-recently-used unpinned entry OUTSIDE the window, and only when
-// every unpinned entry is inside the window does eviction fall back to the
-// LRU protected entry (counted in evictions_protected). The entry the
-// triggering insert just touched (the front of the LRU) is never the
-// victim while anything else is evictable — protection demotes other
-// buckets, it must not bounce the foreground's own bucket straight back
-// out. This closes the self-defeating loop where inserting a prefetched
-// bucket evicts the very bucket the next prediction wants — generic LRU
-// knows nothing about the predictor. With an empty window (the default,
-// and whenever prefetching is off) eviction is byte-identical to plain
-// LRU.
+// the least-recently-used entry OUTSIDE the window, and only when every
+// entry is inside the window does eviction fall back to the LRU protected
+// entry (counted in evictions_protected). The entry the triggering insert
+// just touched (the front of the LRU) is never the victim while anything
+// else is evictable — protection demotes other buckets, it must not bounce
+// the foreground's own bucket straight back out. This closes the
+// self-defeating loop where inserting a claimed bet evicts the very bucket
+// the next prediction wants — generic LRU knows nothing about the
+// predictor. With an empty window (the default, and whenever prefetching
+// is off) eviction is byte-identical to plain LRU.
 //
 // Threading: every method is safe to call from any thread — per-bucket
 // operations serialize on the bucket's shard mutex only, and the store
 // contract (bucket_store.h) requires ReadBucket to tolerate the resulting
-// cross-shard concurrency. The virtual-clock drivers still funnel all
-// modeled accounting through one owner thread (see exec::BatchPipeline);
-// the shard locks exist for the physical layer: concurrent prefetch
-// issue/claim/cancel across shards and the stress paths exercised in
-// tests/test_storage.cc. Known limitation: a Get miss (store read) and a
-// CancelPrefetch of an in-flight read block while HOLDING the shard lock,
-// stalling that shard for the duration — fine for MemStore's pointer
-// handouts, but a store with real read latency serializes its shard; a
-// placeholder-entry protocol that drops the lock across the read is the
-// upgrade path if that ever bites.
+// cross-shard concurrency. The drivers still funnel all accounting through
+// one owner thread (see exec::BatchPipeline); the stress test in
+// tests/test_storage.cc races Get/Put/Contains/SetPredictionWindow across
+// shards. Known limitation: a Get miss (store read) blocks while HOLDING
+// the shard lock, stalling that shard for the duration — fine for
+// MemStore's pointer handouts, but a store with real read latency
+// serializes its shard; a placeholder-entry protocol that drops the lock
+// across the read is the upgrade path if that ever bites.
 
 #ifndef LIFERAFT_STORAGE_BUCKET_CACHE_H_
 #define LIFERAFT_STORAGE_BUCKET_CACHE_H_
 
 #include <atomic>
 #include <cstdint>
-#include <future>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -73,31 +63,17 @@
 #include "storage/bucket_store.h"
 #include "storage/topology.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace liferaft::storage {
 
-/// Cache hit/miss counters. A claimed prefetch counts as a miss (the
-/// bucket did come from the store) plus a prefetch_claims tick, so the hit
-/// rate keeps its meaning and the claims count says how many misses the
-/// pipeline (partially) hid.
+/// Cache hit/miss counters. A miss is a bucket that came from the store:
+/// a Get that read it, or a Put of a bucket that was not resident.
 struct CacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t evictions = 0;
-  /// PrefetchAsync calls that started a fetch or pinned a resident bucket.
-  uint64_t prefetch_issued = 0;
-  /// Prefetches consumed by a later Get of the same bucket.
-  uint64_t prefetch_claims = 0;
-  /// Prefetches dropped unused (CancelPrefetch, Clear, or an unsupported
-  /// store).
-  uint64_t prefetch_cancels = 0;
-  /// Bytes physically fetched by prefetches that were then dropped without
-  /// a claim — the direct cost of mispredicted bets. The adaptive prefetch
-  /// controller's stale-claim signal and the bench report both read this.
-  uint64_t prefetch_wasted_bytes = 0;
   /// Evictions that had to take a bucket inside the current prediction
-  /// window because every unpinned entry was protected (cache pressure
+  /// window because every other entry was protected (cache pressure
   /// exceeding what prefetch-aware demotion can absorb).
   uint64_t evictions_protected = 0;
 
@@ -111,9 +87,6 @@ struct CacheStats {
 /// BucketStore.
 class BucketCache {
  public:
-  /// The eventual outcome of a prefetch: the bucket, or the store's error.
-  using BucketFuture = std::shared_future<Result<std::shared_ptr<const Bucket>>>;
-
   /// @param store      backing store (not owned; must outlive the cache)
   /// @param capacity   maximum number of resident buckets (paper: 20)
   /// @param num_shards lock/LRU shards; clamped to [1, capacity] so every
@@ -146,46 +119,23 @@ class BucketCache {
               const StorageTopology* topology = nullptr,
               uint64_t capacity_bytes = 0);
 
-  /// Drains any in-flight prefetches before destruction.
-  ~BucketCache();
-
   /// True if the bucket is resident (phi(i) == 0). Does not affect LRU
   /// order — the metric may interrogate residency without touching
-  /// recency. In-flight prefetches are NOT resident until claimed.
+  /// recency.
   bool Contains(BucketIndex index) const;
 
   /// Returns the bucket, reading it from the store on a miss; promotes to
-  /// most-recently-used either way. Claims (and unpins) an outstanding
-  /// prefetch of the same bucket, recording its deferred I/O stats.
+  /// most-recently-used either way.
   Result<std::shared_ptr<const Bucket>> Get(BucketIndex index);
-
-  /// Starts fetching `index` ahead of need and pins it until the next
-  /// Get(index) or CancelPrefetch(index). Returns a future that yields the
-  /// bucket (callers typically ignore it and claim through Get). The read
-  /// runs on the attached thread pool when one is set, synchronously on
-  /// the caller otherwise — accounting is identical either way. For a
-  /// store without SupportsConcurrentReads() the prefetch resolves to
-  /// Unimplemented and the eventual Get degrades to a plain miss, again
-  /// identically at every thread count. Idempotent while a prefetch of the
-  /// same bucket is outstanding.
-  BucketFuture PrefetchAsync(BucketIndex index);
 
   /// Inserts an externally-read bucket as most-recently-used (or promotes
   /// it if already resident). The real-I/O path reads pages through
-  /// per-volume submission queues (storage/async_io.h) instead of the
-  /// cache's own prefetch machinery and hands completed buckets over here;
-  /// eviction applies immediately, no hit/miss/prefetch counter moves, and
-  /// the just-inserted entry is never its own eviction victim.
+  /// per-volume submission queues (storage/async_io.h) and hands completed
+  /// buckets over here. A bucket that was not resident counts one miss
+  /// (it came from the store; the caller bills the read); eviction applies
+  /// immediately, and the just-inserted entry is never its own eviction
+  /// victim.
   void Put(BucketIndex index, std::shared_ptr<const Bucket> bucket);
-
-  /// Drops an unclaimed prefetch: unpins a resident bucket, or waits out
-  /// and discards an in-flight read (no read stats are recorded for it).
-  /// Returns the physical bytes the dropped bet had fetched (0 for a
-  /// pinned-resident or failed prefetch) — the same quantity charged to
-  /// the prefetch_wasted_bytes stat, returned so the caller can attribute
-  /// the waste (the adaptive controller's per-arm cost term).
-  /// No-op returning 0 if no prefetch of `index` is outstanding.
-  uint64_t CancelPrefetch(BucketIndex index);
 
   /// Publishes the prefetch predictor's current window: buckets predicted
   /// to be served next, demoted last by eviction (see file comment).
@@ -193,21 +143,8 @@ class BucketCache {
   /// Typically called once per pipeline step with PeekNextBuckets' output.
   void SetPredictionWindow(std::span<const BucketIndex> window);
 
-  /// True if a prefetch of `index` is outstanding (issued, not yet claimed
-  /// or canceled).
-  bool IsPrefetchPending(BucketIndex index) const;
-
-  /// True if `index` is resident and pinned by an unclaimed prefetch.
-  bool IsPinned(BucketIndex index) const;
-
-  /// Drops everything, including unclaimed prefetches (used between
-  /// experiment phases).
+  /// Drops everything (used between experiment phases).
   void Clear();
-
-  /// Attaches the worker pool used for asynchronous prefetch reads (not
-  /// owned; may be null to force synchronous prefetching). The pool must
-  /// outlive the cache's last in-flight prefetch.
-  void set_thread_pool(util::ThreadPool* pool) { pool_ = pool; }
 
   /// The backing store (for metadata queries; reads should go through
   /// Get so residency stays coherent).
@@ -235,18 +172,9 @@ class BucketCache {
   struct Entry {
     BucketIndex index;
     std::shared_ptr<const Bucket> bucket;
-    /// Unclaimed prefetches holding this entry in place (0 = evictable).
-    uint32_t pins = 0;
     /// Bytes charged against the shard's byte slice (0 in count-only
     /// mode).
     uint64_t bytes = 0;
-  };
-
-  /// One issued, unclaimed prefetch.
-  struct Inflight {
-    BucketFuture future;
-    /// True if the bucket was already resident at issue (claim = unpin).
-    bool pinned_resident = false;
   };
 
   /// One lock domain: an independent LRU over its slice of the capacity.
@@ -260,7 +188,6 @@ class BucketCache {
     uint64_t bytes_used = 0;
     std::list<Entry> lru;  // front = most recently used
     std::unordered_map<BucketIndex, std::list<Entry>::iterator> map;
-    std::unordered_map<BucketIndex, Inflight> inflight;
     /// This shard's slice of the prediction window (protected tier).
     std::unordered_set<BucketIndex> window;
   };
@@ -271,10 +198,6 @@ class BucketCache {
     std::atomic<uint64_t> hits{0};
     std::atomic<uint64_t> misses{0};
     std::atomic<uint64_t> evictions{0};
-    std::atomic<uint64_t> prefetch_issued{0};
-    std::atomic<uint64_t> prefetch_claims{0};
-    std::atomic<uint64_t> prefetch_cancels{0};
-    std::atomic<uint64_t> prefetch_wasted_bytes{0};
     std::atomic<uint64_t> evictions_protected{0};
   };
 
@@ -294,13 +217,8 @@ class BucketCache {
 
   // Shard-local helpers; the shard's mutex must be held.
   static void Touch(Shard& shard, std::list<Entry>::iterator it);
-  /// Records the physical bytes of a dropped-without-claim prefetch and
-  /// returns them. Call with the resolved future of a non-resident
-  /// inflight entry.
-  uint64_t RecordWastedPrefetch(const Inflight& inflight);
   /// Inserts `bucket` most-recently-used and evicts down to the shard's
-  /// capacity, skipping pinned entries (so residency may transiently
-  /// exceed capacity while pins are held).
+  /// capacity.
   void InsertMru(Shard& shard, BucketIndex index,
                  std::shared_ptr<const Bucket> bucket);
   void EvictOverCapacity(Shard& shard);
@@ -316,7 +234,6 @@ class BucketCache {
   size_t capacity_;
   uint64_t capacity_bytes_ = 0;
   const StorageTopology* topology_ = nullptr;
-  util::ThreadPool* pool_ = nullptr;
   std::vector<std::unique_ptr<Shard>> shards_;
   AtomicStats stats_;
 };

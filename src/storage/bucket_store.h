@@ -39,12 +39,13 @@ struct StoreStats {
 /// call concurrently with itself and with ReadBucketForPrefetch (MemStore
 /// serves immutable in-memory pages; FileStore reads pages with
 /// positional pread(2) calls that share no mutable state).
-/// ReadBucketForPrefetch exists for the prefetch
-/// pipeline: a cache worker calls it concurrently with other reads, and
-/// it never touches the stats counters — the owner records the I/O at
-/// claim time via RecordPrefetchedRead, keeping accounting deterministic.
-/// The counters themselves are atomic, so stats recording is never the
-/// race.
+/// ReadBucketForPrefetch exists for reads off the owner thread — the
+/// measured-mode submission queues' I/O workers and the NoShare fan-out's
+/// join workers call it concurrently with other reads, and it never
+/// touches the stats counters: the owner records the I/O when it consumes
+/// the bucket, via RecordPrefetchedRead(s), keeping accounting
+/// deterministic. The counters themselves are atomic, so stats recording
+/// is never the race.
 class BucketStore {
  public:
   virtual ~BucketStore() = default;
@@ -88,9 +89,10 @@ class BucketStore {
       BucketIndex index) = 0;
 
   /// True if ReadBucketForPrefetch is implemented and safe to call
-  /// concurrently with owner-thread reads. When false, cache prefetching
-  /// and worker-side NoShare reads degrade gracefully (and identically at
-  /// every thread count) to owner-thread ReadBucket traffic.
+  /// concurrently with owner-thread reads. When false, worker-side NoShare
+  /// reads degrade gracefully (and identically at every thread count) to
+  /// owner-thread ReadBucket traffic, and measured I/O mode, which reads
+  /// on per-volume submission queues, is refused.
   virtual bool SupportsConcurrentReads() const { return false; }
 
   /// Reads bucket `index` WITHOUT recording I/O stats. Must be safe to

@@ -174,14 +174,6 @@ class FileStore : public BucketStore {
   std::shared_ptr<const BucketMap> map_;
 };
 
-/// Convenience: serialize a partitioned catalog to `path` in the given
-/// format (the write-side twin of FileStore::Open's auto-detection).
-inline Status WriteCatalog(const std::string& path,
-                           const std::vector<Bucket>& buckets,
-                           BucketFormat format = BucketFormat::kRowV1) {
-  return FileStore::Create(path, buckets, format);
-}
-
 }  // namespace liferaft::storage
 
 #endif  // LIFERAFT_STORAGE_FILE_STORE_H_

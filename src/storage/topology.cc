@@ -76,4 +76,22 @@ Result<StorageTopology> StorageTopology::Create(
                          config.spill_arm);
 }
 
+VolumeIoStats SumOverArms(const std::vector<VolumeIoStats>& arms) {
+  VolumeIoStats total;
+  for (const VolumeIoStats& arm : arms) {
+    total.foreground_reads += arm.foreground_reads;
+    total.foreground_bytes += arm.foreground_bytes;
+    total.prefetch_issued += arm.prefetch_issued;
+    total.prefetch_claims += arm.prefetch_claims;
+    total.prefetch_drops += arm.prefetch_drops;
+    total.prefetch_wasted_bytes += arm.prefetch_wasted_bytes;
+    total.busy_ms += arm.busy_ms;
+    total.hidden_ms += arm.hidden_ms;
+    total.consumed_until_ms =
+        std::max(total.consumed_until_ms, arm.consumed_until_ms);
+    total.busy_until_ms = std::max(total.busy_until_ms, arm.busy_until_ms);
+  }
+  return total;
+}
+
 }  // namespace liferaft::storage

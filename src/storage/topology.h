@@ -82,9 +82,16 @@ struct VolumeIoStats {
   uint64_t foreground_reads = 0;
   /// Modeled bytes of those foreground reads.
   uint64_t foreground_bytes = 0;
-  /// Prefetch fetches issued on this arm / later claimed by a batch.
+  /// The arm's bet ledger: prefetch fetches issued on this arm, later
+  /// claimed by a batch, or dropped unclaimed (a misprediction, or still
+  /// pending at end of run). Once a run ends, issued == claims + drops.
   uint64_t prefetch_issued = 0;
   uint64_t prefetch_claims = 0;
+  uint64_t prefetch_drops = 0;
+  /// Bytes of the dropped bets — the direct cost of mispredictions:
+  /// modeled bytes in the modeled oracle, bytes actually read in measured
+  /// mode (0 for a bet dropped before its read completed).
+  uint64_t prefetch_wasted_bytes = 0;
   /// Modeled disk-busy time of this arm: foreground I/O (incl. spill
   /// restores) plus issued prefetch fetches.
   TimeMs busy_ms = 0.0;
@@ -98,6 +105,10 @@ struct VolumeIoStats {
   /// far ahead of consumption the arm was driven.
   TimeMs busy_until_ms = 0.0;
 };
+
+/// One run-wide ledger from per-arm telemetry: counts, bytes, and busy and
+/// hidden time are summed; the two clocks take the max over arms.
+VolumeIoStats SumOverArms(const std::vector<VolumeIoStats>& arms);
 
 /// Immutable bucket -> volume map with per-volume disk models.
 class StorageTopology {

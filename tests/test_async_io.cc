@@ -565,6 +565,15 @@ TEST_F(RealIoModeTest, AdaptiveRealModeCompletesWithFaultFreeQueues) {
   auto metrics = Drain(config, &matches);
   ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
   EXPECT_EQ(metrics->queries_completed, trace_.size());
+  // Every page the drain read entered the cache as a miss — a claimed bet
+  // or a foreground read — and every bet was claimed or dropped.
+  const storage::VolumeIoStats arms = storage::SumOverArms(metrics->volumes);
+  EXPECT_GT(arms.prefetch_issued, 0u);
+  EXPECT_EQ(metrics->cache.misses,
+            arms.foreground_reads + arms.prefetch_claims);
+  for (const storage::VolumeIoStats& v : metrics->volumes) {
+    EXPECT_EQ(v.prefetch_issued, v.prefetch_claims + v.prefetch_drops);
+  }
 
   std::map<query::QueryId, uint64_t> modeled_matches;
   EngineConfig modeled = config;

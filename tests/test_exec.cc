@@ -322,7 +322,7 @@ TEST_F(PipelineDrainFixture, ResultsInvariantAcrossShardsAndDepth) {
       EXPECT_EQ(matches, base_matches)
           << "per-query match counts must not depend on sharding/prefetch";
       EXPECT_GT(metrics.prefetch_hidden_ms, 0.0);
-      EXPECT_GT(metrics.cache.prefetch_claims, 0u);
+      EXPECT_GT(storage::SumOverArms(metrics.volumes).prefetch_claims, 0u);
       EXPECT_LT(metrics.makespan_ms, base.makespan_ms)
           << "hidden fetch latency must shrink a saturated drain";
     }
@@ -423,8 +423,8 @@ TEST_F(PipelineDrainFixture, AdaptiveResultsInvariantAndLedgerReconciles) {
       << "per-query match counts must not depend on adaptive prefetch";
   EXPECT_GT(metrics.prefetch_hidden_ms, 0.0);
   EXPECT_LT(metrics.makespan_ms, base.makespan_ms);
-  EXPECT_EQ(metrics.cache.prefetch_issued,
-            metrics.cache.prefetch_claims + metrics.cache.prefetch_cancels);
+  const storage::VolumeIoStats bets = storage::SumOverArms(metrics.volumes);
+  EXPECT_EQ(bets.prefetch_issued, bets.prefetch_claims + bets.prefetch_drops);
   ASSERT_EQ(metrics.arm_final_depths.size(), 1u);
   EXPECT_LE(metrics.arm_final_depths[0], config.max_prefetch_depth);
 }
@@ -443,7 +443,8 @@ TEST_F(PipelineDrainFixture, AdaptiveDrainIsDeterministic) {
   EXPECT_EQ(a.arm_final_depths, b.arm_final_depths);
   EXPECT_EQ(a.prefetch_stale_ewma, b.prefetch_stale_ewma);
   EXPECT_EQ(a.cache.evictions, b.cache.evictions);
-  EXPECT_EQ(a.cache.prefetch_wasted_bytes, b.cache.prefetch_wasted_bytes);
+  EXPECT_EQ(storage::SumOverArms(a.volumes).prefetch_wasted_bytes,
+            storage::SumOverArms(b.volumes).prefetch_wasted_bytes);
 }
 
 // With the LifeRaft predictor healthy on a saturated drain, the adaptive
@@ -517,9 +518,72 @@ TEST_F(PipelineDrainFixture, AdaptiveNeverUnderperformsDepthOneOnMispredicts) {
   EXPECT_LE(ad.makespan_ms, d1_hold.makespan_ms);
   // The bad predictor's cost is visible to the report: dropped bets whose
   // bytes were fetched for nothing, and a saturated stale EWMA.
-  EXPECT_GT(ad.cache.prefetch_wasted_bytes, 0u);
-  EXPECT_EQ(ad.cache.prefetch_issued,
-            ad.cache.prefetch_claims + ad.cache.prefetch_cancels);
+  const storage::VolumeIoStats bets = storage::SumOverArms(ad.volumes);
+  EXPECT_GT(bets.prefetch_wasted_bytes, 0u);
+  EXPECT_EQ(bets.prefetch_issued, bets.prefetch_claims + bets.prefetch_drops);
+}
+
+// A dropped bet is charged to its own arm as waste. Under the
+// mispredicting predictor the adaptive pipeline drops bets on every arm,
+// and each arm's ledger reconciles: every issued bet was claimed or
+// dropped.
+TEST_F(PipelineDrainFixture, DroppedBetsAreChargedAsWastePerArm) {
+  sim::EngineConfig adaptive;
+  adaptive.adaptive_prefetch = true;
+  adaptive.prefetch_depth = 1;
+  adaptive.max_prefetch_depth = 4;
+  adaptive.topology.num_volumes = 2;
+  sim::RunMetrics m = DrainWith(
+      std::make_unique<MispredictingScheduler>(LifeRaftSched()), adaptive,
+      nullptr);
+  ASSERT_EQ(m.volumes.size(), 2u);
+  for (size_t v = 0; v < m.volumes.size(); ++v) {
+    SCOPED_TRACE("arm " + std::to_string(v));
+    const storage::VolumeIoStats& arm = m.volumes[v];
+    EXPECT_GT(arm.prefetch_drops, 0u);
+    EXPECT_GT(arm.prefetch_wasted_bytes, 0u);
+    EXPECT_EQ(arm.prefetch_issued, arm.prefetch_claims + arm.prefetch_drops);
+  }
+}
+
+// A modeled bet is arm-clock bookkeeping: its page is read, and the store
+// billed for it, only by the step that claims it. Every other step's
+// store reads are its own foreground scan misses.
+TEST_F(PipelineDrainFixture, BetIsBilledOnlyWhenClaimed) {
+  core::LifeRaftOptions options;
+  options.objects_per_bucket = 1000;
+  options.enable_prefetch = true;
+  options.prefetch_depth = 2;
+  auto raft = core::LifeRaft::Create(catalog_objects_, options);
+  ASSERT_TRUE(raft.ok());
+  for (const auto& q : trace_) ASSERT_TRUE((*raft)->Submit(q).ok());
+  const storage::BucketStore& store = *(*raft)->catalog().store();
+
+  // Cold cache: the first step places bets and claims none.
+  auto first = (*raft)->ProcessNextBatch(/*collect_matches=*/false);
+  ASSERT_TRUE(first.ok() && first->has_value());
+  storage::VolumeIoStats arm = (*raft)->volume_stats()[0];
+  ASSERT_GT(arm.prefetch_issued, 0u);
+  EXPECT_EQ(arm.prefetch_claims, 0u);
+  EXPECT_EQ(store.stats().bucket_reads, arm.foreground_reads)
+      << "placed bets must not be billed";
+
+  for (bool claimed = false; !claimed;) {
+    const uint64_t reads = store.stats().bucket_reads;
+    const storage::VolumeIoStats before = (*raft)->volume_stats()[0];
+    auto step = (*raft)->ProcessNextBatch(/*collect_matches=*/false);
+    ASSERT_TRUE(step.ok() && step->has_value()) << "no step claimed a bet";
+    arm = (*raft)->volume_stats()[0];
+    claimed = arm.prefetch_claims > before.prefetch_claims;
+    if (claimed) {
+      EXPECT_EQ(arm.prefetch_claims, before.prefetch_claims + 1);
+      EXPECT_EQ(store.stats().bucket_reads, reads + 1)
+          << "the claim reads its bet's page exactly once";
+    } else {
+      EXPECT_EQ(store.stats().bucket_reads - reads,
+                arm.foreground_reads - before.foreground_reads);
+    }
+  }
 }
 
 // The core facade routes ProcessNextBatch through the same pipeline, so
@@ -566,13 +630,13 @@ TEST_F(PipelineDrainFixture, CoreFacadePrefetchHidesFetchLatency) {
   EXPECT_EQ(plain_matches, pipelined_matches);
 
   EXPECT_GT((*pipelined)->prefetch_hidden_ms(), 0.0);
-  EXPECT_GT((*pipelined)->cache_stats().prefetch_claims, 0u);
+  const storage::VolumeIoStats bets =
+      storage::SumOverArms((*pipelined)->volume_stats());
+  EXPECT_GT(bets.prefetch_claims, 0u);
   EXPECT_LT((*pipelined)->now_ms(), (*plain)->now_ms())
       << "hidden fetch latency must shrink the virtual drain";
   // The drain canceled any leftover bets: the ledger reconciles.
-  storage::CacheStats stats = (*pipelined)->cache_stats();
-  EXPECT_EQ(stats.prefetch_issued,
-            stats.prefetch_claims + stats.prefetch_cancels);
+  EXPECT_EQ(bets.prefetch_issued, bets.prefetch_claims + bets.prefetch_drops);
 }
 
 // Both drivers assemble the same execution stack, so a core-facade drain

@@ -352,8 +352,10 @@ TEST_F(ServeFixture, QosPrefetchCapsThatNeverBindAreByteIdentical) {
   RunMetrics slack = serve_with(99, 99);  // touched every step, never binds
   EXPECT_EQ(slack.makespan_ms, base.makespan_ms);
   EXPECT_EQ(slack.prefetch_hidden_ms, base.prefetch_hidden_ms);
-  EXPECT_EQ(slack.cache.prefetch_issued, base.cache.prefetch_issued);
-  EXPECT_EQ(slack.cache.prefetch_claims, base.cache.prefetch_claims);
+  EXPECT_EQ(storage::SumOverArms(slack.volumes).prefetch_issued,
+            storage::SumOverArms(base.volumes).prefetch_issued);
+  EXPECT_EQ(storage::SumOverArms(slack.volumes).prefetch_claims,
+            storage::SumOverArms(base.volumes).prefetch_claims);
   EXPECT_EQ(slack.total_matches, base.total_matches);
   EXPECT_EQ(slack.store.bucket_reads, base.store.bucket_reads);
 }
@@ -383,8 +385,10 @@ TEST_F(ServeFixture, InteractiveCapReproducesShallowerDepthExactly) {
   RunMetrics shallow = serve_with(/*depth=*/1, /*interactive_cap=*/0);
   EXPECT_EQ(capped.makespan_ms, shallow.makespan_ms);
   EXPECT_EQ(capped.prefetch_hidden_ms, shallow.prefetch_hidden_ms);
-  EXPECT_EQ(capped.cache.prefetch_issued, shallow.cache.prefetch_issued);
-  EXPECT_EQ(capped.cache.prefetch_claims, shallow.cache.prefetch_claims);
+  EXPECT_EQ(storage::SumOverArms(capped.volumes).prefetch_issued,
+            storage::SumOverArms(shallow.volumes).prefetch_issued);
+  EXPECT_EQ(storage::SumOverArms(capped.volumes).prefetch_claims,
+            storage::SumOverArms(shallow.volumes).prefetch_claims);
   EXPECT_EQ(capped.store.bucket_reads, shallow.store.bucket_reads);
   EXPECT_EQ(capped.total_matches, shallow.total_matches);
 }
@@ -412,7 +416,8 @@ TEST_F(ServeFixture, BatchCapInactiveWhileInteractivePending) {
   RunMetrics base = serve_with(0);
   RunMetrics capped = serve_with(1);
   EXPECT_EQ(capped.makespan_ms, base.makespan_ms);
-  EXPECT_EQ(capped.cache.prefetch_issued, base.cache.prefetch_issued);
+  EXPECT_EQ(storage::SumOverArms(capped.volumes).prefetch_issued,
+            storage::SumOverArms(base.volumes).prefetch_issued);
   EXPECT_EQ(capped.total_matches, base.total_matches);
 }
 
@@ -439,7 +444,8 @@ TEST_F(ServeFixture, QosCapComposesWithAdaptiveDepth) {
   RunMetrics a = serve_once();
   RunMetrics b = serve_once();
   EXPECT_EQ(a.makespan_ms, b.makespan_ms);
-  EXPECT_EQ(a.cache.prefetch_issued, b.cache.prefetch_issued);
+  EXPECT_EQ(storage::SumOverArms(a.volumes).prefetch_issued,
+            storage::SumOverArms(b.volumes).prefetch_issued);
   ASSERT_EQ(a.arm_final_depths.size(), 2u);
   for (size_t d : a.arm_final_depths) EXPECT_LE(d, 1u);
 }

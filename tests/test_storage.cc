@@ -802,88 +802,20 @@ TEST_F(CacheTestFixture, ClearEmptiesCache) {
   EXPECT_FALSE(cache.Contains(0));
 }
 
-// ------------------------------------------------------- Cache prefetch --
-
-TEST_F(CacheTestFixture, PrefetchAsyncClaimsThroughGet) {
-  BucketCache cache(store_.get(), 3);
-  BucketCache::BucketFuture future = cache.PrefetchAsync(2);
-  EXPECT_TRUE(cache.IsPrefetchPending(2));
-  // In flight, not resident: phi still charges T_b until the claim.
-  EXPECT_FALSE(cache.Contains(2));
-  // I/O accounting is deferred to the claim on the owner thread.
-  EXPECT_EQ(store_->stats().bucket_reads, 0u);
-
-  auto claimed = cache.Get(2);
-  ASSERT_TRUE(claimed.ok());
-  EXPECT_EQ((*claimed)->index(), 2u);
-  EXPECT_TRUE(cache.Contains(2));
-  EXPECT_FALSE(cache.IsPrefetchPending(2));
-  EXPECT_EQ(cache.stats().prefetch_issued, 1u);
-  EXPECT_EQ(cache.stats().prefetch_claims, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);  // the bucket did come from the store
-  EXPECT_EQ(store_->stats().bucket_reads, 1u);
-
-  auto fetched = future.get();
-  ASSERT_TRUE(fetched.ok());
-  EXPECT_EQ((*fetched)->index(), 2u);
-}
-
-TEST_F(CacheTestFixture, PrefetchPinsResidentBucketAgainstEviction) {
+// A Put hands over a bucket read elsewhere (measured mode's submission
+// queues): a bucket that was not resident came from the store and counts
+// one miss; the caller, not the cache, bills the read.
+TEST_F(CacheTestFixture, PutCountsAMissOnlyForANewBucket) {
   BucketCache cache(store_.get(), 2);
-  ASSERT_TRUE(cache.Get(0).ok());
-  ASSERT_TRUE(cache.Get(1).ok());  // LRU order: 0 is the eviction victim
-  cache.PrefetchAsync(0);          // pins the resident LRU entry
-  EXPECT_TRUE(cache.IsPinned(0));
-  ASSERT_TRUE(cache.Get(2).ok());  // must evict 1, skipping the pinned 0
-  EXPECT_TRUE(cache.Contains(0));
-  EXPECT_FALSE(cache.Contains(1));
-  ASSERT_TRUE(cache.Get(0).ok());  // claim = hit + unpin + promote
-  EXPECT_FALSE(cache.IsPinned(0));
-  EXPECT_EQ(cache.stats().prefetch_claims, 1u);
-}
-
-TEST_F(CacheTestFixture, CancelPrefetchDropsUnusedFetch) {
-  BucketCache cache(store_.get(), 2);
-  cache.PrefetchAsync(4);
-  cache.CancelPrefetch(4);
-  EXPECT_FALSE(cache.Contains(4));
-  EXPECT_FALSE(cache.IsPrefetchPending(4));
-  EXPECT_EQ(cache.stats().prefetch_cancels, 1u);
-  EXPECT_EQ(store_->stats().bucket_reads, 0u);  // never claimed → never billed
-
-  // Canceling a resident pin re-enables eviction of the true LRU.
-  ASSERT_TRUE(cache.Get(0).ok());
+  auto bucket = store_->ReadBucketForPrefetch(1);
+  ASSERT_TRUE(bucket.ok());
+  cache.Put(1, *bucket);
+  cache.Put(1, *bucket);  // already resident: promotes, counts nothing
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 0u);
   ASSERT_TRUE(cache.Get(1).ok());
-  cache.PrefetchAsync(0);
-  cache.CancelPrefetch(0);
-  EXPECT_FALSE(cache.IsPinned(0));
-  ASSERT_TRUE(cache.Get(2).ok());
-  EXPECT_FALSE(cache.Contains(0));
-}
-
-TEST_F(CacheTestFixture, CancelAfterFetchCountsWastedBytes) {
-  BucketCache cache(store_.get(), 2);
-  cache.PrefetchAsync(4);  // synchronous (no pool): fetched immediately
-  cache.CancelPrefetch(4);
-  // The physical read happened and was dropped unclaimed: its bytes are
-  // the mispredict's direct cost, visible to the adaptive controller.
-  const uint64_t bucket_bytes =
-      static_cast<uint64_t>(store_->BucketObjectCount(4)) *
-      Bucket::kBytesPerObject;
-  EXPECT_EQ(cache.stats().prefetch_wasted_bytes, bucket_bytes);
-  // The I/O ledger still never saw the read (deferred-to-claim contract).
+  EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(store_->stats().bucket_reads, 0u);
-
-  // A canceled pin of a resident bucket fetched nothing — no waste.
-  ASSERT_TRUE(cache.Get(0).ok());
-  cache.PrefetchAsync(0);
-  cache.CancelPrefetch(0);
-  EXPECT_EQ(cache.stats().prefetch_wasted_bytes, bucket_bytes);
-
-  // Clear() drops in-flight prefetches the same way.
-  cache.PrefetchAsync(5);
-  cache.Clear();
-  EXPECT_GT(cache.stats().prefetch_wasted_bytes, bucket_bytes);
 }
 
 // ------------------------------------------- Prefetch-aware eviction tier --
@@ -940,20 +872,6 @@ TEST_F(CacheTestFixture, WindowProtectsPerShard) {
   EXPECT_TRUE(cache.Contains(1));
   EXPECT_FALSE(cache.Contains(2));
   EXPECT_FALSE(cache.Contains(3));
-}
-
-TEST_F(CacheTestFixture, PrefetchOnWorkerDefersStatsToClaim) {
-  util::ThreadPool pool(2);
-  BucketCache cache(store_.get(), 2);
-  cache.set_thread_pool(&pool);
-  BucketCache::BucketFuture future = cache.PrefetchAsync(1);
-  auto fetched = future.get();  // wait for the worker's read
-  ASSERT_TRUE(fetched.ok());
-  EXPECT_EQ(store_->stats().bucket_reads, 0u);  // still unrecorded
-  auto claimed = cache.Get(1);
-  ASSERT_TRUE(claimed.ok());
-  EXPECT_EQ(store_->stats().bucket_reads, 1u);  // billed at claim
-  EXPECT_EQ(*claimed, *fetched);  // the very same shared bucket
 }
 
 // -------------------------------------------------------- Sharded cache --
@@ -1016,56 +934,50 @@ TEST_F(CacheTestFixture, ShardedMatchesUnshardedCountersOnSameTrace) {
   EXPECT_EQ(f.evictions, s.evictions);
 }
 
-TEST_F(CacheTestFixture, PrefetchPinAndCancelWorkPerShard) {
-  BucketCache cache(store_.get(), 4, 2);
-  cache.PrefetchAsync(3);  // in-flight on shard 1
-  ASSERT_TRUE(cache.Get(0).ok());
-  cache.PrefetchAsync(0);  // resident pin on shard 0
-  EXPECT_TRUE(cache.IsPrefetchPending(3));
-  EXPECT_TRUE(cache.IsPinned(0));
-  cache.CancelPrefetch(3);
-  cache.CancelPrefetch(0);
-  EXPECT_FALSE(cache.IsPrefetchPending(3));
-  EXPECT_FALSE(cache.IsPinned(0));
-  EXPECT_EQ(cache.stats().prefetch_cancels, 2u);
-}
-
 // The races the shard mutexes must survive: many threads hammering
-// PrefetchAsync/Get/CancelPrefetch for overlapping buckets across every
-// shard, with the prefetch reads themselves running on a worker pool.
-// Run under `tools/ci.sh --tsan` this is the thread-sanitizer smoke for
-// the cache; the invariant checks below catch logic races (double claim,
-// lost pin) even without instrumentation.
+// Get/Put/Contains/SetPredictionWindow for overlapping buckets across
+// every shard, so inserts, promotions, evictions and window swaps
+// interleave. Run under `tools/ci.sh --tsan` this is the thread-sanitizer
+// smoke for the cache; the invariant checks below catch logic races (a
+// lost counter, a shard over capacity) even without instrumentation.
 TEST_F(CacheTestFixture, ConcurrentPrefetchGetCancelStress) {
   constexpr size_t kThreads = 4;
   constexpr size_t kOpsPerThread = 2000;
-  util::ThreadPool prefetch_pool(2);
   util::ThreadPool callers(kThreads);
   BucketCache cache(store_.get(), 6, 3);
-  cache.set_thread_pool(&prefetch_pool);
   const size_t num_buckets = store_->num_buckets();
 
+  std::atomic<uint64_t> gets{0};
+  std::atomic<uint64_t> puts{0};
   std::atomic<uint64_t> got_objects{0};
   std::vector<std::future<void>> futures;
   for (size_t t = 0; t < kThreads; ++t) {
-    futures.push_back(callers.Submit([&cache, &got_objects, num_buckets, t] {
+    futures.push_back(callers.Submit([&, t] {
       Rng rng(1000 + t);
       for (size_t i = 0; i < kOpsPerThread; ++i) {
         const auto b =
             static_cast<BucketIndex>(rng.UniformU64(num_buckets));
         switch (rng.UniformU64(4)) {
-          case 0:
-            cache.PrefetchAsync(b);
+          case 0: {
+            auto bucket = store_->ReadBucketForPrefetch(b);
+            ASSERT_TRUE(bucket.ok()) << bucket.status().ToString();
+            cache.Put(b, *bucket);
+            puts.fetch_add(1);
             break;
+          }
           case 1: {
             auto bucket = cache.Get(b);
             ASSERT_TRUE(bucket.ok()) << bucket.status().ToString();
+            gets.fetch_add(1);
             got_objects.fetch_add((*bucket)->size());
             break;
           }
-          case 2:
-            cache.CancelPrefetch(b);
+          case 2: {
+            const BucketIndex window[] = {
+                b, static_cast<BucketIndex>((b + 1) % num_buckets)};
+            cache.SetPredictionWindow(window);
             break;
+          }
           default:
             (void)cache.Contains(b);
             break;
@@ -1075,17 +987,12 @@ TEST_F(CacheTestFixture, ConcurrentPrefetchGetCancelStress) {
   }
   for (auto& f : futures) f.get();  // rethrows assertion failures
 
-  // Drain every prefetch that is still outstanding, then check the
-  // bookkeeping reconciles: issues = claims + cancels once nothing is in
-  // flight, and no bucket is left pinned.
-  for (BucketIndex b = 0; b < num_buckets; ++b) {
-    cache.CancelPrefetch(b);
-    EXPECT_FALSE(cache.IsPrefetchPending(b));
-    EXPECT_FALSE(cache.IsPinned(b));
-  }
+  // Every Get counted exactly one hit or miss and a Put at most one miss;
+  // every miss inserted a bucket that is resident or was evicted.
   CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.prefetch_issued,
-            stats.prefetch_claims + stats.prefetch_cancels);
+  EXPECT_GE(stats.hits + stats.misses, gets.load());
+  EXPECT_LE(stats.hits + stats.misses, gets.load() + puts.load());
+  EXPECT_EQ(stats.misses, cache.size() + stats.evictions);
   EXPECT_GT(got_objects.load(), 0u);
   EXPECT_LE(cache.size(), cache.capacity());
 }

@@ -336,15 +336,15 @@ TEST_F(ParallelSharedFixture, PrefetchPipelineReducesVirtualMakespan) {
 
   EXPECT_EQ(pipe_metrics->queries_completed, base_metrics->queries_completed);
   EXPECT_EQ(pipe_metrics->total_matches, base_metrics->total_matches);
-  EXPECT_GT(pipe_metrics->cache.prefetch_issued, 0u);
-  EXPECT_GT(pipe_metrics->cache.prefetch_claims, 0u);
+  EXPECT_GT(storage::SumOverArms(pipe_metrics->volumes).prefetch_issued, 0u);
+  EXPECT_GT(storage::SumOverArms(pipe_metrics->volumes).prefetch_claims, 0u);
   EXPECT_GT(pipe_metrics->prefetch_hidden_ms, 0.0);
   EXPECT_LT(pipe_metrics->makespan_ms, base_metrics->makespan_ms);
 }
 
-// The pipeline's virtual-clock accounting is independent of where the
-// physical read runs (synchronously or on a worker), so a prefetch run is
-// byte-identical across thread counts.
+// The pipeline's virtual-clock accounting is independent of how many
+// workers share the join, so a prefetch run is byte-identical across
+// thread counts.
 TEST_F(ParallelSharedFixture, PrefetchRunIdenticalAcrossThreadCounts) {
   sim::EngineConfig config;
   config.collect_matches = true;
@@ -362,10 +362,10 @@ TEST_F(ParallelSharedFixture, PrefetchRunIdenticalAcrossThreadCounts) {
   ASSERT_TRUE(async_metrics.ok()) << async_metrics.status().ToString();
 
   ExpectIdenticalRuns(*sync_metrics, *async_metrics, sync, async);
-  EXPECT_EQ(sync_metrics->cache.prefetch_issued,
-            async_metrics->cache.prefetch_issued);
-  EXPECT_EQ(sync_metrics->cache.prefetch_claims,
-            async_metrics->cache.prefetch_claims);
+  EXPECT_EQ(storage::SumOverArms(sync_metrics->volumes).prefetch_issued,
+            storage::SumOverArms(async_metrics->volumes).prefetch_issued);
+  EXPECT_EQ(storage::SumOverArms(sync_metrics->volumes).prefetch_claims,
+            storage::SumOverArms(async_metrics->volumes).prefetch_claims);
   EXPECT_EQ(sync_metrics->prefetch_hidden_ms,
             async_metrics->prefetch_hidden_ms);
 }

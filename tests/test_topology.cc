@@ -354,8 +354,10 @@ TEST_F(MultiVolumeDrainFixture, SingleVolumeReproducesDefaultByteForByte) {
     EXPECT_EQ(m.prefetch_hidden_ms, base.prefetch_hidden_ms);
     EXPECT_EQ(m.cache.hits, base.cache.hits);
     EXPECT_EQ(m.cache.misses, base.cache.misses);
-    EXPECT_EQ(m.cache.prefetch_issued, base.cache.prefetch_issued);
-    EXPECT_EQ(m.cache.prefetch_claims, base.cache.prefetch_claims);
+    EXPECT_EQ(storage::SumOverArms(m.volumes).prefetch_issued,
+              storage::SumOverArms(base.volumes).prefetch_issued);
+    EXPECT_EQ(storage::SumOverArms(m.volumes).prefetch_claims,
+              storage::SumOverArms(base.volumes).prefetch_claims);
     EXPECT_EQ(m.store.bucket_reads, base.store.bucket_reads);
     EXPECT_EQ(m.store.bytes_read, base.store.bytes_read);
     EXPECT_EQ(matches, base_matches);
@@ -418,8 +420,8 @@ TEST_F(MultiVolumeDrainFixture, PerVolumeTelemetryReconciles) {
     EXPECT_LE(v.consumed_until_ms, m.makespan_ms);
     EXPECT_GE(v.busy_until_ms, v.consumed_until_ms);
   }
-  EXPECT_EQ(issued, m.cache.prefetch_issued);
-  EXPECT_EQ(claims, m.cache.prefetch_claims);
+  EXPECT_EQ(issued, storage::SumOverArms(m.volumes).prefetch_issued);
+  EXPECT_EQ(claims, storage::SumOverArms(m.volumes).prefetch_claims);
   EXPECT_NEAR(hidden, m.prefetch_hidden_ms, 1e-9);
   // A saturated 4-arm drain keeps every arm busy.
   for (const storage::VolumeIoStats& v : m.volumes) {
@@ -455,8 +457,10 @@ TEST_F(MultiVolumeDrainFixture, AdaptiveMultiVolumeIsDeterministic) {
   RunMetrics b = Drain(config);
   EXPECT_EQ(a.makespan_ms, b.makespan_ms);
   EXPECT_EQ(a.prefetch_hidden_ms, b.prefetch_hidden_ms);
-  EXPECT_EQ(a.cache.prefetch_issued, b.cache.prefetch_issued);
-  EXPECT_EQ(a.cache.prefetch_cancels, b.cache.prefetch_cancels);
+  EXPECT_EQ(storage::SumOverArms(a.volumes).prefetch_issued,
+            storage::SumOverArms(b.volumes).prefetch_issued);
+  EXPECT_EQ(storage::SumOverArms(a.volumes).prefetch_drops,
+            storage::SumOverArms(b.volumes).prefetch_drops);
   ASSERT_EQ(a.volumes.size(), 2u);
   for (size_t v = 0; v < 2; ++v) {
     EXPECT_EQ(a.volumes[v].prefetch_issued, b.volumes[v].prefetch_issued);
@@ -493,7 +497,8 @@ TEST_F(MultiVolumeDrainFixture, SpillArmWithoutSpillIsByteIdentical) {
   EXPECT_EQ(m.prefetch_hidden_ms, base.prefetch_hidden_ms);
   EXPECT_EQ(m.cache.hits, base.cache.hits);
   EXPECT_EQ(m.cache.misses, base.cache.misses);
-  EXPECT_EQ(m.cache.prefetch_issued, base.cache.prefetch_issued);
+  EXPECT_EQ(storage::SumOverArms(m.volumes).prefetch_issued,
+            storage::SumOverArms(base.volumes).prefetch_issued);
   EXPECT_EQ(m.store.bucket_reads, base.store.bucket_reads);
   EXPECT_EQ(arm_matches, base_matches);
   ASSERT_EQ(base.volumes.size(), 2u);

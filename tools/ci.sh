@@ -11,16 +11,19 @@
 #                        # sharded-cache races + per-volume FileStore lanes +
 #                        # concurrent admission control + submission-queue
 #                        # workers/completions + columnar pages' position
-#                        # blocks filled by concurrent readers)
+#                        # blocks filled by concurrent readers; the cache
+#                        # stress test races Get/Put/Contains and window
+#                        # swaps across shard locks)
 #   tools/ci.sh --asan   # ASan+UBSan smoke: builds test_exec, test_storage,
 #                        # test_topology, test_columnar, test_async_io,
 #                        # test_core, test_sim, test_serve, test_thread_pool,
 #                        # test_join, test_properties, test_query, and
 #                        # test_spill with -fsanitize=address,undefined and
 #                        # runs them (arena lifetimes incl. I/O scratch,
-#                        # prefetch claim/cancel memory, eviction-tier
-#                        # bookkeeping, columnar page decode over corrupted
-#                        # input, every join kernel over Encode-built pages,
+#                        # the pipeline's bet claim/drop bookkeeping and
+#                        # cache eviction tiers, columnar page decode over
+#                        # corrupted input, every join kernel over
+#                        # Encode-built pages,
 #                        # async-reader fault injection/teardown, both
 #                        # drivers' execution-stack teardown order, and query
 #                        # objects moved through admission, spill and
