@@ -70,7 +70,14 @@ void BM_HtmCoverCircle(benchmark::State& state) {
         centers[i++ & 255], radius_arcsec / kArcsecPerDeg, 14, 8));
   }
 }
-BENCHMARK(BM_HtmCoverCircle)->Arg(3)->Arg(60)->Arg(3600);
+// 3, 10 and 300 arcsec are the match radii of bench_e2e's spill-drain,
+// cold-drain and hot-join.
+BENCHMARK(BM_HtmCoverCircle)
+    ->Arg(3)
+    ->Arg(10)
+    ->Arg(60)
+    ->Arg(300)
+    ->Arg(3600);
 
 std::vector<storage::CatalogObject> BenchObjects(size_t n) {
   workload::CatalogGenConfig gen;

@@ -20,16 +20,10 @@ HtmId PointToId(const Vec3& p, int level) {
   assert(root >= 0);
   Trixel t = Trixel::Root(root);
   for (int l = 0; l < level; ++l) {
-    bool found = false;
-    for (int c = 0; c < 3; ++c) {
-      Trixel child = t.Child(c);
-      if (child.Contains(u)) {
-        t = child;
-        found = true;
-        break;
-      }
-    }
-    if (!found) t = t.Child(3);  // the middle child covers the remainder
+    const std::array<Trixel, 4> children = t.Children();
+    int c = 0;
+    while (c < 3 && !children[static_cast<size_t>(c)].Contains(u)) ++c;
+    t = children[static_cast<size_t>(c)];  // the middle child covers the rest
   }
   return t.id();
 }

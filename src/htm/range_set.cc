@@ -5,12 +5,32 @@
 #include <sstream>
 
 namespace liferaft::htm {
+namespace {
+
+// True if `next` (with next.lo >= last.lo) overlaps or exactly abuts `last`.
+bool Mergeable(const IdRange& last, const IdRange& next) {
+  return next.lo <= last.hi ||
+         (last.hi != UINT64_MAX && next.lo == last.hi + 1);
+}
+
+}  // namespace
 
 RangeSet::RangeSet(std::vector<IdRange> ranges)
     : ranges_(std::move(ranges)), normalized_(false) {}
 
 void RangeSet::Add(IdRange r) {
   assert(r.lo <= r.hi);
+  // A range that starts at or after the last one's start cannot touch any
+  // earlier range, so merging it into the tail keeps a normalized set
+  // normalized, by the rule Normalize() applies.
+  if (normalized_ && (ranges_.empty() || r.lo >= ranges_.back().lo)) {
+    if (!ranges_.empty() && Mergeable(ranges_.back(), r)) {
+      ranges_.back().hi = std::max(ranges_.back().hi, r.hi);
+    } else {
+      ranges_.push_back(r);
+    }
+    return;
+  }
   ranges_.push_back(r);
   normalized_ = false;
 }
@@ -21,10 +41,7 @@ void RangeSet::Normalize() const {
             [](const IdRange& a, const IdRange& b) { return a.lo < b.lo; });
   std::vector<IdRange> merged;
   for (const auto& r : ranges_) {
-    // Merge overlapping or exactly adjacent ranges.
-    if (!merged.empty() &&
-        (r.lo <= merged.back().hi ||
-         (merged.back().hi != UINT64_MAX && r.lo == merged.back().hi + 1))) {
+    if (!merged.empty() && Mergeable(merged.back(), r)) {
       merged.back().hi = std::max(merged.back().hi, r.hi);
     } else {
       merged.push_back(r);

@@ -34,7 +34,10 @@ class RangeSet {
   RangeSet() = default;
   explicit RangeSet(std::vector<IdRange> ranges);
 
-  /// Adds a range; normalization is deferred until the next query.
+  /// Adds a range. A range that starts at or after the start of the set's
+  /// last range is merged in place, so adding in ascending order keeps the
+  /// set normalized and `size()` O(1); any other order defers
+  /// normalization to the next query.
   void Add(IdRange r);
   void Add(HtmId lo, HtmId hi) { Add(IdRange{lo, hi}); }
 

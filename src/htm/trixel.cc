@@ -16,11 +16,6 @@ const Vec3 kV3{-1.0, 0.0, 0.0};
 const Vec3 kV4{0.0, -1.0, 0.0};
 const Vec3 kV5{0.0, 0.0, -1.0};   // south pole
 
-// Tolerance for the half-space containment tests: points exactly on an
-// edge must land in exactly one descent path, but FP error on midpoint
-// normalization requires slack.
-constexpr double kEps = 1e-12;
-
 Vec3 Midpoint(const Vec3& a, const Vec3& b) {
   return (a + b).Normalized();
 }
@@ -56,25 +51,26 @@ Trixel Trixel::FromId(HtmId id) {
   return t;
 }
 
-Trixel Trixel::Child(int c) const {
-  assert(c >= 0 && c <= 3);
+std::array<Trixel, 4> Trixel::Children() const {
   const Vec3 w0 = Midpoint(v_[1], v_[2]);
   const Vec3 w1 = Midpoint(v_[0], v_[2]);
   const Vec3 w2 = Midpoint(v_[0], v_[1]);
-  HtmId cid = ChildOf(id_, c);
-  switch (c) {
-    case 0: return Trixel(cid, v_[0], w2, w1);
-    case 1: return Trixel(cid, v_[1], w0, w2);
-    case 2: return Trixel(cid, v_[2], w1, w0);
-    default: return Trixel(cid, w0, w1, w2);
-  }
+  return {Trixel(ChildOf(id_, 0), v_[0], w2, w1),
+          Trixel(ChildOf(id_, 1), v_[1], w0, w2),
+          Trixel(ChildOf(id_, 2), v_[2], w1, w0),
+          Trixel(ChildOf(id_, 3), w0, w1, w2)};
+}
+
+Trixel Trixel::Child(int c) const {
+  assert(c >= 0 && c <= 3);
+  return Children()[static_cast<size_t>(c)];
 }
 
 bool Trixel::Contains(const Vec3& p) const {
   // p is inside iff it is on the inner side of all three edge planes.
-  return v_[0].Cross(v_[1]).Dot(p) >= -kEps &&
-         v_[1].Cross(v_[2]).Dot(p) >= -kEps &&
-         v_[2].Cross(v_[0]).Dot(p) >= -kEps;
+  return v_[0].Cross(v_[1]).Dot(p) >= -kContainsSlack &&
+         v_[1].Cross(v_[2]).Dot(p) >= -kContainsSlack &&
+         v_[2].Cross(v_[0]).Dot(p) >= -kContainsSlack;
 }
 
 Vec3 Trixel::Centroid() const {

@@ -30,11 +30,20 @@ class Trixel {
   HtmId id() const { return id_; }
   const Vec3& v(int i) const { return v_[static_cast<size_t>(i)]; }
 
-  /// Child trixel c in [0,3] using midpoint subdivision.
+  /// The four children in child order, from one midpoint subdivision
+  /// (three normalized edge midpoints shared by all four).
+  std::array<Trixel, 4> Children() const;
+
+  /// Child trixel c in [0,3]: `Children()[c]`.
   Trixel Child(int c) const;
 
+  /// Slack of Contains' half-space tests, v(i)×v(i+1)·p >= -slack: points
+  /// exactly on an edge must land in exactly one descent path, but FP error
+  /// on midpoint normalization requires slack.
+  static constexpr double kContainsSlack = 1e-12;
+
   /// True if unit vector `p` lies inside this trixel (boundary-inclusive
-  /// within a small tolerance).
+  /// within kContainsSlack).
   bool Contains(const Vec3& p) const;
 
   /// Smallest cap centered at the trixel centroid that encloses the trixel.

@@ -17,8 +17,8 @@ QueryObject MakeQueryObject(uint64_t id, const SkyPoint& p,
   // range of HTM ID values" per object as its bounding box). Over-coverage
   // is harmless: the exact distance test in the refinement step decides
   // correctness.
-  o.htm_ranges = htm::CoverCircle(p, radius_arcsec / kArcsecPerDeg,
-                                  htm::kObjectLevel, /*max_ranges=*/8);
+  o.htm_ranges = htm::CoverCap(Cap{o.pos, radius_arcsec / kArcsecPerDeg},
+                               htm::kObjectLevel, /*max_ranges=*/8);
   return o;
 }
 

@@ -12,6 +12,11 @@ namespace {
 
 constexpr char kMagic[8] = {'L', 'F', 'R', 'T', 'R', 'C', '0', '1'};
 
+// Encoded sizes: a query's fixed fields (id, arrival, predicate, label
+// length, object count) and one object (id, ra, dec, radius).
+constexpr size_t kQueryFixedBytes = 8 + 8 + 16 + 4 + 8;
+constexpr size_t kObjectBytes = 8 + 8 + 8 + 8;
+
 }  // namespace
 
 Status SaveTrace(const std::string& path,
@@ -72,11 +77,17 @@ Result<std::vector<query::CrossMatchQuery>> LoadTrace(
 
   const char* p = payload;
   const char* end = payload + payload_size;
-  auto need = [&](size_t n) { return static_cast<size_t>(end - p) >= n; };
+  auto left = [&] { return static_cast<size_t>(end - p); };
+  auto need = [&](size_t n) { return left() >= n; };
 
   if (!need(8)) return Status::Corruption("truncated trace header");
   uint64_t n = GetFixed64(p);
   p += 8;
+  // Counts are bounded by the bytes left before anything is reserved, by
+  // division so a huge count cannot wrap the product.
+  if (n > left() / kQueryFixedBytes) {
+    return Status::Corruption("query count exceeds trace size");
+  }
   std::vector<query::CrossMatchQuery> trace;
   trace.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
@@ -96,12 +107,16 @@ Result<std::vector<query::CrossMatchQuery>> LoadTrace(
     p += 4;
     uint32_t label_len = GetFixed32(p);
     p += 4;
-    if (!need(label_len + 8)) return Status::Corruption("truncated label");
+    if (!need(size_t{label_len} + 8)) {
+      return Status::Corruption("truncated label");
+    }
     q.label.assign(p, label_len);
     p += label_len;
     uint64_t n_objects = GetFixed64(p);
     p += 8;
-    if (!need(n_objects * 32)) return Status::Corruption("truncated objects");
+    if (n_objects > left() / kObjectBytes) {
+      return Status::Corruption("truncated objects");
+    }
     q.objects.reserve(n_objects);
     for (uint64_t j = 0; j < n_objects; ++j) {
       uint64_t oid = GetFixed64(p);

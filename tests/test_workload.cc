@@ -10,6 +10,8 @@
 
 #include "query/preprocessor.h"
 #include "storage/catalog.h"
+#include "util/coding.h"
+#include "util/crc32.h"
 #include "workload/catalog_gen.h"
 #include "workload/trace_gen.h"
 #include "workload/trace_io.h"
@@ -442,6 +444,64 @@ TEST_F(TraceIoTest, RejectsForeignFile) {
     f << "not a trace file at all, but long enough to pass size checks";
   }
   EXPECT_FALSE(LoadTrace(path_.string()).ok());
+}
+
+// Writes `payload` as a trace file with a correct checksum, so LoadTrace
+// gets past the CRC and parses the counts inside.
+void WriteTracePayload(const std::filesystem::path& path,
+                       const std::string& payload) {
+  std::string out = "LFRTRC01";
+  PutFixed32(&out, Crc32(payload.data(), payload.size()));
+  out += payload;
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f.write(out.data(), static_cast<std::streamsize>(out.size()));
+}
+
+// One query's fields up to and including its object count.
+std::string QueryHeader(uint32_t label_len, uint64_t n_objects) {
+  std::string s;
+  PutFixed64(&s, 1);          // id
+  PutDouble(&s, 0.0);         // arrival_ms
+  for (int i = 0; i < 4; ++i) PutFloat(&s, 0.0f);  // predicate
+  PutFixed32(&s, label_len);
+  s.append(label_len < 64 ? label_len : 0, 'x');
+  PutFixed64(&s, n_objects);
+  return s;
+}
+
+TEST_F(TraceIoTest, HugeQueryCountIsCorruption) {
+  // A count of 2^61 queries with only one query's bytes behind it must be
+  // rejected before anything is reserved for it.
+  std::string payload;
+  PutFixed64(&payload, uint64_t{1} << 61);
+  payload += QueryHeader(0, 0);
+  WriteTracePayload(path_, payload);
+  auto loaded = LoadTrace(path_.string());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+}
+
+TEST_F(TraceIoTest, HugeObjectCountIsCorruption) {
+  // 2^59 objects of 32 bytes each wrap a 64-bit byte count to zero.
+  std::string payload;
+  PutFixed64(&payload, 1);
+  payload += QueryHeader(0, uint64_t{1} << 59);
+  WriteTracePayload(path_, payload);
+  auto loaded = LoadTrace(path_.string());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+}
+
+TEST_F(TraceIoTest, LabelLengthNearUint32MaxIsCorruption) {
+  // A label length whose 32-bit sum with the object count's 8 bytes would
+  // wrap must be checked against the bytes left in 64 bits.
+  std::string payload;
+  PutFixed64(&payload, 1);
+  payload += QueryHeader(UINT32_MAX - 3, 0);
+  WriteTracePayload(path_, payload);
+  auto loaded = LoadTrace(path_.string());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
 }
 
 TEST_F(TraceIoTest, MissingFileIsIOError) {

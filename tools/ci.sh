@@ -17,9 +17,10 @@
 #   tools/ci.sh --asan   # ASan+UBSan smoke: builds test_exec, test_storage,
 #                        # test_topology, test_columnar, test_async_io,
 #                        # test_core, test_sim, test_serve, test_thread_pool,
-#                        # test_join, test_properties, test_query, and
-#                        # test_spill with -fsanitize=address,undefined and
-#                        # runs them (arena lifetimes incl. I/O scratch,
+#                        # test_join, test_properties, test_query,
+#                        # test_spill, test_htm, and test_workload with
+#                        # -fsanitize=address,undefined and runs them (arena
+#                        # lifetimes incl. I/O scratch,
 #                        # the pipeline's bet claim/drop bookkeeping and
 #                        # cache eviction tiers, columnar page decode over
 #                        # corrupted input, every join kernel over
@@ -27,7 +28,9 @@
 #                        # async-reader fault injection/teardown, both
 #                        # drivers' execution-stack teardown order, and query
 #                        # objects moved through admission, spill and
-#                        # restore)
+#                        # restore; plus the HTM cover's ID shifts and edge
+#                        # tests at levels 0-20 and the trace parser over
+#                        # counts that overrun the file)
 #   tools/ci.sh --real-io # Wall-clock I/O smoke: gen-catalog to disk, replay
 #                        # with --io real over 2 volumes (prefetch on), then
 #                        # inspect --verify-checksums. Exercises the pread
@@ -50,7 +53,7 @@ if [ "${1:-}" = "--asan" ]; then
     -DLIFERAFT_BUILD_TOOLS=OFF
   cmake --build build-asan -j --target test_exec test_storage test_topology \
     test_columnar test_async_io test_core test_sim test_serve test_thread_pool \
-    test_join test_properties test_query test_spill
+    test_join test_properties test_query test_spill test_htm test_workload
   # Leak checking is on by default under ASan; -fno-sanitize-recover
   # already turned every UBSan diagnostic into a hard failure.
   ./build-asan/test_exec
@@ -66,6 +69,8 @@ if [ "${1:-}" = "--asan" ]; then
   ./build-asan/test_properties
   ./build-asan/test_query
   ./build-asan/test_spill
+  ./build-asan/test_htm
+  ./build-asan/test_workload
   echo "asan+ubsan smoke OK"
   exit 0
 fi
