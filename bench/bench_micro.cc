@@ -1,9 +1,9 @@
 // Microbenchmarks (google-benchmark) for the hot substrate operations:
-// HTM point location and cone covers, B+tree range scans, the merge and
-// zones cross-match kernels, the page checksum and parse, the
-// pre-processor's query split, and the LRU cache. These are the real-CPU
-// costs under the simulator's virtual-time experiments; regressions here
-// inflate wall-clock for every figure bench.
+// HTM point location and cone covers, B+tree range scans, the merge
+// cross-match kernel, the page checksum and parse, the pre-processor's
+// query split, and the LRU cache. These are the real-CPU costs under the
+// simulator's virtual-time experiments; regressions here inflate
+// wall-clock for every figure bench.
 
 #include <benchmark/benchmark.h>
 
@@ -21,7 +21,6 @@
 #include "htm/htm.h"
 #include "join/evaluator.h"
 #include "join/merge_join.h"
-#include "join/zones.h"
 #include "query/preprocessor.h"
 #include "query/query.h"
 #include "sched/liferaft_scheduler.h"
@@ -149,18 +148,6 @@ void BM_MergeCrossMatch(benchmark::State& state) {
 }
 BENCHMARK(BM_MergeCrossMatch)->Arg(100)->Arg(1000)->Arg(10000);
 
-void BM_ZonesCrossMatch(benchmark::State& state) {
-  auto fixture = JoinFixture::Make(10'000,
-                                   static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    auto counters = join::ZonesCrossMatch(fixture.bucket, fixture.batch,
-                                          10.0 / kArcsecPerDeg, nullptr);
-    benchmark::DoNotOptimize(counters);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_ZonesCrossMatch)->Arg(100)->Arg(1000);
-
 /// The page checksum alone, over one 1 MB buffer (a cold-drain page is
 /// ~1.1 MB): bytes_per_second is Crc32's throughput.
 void BM_Crc32(benchmark::State& state) {
@@ -257,52 +244,6 @@ void BM_BucketCacheGet(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BucketCacheGet);
-
-/// Concurrent Get throughput against the sharded cache: four workers each
-/// stream Zipf-skewed buckets through one shared cache at shard count
-/// `arg`. At 1 shard every Get serializes on a single mutex; higher shard
-/// counts split the lock (and the LRU) so wall time per iteration is the
-/// contention signal. MemStore reads are thread-safe, so this measures the
-/// cache layer alone.
-void BM_BucketCacheShardedGet(benchmark::State& state) {
-  constexpr size_t kWorkers = 4;
-  constexpr size_t kGetsPerWorker = 2048;
-  auto partition = storage::PartitionCatalog(BenchObjects(50'000), 1000);
-  storage::MemStore store(std::move(*partition));
-  storage::BucketCache cache(&store, 20,
-                             static_cast<size_t>(state.range(0)));
-  util::ThreadPool pool(kWorkers);
-  for (auto _ : state) {
-    std::vector<std::future<uint64_t>> futures;
-    futures.reserve(kWorkers);
-    for (size_t t = 0; t < kWorkers; ++t) {
-      futures.push_back(pool.Submit([&cache, &store, t] {
-        Rng rng(41 + static_cast<uint64_t>(t));
-        ZipfDistribution zipf(store.num_buckets(), 1.1);
-        uint64_t objects = 0;
-        for (size_t i = 0; i < kGetsPerWorker; ++i) {
-          auto b = cache.Get(
-              static_cast<storage::BucketIndex>(zipf.Sample(&rng)));
-          if (b.ok()) objects += (*b)->size();
-        }
-        return objects;
-      }));
-    }
-    uint64_t total = 0;
-    for (auto& f : futures) total += f.get();
-    benchmark::DoNotOptimize(total);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kWorkers * kGetsPerWorker));
-}
-// Real time: the work runs on the pool, so the main thread's CPU time
-// (which items_per_second would otherwise divide by) is near zero.
-BENCHMARK(BM_BucketCacheShardedGet)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->UseRealTime();
 
 // ------------------------------------------------- Engine-level benches --
 // Wall-clock cost of whole simulated runs. Virtual quantities (the
@@ -561,24 +502,6 @@ void BM_CrossMatchWideRadius(benchmark::State& state) {
       static_cast<double>(candidates), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_CrossMatchWideRadius)->UseRealTime();
-
-/// BM_CrossMatchWideRadius's fixture through the zones kernel, with zones
-/// as tall as the radius: the 300-arcsec arm of BM_ZonesCrossMatch, so the
-/// two scan kernels compare at the radius where their candidate windows
-/// differ most.
-void BM_ZonesCrossMatchWideRadius(benchmark::State& state) {
-  auto fixture = JoinFixture::Make(10'000, 1000, 300.0);
-  uint64_t candidates = 0;
-  for (auto _ : state) {
-    auto counters = join::ZonesCrossMatch(fixture.bucket, fixture.batch,
-                                          300.0 / kArcsecPerDeg, nullptr);
-    candidates += counters.candidates_tested;
-    benchmark::DoNotOptimize(counters);
-  }
-  state.counters["candidates_per_second"] = benchmark::Counter(
-      static_cast<double>(candidates), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_ZonesCrossMatchWideRadius)->UseRealTime();
 
 /// End-to-end saturated drain at a FIXED cache byte budget over the same
 /// partition written as row v1 (arg 0) and columnar v2 (arg 1), with

@@ -160,8 +160,8 @@ Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now,
             [this](storage::BucketIndex b) { return VolumeOf(b); }, want);
     // Publish the window so eviction demotes predicted buckets last (an
     // empty window — every depth scaled to 0 — restores plain LRU).
-    // Skipped when unchanged: the cache locks every shard to swap
-    // windows.
+    // Skipped when unchanged: a swap rebuilds the cache's window set
+    // under its lock.
     if (predicted != last_window_) {
       cache_->SetPredictionWindow(predicted);
       last_window_ = predicted;

@@ -316,7 +316,7 @@ class BatchPipeline {
   size_t depth_cap_ = std::numeric_limits<size_t>::max();
   TimeMs prefetch_hidden_ms_ = 0.0;
   /// Last window published to the cache (skip republishing unchanged
-  /// windows — the cache locks every shard to swap them).
+  /// windows — a swap rebuilds the cache's window set under its lock).
   std::vector<storage::BucketIndex> last_window_;
 
   /// Measured mode: outstanding reads by bucket. Arm queues carry the bet

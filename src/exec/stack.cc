@@ -8,9 +8,6 @@ Status StackConfig::Validate() const {
   if (cache_capacity == 0) {
     return Status::InvalidArgument("cache_capacity must be positive");
   }
-  if (cache_shards == 0) {
-    return Status::InvalidArgument("cache_shards must be >= 1");
-  }
   if (hybrid.index_threshold < 0.0) {
     return Status::InvalidArgument("index_threshold must be >= 0");
   }
@@ -33,13 +30,8 @@ Result<std::unique_ptr<ExecutionStack>> ExecutionStack::Create(
                                        config.topology, config.disk));
   stack->topology_ =
       std::make_unique<storage::StorageTopology>(std::move(topology));
-  // Volume-aligned cache sharding only when there genuinely are volumes
-  // to align with: a single-volume topology would collapse every bucket
-  // into shard 0 instead of reproducing the by-bucket-id map.
   stack->cache_ = std::make_unique<storage::BucketCache>(
-      catalog->store(), config.cache_capacity, config.cache_shards,
-      stack->topology_->num_volumes() > 1 ? stack->topology_.get() : nullptr,
-      cache_capacity_bytes);
+      catalog->store(), config.cache_capacity, cache_capacity_bytes);
   stack->evaluator_ = std::make_unique<join::JoinEvaluator>(
       stack->cache_.get(), catalog->index(), storage::DiskModel(config.disk),
       config.hybrid);

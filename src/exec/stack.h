@@ -36,12 +36,6 @@ namespace liferaft::exec {
 struct StackConfig : PipelineConfig {
   /// Bucket cache capacity in buckets (paper: 20).
   size_t cache_capacity = 20;
-  /// Lock/LRU shards of the bucket cache (clamped to [1, cache_capacity]).
-  /// 1 reproduces the unsharded cache exactly; more shards split the
-  /// capacity into independent LRU domains, which changes eviction (and
-  /// with it modeled timings) deterministically while join results stay
-  /// exact.
-  size_t cache_shards = 1;
   /// Hybrid join configuration (index threshold ~3%).
   join::HybridConfig hybrid;
   /// Disk cost model (defaults calibrated to T_b = 1.2 s, T_m = 0.13 ms).
@@ -111,9 +105,9 @@ class ExecutionStack {
   ExecutionStack() = default;
 
   // Declaration order is construction order; destruction runs in reverse.
-  // The topology outlives everything that routes by it (cache shards,
-  // evaluator T_b, reader workers); the reader outlives the pipeline that
-  // borrows it.
+  // The topology outlives everything that routes by it (evaluator T_b,
+  // reader workers, the pipeline's arms); the reader outlives the pipeline
+  // that borrows it.
   std::unique_ptr<storage::StorageTopology> topology_;
   std::unique_ptr<storage::BucketCache> cache_;
   std::unique_ptr<join::JoinEvaluator> evaluator_;

@@ -1,17 +1,8 @@
-// Sharded LRU bucket cache (paper §4): LifeRaft manages bucket caching
-// itself, independently of the database server's buffer pool. The cache's
+// LRU bucket cache (paper §4): LifeRaft manages bucket caching itself,
+// independently of the database server's buffer pool. The cache's
 // residency predicate is the phi(i) term of the workload throughput metric
 // — cached buckets cost no T_b — so the greedy scheduler naturally
 // gravitates toward cached, contentious buckets.
-//
-// Sharding: the bucket id hashes (modulo) to one of N shards, each with its
-// own mutex and LRU list, so worker threads touching different shards never
-// contend on a single cache-wide lock. Capacity is split as evenly as
-// possible across shards; at num_shards == 1 every code path, eviction
-// decision, and counter is byte-identical to the pre-shard cache.
-// Hit/miss/eviction statistics are aggregated atomically across shards
-// (std::atomic counters), so stats() reports identical numbers at
-// num_shards == 1 as the unsharded cache did.
 //
 // The cache holds only claimed buckets. Prefetch bets — reads started
 // ahead of need — belong to exec::BatchPipeline; a bet's bucket enters the
@@ -19,7 +10,7 @@
 // the page then) or Put (measured mode read it on a submission queue).
 // Either way a bucket that was not resident counts one miss.
 //
-// Prefetch-aware eviction (two LRU tiers per shard): the prefetch pipeline
+// Prefetch-aware eviction (two LRU tiers): the prefetch pipeline
 // publishes the scheduler's current prediction window via
 // SetPredictionWindow — the buckets it expects to serve (and therefore
 // fetch or reuse) next. Eviction demotes those buckets last: the victim is
@@ -34,22 +25,21 @@
 // predictor. With an empty window (the default, and whenever prefetching
 // is off) eviction is byte-identical to plain LRU.
 //
-// Threading: every method is safe to call from any thread — per-bucket
-// operations serialize on the bucket's shard mutex only, and the store
-// contract (bucket_store.h) requires ReadBucket to tolerate the resulting
-// cross-shard concurrency. The drivers still funnel all accounting through
-// one owner thread (see exec::BatchPipeline); the stress test in
-// tests/test_storage.cc races Get/Put/Contains/SetPredictionWindow across
-// shards. Known limitation: a Get miss (store read) blocks while HOLDING
-// the shard lock, stalling that shard for the duration — fine for
-// MemStore's pointer handouts, but a store with real read latency
-// serializes its shard; a placeholder-entry protocol that drops the lock
+// Threading: every method is safe to call from any thread — each takes
+// the cache's one mutex, which also guards the counters. The drivers
+// touch the cache only from their owner thread (see exec::BatchPipeline:
+// the evaluator gets a batch's page before any fan-out, and the per-query
+// NoShare path reads the store directly); the stress test in
+// tests/test_storage.cc races Get/Put/Contains/SetPredictionWindow on the
+// lock. Known limitation: a Get miss (store read) blocks while HOLDING
+// the lock — fine for MemStore's pointer handouts and for one owner
+// thread, but concurrent callers over a store with real read latency
+// would serialize; a placeholder-entry protocol that drops the lock
 // across the read is the upgrade path if that ever bites.
 
 #ifndef LIFERAFT_STORAGE_BUCKET_CACHE_H_
 #define LIFERAFT_STORAGE_BUCKET_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -57,11 +47,9 @@
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
-#include <vector>
 
 #include "storage/bucket.h"
 #include "storage/bucket_store.h"
-#include "storage/topology.h"
 #include "util/status.h"
 
 namespace liferaft::storage {
@@ -83,40 +71,24 @@ struct CacheStats {
   }
 };
 
-/// Fixed-capacity sharded LRU cache of immutable buckets, layered over a
+/// Fixed-capacity LRU cache of immutable buckets, layered over a
 /// BucketStore.
 class BucketCache {
  public:
   /// @param store      backing store (not owned; must outlive the cache)
   /// @param capacity   maximum number of resident buckets (paper: 20)
-  /// @param num_shards lock/LRU shards; clamped to [1, capacity] so every
-  ///                   shard holds at least one bucket. 1 reproduces the
-  ///                   unsharded cache exactly.
-  /// @param topology   optional volume map (not owned; must outlive the
-  ///                   cache). When set, buckets shard by their volume
-  ///                   (VolumeOf(b) % num_shards) instead of by raw bucket
-  ///                   id — under range placement curve-adjacent buckets
-  ///                   then share a shard (and its LRU domain), aligning
-  ///                   the cache's lock/eviction domains with the arms
-  ///                   that feed them; num_shards is additionally clamped
-  ///                   to the volume count, since shards beyond it could
-  ///                   never receive an entry. Irrelevant at
-  ///                   num_shards == 1.
-  /// @param capacity_bytes optional byte budget, split across shards like
-  ///                   the count capacity. 0 (default) disables byte
+  /// @param capacity_bytes optional byte budget. 0 (default) disables byte
   ///                   accounting entirely — byte-identical to the
   ///                   pre-byte-mode cache. When set, each resident bucket
   ///                   is charged the store's real page size when it has
   ///                   one (FileStore, either format) and the
   ///                   kBytesPerObject estimate otherwise (MemStore), and
-  ///                   eviction also runs while a
-  ///                   shard is over its byte slice — so at a fixed MB
-  ///                   budget, smaller encoded pages mean more resident
-  ///                   buckets. The count bound still applies; callers
-  ///                   wanting a pure byte budget pass capacity =
-  ///                   num_buckets.
-  BucketCache(BucketStore* store, size_t capacity, size_t num_shards = 1,
-              const StorageTopology* topology = nullptr,
+  ///                   eviction also runs while the cache is over the
+  ///                   budget — so at a fixed MB budget, smaller encoded
+  ///                   pages mean more resident buckets. The count bound
+  ///                   still applies; callers wanting a pure byte budget
+  ///                   pass capacity = num_buckets.
+  BucketCache(BucketStore* store, size_t capacity,
               uint64_t capacity_bytes = 0);
 
   /// True if the bucket is resident (phi(i) == 0). Does not affect LRU
@@ -158,70 +130,27 @@ class BucketCache {
   size_t capacity() const { return capacity_; }
   /// The byte budget (0 = byte accounting off).
   uint64_t capacity_bytes() const { return capacity_bytes_; }
-  size_t num_shards() const { return shards_.size(); }
-  /// Resident buckets across all shards.
+  /// Resident buckets.
   size_t size() const;
-  /// Charged bytes resident across all shards (0 when byte accounting is
-  /// off — charges are only tracked in byte mode).
+  /// Charged bytes resident (0 when byte accounting is off — charges are
+  /// only tracked in byte mode).
   uint64_t resident_bytes() const;
-  /// Atomic cross-shard snapshot of the aggregated counters.
+  /// A snapshot of the counters.
   CacheStats stats() const;
-  void ResetStats();
 
  private:
   struct Entry {
     BucketIndex index;
     std::shared_ptr<const Bucket> bucket;
-    /// Bytes charged against the shard's byte slice (0 in count-only
-    /// mode).
+    /// Bytes charged against the byte budget (0 in count-only mode).
     uint64_t bytes = 0;
   };
 
-  /// One lock domain: an independent LRU over its slice of the capacity.
-  struct Shard {
-    mutable std::mutex mu;
-    size_t capacity = 0;
-    /// This shard's slice of the byte budget (0 = byte accounting off).
-    uint64_t capacity_bytes = 0;
-    /// Charged bytes of the resident entries (maintained only in byte
-    /// mode).
-    uint64_t bytes_used = 0;
-    std::list<Entry> lru;  // front = most recently used
-    std::unordered_map<BucketIndex, std::list<Entry>::iterator> map;
-    /// This shard's slice of the prediction window (protected tier).
-    std::unordered_set<BucketIndex> window;
-  };
-
-  /// Monotonically aggregated counters, incremented under shard locks but
-  /// readable lock-free from any thread.
-  struct AtomicStats {
-    std::atomic<uint64_t> hits{0};
-    std::atomic<uint64_t> misses{0};
-    std::atomic<uint64_t> evictions{0};
-    std::atomic<uint64_t> evictions_protected{0};
-  };
-
-  /// Shard key: the owning volume when a topology is attached (aligning
-  /// lock/LRU domains with arms), the raw bucket id otherwise.
-  size_t ShardKey(BucketIndex index) const {
-    return topology_ != nullptr
-               ? static_cast<size_t>(topology_->VolumeOf(index))
-               : static_cast<size_t>(index);
-  }
-  Shard& ShardFor(BucketIndex index) {
-    return *shards_[ShardKey(index) % shards_.size()];
-  }
-  const Shard& ShardFor(BucketIndex index) const {
-    return *shards_[ShardKey(index) % shards_.size()];
-  }
-
-  // Shard-local helpers; the shard's mutex must be held.
-  static void Touch(Shard& shard, std::list<Entry>::iterator it);
-  /// Inserts `bucket` most-recently-used and evicts down to the shard's
-  /// capacity.
-  void InsertMru(Shard& shard, BucketIndex index,
-                 std::shared_ptr<const Bucket> bucket);
-  void EvictOverCapacity(Shard& shard);
+  // Helpers; mu_ must be held.
+  void Touch(std::list<Entry>::iterator it);
+  /// Inserts `bucket` most-recently-used and evicts down to capacity.
+  void InsertMru(BucketIndex index, std::shared_ptr<const Bucket> bucket);
+  void EvictOverCapacity();
 
   /// Bytes a resident bucket is charged in byte mode: the store's real
   /// page size (either file format), the modeled estimate when it has
@@ -231,11 +160,17 @@ class BucketCache {
   }
 
   BucketStore* store_;
-  size_t capacity_;
-  uint64_t capacity_bytes_ = 0;
-  const StorageTopology* topology_ = nullptr;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  AtomicStats stats_;
+  const size_t capacity_;
+  const uint64_t capacity_bytes_;
+
+  mutable std::mutex mu_;
+  /// Charged bytes of the resident entries (maintained only in byte mode).
+  uint64_t bytes_used_ = 0;
+  std::list<Entry> lru_;  // front = most recently used
+  std::unordered_map<BucketIndex, std::list<Entry>::iterator> map_;
+  /// The prediction window (protected tier).
+  std::unordered_set<BucketIndex> window_;
+  CacheStats stats_;
 };
 
 }  // namespace liferaft::storage

@@ -33,12 +33,12 @@ struct StoreStats {
 /// Abstract bucket-granularity storage engine.
 ///
 /// Threading contract: the virtual-clock drivers funnel all reads through
-/// one owner thread — LifeRaft's scheduler loop. Beyond that, the sharded
-/// BucketCache may invoke ReadBucket from whichever thread holds the
-/// bucket's shard lock, so an implementation MUST make ReadBucket safe to
-/// call concurrently with itself and with ReadBucketForPrefetch (MemStore
-/// serves immutable in-memory pages; FileStore reads pages with
-/// positional pread(2) calls that share no mutable state).
+/// one owner thread — LifeRaft's scheduler loop. Beyond that, the
+/// BucketCache may invoke ReadBucket from whichever thread holds its lock,
+/// so an implementation MUST make ReadBucket safe to call concurrently
+/// with itself and with ReadBucketForPrefetch (MemStore serves immutable
+/// in-memory pages; FileStore reads pages with positional pread(2) calls
+/// that share no mutable state).
 /// ReadBucketForPrefetch exists for reads off the owner thread — the
 /// measured-mode submission queues' I/O workers and the NoShare fan-out's
 /// join workers call it concurrently with other reads, and it never

@@ -26,7 +26,7 @@ class MemStore : public BucketStore {
   }
   /// Buckets are immutable shared pointers and the stats
   /// counters are atomic, so ReadBucket is safe from any thread with no
-  /// locking at all — the sharded-cache stress tests lean on this.
+  /// locking at all — the cache stress test leans on this.
   Result<std::shared_ptr<const Bucket>> ReadBucket(BucketIndex index) override;
   /// A prefetch worker hands a bucket out with no synchronization at
   /// all.

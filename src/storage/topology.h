@@ -7,9 +7,8 @@
 //   * placement — a pluggable bucket -> volume map. kRange keeps
 //     HTM-curve-adjacent buckets on the same volume (bucket indices are
 //     curve order, so a contiguous index range is a contiguous sky region
-//     — sequential drains stay sequential per arm, and the cache's shard
-//     map can align with it); kHash stripes buckets round-robin for
-//     maximum read parallelism on curve-local workloads.
+//     — sequential drains stay sequential per arm); kHash stripes buckets
+//     round-robin for maximum read parallelism on curve-local workloads.
 //   * per-volume disk models — every volume owns a DiskModel (uniform by
 //     default, optionally heterogeneous per volume), so T_b is a property
 //     of where a bucket lives, not of the archive.
@@ -68,8 +67,8 @@ struct StorageTopologyConfig {
   /// phase (the join needs the restored objects), so the completion clock
   /// is charged identically; only the per-arm busy accounting moves.
   /// Off (the default), or with spill disabled, nothing changes byte for
-  /// byte. The spill arm owns no buckets: placement, cache sharding, and
-  /// per-volume T_b pricing are unaffected.
+  /// byte. The spill arm owns no buckets: placement and per-volume T_b
+  /// pricing are unaffected.
   bool spill_arm = false;
 
   Status Validate() const;

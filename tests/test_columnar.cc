@@ -2,9 +2,9 @@
 // written in the row v1 and columnar v2 formats — and held in memory —
 // must drive the simulation engine to byte-identical results. The
 // RunMetricsJson string (every double %.17g) is the digest: two runs agree
-// in it iff they agree bit for bit. Covered across the grid that changes
-// cache/topology behavior (cache shards x volumes), for both the closed
-// drain and continuous serving, plus the v1 auto-detect regression and the
+// in it iff they agree bit for bit. Covered across the axis that changes
+// cache/topology behavior (volumes), for both the closed drain and
+// continuous serving, plus the v1 auto-detect regression and the
 // byte-budget cache advantage of the compressed format. The page's lazily
 // filled position blocks are pinned here too: every window, including one
 // read by several threads at once, returns MakeObject's bits.
@@ -132,28 +132,25 @@ class ColumnarIdentityTest : public ::testing::Test {
 };
 
 // The tentpole claim: the on-disk page format is invisible to every result
-// and every modeled cost. Swept over the axes that alter cache eviction
-// and I/O interleaving (shards x volumes x prefetch).
+// and every modeled cost. Swept over the axis that alters cache eviction
+// and I/O interleaving (volumes, with prefetch on at two).
 TEST_F(ColumnarIdentityTest, DrainMetricsAreFormatIdentical) {
-  for (size_t shards : {size_t{1}, size_t{2}}) {
-    for (size_t volumes : {size_t{1}, size_t{2}}) {
-      sim::EngineConfig config;
-      config.cache_capacity = 8;
-      config.cache_shards = shards;
-      config.topology.num_volumes = volumes;
-      if (volumes > 1) {
-        config.enable_prefetch = true;
-        config.prefetch_depth = 2;
-      }
-      auto mem_catalog = MemCatalog();
-      auto v1_catalog = OpenCatalog(v1_path_);
-      auto v2_catalog = OpenCatalog(v2_path_);
-      std::string mem = sim::RunMetricsJson(Drain(mem_catalog.get(), config));
-      std::string v1 = sim::RunMetricsJson(Drain(v1_catalog.get(), config));
-      std::string v2 = sim::RunMetricsJson(Drain(v2_catalog.get(), config));
-      EXPECT_EQ(v1, v2) << "shards=" << shards << " volumes=" << volumes;
-      EXPECT_EQ(mem, v1) << "shards=" << shards << " volumes=" << volumes;
+  for (size_t volumes : {size_t{1}, size_t{2}}) {
+    sim::EngineConfig config;
+    config.cache_capacity = 8;
+    config.topology.num_volumes = volumes;
+    if (volumes > 1) {
+      config.enable_prefetch = true;
+      config.prefetch_depth = 2;
     }
+    auto mem_catalog = MemCatalog();
+    auto v1_catalog = OpenCatalog(v1_path_);
+    auto v2_catalog = OpenCatalog(v2_path_);
+    std::string mem = sim::RunMetricsJson(Drain(mem_catalog.get(), config));
+    std::string v1 = sim::RunMetricsJson(Drain(v1_catalog.get(), config));
+    std::string v2 = sim::RunMetricsJson(Drain(v2_catalog.get(), config));
+    EXPECT_EQ(v1, v2) << "volumes=" << volumes;
+    EXPECT_EQ(mem, v1) << "volumes=" << volumes;
   }
 }
 

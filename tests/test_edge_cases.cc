@@ -1,14 +1,13 @@
 // Edge-case coverage across modules: degenerate geometry (poles, RA
-// wraparound), zones' full-RA fallback, logging levels, metric summaries,
-// facade corner states, and misc small behaviours not covered by the main
-// suites.
+// wraparound, the merge join where RA collapses), logging levels, metric
+// summaries, facade corner states, and misc small behaviours not covered by
+// the main suites.
 
 #include <gtest/gtest.h>
 
 #include "core/liferaft.h"
 #include "htm/htm.h"
 #include "join/merge_join.h"
-#include "join/zones.h"
 #include "query/query.h"
 #include "sim/arrivals.h"
 #include "sim/run_metrics.h"
@@ -50,8 +49,8 @@ TEST(PolarEdgeTest, QueryObjectAtPoleHasBoundedCover) {
 }
 
 TEST(PolarEdgeTest, ZonesMatchesMergeNearPole) {
-  // Polar bucket: the zones algorithm must fall back to full-RA scans
-  // where cos(dec) collapses, and still agree with the merge join.
+  // Polar bucket: where cos(dec) collapses every RA is near every other,
+  // and the merge join must still find exactly the brute-force matches.
   Rng rng(1001);
   std::vector<storage::CatalogObject> objects;
   for (int i = 0; i < 2000; ++i) {
@@ -67,18 +66,24 @@ TEST(PolarEdgeTest, ZonesMatchesMergeNearPole) {
         i, {rng.UniformDouble(0, 360), rng.UniformDouble(89.0, 90.0)},
         120.0));
   }
-  std::vector<query::Match> merge_out, zones_out;
+  std::vector<query::Match> merge_out;
   const std::vector<query::WorkloadEntry> batch = {entry};
   join::MergeCrossMatch(bucket, batch, &merge_out);
-  join::ZonesCrossMatch(bucket, batch, 120.0 / kArcsecPerDeg, &zones_out);
-  auto key = [](const query::Match& m) {
-    return std::tuple(m.query_id, m.query_object_id, m.catalog_object_id);
-  };
-  std::set<std::tuple<query::QueryId, uint64_t, uint64_t>> a, b;
-  for (const auto& m : merge_out) a.insert(key(m));
-  for (const auto& m : zones_out) b.insert(key(m));
-  EXPECT_EQ(a, b);
-  EXPECT_FALSE(a.empty());
+  using Key = std::tuple<query::QueryId, uint64_t, uint64_t>;
+  std::set<Key> merged, brute;
+  for (const auto& m : merge_out) {
+    merged.insert({m.query_id, m.query_object_id, m.catalog_object_id});
+  }
+  for (const auto& qo : entry.objects) {
+    for (const auto& co : objects) {
+      double sep = 0.0;
+      if (join::WithinRadius(qo, co, &sep)) {
+        brute.insert({entry.query_id, qo.id, co.object_id});
+      }
+    }
+  }
+  EXPECT_EQ(merged, brute);
+  EXPECT_FALSE(merged.empty());
 }
 
 TEST(RaWrapEdgeTest, MatchesAcrossRaZero) {
@@ -88,12 +93,10 @@ TEST(RaWrapEdgeTest, MatchesAcrossRaZero) {
   query::WorkloadEntry entry;
   entry.query_id = 1;
   entry.objects.push_back(query::MakeQueryObject(0, {0.0005, 10.0}, 10.0));
-  std::vector<query::Match> merge_out, zones_out;
+  std::vector<query::Match> merge_out;
   const std::vector<query::WorkloadEntry> batch = {entry};
   join::MergeCrossMatch(bucket, batch, &merge_out);
-  join::ZonesCrossMatch(bucket, batch, 10.0 / kArcsecPerDeg, &zones_out);
   EXPECT_EQ(merge_out.size(), 1u);
-  EXPECT_EQ(zones_out.size(), 1u);
 }
 
 // --------------------------------------------------------------- logging --

@@ -2,7 +2,7 @@
 // evaluate→account loop shared by core::LifeRaft and sim::SimEngine's
 // shared mode. The key contracts:
 //  * join results (per-query match counts) are invariant across the whole
-//    feature matrix — shard counts, prefetch depths, adaptive depth —
+//    feature matrix — prefetch depths, adaptive depth —
 //    because scheduling only reorders work, never changes matching;
 //  * depth-K prefetching hides at least as much fetch latency as the
 //    depth-1 (PR 2) pipeline on a saturated drain;
@@ -296,10 +296,10 @@ class PipelineDrainFixture : public ::testing::Test {
   std::vector<TimeMs> arrivals_;
 };
 
-// The acceptance matrix: a drain at num_shards ∈ {1,4} × prefetch_depth ∈
-// {1,2} must produce byte-identical join results (every query's match
-// count) to the serial non-prefetch baseline, while each prefetch config
-// hides fetch latency and shrinks the saturated-drain makespan.
+// The acceptance matrix: a drain at prefetch_depth ∈ {1,2} must produce
+// byte-identical join results (every query's match count) to the serial
+// non-prefetch baseline, while each prefetch config hides fetch latency
+// and shrinks the saturated-drain makespan.
 TEST_F(PipelineDrainFixture, ResultsInvariantAcrossShardsAndDepth) {
   sim::EngineConfig base_config;
   base_config.collect_matches = true;
@@ -307,25 +307,21 @@ TEST_F(PipelineDrainFixture, ResultsInvariantAcrossShardsAndDepth) {
   sim::RunMetrics base = Drain(base_config, &base_matches);
   ASSERT_EQ(base.queries_completed, trace_.size());
 
-  for (size_t shards : {size_t{1}, size_t{4}}) {
-    for (size_t depth : {size_t{1}, size_t{2}}) {
-      SCOPED_TRACE("shards=" + std::to_string(shards) +
-                   " depth=" + std::to_string(depth));
-      sim::EngineConfig config = base_config;
-      config.cache_shards = shards;
-      config.enable_prefetch = true;
-      config.prefetch_depth = depth;
-      std::map<query::QueryId, uint64_t> matches;
-      sim::RunMetrics metrics = Drain(config, &matches);
-      EXPECT_EQ(metrics.queries_completed, base.queries_completed);
-      EXPECT_EQ(metrics.total_matches, base.total_matches);
-      EXPECT_EQ(matches, base_matches)
-          << "per-query match counts must not depend on sharding/prefetch";
-      EXPECT_GT(metrics.prefetch_hidden_ms, 0.0);
-      EXPECT_GT(storage::SumOverArms(metrics.volumes).prefetch_claims, 0u);
-      EXPECT_LT(metrics.makespan_ms, base.makespan_ms)
-          << "hidden fetch latency must shrink a saturated drain";
-    }
+  for (size_t depth : {size_t{1}, size_t{2}}) {
+    SCOPED_TRACE("depth=" + std::to_string(depth));
+    sim::EngineConfig config = base_config;
+    config.enable_prefetch = true;
+    config.prefetch_depth = depth;
+    std::map<query::QueryId, uint64_t> matches;
+    sim::RunMetrics metrics = Drain(config, &matches);
+    EXPECT_EQ(metrics.queries_completed, base.queries_completed);
+    EXPECT_EQ(metrics.total_matches, base.total_matches);
+    EXPECT_EQ(matches, base_matches)
+        << "per-query match counts must not depend on prefetch";
+    EXPECT_GT(metrics.prefetch_hidden_ms, 0.0);
+    EXPECT_GT(storage::SumOverArms(metrics.volumes).prefetch_claims, 0u);
+    EXPECT_LT(metrics.makespan_ms, base.makespan_ms)
+        << "hidden fetch latency must shrink a saturated drain";
   }
 }
 
@@ -341,8 +337,6 @@ TEST_F(PipelineDrainFixture, EngineRejectsInvalidPipelineConfig) {
            }},
           {"cache_capacity = 0",
            [](sim::EngineConfig* c) { c->cache_capacity = 0; }},
-          {"cache_shards = 0",
-           [](sim::EngineConfig* c) { c->cache_shards = 0; }},
           {"num_threads = 0",
            [](sim::EngineConfig* c) { c->num_threads = 0; }},
           {"hybrid.index_threshold = -1",
@@ -365,13 +359,12 @@ TEST_F(PipelineDrainFixture, EngineRejectsInvalidPipelineConfig) {
   }
 }
 
-// Identical config -> identical run, shard count included: the sharded
-// cache is deterministic, so two depth-2/4-shard drains agree on every
-// virtual quantity.
+// Identical config -> identical run: the cache and the prefetch pipeline
+// are deterministic, so two depth-2 drains agree on every virtual
+// quantity.
 TEST_F(PipelineDrainFixture, ShardedPrefetchDrainIsDeterministic) {
   sim::EngineConfig config;
   config.collect_matches = true;
-  config.cache_shards = 4;
   config.enable_prefetch = true;
   config.prefetch_depth = 2;
   std::map<query::QueryId, uint64_t> a_matches;
@@ -597,7 +590,6 @@ TEST_F(PipelineDrainFixture, CoreFacadePrefetchHidesFetchLatency) {
 
   options.enable_prefetch = true;
   options.prefetch_depth = 2;
-  options.cache_shards = 4;
   auto pipelined = core::LifeRaft::Create(catalog_objects_, options);
   ASSERT_TRUE(pipelined.ok());
 
@@ -653,7 +645,6 @@ TEST_F(PipelineDrainFixture, CoreFacadeDrainEqualsEngineRun) {
          config.enable_prefetch = true;
          config.prefetch_depth = 2;
        }},
-      {"4 shards", [&] { config.cache_shards = 4; }},
       {"2 volumes", [&] { config.topology.num_volumes = 2; }},
       {"3 threads", [&] { config.num_threads = 3; }},
       {"adaptive", [&] { config.adaptive_prefetch = true; }},

@@ -1,18 +1,19 @@
 // End-to-end integration tests across module boundaries: the FileStore
 // persistence path feeding live joins, full pipeline (generate -> persist
 // trace -> replay) determinism, scheduler-independence of query results
-// through the public facade, and cross-validation of the three join
-// implementations over a real partitioned catalog.
+// through the public facade, and cross-validation of the two join
+// kernels over a real partitioned catalog.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <set>
 #include <tuple>
 
 #include "core/liferaft.h"
 #include "join/merge_join.h"
-#include "join/zones.h"
+#include "join/indexed_join.h"
 #include "query/preprocessor.h"
 #include "sched/liferaft_scheduler.h"
 #include "sched/round_robin.h"
@@ -181,10 +182,16 @@ TEST(FacadeIntegrationTest, MatchSetIndependentOfAlphaAndCache) {
 
 // -------------------------------- joins cross-validated over partitions --
 
+// The merge scan over each bucket's page and the B+tree probe restricted
+// to the bucket's range must find the same matches on every bucket.
 TEST(JoinCrossValidationTest, MergeAndZonesAgreeOverEveryBucket) {
   auto objects = SmallSky(25'000, 743);
   auto partition = storage::PartitionCatalog(objects, 1000);
   ASSERT_TRUE(partition.ok());
+  auto sorted = objects;
+  std::sort(sorted.begin(), sorted.end(), storage::ObjectHtmLess);
+  auto tree = storage::BTreeIndex::BulkLoad(std::move(sorted));
+  ASSERT_TRUE(tree.ok());
 
   Rng rng(751);
   query::WorkloadEntry entry;
@@ -197,15 +204,15 @@ TEST(JoinCrossValidationTest, MergeAndZonesAgreeOverEveryBucket) {
 
   size_t total_matches = 0;
   for (const auto& bucket : partition->buckets) {
-    std::vector<query::Match> merge_out, zones_out;
+    std::vector<query::Match> merge_out, indexed_out;
     const std::vector<query::WorkloadEntry> batch = {entry};
     join::MergeCrossMatch(bucket, batch, &merge_out);
-    join::ZonesCrossMatch(bucket, batch, 20.0 / kArcsecPerDeg, &zones_out);
+    join::IndexedCrossMatch(*tree, bucket.range(), batch, &indexed_out);
     std::set<MatchKey> a, b;
     for (const auto& m : merge_out) {
       a.insert({m.query_id, m.query_object_id, m.catalog_object_id});
     }
-    for (const auto& m : zones_out) {
+    for (const auto& m : indexed_out) {
       b.insert({m.query_id, m.query_object_id, m.catalog_object_id});
     }
     EXPECT_EQ(a, b) << "bucket " << bucket.index();

@@ -1,6 +1,6 @@
 // Tests for the join layer. The central property: MergeCrossMatch,
-// ZonesCrossMatch, IndexedCrossMatch, and a brute-force O(n*m) reference
-// all produce identical match sets, and RadiusTest's dot-product stage never
+// IndexedCrossMatch, and a brute-force O(n*m) reference all produce
+// identical match sets, and RadiusTest's dot-product stage never
 // changes a verdict or a separation of the exact test.
 
 #include <gtest/gtest.h>
@@ -20,7 +20,6 @@
 #include "join/hybrid.h"
 #include "join/indexed_join.h"
 #include "join/merge_join.h"
-#include "join/zones.h"
 #include "query/preprocessor.h"
 #include "storage/bucket_cache.h"
 #include "storage/catalog.h"
@@ -147,15 +146,12 @@ TEST_P(JoinAgreementTest, AllStrategiesAgreeWithBruteForce) {
 
   auto batch = MakeBatch(center, 3, 40, radius, 257, Predicate{}, &objects);
 
-  std::vector<Match> merge_out, zones_out, indexed_out;
+  std::vector<Match> merge_out, indexed_out;
   MergeCrossMatch(bucket, batch, &merge_out);
-  ZonesCrossMatch(bucket, batch, std::max(radius / kArcsecPerDeg, 0.05),
-                  &zones_out);
   IndexedCrossMatch(*tree, bucket.range(), batch, &indexed_out);
   auto brute = BruteForce(objects, batch);
 
   EXPECT_EQ(Keys(merge_out), Keys(brute)) << "merge != brute, r=" << radius;
-  EXPECT_EQ(Keys(zones_out), Keys(brute)) << "zones != brute, r=" << radius;
   EXPECT_EQ(Keys(indexed_out), Keys(brute)) << "index != brute, r=" << radius;
   EXPECT_FALSE(brute.empty()) << "degenerate test: no matches at all";
 }
@@ -467,7 +463,7 @@ void ExpectSameCounters(const JoinCounters& got, const JoinCounters& want,
 }
 
 // At 300″ the coarse windows hold several candidates per match, so stage
-// one rejects most pairs. The merge, B+tree and zones kernels must still
+// one rejects most pairs. The merge and B+tree kernels must still
 // report exactly what the exact test alone gives: every JoinCounters
 // field, and every match with its separation bits.
 TEST(WideRadiusJoinTest, AllKernelsMatchTheExactReference) {
@@ -495,17 +491,7 @@ TEST(WideRadiusJoinTest, AllKernelsMatchTheExactReference) {
         }
         return n;
       });
-  // The zones kernel visits the zone index's RA/Dec window.
-  const double zone_deg = kRadius / kArcsecPerDeg;
-  const ZoneIndex zones(bucket.page(), zone_deg);
-  const auto [zone_want, zone_matches] =
-      ExactReference(objects, batch, [&](const QueryObject& qo) {
-        std::vector<uint32_t> window;
-        zones.Candidates(qo, &window);
-        return window.size();
-      });
   ASSERT_GT(htm_want.candidates_tested, 2 * htm_want.spatial_matches);
-  ASSERT_GT(zone_want.candidates_tested, zone_want.spatial_matches);
   ASSERT_GT(htm_want.spatial_matches, htm_want.output_matches);
   ASSERT_GT(htm_want.output_matches, 0u);
 
@@ -523,9 +509,6 @@ TEST(WideRadiusJoinTest, AllKernelsMatchTheExactReference) {
   out = {};
   got = IndexedCrossMatch(*tree, bucket.range(), batch, &out).join;
   expect_exact(got, std::move(out), htm_want, htm_matches, "B+tree indexed");
-  out = {};
-  got = ZonesCrossMatch(bucket, batch, zone_deg, &out);
-  expect_exact(got, std::move(out), zone_want, zone_matches, "zones");
 }
 
 // Query objects on the trixels either side of each bound of a partitioned

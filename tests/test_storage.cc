@@ -858,93 +858,17 @@ TEST_F(CacheTestFixture, EmptyWindowRestoresPlainLru) {
   EXPECT_EQ(cache.stats().evictions_protected, 0u);
 }
 
-TEST_F(CacheTestFixture, WindowProtectsPerShard) {
-  BucketCache cache(store_.get(), 4, /*num_shards=*/2);
-  // Shard 0 holds even buckets, shard 1 odd; capacity 2 per shard.
-  ASSERT_TRUE(cache.Get(0).ok());
-  ASSERT_TRUE(cache.Get(2).ok());
-  ASSERT_TRUE(cache.Get(1).ok());
-  ASSERT_TRUE(cache.Get(3).ok());
-  cache.SetPredictionWindow(std::vector<BucketIndex>{0, 1});
-  ASSERT_TRUE(cache.Get(4).ok());  // shard 0 pressure: spares 0, evicts 2
-  ASSERT_TRUE(cache.Get(5).ok());  // shard 1 pressure: spares 1, evicts 3
-  EXPECT_TRUE(cache.Contains(0));
-  EXPECT_TRUE(cache.Contains(1));
-  EXPECT_FALSE(cache.Contains(2));
-  EXPECT_FALSE(cache.Contains(3));
-}
-
-// -------------------------------------------------------- Sharded cache --
-
-TEST_F(CacheTestFixture, ShardCountClampsToCapacity) {
-  BucketCache one(store_.get(), 3, 1);
-  EXPECT_EQ(one.num_shards(), 1u);
-  BucketCache clamped(store_.get(), 3, 16);
-  EXPECT_EQ(clamped.num_shards(), 3u);
-  BucketCache zero(store_.get(), 3, 0);
-  EXPECT_EQ(zero.num_shards(), 1u);
-}
-
-TEST_F(CacheTestFixture, ShardedCacheSplitsCapacityAndEvictsPerShard) {
-  // Capacity 4 over 2 shards: 2 entries per shard. Buckets map to shards
-  // by index % num_shards, so evens share shard 0 and odds shard 1.
-  BucketCache cache(store_.get(), 4, 2);
-  ASSERT_TRUE(cache.Get(0).ok());
-  ASSERT_TRUE(cache.Get(2).ok());
-  ASSERT_TRUE(cache.Get(1).ok());
-  EXPECT_EQ(cache.size(), 3u);
-  ASSERT_TRUE(cache.Get(4).ok());  // third even: evicts 0 from shard 0
-  EXPECT_FALSE(cache.Contains(0));
-  EXPECT_TRUE(cache.Contains(2));
-  EXPECT_TRUE(cache.Contains(4));
-  EXPECT_TRUE(cache.Contains(1)) << "the odd shard must be untouched";
-  EXPECT_EQ(cache.stats().evictions, 1u);
-}
-
-TEST_F(CacheTestFixture, ShardedStatsAggregateAcrossShards) {
-  BucketCache cache(store_.get(), 4, 2);
-  ASSERT_TRUE(cache.Get(0).ok());  // miss, shard 0
-  ASSERT_TRUE(cache.Get(1).ok());  // miss, shard 1
-  ASSERT_TRUE(cache.Get(0).ok());  // hit, shard 0
-  ASSERT_TRUE(cache.Get(1).ok());  // hit, shard 1
-  CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 2u);
-  EXPECT_EQ(stats.misses, 2u);
-  EXPECT_NEAR(stats.HitRate(), 0.5, 1e-12);
-  cache.ResetStats();
-  stats = cache.stats();
-  EXPECT_EQ(stats.hits + stats.misses + stats.evictions, 0u);
-}
-
-TEST_F(CacheTestFixture, ShardedMatchesUnshardedCountersOnSameTrace) {
-  // num_shards=1 must be byte-identical to the pre-shard cache, and a
-  // deterministic trace that never overflows any shard must agree across
-  // shard counts on every counter.
-  std::vector<BucketIndex> trace = {0, 1, 2, 3, 0, 1, 2, 3, 2, 0};
-  BucketCache flat(store_.get(), 4, 1);
-  BucketCache sharded(store_.get(), 4, 4);
-  for (BucketIndex b : trace) {
-    ASSERT_TRUE(flat.Get(b).ok());
-    ASSERT_TRUE(sharded.Get(b).ok());
-  }
-  CacheStats f = flat.stats();
-  CacheStats s = sharded.stats();
-  EXPECT_EQ(f.hits, s.hits);
-  EXPECT_EQ(f.misses, s.misses);
-  EXPECT_EQ(f.evictions, s.evictions);
-}
-
-// The races the shard mutexes must survive: many threads hammering
-// Get/Put/Contains/SetPredictionWindow for overlapping buckets across
-// every shard, so inserts, promotions, evictions and window swaps
-// interleave. Run under `tools/ci.sh --tsan` this is the thread-sanitizer
-// smoke for the cache; the invariant checks below catch logic races (a
-// lost counter, a shard over capacity) even without instrumentation.
+// The races the cache mutex must survive: many threads hammering
+// Get/Put/Contains/SetPredictionWindow for overlapping buckets, so
+// inserts, promotions, evictions and window swaps interleave on the one
+// lock. Run under `tools/ci.sh --tsan` this is the thread-sanitizer smoke
+// for the cache; the invariant checks below catch logic races (a lost
+// counter, a cache over capacity) even without instrumentation.
 TEST_F(CacheTestFixture, ConcurrentPrefetchGetCancelStress) {
   constexpr size_t kThreads = 4;
   constexpr size_t kOpsPerThread = 2000;
   util::ThreadPool callers(kThreads);
-  BucketCache cache(store_.get(), 6, 3);
+  BucketCache cache(store_.get(), 6);
   const size_t num_buckets = store_->num_buckets();
 
   std::atomic<uint64_t> gets{0};
@@ -1002,7 +926,7 @@ TEST_F(CacheTestFixture, ConcurrentPrefetchGetCancelStress) {
 TEST_F(CacheTestFixture, ByteBudgetZeroMatchesCountOnlyCache) {
   // capacity_bytes = 0 is the pre-existing count-only mode: byte
   // accounting stays off entirely.
-  BucketCache cache(store_.get(), 3, 1, nullptr, 0);
+  BucketCache cache(store_.get(), 3, 0);
   ASSERT_TRUE(cache.Get(0).ok());
   EXPECT_EQ(cache.capacity_bytes(), 0u);
   EXPECT_EQ(cache.resident_bytes(), 0u);
@@ -1012,8 +936,7 @@ TEST_F(CacheTestFixture, ByteBudgetBoundsResidency) {
   // Each MemStore bucket charges EstimatedBytes = 100 * 4096 bytes. A
   // budget of 2.5 buckets holds two; the third insert evicts the LRU.
   const uint64_t per_bucket = 100 * Bucket::kBytesPerObject;
-  BucketCache cache(store_.get(), 10, 1, nullptr,
-                    per_bucket * 2 + per_bucket / 2);
+  BucketCache cache(store_.get(), 10, per_bucket * 2 + per_bucket / 2);
   ASSERT_TRUE(cache.Get(0).ok());
   ASSERT_TRUE(cache.Get(1).ok());
   EXPECT_EQ(cache.resident_bytes(), 2 * per_bucket);
@@ -1045,7 +968,7 @@ TEST_F(CacheTestFixture, ByteBudgetHoldsMoreEncodedBuckets) {
   ASSERT_TRUE(store.ok());
 
   const uint64_t estimate_budget = 2 * 100 * Bucket::kBytesPerObject;
-  BucketCache cache(store->get(), 10, 1, nullptr, estimate_budget);
+  BucketCache cache(store->get(), 10, estimate_budget);
   size_t resident = 0;
   for (BucketIndex i = 0; i < 10; ++i) {
     ASSERT_TRUE(cache.Get(i).ok());
@@ -1071,8 +994,7 @@ TEST_F(CacheTestFixture, ByteBudgetChargesRowV1PagesTheirFileBytes) {
   auto store = FileStore::Open(path.string());
   ASSERT_TRUE(store.ok());
 
-  BucketCache cache(store->get(), 10, 1, nullptr,
-                    10 * 100 * Bucket::kBytesPerObject);
+  BucketCache cache(store->get(), 10, 10 * 100 * Bucket::kBytesPerObject);
   ASSERT_TRUE(cache.Get(3).ok());
   EXPECT_EQ(cache.resident_bytes(), (*store)->EncodedBucketBytes(3));
   EXPECT_LT(cache.resident_bytes(), 100 * Bucket::kBytesPerObject);

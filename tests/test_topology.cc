@@ -32,7 +32,6 @@
 #include "storage/bucket_cache.h"
 #include "storage/catalog.h"
 #include "storage/file_store.h"
-#include "storage/mem_store.h"
 #include "storage/partitioner.h"
 #include "util/thread_pool.h"
 #include "workload/catalog_gen.h"
@@ -144,28 +143,6 @@ TEST(StorageTopologyTest, SpillArmIsNotABucketVolume) {
   auto plain = StorageTopology::Create(9, config, DiskModelParams{});
   ASSERT_TRUE(plain.ok());
   EXPECT_FALSE(plain->has_spill_arm());
-}
-
-// Volume-aligned sharding maps every bucket into [0, num_volumes), so a
-// shard count beyond the volume count would strand capacity on shards no
-// bucket can reach — the constructor must clamp it.
-TEST(StorageTopologyTest, CacheShardCountClampsToVolumes) {
-  workload::CatalogGenConfig gen;
-  gen.num_objects = 4000;
-  gen.seed = 19;
-  auto objects = workload::GenerateCatalog(gen);
-  ASSERT_TRUE(objects.ok());
-  auto partition = PartitionCatalog(std::move(*objects), 1000);
-  ASSERT_TRUE(partition.ok());
-  MemStore store(std::move(*partition));
-  StorageTopologyConfig config;
-  config.num_volumes = 2;
-  auto topology =
-      StorageTopology::Create(store.num_buckets(), config, DiskModelParams{});
-  ASSERT_TRUE(topology.ok());
-  BucketCache cache(&store, 16, /*num_shards=*/8, &*topology);
-  EXPECT_EQ(cache.num_shards(), 2u);
-  EXPECT_EQ(cache.capacity(), 16u);
 }
 
 // ------------------------------------------------ FileStore routing ----
@@ -466,18 +443,6 @@ TEST_F(MultiVolumeDrainFixture, AdaptiveMultiVolumeIsDeterministic) {
     EXPECT_EQ(a.volumes[v].prefetch_issued, b.volumes[v].prefetch_issued);
     EXPECT_EQ(a.volumes[v].busy_ms, b.volumes[v].busy_ms);
   }
-}
-
-// Volume-aligned cache sharding composes with the topology and keeps
-// results identical to the by-bucket shard map (eviction domains differ,
-// matching cannot).
-TEST_F(MultiVolumeDrainFixture, VolumeAlignedCacheShardsKeepResults) {
-  std::map<query::QueryId, uint64_t> base_matches, sharded_matches;
-  Drain(PrefetchConfig(4), &base_matches);
-  EngineConfig sharded = PrefetchConfig(4);
-  sharded.cache_shards = 4;
-  Drain(sharded, &sharded_matches);
-  EXPECT_EQ(sharded_matches, base_matches);
 }
 
 // ------------------------------------------------ spill-arm satellite --

@@ -2,7 +2,10 @@
 # Fails if any file under src/ is not mentioned in docs/ARCHITECTURE.md,
 # keeping the architecture map from rotting as the tree grows. A file
 # src/<dir>/<name>.<ext> counts as mentioned if the string "<dir>/<name>"
-# appears in the doc (so one row covers a .h/.cc pair).
+# appears in the doc (so one row covers a .h/.cc pair). The reverse holds
+# too: a module row of the map (a line starting | `<dir>/<name>`) fails
+# the check when no src/<dir>/<name>.* file exists, so a deleted module
+# cannot leave its row behind.
 #
 # Also fails if any scenario-spec key accepted by the parser in
 # src/sim/scenario_matrix.cc (each marked with a SCENARIO_KEY(<key>)
@@ -24,11 +27,18 @@ while IFS= read -r f; do
   fi
 done < <(find src -type f | sort)
 
+while IFS= read -r stem; do
+  if ! compgen -G "src/$stem.*" > /dev/null; then
+    echo "stale module row: $stem has no file under src/ (remove its row from $DOC)" >&2
+    missing=1
+  fi
+done < <(grep -o '^| `[^`]*/[^`]*`' "$DOC" | sed 's/^| `\(.*\)`$/\1/')
+
 if [ "$missing" -ne 0 ]; then
   echo "docs check FAILED: update $DOC" >&2
   exit 1
 fi
-echo "docs check OK: every src/ file is mapped in $DOC"
+echo "docs check OK: every src/ file is mapped in $DOC, every module row names one"
 
 SCEN_DOC=docs/SCENARIOS.md
 SCEN_SRC=src/sim/scenario_matrix.cc

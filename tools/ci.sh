@@ -8,12 +8,12 @@
 #                        # test_storage, test_topology, test_serve,
 #                        # test_async_io, and test_columnar with
 #                        # -fsanitize=thread and runs them (work stealing +
-#                        # sharded-cache races + per-volume FileStore lanes +
+#                        # cache races + per-volume FileStore lanes +
 #                        # concurrent admission control + submission-queue
 #                        # workers/completions + columnar pages' position
 #                        # blocks filled by concurrent readers; the cache
 #                        # stress test races Get/Put/Contains and window
-#                        # swaps across shard locks)
+#                        # swaps on the cache's one lock)
 #   tools/ci.sh --asan   # ASan+UBSan smoke: builds test_exec, test_storage,
 #                        # test_topology, test_columnar, test_async_io,
 #                        # test_core, test_sim, test_serve, test_thread_pool,
@@ -43,55 +43,47 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The sanitizer smokes build their suites as one target, smoke_suites
+# (CMakeLists.txt), so make compiles them in parallel: CMake's top-level
+# Makefile is .NOTPARALLEL, and N --target goals build one after another.
 if [ "${1:-}" = "--asan" ]; then
+  suites=(test_exec test_storage test_topology test_columnar test_async_io
+    test_core test_sim test_serve test_thread_pool test_join test_properties
+    test_query test_spill test_htm test_workload)
   cmake -B build-asan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -g" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" \
     -DLIFERAFT_BUILD_BENCH=OFF \
     -DLIFERAFT_BUILD_EXAMPLES=OFF \
-    -DLIFERAFT_BUILD_TOOLS=OFF
-  cmake --build build-asan -j --target test_exec test_storage test_topology \
-    test_columnar test_async_io test_core test_sim test_serve test_thread_pool \
-    test_join test_properties test_query test_spill test_htm test_workload
+    -DLIFERAFT_BUILD_TOOLS=OFF \
+    -DLIFERAFT_SMOKE_SUITES="$(IFS=';'; echo "${suites[*]}")"
+  cmake --build build-asan -j --target smoke_suites
   # Leak checking is on by default under ASan; -fno-sanitize-recover
   # already turned every UBSan diagnostic into a hard failure.
-  ./build-asan/test_exec
-  ./build-asan/test_storage
-  ./build-asan/test_topology
-  ./build-asan/test_columnar
-  ./build-asan/test_async_io
-  ./build-asan/test_core
-  ./build-asan/test_sim
-  ./build-asan/test_serve
-  ./build-asan/test_thread_pool
-  ./build-asan/test_join
-  ./build-asan/test_properties
-  ./build-asan/test_query
-  ./build-asan/test_spill
-  ./build-asan/test_htm
-  ./build-asan/test_workload
+  for suite in "${suites[@]}"; do
+    "./build-asan/$suite"
+  done
   echo "asan+ubsan smoke OK"
   exit 0
 fi
 
 if [ "${1:-}" = "--tsan" ]; then
+  suites=(test_thread_pool test_storage test_topology test_serve test_async_io
+    test_columnar)
   cmake -B build-tsan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -g" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" \
     -DLIFERAFT_BUILD_BENCH=OFF \
     -DLIFERAFT_BUILD_EXAMPLES=OFF \
-    -DLIFERAFT_BUILD_TOOLS=OFF
-  cmake --build build-tsan -j --target test_thread_pool test_storage \
-    test_topology test_serve test_async_io test_columnar
+    -DLIFERAFT_BUILD_TOOLS=OFF \
+    -DLIFERAFT_SMOKE_SUITES="$(IFS=';'; echo "${suites[*]}")"
+  cmake --build build-tsan -j --target smoke_suites
   # halt_on_error so a reported race fails the job, not just the log.
-  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/test_thread_pool
-  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/test_storage
-  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/test_topology
-  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/test_serve
-  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/test_async_io
-  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/test_columnar
+  for suite in "${suites[@]}"; do
+    TSAN_OPTIONS="halt_on_error=1" "./build-tsan/$suite"
+  done
   echo "tsan smoke OK"
   exit 0
 fi
