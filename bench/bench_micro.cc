@@ -302,43 +302,6 @@ void BM_EngineSharedPrefetch(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineSharedPrefetch)->Arg(0)->Arg(1)->Arg(2);
 
-/// Shared-mode drain under the adaptive prefetch controller (starting
-/// depth 2, ceiling = arg). virtual_makespan_ms / prefetch_hidden_ms are
-/// the paper-visible effects; final_depth shows where the feedback loop
-/// settled and prefetch_wasted_kb what mispredicts cost. The acceptance
-/// bar: hidden must be >= the fixed depth-2 number on this fixture.
-void BM_EngineSharedAdaptivePrefetch(benchmark::State& state) {
-  auto fx = EngineFixture::Make(30'000, 24);
-  sim::EngineConfig config;
-  config.adaptive_prefetch = true;
-  config.prefetch_depth = 2;
-  config.max_prefetch_depth = static_cast<size_t>(state.range(0));
-  double makespan = 0.0;
-  double hidden = 0.0;
-  double final_depth = 0.0;
-  double wasted_kb = 0.0;
-  for (auto _ : state) {
-    sched::LifeRaftConfig sc;
-    sc.alpha = 0.25;
-    sim::SimEngine engine(fx.catalog.get(),
-                          std::make_unique<sched::LifeRaftScheduler>(
-                              fx.catalog->store(), storage::DiskModel{}, sc),
-                          config);
-    auto metrics = engine.Run(fx.trace, fx.arrivals);
-    makespan = metrics->makespan_ms;
-    hidden = metrics->prefetch_hidden_ms;
-    final_depth = static_cast<double>(metrics->arm_final_depths[0]);
-    const storage::VolumeIoStats bets = storage::SumOverArms(metrics->volumes);
-    wasted_kb = static_cast<double>(bets.prefetch_wasted_bytes) / 1024.0;
-    benchmark::DoNotOptimize(metrics);
-  }
-  state.counters["virtual_makespan_ms"] = makespan;
-  state.counters["prefetch_hidden_ms"] = hidden;
-  state.counters["final_depth"] = final_depth;
-  state.counters["prefetch_wasted_kb"] = wasted_kb;
-}
-BENCHMARK(BM_EngineSharedAdaptivePrefetch)->Arg(2)->Arg(4);
-
 /// Shared-mode drain with depth-2 prefetch over a multi-volume topology
 /// (range placement; arg = num_volumes, 1 reproduces
 /// BM_EngineSharedPrefetch/2 byte for byte). Each volume is an

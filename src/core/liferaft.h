@@ -110,11 +110,6 @@ class LifeRaft {
   TimeMs prefetch_hidden_ms() const {
     return stack_->pipeline()->prefetch_hidden_ms();
   }
-  /// The adaptive prefetch controller (null unless
-  /// LifeRaftOptions::adaptive_prefetch).
-  const exec::PrefetchController* prefetch_controller() const {
-    return stack_->pipeline()->controller();
-  }
   const join::EvaluatorStats& evaluator_stats() const {
     return stack_->evaluator().stats();
   }

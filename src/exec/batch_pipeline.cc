@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
+#include <string>
 
 #include "join/hybrid.h"
 #include "storage/async_io.h"
@@ -13,14 +14,6 @@ namespace liferaft::exec {
 Status PipelineConfig::Validate() const {
   if (prefetch_depth == 0) {
     return Status::InvalidArgument("prefetch_depth must be >= 1");
-  }
-  if (max_prefetch_depth == 0) {
-    return Status::InvalidArgument("max_prefetch_depth must be >= 1");
-  }
-  if (adaptive_prefetch && prefetch_depth > max_prefetch_depth) {
-    return Status::InvalidArgument(
-        "prefetch_depth (adaptive starting depth) must be <= "
-        "max_prefetch_depth");
   }
   return Status::OK();
 }
@@ -46,18 +39,8 @@ BatchPipeline::BatchPipeline(sched::Scheduler* scheduler,
   bucket_volumes_ = topology_ != nullptr ? topology_->num_volumes() : 1;
   const bool spill_arm = topology_ != nullptr && topology_->has_spill_arm();
   // The spill arm (when present) is the trailing entry: it carries no
-  // bets and no controller, only telemetry for restore I/O.
+  // bets, only telemetry for restore I/O.
   arms_.resize(bucket_volumes_ + (spill_arm ? 1 : 0));
-  if (config_.adaptive_prefetch) {
-    // The fixed depth seeds every arm's controller; from there each arm's
-    // feedback loop owns its own depth.
-    PrefetchControllerConfig controller;
-    controller.initial_depth = config_.prefetch_depth;
-    controller.max_depth = config_.max_prefetch_depth;
-    for (size_t v = 0; v < bucket_volumes_; ++v) {
-      arms_[v].controller = std::make_unique<PrefetchController>(controller);
-    }
-  }
 }
 
 sched::CacheProbe BatchPipeline::MakeCacheProbe(TimeMs now) {
@@ -100,15 +83,9 @@ std::vector<storage::VolumeIoStats> BatchPipeline::volume_stats() const {
 
 Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now,
                                                       bool collect_matches) {
-  // Adaptive mode reads each arm's depth from its controller (0 = off for
-  // now) and always drops bets that leave the prediction window — the
-  // drop doubles as that arm's controller's mispredict signal.
-  const bool prefetch_on =
-      config_.enable_prefetch || config_.adaptive_prefetch;
   // Prefetch bookkeeping spans only the bucket arms; the spill arm (the
   // trailing entry, when present) never carries bets.
   const size_t volumes = bucket_volumes_;
-  std::vector<PrefetchFeedback> feedback(volumes);
 
   const sched::CacheProbe cached = MakeCacheProbe(now);
   std::optional<storage::BucketIndex> pick =
@@ -130,66 +107,42 @@ Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now,
     prefetch_hidden_ms_ += claim.hidden_ms;
     pick_arm.stats.hidden_ms += claim.hidden_ms;
     ++pick_arm.stats.prefetch_claims;
-    PrefetchFeedback& fb = feedback[outcome.volume];
-    ++fb.claims;
-    fb.hidden_ms += claim.hidden_ms;
-    // A claim that hid nothing was queued too deep: stale by depth.
-    if (claim.hidden_ms <= 0.0) ++fb.stale_claims;
   }
 
   // Predict the next picks and bet on them now (measured mode starts their
   // reads, overlapping the join below); their modeled fetch times are
   // assigned after the evaluation, when this batch's disk phase is known.
   // The prediction is refreshed every live step — the window drives
-  // stale-bet drops and eviction protection, and a stale window would
-  // protect yesterday's predictions — and peeks deep enough (a) to judge
-  // every outstanding bet (after a controller shrink more bets can be
-  // pending than the depth admits new ones, and a still-predicted bet must
-  // not read as a mispredict just because the window got smaller) and (b)
-  // to surface candidates for EVERY arm, so an arm the front of the
+  // eviction protection, and a stale window would protect yesterday's
+  // predictions — and peeks deep enough (a) to cover every outstanding
+  // bet (under a QoS depth cap more bets can be pending than the depth
+  // admits new ones, and the window should still protect them) and (b) to
+  // surface candidates for EVERY arm, so an arm the front of the
   // prediction does not touch still gets its fetches started.
   std::vector<size_t> placed(volumes, 0);
-  if (prefetch_on) {
+  if (config_.enable_prefetch) {
+    const size_t depth = std::min(config_.prefetch_depth, depth_cap_);
     std::vector<size_t> want(volumes);
     for (size_t v = 0; v < volumes; ++v) {
-      want[v] = std::max(current_prefetch_depth(v), arms_[v].bets.size());
+      want[v] = std::max(depth, arms_[v].bets.size());
     }
     std::vector<storage::BucketIndex> predicted =
         scheduler_->PeekNextBucketsCovering(
             *manager_, now, cached,
             [this](storage::BucketIndex b) { return VolumeOf(b); }, want);
-    // Publish the window so eviction demotes predicted buckets last (an
-    // empty window — every depth scaled to 0 — restores plain LRU).
+    // Publish the window so eviction demotes predicted buckets last.
     // Skipped when unchanged: a swap rebuilds the cache's window set
     // under its lock.
     if (predicted != last_window_) {
       cache_->SetPredictionWindow(predicted);
       last_window_ = predicted;
     }
-    if (config_.adaptive_prefetch) {
-      // Drop bets that fell out of the prediction window. Arm time already
-      // modeled for them is not refunded — the bet was placed and lost —
-      // and any bytes they had fetched are charged to the arm's
-      // controller as waste.
-      for (size_t v = 0; v < volumes; ++v) {
-        for (auto it = arms_[v].bets.begin(); it != arms_[v].bets.end();) {
-          if (std::find(predicted.begin(), predicted.end(), it->bucket) ==
-              predicted.end()) {
-            feedback[v].wasted_bytes += DropBet(it->bucket);
-            it = arms_[v].bets.erase(it);
-            ++feedback[v].cancels;
-          } else {
-            ++it;
-          }
-        }
-      }
-    }
-    // Fill every arm up to its depth, walking the global predicted
+    // Fill every arm up to the depth, walking the global predicted
     // service order so each arm's queue stays in that order.
     for (storage::BucketIndex b : predicted) {
       const storage::VolumeIndex v = VolumeOf(b);
       const std::deque<PendingPrefetch>& bets = arms_[v].bets;
-      if (bets.size() >= current_prefetch_depth(v)) continue;
+      if (bets.size() >= depth) continue;
       if (cache_->Contains(b)) continue;
       const bool already_queued =
           std::any_of(bets.begin(), bets.end(),
@@ -232,14 +185,6 @@ Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now,
   outcome.cpu_ms = result.cpu_ms;
   outcome.counters = result.counters;
   outcome.matches = std::move(result.matches);
-  // Feed every arm's controller exactly once per completed step — steps
-  // that resolved none of an arm's bets still advance its probe and
-  // adjustment timers.
-  for (size_t v = 0; v < volumes; ++v) {
-    if (arms_[v].controller != nullptr) {
-      arms_[v].controller->Observe(feedback[v]);
-    }
-  }
   return std::optional<StepOutcome>(std::move(outcome));
 }
 
@@ -305,21 +250,8 @@ void BatchPipeline::PlaceBet(storage::BucketIndex b) {
   ++arm.stats.prefetch_issued;
 }
 
-uint64_t BatchPipeline::DropBet(storage::BucketIndex b) {
-  uint64_t wasted = 0;
-  if (reader_ == nullptr) {
-    // The modeled arm spent the bet's fetch on it.
-    wasted = cache_->store().ModeledBucketBytes(b, /*charge_encoded=*/false);
-  } else if (auto it = real_bets_.find(b); it != real_bets_.end()) {
-    if (it->second.completed && it->second.status.ok()) {
-      wasted = it->second.bytes;
-    }
-    real_bets_.erase(it);
-  }
-  Arm& arm = arms_[VolumeOf(b)];
-  ++arm.stats.prefetch_drops;
-  arm.stats.prefetch_wasted_bytes += wasted;
-  return wasted;
+void BatchPipeline::DropBet(storage::BucketIndex b) {
+  if (reader_ != nullptr) real_bets_.erase(b);
 }
 
 void BatchPipeline::AdvanceArmClocks(const StepOutcome& outcome,
@@ -433,19 +365,28 @@ void BatchPipeline::SubmitRealBet(storage::BucketIndex b) {
 Result<BatchPipeline::RealBet> BatchPipeline::AwaitRealBet(
     storage::BucketIndex b, TimeMs* waited_ms) {
   const TimeMs t0 = wall_.NowMs();
-  for (;;) {
-    auto it = real_bets_.find(b);
-    if (it == real_bets_.end() || it->second.completed) break;
-    // Wait() parks until ANY completion arrives; completions for other
-    // arms' bets delivered along the way are the overlap this mode
-    // measures. The in_flight guard breaks a (should-be-impossible)
-    // wait on a bet the queues no longer know about.
+  auto it = real_bets_.find(b);
+  // Wait() parks until ANY completion arrives; completions for other
+  // arms' bets delivered along the way are the overlap this mode
+  // measures. The in_flight guard stops a wait on a read the queues no
+  // longer know about.
+  while (it != real_bets_.end() && !it->second.completed) {
     if (reader_->Wait() == 0 && reader_->in_flight() == 0) break;
+    it = real_bets_.find(b);
   }
   *waited_ms = wall_.NowMs() - t0;
-  RealBet read = std::move(real_bets_[b]);
-  real_bets_.erase(b);
+  if (it == real_bets_.end() || !it->second.completed) {
+    if (it != real_bets_.end()) real_bets_.erase(it);
+    return Status::Internal("read of bucket " + std::to_string(b) +
+                            " never completed");
+  }
+  RealBet read = std::move(it->second);
+  real_bets_.erase(it);
   if (!read.status.ok()) return read.status;
+  if (read.bucket == nullptr) {
+    return Status::Internal("read of bucket " + std::to_string(b) +
+                            " completed without a bucket");
+  }
   cache_->Put(b, read.bucket);
   cache_->mutable_store()->RecordPrefetchedRead(*read.bucket);
   return read;

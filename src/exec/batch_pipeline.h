@@ -30,35 +30,29 @@
 // residual is credited to prefetch_hidden_ms.
 //
 // Multi-volume topology (storage::StorageTopology): each volume is an
-// independent disk arm with its own bet queue, its own modeled busy time,
-// and — in adaptive mode — its own PrefetchController depth. Fetches on
-// different arms overlap each other and the foreground batch's disk
-// phase; a batch's foreground I/O contends only with its own bucket's arm.
+// independent disk arm with its own bet queue and its own modeled busy
+// time. Fetches on different arms overlap each other and the foreground
+// batch's disk phase; a batch's foreground I/O contends only with its own
+// bucket's arm.
 // A dedicated spill arm (StorageTopologyConfig::spill_arm) is one extra
 // trailing arm that carries no bets and absorbs spill-restore busy time.
 // With a null topology (or one volume) every bucket maps to arm 0.
 //
-// Mispredictions: at a fixed depth an unclaimed bet stays queued on its
-// arm until its bucket is scheduled, its modeled completion slipping
-// whenever the foreground batch needs its arm. With `adaptive_prefetch`
-// each arm's PrefetchController walks that arm's depth between 0 and
-// `max_prefetch_depth` from EWMAs of the stale-claim rate, hidden ms per
-// claim, and wasted bytes, and bets that leave the prediction window are
-// dropped — both the drain mechanism and the controller's mispredict
-// signal. A dropped bet's bytes (modeled: the bucket's modeled size;
-// measured: what its read moved) are its waste, charged to its arm's
-// ledger (VolumeIoStats::prefetch_drops / prefetch_wasted_bytes).
-// Controllers see only virtual quantities and step counts in modeled
-// mode, so adaptive runs stay deterministic there.
+// Mispredictions: an unclaimed bet stays queued on its arm until its
+// bucket is scheduled, its modeled completion slipping whenever the
+// foreground batch needs its arm. A bet's bucket has pending work (the
+// predictor only names such buckets) and keeps it until it is picked, so
+// every bet of a completed drain is claimed; only a failed step or an
+// abandoned run drops bets (CancelOutstandingPrefetches).
 //
 // Every step publishes the prediction window to the cache
 // (BucketCache::SetPredictionWindow), so eviction demotes predicted
-// buckets last.
+// buckets last; the cache prices its other victims by the arm that would
+// re-read them.
 
 #ifndef LIFERAFT_EXEC_BATCH_PIPELINE_H_
 #define LIFERAFT_EXEC_BATCH_PIPELINE_H_
 
-#include <algorithm>
 #include <deque>
 #include <limits>
 #include <memory>
@@ -66,7 +60,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "exec/prefetch_controller.h"
 #include "join/evaluator.h"
 #include "query/workload.h"
 #include "sched/scheduler.h"
@@ -88,15 +81,8 @@ struct PipelineConfig {
   /// schedule (prefetched buckets count as resident for phi) but stays
   /// deterministic and thread-count independent.
   bool enable_prefetch = false;
-  /// Predicted picks kept in flight PER ARM (>= 1). Under
-  /// adaptive_prefetch this only seeds every arm's starting depth.
+  /// Predicted picks kept in flight PER ARM (>= 1).
   size_t prefetch_depth = 1;
-  /// Feedback-driven per-arm depth between 0 and max_prefetch_depth (see
-  /// file comment). Drops bets that leave the prediction window, and
-  /// enables the pipeline regardless of enable_prefetch.
-  bool adaptive_prefetch = false;
-  /// Depth ceiling of the adaptive controllers (>= 1).
-  size_t max_prefetch_depth = 4;
 
   Status Validate() const;
 };
@@ -168,36 +154,15 @@ class BatchPipeline {
   /// all arms (per-arm split in volume_stats()).
   TimeMs prefetch_hidden_ms() const { return prefetch_hidden_ms_; }
 
-  /// Arm `volume`'s adaptive controller, or null when adaptive_prefetch
-  /// is off. The zero-arg form is the single-volume accessor (arm 0).
-  const PrefetchController* controller(size_t volume) const {
-    return arms_[volume].controller.get();
-  }
-  const PrefetchController* controller() const { return controller(0); }
-
-  /// The depth the next Step will prefetch arm `volume` to (that arm's
-  /// controller depth in adaptive mode, the fixed config depth
-  /// otherwise), limited by the external depth cap.
-  size_t current_prefetch_depth(size_t volume) const {
-    const size_t raw = arms_[volume].controller != nullptr
-                           ? arms_[volume].controller->depth()
-                           : config_.prefetch_depth;
-    return std::min(raw, depth_cap_);
-  }
-
-  /// Caps every arm's next-step prefetch depth — adaptive or fixed — at
-  /// `cap`. The default (SIZE_MAX) never binds; the serving engine drives
-  /// this from the active QoS class's QosPrefetchConfig between steps.
-  /// The cap limits how many NEW bets a step places; bets already in
-  /// flight are untouched (the window-based stale drop drains them).
+  /// Caps every arm's next-step prefetch depth at `cap`. The default
+  /// (SIZE_MAX) never binds; the serving engine drives this from the
+  /// active QoS class's QosPrefetchConfig between steps. The cap limits
+  /// how many NEW bets a step places; bets already in flight stay queued
+  /// until their buckets are claimed.
   void set_depth_cap(size_t cap) { depth_cap_ = cap; }
 
   /// Number of disk arms including the dedicated spill arm, if any.
   size_t num_volumes() const { return arms_.size(); }
-
-  /// Arms that own buckets — and so can carry prefetch bets and a depth
-  /// controller. One less than num_volumes() under a spill-arm topology.
-  size_t bucket_volumes() const { return bucket_volumes_; }
 
   /// Per-arm I/O telemetry accumulated so far (index = volume).
   std::vector<storage::VolumeIoStats> volume_stats() const;
@@ -220,11 +185,9 @@ class BatchPipeline {
   };
 
   /// One disk arm: its outstanding bets in predicted service order (= that
-  /// arm's queue order), its adaptive depth controller, and its telemetry.
+  /// arm's queue order) and its telemetry.
   struct Arm {
     std::deque<PendingPrefetch> bets;
-    /// Non-null iff config_.adaptive_prefetch.
-    std::unique_ptr<PrefetchController> controller;
     storage::VolumeIoStats stats;
   };
 
@@ -270,12 +233,10 @@ class BatchPipeline {
   /// read; a modeled bet is priced by AdvanceArmClocks and read when
   /// claimed.
   void PlaceBet(storage::BucketIndex b);
-  /// Forgets the bet on `b` and counts the drop on its arm. Measured mode
-  /// drops the read record so a late completion is discarded. Returns the
-  /// bet's wasted bytes (modeled: the bucket's modeled bytes, the fetch
-  /// its arm spent; measured: the bytes its read had moved). The caller
-  /// removes it from its arm's queue.
-  uint64_t DropBet(storage::BucketIndex b);
+  /// Forgets the bet on `b`: measured mode drops the read record so a
+  /// late completion is discarded (a modeled bet is only its queue
+  /// entry). The caller removes it from its arm's queue.
+  void DropBet(storage::BucketIndex b);
   /// Modeled mode only: slips the bets on the pick's arm by the batch's
   /// disk phase, prices the `placed[v]` newest bets on every arm, and
   /// records the batch's foreground and spill-restore arm time. Measured
@@ -289,7 +250,9 @@ class BatchPipeline {
   void SubmitRealBet(storage::BucketIndex b);
   /// Measured mode: blocks until the read of `b` completes, harvesting
   /// other arms' completions along the way, then hands the bucket to the
-  /// cache. Returns the completion; `*waited_ms` gets the wall wait.
+  /// cache. Returns the completion; `*waited_ms` gets the wall wait. A
+  /// read that never delivered a bucket (its record is gone, or nothing
+  /// is left in flight to wait for) is an Internal error naming `b`.
   Result<RealBet> AwaitRealBet(storage::BucketIndex b, TimeMs* waited_ms);
 
   storage::VolumeIndex VolumeOf(storage::BucketIndex b) const {

@@ -30,8 +30,10 @@ Result<std::unique_ptr<ExecutionStack>> ExecutionStack::Create(
                                        config.topology, config.disk));
   stack->topology_ =
       std::make_unique<storage::StorageTopology>(std::move(topology));
+  // Evictions are priced by the arm that must re-read (equal disks: LRU).
   stack->cache_ = std::make_unique<storage::BucketCache>(
-      catalog->store(), config.cache_capacity, cache_capacity_bytes);
+      catalog->store(), config.cache_capacity, cache_capacity_bytes,
+      stack->topology_.get());
   stack->evaluator_ = std::make_unique<join::JoinEvaluator>(
       stack->cache_.get(), catalog->index(), storage::DiskModel(config.disk),
       config.hybrid);

@@ -378,14 +378,6 @@ RunMetrics SimEngine::AssembleMetrics(
     metrics.real_io_enabled = true;
     metrics.real_io = stack_->reader()->VolumeStats();
   }
-  if (pipeline != nullptr && pipeline->controller() != nullptr) {
-    metrics.prefetch_stale_ewma = pipeline->controller()->stale_ewma();
-    // Depths exist only for bucket arms; a spill arm has no controller.
-    metrics.arm_final_depths.reserve(pipeline->bucket_volumes());
-    for (size_t v = 0; v < pipeline->bucket_volumes(); ++v) {
-      metrics.arm_final_depths.push_back(pipeline->current_prefetch_depth(v));
-    }
-  }
 
   metrics.queries_offered = admission.offered();
   metrics.queries_shed = admission.shed();

@@ -80,14 +80,6 @@ std::string RunMetricsJson(const RunMetrics& m) {
   arms += "]";
   o.Field("arms", arms);
 
-  std::string depths = "[";
-  for (size_t v = 0; v < m.arm_final_depths.size(); ++v) {
-    if (v > 0) depths += ", ";
-    depths += std::to_string(m.arm_final_depths[v]);
-  }
-  depths += "]";
-  o.Field("arm_final_depths", depths);
-
   // Appended only in real-I/O mode: every golden/digest comparison runs
   // modeled, so the modeled serialization must not change shape.
   if (m.real_io_enabled) {

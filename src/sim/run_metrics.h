@@ -69,27 +69,16 @@ struct RunMetrics {
   /// Workload-overflow activity (zero unless spilling was enabled).
   query::SpillStats spill;
   /// Virtual fetch time hidden behind compute by the cross-batch prefetch
-  /// pipeline (zero unless EngineConfig::enable_prefetch or
-  /// adaptive_prefetch). The bet ledger — issue/claim/drop counts and
-  /// wasted bytes — is kept per arm in `volumes` (storage::SumOverArms
-  /// totals it).
+  /// pipeline (zero unless EngineConfig::enable_prefetch). The bet ledger
+  /// — issue and claim counts — is kept per arm in `volumes`
+  /// (storage::SumOverArms totals it).
   TimeMs prefetch_hidden_ms = 0.0;
-  /// Adaptive-prefetch telemetry (meaningful only when
-  /// EngineConfig::adaptive_prefetch): arm 0's stale-claim EWMA at end of
-  /// run — how mispredicted the tail of the run looked to the feedback
-  /// loop. (Multi-volume runs have one controller per arm; arm 0 keeps
-  /// this field's single-volume meaning.)
-  double prefetch_stale_ewma = 0.0;
   /// Per-volume I/O telemetry (index = volume; one entry per disk arm,
   /// exactly one for single-volume runs; empty in per-query modes, which
   /// bypass the pipeline): foreground reads/bytes, prefetch issue/claim
   /// counts, modeled busy and hidden time, and each arm's consumed-work
   /// and speculative busy-until clocks.
   std::vector<storage::VolumeIoStats> volumes;
-  /// Each arm's prefetch depth at end of run, as the next step would use
-  /// it (controller depth under any QoS depth cap; one entry per bucket
-  /// volume under adaptive_prefetch, empty otherwise).
-  std::vector<size_t> arm_final_depths;
 
   /// Real-I/O mode (EngineConfig::io_mode == kReal): measured wall-clock
   /// telemetry from the per-volume submission queues — read/byte counts,

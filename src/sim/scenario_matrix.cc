@@ -43,7 +43,6 @@ std::string CellConfigJson(const ScenarioCell& cell) {
   o.Int("spill_budget", cell.spill_budget);
   o.Int("cache", cell.cache);
   o.Int("prefetch_depth", cell.prefetch_depth);
-  o.Bool("adaptive_prefetch", cell.adaptive_prefetch);
   o.Num("alpha", cell.alpha);
   o.Bool("adaptive_alpha", cell.adaptive_alpha);
   o.Int("interactive_max_parts", cell.interactive_max_parts);
@@ -183,12 +182,14 @@ Result<std::vector<ScenarioCell>> BuiltinScenarioGrid(
       cells.push_back(cell);
     }
     // The hetero pair: one cell with an upgraded fast arm vs its all-slow
-    // uniform twin. Both run the SAME multi-wave arrival trace rather
-    // than a single saturated drain: in one pass every bucket is read
-    // exactly once, so both makespans floor at the slow arm's total read
-    // time and the comparison can only ever tie. Waves re-touch buckets
-    // across cache evictions, so per-volume T_b pricing has slow-arm
-    // re-reads to save — which is what strictly_beats pins down.
+    // uniform twin, both at a fixed prefetch depth of 2. Both run the SAME
+    // multi-wave arrival trace rather than a single saturated drain: in
+    // one pass every bucket is read exactly once, so both makespans floor
+    // at the slow arm's total read time and the comparison can only ever
+    // tie. Waves re-touch buckets across cache evictions, so per-volume
+    // T_b pricing — in the scheduler and in the cache's priced evictions,
+    // which keep slow-arm buckets longer — has slow-arm re-reads to save,
+    // which is what strictly_beats pins down.
     auto hetero_wave = [&](const std::string& cell_name) {
       ScenarioCell cell = base(cell_name);
       cell.arrivals.kind = ArrivalSpec::Kind::kTrace;
@@ -203,7 +204,6 @@ Result<std::vector<ScenarioCell>> BuiltinScenarioGrid(
       cell.volumes = 2;
       cell.placement = storage::VolumePlacement::kHash;
       cell.prefetch_depth = 2;
-      cell.adaptive_prefetch = true;
       cell.adaptive_alpha = true;
       cell.expect_no_shed = true;  // unbounded admission: nothing may shed
       return cell;
@@ -438,9 +438,6 @@ Status ApplyKey(ScenarioCell* cell, const std::string& key,
   if (key == "prefetch_depth") {  // SCENARIO_KEY(prefetch_depth)
     return ParseSize(value, &cell->prefetch_depth);
   }
-  if (key == "adaptive_prefetch") {  // SCENARIO_KEY(adaptive_prefetch)
-    return ParseBool(value, &cell->adaptive_prefetch);
-  }
   if (key == "alpha") {  // SCENARIO_KEY(alpha)
     return ParseDouble(value, &cell->alpha);
   }
@@ -567,7 +564,6 @@ Result<RunMetrics> RunCell(const ScenarioCell& cell,
     config.enable_prefetch = true;
     config.prefetch_depth = cell.prefetch_depth;
   }
-  config.adaptive_prefetch = cell.adaptive_prefetch;
   if (cell.spill_budget > 0) {
     if (options.spill_dir.empty()) {
       return Status::InvalidArgument(

@@ -81,10 +81,8 @@ struct ScenarioCell {
   // -------------------------------------------------------- engine axes --
   /// Bucket-cache capacity (buckets).
   size_t cache = 20;
-  /// Fixed prefetch depth; 0 disables prefetching (unless adaptive).
+  /// Prefetch depth per arm; 0 disables prefetching.
   size_t prefetch_depth = 0;
-  /// Per-arm adaptive prefetch controllers.
-  bool adaptive_prefetch = false;
   /// LifeRaft alpha (fixed; the starting point under adaptive_alpha).
   double alpha = 0.25;
   /// Re-select alpha online from the offered rate using

@@ -77,11 +77,10 @@ const char* ArrivalKindName(ArrivalSpec::Kind kind);
 /// Materializes `n` arrival timestamps from the spec (ascending from 0).
 Result<std::vector<TimeMs>> BuildArrivals(const ArrivalSpec& spec, size_t n);
 
-/// Per-QoS-class prefetch-controller override: while the class is active
-/// (see ServeConfig::qos_prefetch) the engine caps every disk arm's
-/// prefetch depth — adaptive or fixed — at max_depth. 0 = no class cap:
-/// the arm keeps the engine-wide EngineConfig depth configuration, byte
-/// for byte.
+/// Per-QoS-class prefetch-depth override: while the class is active (see
+/// ServeConfig::qos_prefetch) the engine caps every disk arm's prefetch
+/// depth at max_depth. 0 = no class cap: the arm keeps the engine-wide
+/// EngineConfig prefetch depth, byte for byte.
 struct QosPrefetchConfig {
   size_t max_depth = 0;
 };

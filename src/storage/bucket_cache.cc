@@ -1,15 +1,38 @@
 #include "storage/bucket_cache.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
+
+#include "storage/topology.h"
 
 namespace liferaft::storage {
 
 BucketCache::BucketCache(BucketStore* store, size_t capacity,
-                         uint64_t capacity_bytes)
+                         uint64_t capacity_bytes,
+                         const StorageTopology* topology)
     : store_(store), capacity_(capacity), capacity_bytes_(capacity_bytes) {
   assert(store_ != nullptr);
   assert(capacity_ > 0);
+  if (topology == nullptr) return;
+  const size_t buckets = store_->num_buckets();
+  assert(topology->num_buckets() == buckets);
+  // The mean bucket at the paper's kBytesPerObject estimate: one size for
+  // every volume, so only the volumes' disk models set the prices apart.
+  uint64_t total_bytes = 0;
+  for (BucketIndex b = 0; b < buckets; ++b) {
+    total_bytes += store_->ModeledBucketBytes(b, /*charge_encoded=*/false);
+  }
+  const uint64_t mean_bytes = total_bytes / buckets;
+  std::vector<double> volume_price;
+  for (VolumeIndex v = 0; v < topology->num_volumes(); ++v) {
+    const TimeMs t_b = topology->model(v).SequentialReadMs(mean_bytes);
+    volume_price.push_back(t_b * t_b);
+  }
+  price_.reserve(buckets);
+  for (BucketIndex b = 0; b < buckets; ++b) {
+    price_.push_back(volume_price[topology->VolumeOf(b)]);
+  }
 }
 
 bool BucketCache::Contains(BucketIndex index) const {
@@ -32,29 +55,33 @@ CacheStats BucketCache::stats() const {
   return stats_;
 }
 
+double BucketCache::inflation() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return inflation_;
+}
+
 void BucketCache::Touch(std::list<Entry>::iterator it) {
+  it->priority = inflation_ + Price(it->index);
   lru_.splice(lru_.begin(), lru_, it);
 }
 
 void BucketCache::EvictOverCapacity() {
   while (map_.size() > capacity_ ||
          (capacity_bytes_ > 0 && bytes_used_ > capacity_bytes_)) {
-    // Victim order, scanning LRU-to-MRU and never the front entry (the
-    // one the triggering insert just touched) until nothing else is
-    // evictable:
-    //  1. the LRU entry outside the prediction window;
-    //  2. the LRU entry inside it — protection demotes, it must not starve
-    //     the cache of evictable space (counted in evictions_protected);
-    //  3. the front entry itself, when it is the only entry (with no
-    //     window this reproduces plain LRU exactly).
+    // Victim order, never the front entry (the one the triggering insert
+    // just touched) until nothing else is evictable:
+    //  1. the lowest-priority entry outside the prediction window;
+    //  2. the lowest-priority entry inside it — protection demotes, it
+    //     must not starve the cache of evictable space (counted in
+    //     evictions_protected);
+    //  3. the front entry itself, when it is the only entry.
+    // The scan runs from the least recently touched entry and keeps the
+    // first of equal priorities, so ties go to the least recently used.
     auto victim = lru_.end();
     auto protected_victim = lru_.end();
     for (auto it = std::prev(lru_.end()); it != lru_.begin(); --it) {
-      if (window_.find(it->index) == window_.end()) {
-        victim = it;
-        break;
-      }
-      if (protected_victim == lru_.end()) protected_victim = it;
+      auto& best = window_.contains(it->index) ? protected_victim : victim;
+      if (best == lru_.end() || it->priority < best->priority) best = it;
     }
     bool victim_protected = false;
     if (victim == lru_.end()) {
@@ -68,6 +95,7 @@ void BucketCache::EvictOverCapacity() {
     }
     if (victim_protected) ++stats_.evictions_protected;
     ++stats_.evictions;
+    inflation_ = std::max(inflation_, victim->priority);
     bytes_used_ -= victim->bytes;
     map_.erase(victim->index);
     lru_.erase(victim);
@@ -85,7 +113,8 @@ void BucketCache::InsertMru(BucketIndex index,
   // Charges are only tracked in byte mode, keeping the count-only cache
   // bit-for-bit on its pre-byte-mode behavior.
   const uint64_t bytes = capacity_bytes_ > 0 ? ChargedBytes(index) : 0;
-  lru_.push_front(Entry{index, std::move(bucket), bytes});
+  lru_.push_front(
+      Entry{index, std::move(bucket), bytes, inflation_ + Price(index)});
   map_[index] = lru_.begin();
   bytes_used_ += bytes;
   EvictOverCapacity();
@@ -123,6 +152,7 @@ void BucketCache::Clear() {
   map_.clear();
   window_.clear();
   bytes_used_ = 0;
+  inflation_ = 0.0;
 }
 
 }  // namespace liferaft::storage

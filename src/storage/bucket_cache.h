@@ -1,4 +1,4 @@
-// LRU bucket cache (paper §4): LifeRaft manages bucket caching itself,
+// Bucket cache (paper §4): LifeRaft manages bucket caching itself,
 // independently of the database server's buffer pool. The cache's
 // residency predicate is the phi(i) term of the workload throughput metric
 // — cached buckets cost no T_b — so the greedy scheduler naturally
@@ -10,20 +10,35 @@
 // the page then) or Put (measured mode read it on a submission queue).
 // Either way a bucket that was not resident counts one miss.
 //
-// Prefetch-aware eviction (two LRU tiers): the prefetch pipeline
-// publishes the scheduler's current prediction window via
-// SetPredictionWindow — the buckets it expects to serve (and therefore
-// fetch or reuse) next. Eviction demotes those buckets last: the victim is
-// the least-recently-used entry OUTSIDE the window, and only when every
-// entry is inside the window does eviction fall back to the LRU protected
-// entry (counted in evictions_protected). The entry the triggering insert
-// just touched (the front of the LRU) is never the victim while anything
-// else is evictable — protection demotes other buckets, it must not bounce
-// the foreground's own bucket straight back out. This closes the
+// Priced eviction (GreedyDual; Young 1994, Cao & Irani 1997): evicting a
+// bucket costs a re-read on the arm that owns it, and on a heterogeneous
+// topology a slow arm's re-read costs more. Every touch (an insert, a Get
+// hit, a Put of a resident bucket) sets the entry's priority to L plus
+// its volume's price; the victim is the lowest priority, ties going to
+// the least recently used entry, and L then rises to the victim's
+// priority. So a cheap bucket leaves before a dear one that is not much
+// older, and inflation lets a dear bucket nothing touches age out in the
+// end. A volume's price is its T_b for the store's mean modeled bucket,
+// squared: a re-read costs its arm T_b, and with buckets spread evenly
+// over the arms each arm's share of disk time also scales with T_b. The
+// prices come from the storage topology, once per volume. Equal disks —
+// a uniform topology, or none — give equal prices, and then the order of
+// priorities is the order of touches: eviction is exactly LRU.
+//
+// Prefetch-aware eviction (two tiers): the prefetch pipeline publishes
+// the scheduler's current prediction window via SetPredictionWindow — the
+// buckets it expects to serve (and therefore fetch or reuse) next.
+// Eviction demotes those buckets last: the victim is the lowest-priority
+// entry OUTSIDE the window, and only when every entry is inside the window
+// does eviction fall back to the lowest-priority protected entry (counted
+// in evictions_protected). The entry the triggering insert just touched
+// (the front of the recency list) is never the victim while anything else
+// is evictable — protection demotes other buckets, it must not bounce the
+// foreground's own bucket straight back out. This closes the
 // self-defeating loop where inserting a claimed bet evicts the very bucket
-// the next prediction wants — generic LRU knows nothing about the
+// the next prediction wants — a generic policy knows nothing about the
 // predictor. With an empty window (the default, and whenever prefetching
-// is off) eviction is byte-identical to plain LRU.
+// is off) only the priorities decide.
 //
 // Threading: every method is safe to call from any thread — each takes
 // the cache's one mutex, which also guards the counters. The drivers
@@ -47,12 +62,15 @@
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "storage/bucket.h"
 #include "storage/bucket_store.h"
 #include "util/status.h"
 
 namespace liferaft::storage {
+
+class StorageTopology;  // storage/topology.h
 
 /// Cache hit/miss counters. A miss is a bucket that came from the store:
 /// a Get that read it, or a Put of a bucket that was not resident.
@@ -71,8 +89,8 @@ struct CacheStats {
   }
 };
 
-/// Fixed-capacity LRU cache of immutable buckets, layered over a
-/// BucketStore.
+/// Fixed-capacity cache of immutable buckets with priced (GreedyDual)
+/// eviction, layered over a BucketStore.
 class BucketCache {
  public:
   /// @param store      backing store (not owned; must outlive the cache)
@@ -88,20 +106,24 @@ class BucketCache {
   ///                   pages mean more resident buckets. The count bound
   ///                   still applies; callers wanting a pure byte budget
   ///                   pass capacity = num_buckets.
+  /// @param topology   optional volume map over the store's buckets that
+  ///                   prices evictions (see file comment); null prices
+  ///                   every bucket alike (plain LRU). Read only here.
   BucketCache(BucketStore* store, size_t capacity,
-              uint64_t capacity_bytes = 0);
+              uint64_t capacity_bytes = 0,
+              const StorageTopology* topology = nullptr);
 
-  /// True if the bucket is resident (phi(i) == 0). Does not affect LRU
-  /// order — the metric may interrogate residency without touching
-  /// recency.
+  /// True if the bucket is resident (phi(i) == 0). Does not touch the
+  /// entry — the metric may interrogate residency without changing its
+  /// priority or recency.
   bool Contains(BucketIndex index) const;
 
-  /// Returns the bucket, reading it from the store on a miss; promotes to
-  /// most-recently-used either way.
+  /// Returns the bucket, reading it from the store on a miss; touches it
+  /// either way.
   Result<std::shared_ptr<const Bucket>> Get(BucketIndex index);
 
-  /// Inserts an externally-read bucket as most-recently-used (or promotes
-  /// it if already resident). The real-I/O path reads pages through
+  /// Inserts an externally-read bucket (or touches it if already
+  /// resident). The real-I/O path reads pages through
   /// per-volume submission queues (storage/async_io.h) and hands completed
   /// buckets over here. A bucket that was not resident counts one miss
   /// (it came from the store; the caller bills the read); eviction applies
@@ -111,11 +133,12 @@ class BucketCache {
 
   /// Publishes the prefetch predictor's current window: buckets predicted
   /// to be served next, demoted last by eviction (see file comment).
-  /// Replaces the previous window; an empty span restores plain LRU.
+  /// Replaces the previous window; an empty span lifts all protection.
   /// Typically called once per pipeline step with PeekNextBuckets' output.
   void SetPredictionWindow(std::span<const BucketIndex> window);
 
-  /// Drops everything (used between experiment phases).
+  /// Drops everything and resets the inflation L (used between experiment
+  /// phases).
   void Clear();
 
   /// The backing store (for metadata queries; reads should go through
@@ -137,6 +160,8 @@ class BucketCache {
   uint64_t resident_bytes() const;
   /// A snapshot of the counters.
   CacheStats stats() const;
+  /// The GreedyDual inflation L: the highest victim priority so far.
+  double inflation() const;
 
  private:
   struct Entry {
@@ -144,11 +169,14 @@ class BucketCache {
     std::shared_ptr<const Bucket> bucket;
     /// Bytes charged against the byte budget (0 in count-only mode).
     uint64_t bytes = 0;
+    /// GreedyDual priority: L at the last touch plus the bucket's price.
+    double priority = 0.0;
   };
 
   // Helpers; mu_ must be held.
+  /// Re-prices the entry at the current L and moves it to the front.
   void Touch(std::list<Entry>::iterator it);
-  /// Inserts `bucket` most-recently-used and evicts down to capacity.
+  /// Inserts `bucket` at the front and evicts down to capacity.
   void InsertMru(BucketIndex index, std::shared_ptr<const Bucket> bucket);
   void EvictOverCapacity();
 
@@ -158,15 +186,23 @@ class BucketCache {
   uint64_t ChargedBytes(BucketIndex index) const {
     return store_->ModeledBucketBytes(index, /*charge_encoded=*/true);
   }
+  /// Price of re-reading bucket `index` (see file comment).
+  double Price(BucketIndex index) const {
+    return price_.empty() ? 1.0 : price_[index];
+  }
 
   BucketStore* store_;
   const size_t capacity_;
   const uint64_t capacity_bytes_;
+  /// Per-bucket eviction price, from the topology; empty without one.
+  std::vector<double> price_;
 
   mutable std::mutex mu_;
   /// Charged bytes of the resident entries (maintained only in byte mode).
   uint64_t bytes_used_ = 0;
-  std::list<Entry> lru_;  // front = most recently used
+  /// Inflation L (see file comment).
+  double inflation_ = 0.0;
+  std::list<Entry> lru_;  // front = most recently touched
   std::unordered_map<BucketIndex, std::list<Entry>::iterator> map_;
   /// The prediction window (protected tier).
   std::unordered_set<BucketIndex> window_;

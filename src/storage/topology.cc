@@ -83,8 +83,6 @@ VolumeIoStats SumOverArms(const std::vector<VolumeIoStats>& arms) {
     total.foreground_bytes += arm.foreground_bytes;
     total.prefetch_issued += arm.prefetch_issued;
     total.prefetch_claims += arm.prefetch_claims;
-    total.prefetch_drops += arm.prefetch_drops;
-    total.prefetch_wasted_bytes += arm.prefetch_wasted_bytes;
     total.busy_ms += arm.busy_ms;
     total.hidden_ms += arm.hidden_ms;
     total.consumed_until_ms =

@@ -16,8 +16,10 @@
 // The topology itself is an immutable map plus cost models: safe to read
 // from any thread, owning no clocks or queues. Per-arm virtual clocks and
 // in-flight fetch queues live with the accounting owner
-// (exec::BatchPipeline keeps one prefetch queue and one controller per
-// arm; VolumeIoStats below is the telemetry row it fills per volume).
+// (exec::BatchPipeline keeps one prefetch queue per arm; VolumeIoStats
+// below is the telemetry row it fills per volume). The bucket cache reads
+// the per-volume disk models once, to price evictions by the arm that
+// would re-read.
 // A single-volume topology (num_volumes == 1) is the exact pre-topology
 // system: every bucket maps to volume 0 under either placement and every
 // layer's accounting reduces to the single-arm model byte for byte.
@@ -81,16 +83,11 @@ struct VolumeIoStats {
   uint64_t foreground_reads = 0;
   /// Modeled bytes of those foreground reads.
   uint64_t foreground_bytes = 0;
-  /// The arm's bet ledger: prefetch fetches issued on this arm, later
-  /// claimed by a batch, or dropped unclaimed (a misprediction, or still
-  /// pending at end of run). Once a run ends, issued == claims + drops.
+  /// The arm's bet ledger: prefetch fetches issued on this arm, and those
+  /// later claimed by a batch. A bet's bucket keeps pending work until it
+  /// is picked, so after a completed drain issued == claims.
   uint64_t prefetch_issued = 0;
   uint64_t prefetch_claims = 0;
-  uint64_t prefetch_drops = 0;
-  /// Bytes of the dropped bets — the direct cost of mispredictions:
-  /// modeled bytes in the modeled oracle, bytes actually read in measured
-  /// mode (0 for a bet dropped before its read completed).
-  uint64_t prefetch_wasted_bytes = 0;
   /// Modeled disk-busy time of this arm: foreground I/O (incl. spill
   /// restores) plus issued prefetch fetches.
   TimeMs busy_ms = 0.0;

@@ -460,7 +460,7 @@ TEST_F(RealIoModeTest, RealModeMatchesModeledJoinResults) {
 
 // The cross-mode oracle: on one trace, every measured run returns the
 // modeled oracle's per-query match counts — on both page formats at 1, 2
-// and 4 volumes, and with prefetch off, adaptive depth, and spilling.
+// and 4 volumes, and with prefetch off, at depth 3, and spilling.
 // Completion order may differ between the modes; results may not.
 TEST_F(RealIoModeTest, EveryRealRunMatchesTheModeledOracle) {
   std::map<query::QueryId, uint64_t> oracle;
@@ -499,10 +499,9 @@ TEST_F(RealIoModeTest, EveryRealRunMatchesTheModeledOracle) {
     EXPECT_EQ(v.prefetch_issued, 0u);
   }
 
-  EngineConfig adaptive = BaseConfig(2);
-  adaptive.adaptive_prefetch = true;
-  adaptive.max_prefetch_depth = 3;
-  expect_oracle(v2.get(), adaptive, "adaptive");
+  EngineConfig deep = BaseConfig(2);
+  deep.prefetch_depth = 3;
+  expect_oracle(v2.get(), deep, "depth 3");
 
   EngineConfig spill = BaseConfig(2);
   spill.spill_path = TempPath("spill");
@@ -553,26 +552,23 @@ TEST_F(RealIoModeTest, ServeRejectsRealMode) {
   EXPECT_EQ(metrics.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST_F(RealIoModeTest, AdaptiveRealModeCompletesWithFaultFreeQueues) {
-  // Adaptive depth over real queues: bets that leave the prediction window
-  // are dropped (late completions discarded by ticket), everything drains.
+TEST_F(RealIoModeTest, DepthThreeRealModeCompletesWithFaultFreeQueues) {
+  // Three bets per arm over real queues: everything drains.
   EngineConfig config = BaseConfig(2);
-  config.enable_prefetch = false;
-  config.adaptive_prefetch = true;
-  config.max_prefetch_depth = 3;
+  config.prefetch_depth = 3;
   config.io_mode = IoMode::kReal;
   std::map<query::QueryId, uint64_t> matches;
   auto metrics = Drain(config, &matches);
   ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
   EXPECT_EQ(metrics->queries_completed, trace_.size());
   // Every page the drain read entered the cache as a miss — a claimed bet
-  // or a foreground read — and every bet was claimed or dropped.
+  // or a foreground read — and every bet was claimed.
   const storage::VolumeIoStats arms = storage::SumOverArms(metrics->volumes);
   EXPECT_GT(arms.prefetch_issued, 0u);
   EXPECT_EQ(metrics->cache.misses,
             arms.foreground_reads + arms.prefetch_claims);
   for (const storage::VolumeIoStats& v : metrics->volumes) {
-    EXPECT_EQ(v.prefetch_issued, v.prefetch_claims + v.prefetch_drops);
+    EXPECT_EQ(v.prefetch_issued, v.prefetch_claims);
   }
 
   std::map<query::QueryId, uint64_t> modeled_matches;
@@ -581,6 +577,106 @@ TEST_F(RealIoModeTest, AdaptiveRealModeCompletesWithFaultFreeQueues) {
   auto modeled_metrics = Drain(modeled, &modeled_matches);
   ASSERT_TRUE(modeled_metrics.ok());
   EXPECT_EQ(matches, modeled_matches);
+}
+
+// A reader that accepts reads but never completes one properly: it either
+// never delivers and reports nothing in flight, or delivers an OK
+// completion without a bucket.
+class BrokenReader : public storage::AsyncReader {
+ public:
+  explicit BrokenReader(bool deliver_empty) : deliver_empty_(deliver_empty) {}
+
+  uint64_t SubmitRead(storage::BucketIndex index,
+                      storage::AsyncReadCallback done) override {
+    pending_.push_back(Pending{++tickets_, index, std::move(done)});
+    return tickets_;
+  }
+  size_t Poll() override {
+    if (!deliver_empty_) return 0;
+    std::vector<Pending> ready = std::move(pending_);
+    pending_.clear();
+    for (Pending& p : ready) {
+      storage::AsyncReadCompletion c;  // OK status, null bucket
+      c.ticket = p.ticket;
+      c.index = p.index;
+      p.done(c);
+    }
+    return ready.size();
+  }
+  size_t Wait() override { return Poll(); }
+  void Drain() override { Poll(); }
+  size_t in_flight() const override {
+    return deliver_empty_ ? pending_.size() : 0;
+  }
+  std::vector<storage::AsyncVolumeStats> VolumeStats() const override {
+    return {};
+  }
+
+ private:
+  struct Pending {
+    uint64_t ticket;
+    storage::BucketIndex index;
+    storage::AsyncReadCallback done;
+  };
+  const bool deliver_empty_;
+  uint64_t tickets_ = 0;
+  std::vector<Pending> pending_;
+};
+
+class BrokenReaderStore : public storage::MemStore {
+ public:
+  BrokenReaderStore(storage::PartitionResult partition, bool deliver_empty)
+      : MemStore(std::move(partition)), deliver_empty_(deliver_empty) {}
+  std::unique_ptr<storage::AsyncReader> NewAsyncReader(
+      const storage::StorageTopology* /*topology*/) override {
+    return std::make_unique<BrokenReader>(deliver_empty_);
+  }
+
+ private:
+  const bool deliver_empty_;
+};
+
+// A read that never delivered a bucket fails the run with an Internal
+// error naming the bucket; the cache is never handed a null bucket.
+TEST(RealIoFailureTest, ReadWithoutABucketFailsTheRunNamingTheBucket) {
+  workload::TraceConfig tc;
+  tc.num_queries = 6;
+  tc.max_objects_per_query = 200;
+  tc.seed = 139;
+  auto trace = workload::GenerateTrace(tc);
+  ASSERT_TRUE(trace.ok());
+  const std::vector<TimeMs> arrivals(trace->size(), 0.0);
+  for (bool deliver_empty : {false, true}) {
+    SCOPED_TRACE(deliver_empty ? "OK completion without a bucket"
+                               : "never delivered");
+    workload::CatalogGenConfig gen;
+    gen.num_objects = 6000;
+    gen.seed = 101;
+    auto objects = workload::GenerateCatalog(gen);
+    ASSERT_TRUE(objects.ok());
+    auto partition = storage::PartitionCatalog(std::move(*objects), 1000);
+    ASSERT_TRUE(partition.ok());
+    auto catalog = storage::Catalog::FromStore(
+        std::make_unique<BrokenReaderStore>(std::move(*partition),
+                                            deliver_empty));
+    ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+
+    EngineConfig config;
+    config.io_mode = IoMode::kReal;
+    config.enable_prefetch = true;
+    config.prefetch_depth = 2;
+    SimEngine engine(catalog->get(),
+                     std::make_unique<sched::LifeRaftScheduler>(
+                         (*catalog)->store(), storage::DiskModel{},
+                         sched::LifeRaftConfig{}),
+                     config);
+    auto run = engine.Run(*trace, arrivals);
+    ASSERT_FALSE(run.ok());
+    EXPECT_EQ(run.status().code(), StatusCode::kInternal);
+    EXPECT_NE(run.status().message().find("read of bucket "),
+              std::string::npos)
+        << run.status().ToString();
+  }
 }
 
 }  // namespace

@@ -63,12 +63,8 @@ TEST(LifeRaftOptionsTest, ValidateRejectsBadValues) {
   o.qos.half_life_parts = 0;
   EXPECT_FALSE(o.Validate().ok());
   o = LifeRaftOptions{};
-  o.max_prefetch_depth = 0;
-  EXPECT_FALSE(o.Validate().ok());
-  o = LifeRaftOptions{};
-  o.adaptive_prefetch = true;
-  o.prefetch_depth = 8;  // starting depth above the adaptive ceiling
-  o.max_prefetch_depth = 4;
+  o.enable_prefetch = true;
+  o.prefetch_depth = 0;
   EXPECT_FALSE(o.Validate().ok());
   EXPECT_TRUE(LifeRaftOptions{}.Validate().ok());
 }

@@ -48,7 +48,7 @@ TEST(PolarEdgeTest, QueryObjectAtPoleHasBoundedCover) {
   EXPECT_TRUE(qo.htm_ranges.Contains(htm::PointToId(SkyPoint{0.0, 90.0})));
 }
 
-TEST(PolarEdgeTest, ZonesMatchesMergeNearPole) {
+TEST(PolarEdgeTest, MergeMatchesBruteForceNearPole) {
   // Polar bucket: where cos(dec) collapses every RA is near every other,
   // and the merge join must still find exactly the brute-force matches.
   Rng rng(1001);

@@ -1,11 +1,12 @@
 // Tests for exec::BatchPipeline, the unified pick→prefetch→claim→
 // evaluate→account loop shared by core::LifeRaft and sim::SimEngine's
 // shared mode. The key contracts:
-//  * join results (per-query match counts) are invariant across the whole
-//    feature matrix — prefetch depths, adaptive depth —
-//    because scheduling only reorders work, never changes matching;
+//  * join results (per-query match counts) are invariant across prefetch
+//    depths, because scheduling only reorders work, never changes
+//    matching;
 //  * depth-K prefetching hides at least as much fetch latency as the
-//    depth-1 (PR 2) pipeline on a saturated drain;
+//    single-bet pipeline on a saturated drain, and every bet of a
+//    completed drain is claimed;
 //  * the core facade, now routed through the same pipeline, gets working
 //    prefetch for free;
 //  * both drivers build one execution stack, so a facade drain equals an
@@ -23,8 +24,6 @@
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "exec/prefetch_controller.h"
 
 #include "core/liferaft.h"
 #include "join/evaluator.h"
@@ -75,160 +74,10 @@ TEST(PipelineConfigTest, ValidateRejectsBadDepths) {
   EXPECT_TRUE(config.Validate().ok());
   config.prefetch_depth = 0;
   EXPECT_FALSE(config.Validate().ok());
-  config = PipelineConfig{};
-  config.max_prefetch_depth = 0;
+  config.enable_prefetch = true;
   EXPECT_FALSE(config.Validate().ok());
-  config = PipelineConfig{};
-  config.adaptive_prefetch = true;
-  config.prefetch_depth = config.max_prefetch_depth + 1;
-  EXPECT_FALSE(config.Validate().ok());
-  config.adaptive_prefetch = false;  // the ceiling binds adaptive mode only
+  config.prefetch_depth = 8;  // any depth from 1 up is valid
   EXPECT_TRUE(config.Validate().ok());
-}
-
-// ------------------------------------------------- adaptive controller --
-
-PrefetchControllerConfig ScriptedConfig() {
-  PrefetchControllerConfig config;
-  config.max_depth = 3;
-  config.initial_depth = 2;
-  config.adjust_period = 1;  // react every step so the script stays short
-  config.probe_period = 4;
-  return config;
-}
-
-// The scripted mispredict sequence of the issue: bursts drive the depth
-// to zero, quiet steps trigger a probe, clean hidden-latency claims grow
-// it back to the ceiling.
-TEST(PrefetchControllerTest, ScriptedMispredictsShrinkThenRegrow) {
-  PrefetchControllerConfig config = ScriptedConfig();
-  ASSERT_TRUE(config.Validate().ok());
-  PrefetchController controller(config);
-  EXPECT_EQ(controller.depth(), 2u);
-
-  // Mispredict burst: every resolved bet fell out of the window.
-  PrefetchFeedback burst;
-  burst.cancels = 2;
-  controller.Observe(burst);
-  EXPECT_EQ(controller.depth(), 1u) << "burst shrinks immediately";
-  controller.Observe(burst);
-  EXPECT_EQ(controller.depth(), 0u) << "second burst turns prefetch off";
-  EXPECT_EQ(controller.stats().shrinks, 2u);
-
-  // Off: nothing resolves; the probe timer alone can re-enable.
-  PrefetchFeedback idle;
-  for (int i = 0; i < 3; ++i) {
-    controller.Observe(idle);
-    EXPECT_EQ(controller.depth(), 0u);
-  }
-  controller.Observe(idle);
-  EXPECT_EQ(controller.depth(), 1u) << "probe after probe_period quiet steps";
-  EXPECT_EQ(controller.stats().probes, 1u);
-
-  // Recovered predictor: clean claims that hide latency grow to the max.
-  PrefetchFeedback good;
-  good.claims = 1;
-  good.hidden_ms = 500.0;
-  controller.Observe(good);
-  EXPECT_EQ(controller.depth(), 2u);
-  controller.Observe(good);
-  EXPECT_EQ(controller.depth(), 3u);
-  controller.Observe(good);
-  EXPECT_EQ(controller.depth(), 3u) << "capped at max_depth";
-  EXPECT_GE(controller.stats().grows, 2u);
-}
-
-// A claim whose residual was capped at the full fetch reused bytes but
-// hid nothing — it must count as stale, and an all-stale step is a burst.
-TEST(PrefetchControllerTest, CappedClaimsCountAsStale) {
-  PrefetchController controller(ScriptedConfig());
-  PrefetchFeedback capped;
-  capped.claims = 2;
-  capped.stale_claims = 2;
-  capped.hidden_ms = 0.0;
-  controller.Observe(capped);
-  EXPECT_EQ(controller.depth(), 1u);
-  EXPECT_DOUBLE_EQ(controller.stale_ewma(), 1.0);
-}
-
-// Depth never grows while hidden-ms per claim is zero, even with a clean
-// stale rate: a bet that hides nothing is not worth deepening.
-TEST(PrefetchControllerTest, NoGrowthWithoutHiddenLatency) {
-  PrefetchControllerConfig config = ScriptedConfig();
-  config.initial_depth = 1;
-  PrefetchController controller(config);
-  PrefetchFeedback clean_but_useless;
-  clean_but_useless.claims = 1;
-  clean_but_useless.hidden_ms = 0.0;       // capped would also set stale;
-  clean_but_useless.stale_claims = 0;      // pretend a zero-cost fetch
-  for (int i = 0; i < 5; ++i) controller.Observe(clean_but_useless);
-  EXPECT_EQ(controller.depth(), 1u);
-  EXPECT_EQ(controller.stats().grows, 0u);
-}
-
-// The wasted-bytes cost term: a clean stale rate with steady hidden
-// latency normally climbs to max_depth, but sustained canceled-after-
-// fetch bytes veto every grow decision until the waste EWMA decays.
-TEST(PrefetchControllerTest, SustainedWasteStallsGrowth) {
-  PrefetchControllerConfig config = ScriptedConfig();
-  config.initial_depth = 1;
-  config.grow_max_wasted_bytes = 1 << 20;
-  PrefetchController controller(config);
-
-  // Clean claims that hide latency, but every step also drops a fetched
-  // 4 MB bucket: rate-wise growable, cost-wise not.
-  PrefetchFeedback wasteful;
-  wasteful.claims = 8;  // keep the stale fraction (cancels/9) under grow
-  wasteful.cancels = 1;
-  wasteful.hidden_ms = 500.0;
-  wasteful.wasted_bytes = 4 << 20;
-  for (int i = 0; i < 6; ++i) controller.Observe(wasteful);
-  EXPECT_EQ(controller.depth(), 1u) << "growth must stall under waste";
-  EXPECT_EQ(controller.stats().grows, 0u);
-  EXPECT_GT(controller.stats().grows_vetoed_on_waste, 0u);
-  EXPECT_GT(controller.wasted_bytes_ewma(),
-            static_cast<double>(config.grow_max_wasted_bytes));
-
-  // Waste stops: the EWMA decays below the gate and growth resumes.
-  PrefetchFeedback clean = wasteful;
-  clean.cancels = 0;
-  clean.wasted_bytes = 0;
-  for (int i = 0; i < 12 && controller.depth() < config.max_depth; ++i) {
-    controller.Observe(clean);
-  }
-  EXPECT_EQ(controller.depth(), config.max_depth);
-  EXPECT_GT(controller.stats().grows, 0u);
-}
-
-// Zero waste must leave the grow rule exactly as it was before the cost
-// term existed (the veto can only ever bite on non-zero waste).
-TEST(PrefetchControllerTest, ZeroWasteNeverVetoesGrowth) {
-  PrefetchControllerConfig config = ScriptedConfig();
-  config.initial_depth = 1;
-  PrefetchController controller(config);
-  PrefetchFeedback good;
-  good.claims = 1;
-  good.hidden_ms = 500.0;
-  controller.Observe(good);
-  controller.Observe(good);
-  EXPECT_EQ(controller.depth(), 3u);
-  EXPECT_EQ(controller.stats().grows_vetoed_on_waste, 0u);
-}
-
-TEST(PrefetchControllerTest, ConfigValidation) {
-  PrefetchControllerConfig config;
-  EXPECT_TRUE(config.Validate().ok());
-  config.max_depth = 0;
-  EXPECT_FALSE(config.Validate().ok());
-  config = PrefetchControllerConfig{};
-  config.ewma_alpha = 0.0;
-  EXPECT_FALSE(config.Validate().ok());
-  config = PrefetchControllerConfig{};
-  config.grow_threshold = 0.6;  // above shrink_threshold
-  EXPECT_FALSE(config.Validate().ok());
-  config = PrefetchControllerConfig{};
-  config.adjust_period = 0;
-  EXPECT_FALSE(config.Validate().ok());
 }
 
 // ------------------------------------------------ engine-level fixtures --
@@ -300,7 +149,7 @@ class PipelineDrainFixture : public ::testing::Test {
 // byte-identical join results (every query's match count) to the serial
 // non-prefetch baseline, while each prefetch config hides fetch latency
 // and shrinks the saturated-drain makespan.
-TEST_F(PipelineDrainFixture, ResultsInvariantAcrossShardsAndDepth) {
+TEST_F(PipelineDrainFixture, ResultsInvariantAcrossDepth) {
   sim::EngineConfig base_config;
   base_config.collect_matches = true;
   std::map<query::QueryId, uint64_t> base_matches;
@@ -362,7 +211,7 @@ TEST_F(PipelineDrainFixture, EngineRejectsInvalidPipelineConfig) {
 // Identical config -> identical run: the cache and the prefetch pipeline
 // are deterministic, so two depth-2 drains agree on every virtual
 // quantity.
-TEST_F(PipelineDrainFixture, ShardedPrefetchDrainIsDeterministic) {
+TEST_F(PipelineDrainFixture, PrefetchDrainIsDeterministic) {
   sim::EngineConfig config;
   config.collect_matches = true;
   config.enable_prefetch = true;
@@ -393,149 +242,31 @@ TEST_F(PipelineDrainFixture, DepthTwoHidesAtLeastDepthOne) {
   EXPECT_LE(d2.makespan_ms, d1.makespan_ms);
 }
 
-// ------------------------------------------------- adaptive drains --
-
-// Join results must be invariant under the adaptive controller, like
-// every other scheduling feature, and the prefetch ledger must reconcile
-// (each issued bet is eventually claimed or canceled).
-TEST_F(PipelineDrainFixture, AdaptiveResultsInvariantAndLedgerReconciles) {
-  sim::EngineConfig base_config;
-  base_config.collect_matches = true;
-  std::map<query::QueryId, uint64_t> base_matches;
-  sim::RunMetrics base = Drain(base_config, &base_matches);
-
-  sim::EngineConfig config = base_config;
-  config.adaptive_prefetch = true;
-  config.prefetch_depth = 2;  // the controller's starting depth
-  config.max_prefetch_depth = 4;
-  std::map<query::QueryId, uint64_t> matches;
-  sim::RunMetrics metrics = Drain(config, &matches);
-  EXPECT_EQ(metrics.queries_completed, base.queries_completed);
-  EXPECT_EQ(metrics.total_matches, base.total_matches);
-  EXPECT_EQ(matches, base_matches)
-      << "per-query match counts must not depend on adaptive prefetch";
-  EXPECT_GT(metrics.prefetch_hidden_ms, 0.0);
-  EXPECT_LT(metrics.makespan_ms, base.makespan_ms);
-  const storage::VolumeIoStats bets = storage::SumOverArms(metrics.volumes);
-  EXPECT_EQ(bets.prefetch_issued, bets.prefetch_claims + bets.prefetch_drops);
-  ASSERT_EQ(metrics.arm_final_depths.size(), 1u);
-  EXPECT_LE(metrics.arm_final_depths[0], config.max_prefetch_depth);
-}
-
-// Same config, same trajectory: the controller sees only virtual-clock
-// quantities, so adaptive runs are deterministic.
-TEST_F(PipelineDrainFixture, AdaptiveDrainIsDeterministic) {
-  sim::EngineConfig config;
-  config.adaptive_prefetch = true;
-  config.prefetch_depth = 2;
-  config.max_prefetch_depth = 4;
-  sim::RunMetrics a = Drain(config, nullptr);
-  sim::RunMetrics b = Drain(config, nullptr);
-  EXPECT_EQ(a.makespan_ms, b.makespan_ms);
-  EXPECT_EQ(a.prefetch_hidden_ms, b.prefetch_hidden_ms);
-  EXPECT_EQ(a.arm_final_depths, b.arm_final_depths);
-  EXPECT_EQ(a.prefetch_stale_ewma, b.prefetch_stale_ewma);
-  EXPECT_EQ(a.cache.evictions, b.cache.evictions);
-  EXPECT_EQ(storage::SumOverArms(a.volumes).prefetch_wasted_bytes,
-            storage::SumOverArms(b.volumes).prefetch_wasted_bytes);
-}
-
-// With the LifeRaft predictor healthy on a saturated drain, the adaptive
-// controller must hide at least as much fetch latency as the fixed
-// depth-2 pipeline it starts from (it can only deepen from there).
-TEST_F(PipelineDrainFixture, AdaptiveHidesAtLeastFixedDepthTwo) {
-  sim::EngineConfig fixed;
-  fixed.enable_prefetch = true;
-  fixed.prefetch_depth = 2;
-  sim::RunMetrics d2 = Drain(fixed, nullptr);
-
-  sim::EngineConfig adaptive;
-  adaptive.adaptive_prefetch = true;
-  adaptive.prefetch_depth = 2;
-  adaptive.max_prefetch_depth = 4;
-  sim::RunMetrics ad = Drain(adaptive, nullptr);
-  EXPECT_GE(ad.prefetch_hidden_ms, d2.prefetch_hidden_ms);
-  EXPECT_LE(ad.makespan_ms, d2.makespan_ms);
-}
-
-// Decorator that sabotages the prediction hook: it peeks one slot deeper
-// and drops the true next pick, so the window's first element is wrong
-// whenever more than one bucket has pending work. PickBucket is honest —
-// only the predictor misleads the prefetcher.
-class MispredictingScheduler : public sched::Scheduler {
- public:
-  explicit MispredictingScheduler(std::unique_ptr<sched::Scheduler> inner)
-      : inner_(std::move(inner)) {}
-  std::string name() const override {
-    return "mispredict(" + inner_->name() + ")";
-  }
-  std::optional<storage::BucketIndex> PickBucket(
-      const query::WorkloadManager& manager, TimeMs now,
-      const sched::CacheProbe& cached) override {
-    return inner_->PickBucket(manager, now, cached);
-  }
-  std::vector<storage::BucketIndex> PeekNextBuckets(
-      const query::WorkloadManager& manager, TimeMs now,
-      const sched::CacheProbe& cached, size_t k) const override {
-    std::vector<storage::BucketIndex> real =
-        inner_->PeekNextBuckets(manager, now, cached, k + 1);
-    if (real.size() > 1) real.erase(real.begin());
-    if (real.size() > k) real.resize(k);
-    return real;
-  }
-
- private:
-  std::unique_ptr<sched::Scheduler> inner_;
-};
-
-// Under injected mispredictions the adaptive controller must never end a
-// drain slower than the fixed depth-1 pipeline handed the same bad
-// predictor, whose pinned bets accrue hidden-ms by luck while its schedule
-// pays for the pins: the controller shuts a hopeless predictor off
-// (depth 0) instead of feeding it.
-TEST_F(PipelineDrainFixture, AdaptiveNeverUnderperformsDepthOneOnMispredicts) {
-  sim::EngineConfig fixed;
-  fixed.enable_prefetch = true;
-  fixed.prefetch_depth = 1;
-  sim::RunMetrics d1_hold = DrainWith(
-      std::make_unique<MispredictingScheduler>(LifeRaftSched()), fixed,
-      nullptr);
-
-  sim::EngineConfig adaptive;
-  adaptive.adaptive_prefetch = true;
-  adaptive.prefetch_depth = 1;
-  adaptive.max_prefetch_depth = 4;
-  sim::RunMetrics ad = DrainWith(
-      std::make_unique<MispredictingScheduler>(LifeRaftSched()), adaptive,
-      nullptr);
-  EXPECT_LE(ad.makespan_ms, d1_hold.makespan_ms);
-  // The bad predictor's cost is visible to the report: dropped bets whose
-  // bytes were fetched for nothing, and a saturated stale EWMA.
-  const storage::VolumeIoStats bets = storage::SumOverArms(ad.volumes);
-  EXPECT_GT(bets.prefetch_wasted_bytes, 0u);
-  EXPECT_EQ(bets.prefetch_issued, bets.prefetch_claims + bets.prefetch_drops);
-}
-
-// A dropped bet is charged to its own arm as waste. Under the
-// mispredicting predictor the adaptive pipeline drops bets on every arm,
-// and each arm's ledger reconciles: every issued bet was claimed or
-// dropped.
-TEST_F(PipelineDrainFixture, DroppedBetsAreChargedAsWastePerArm) {
-  sim::EngineConfig adaptive;
-  adaptive.adaptive_prefetch = true;
-  adaptive.prefetch_depth = 1;
-  adaptive.max_prefetch_depth = 4;
-  adaptive.topology.num_volumes = 2;
-  sim::RunMetrics m = DrainWith(
-      std::make_unique<MispredictingScheduler>(LifeRaftSched()), adaptive,
-      nullptr);
-  ASSERT_EQ(m.volumes.size(), 2u);
-  for (size_t v = 0; v < m.volumes.size(); ++v) {
-    SCOPED_TRACE("arm " + std::to_string(v));
-    const storage::VolumeIoStats& arm = m.volumes[v];
-    EXPECT_GT(arm.prefetch_drops, 0u);
-    EXPECT_GT(arm.prefetch_wasted_bytes, 0u);
-    EXPECT_EQ(arm.prefetch_issued, arm.prefetch_claims + arm.prefetch_drops);
+// A bet names a bucket with pending work, and the bucket keeps that work
+// until it is picked, which claims the bet. So a completed drain claims
+// every bet it placed, on every arm, at every depth, in both I/O modes.
+TEST_F(PipelineDrainFixture, EveryBetOfACompletedDrainIsClaimed) {
+  for (sim::IoMode io : {sim::IoMode::kModeled, sim::IoMode::kReal}) {
+    for (size_t volumes : {size_t{1}, size_t{2}, size_t{4}}) {
+      for (size_t depth = 1; depth <= 4; ++depth) {
+        SCOPED_TRACE(std::string(io == sim::IoMode::kReal ? "real" : "modeled") +
+                     " volumes=" + std::to_string(volumes) +
+                     " depth=" + std::to_string(depth));
+        sim::EngineConfig config;
+        config.io_mode = io;
+        config.enable_prefetch = true;
+        config.prefetch_depth = depth;
+        config.topology.num_volumes = volumes;
+        sim::RunMetrics m = Drain(config, nullptr);
+        EXPECT_EQ(m.queries_completed, trace_.size());
+        ASSERT_EQ(m.volumes.size(), volumes);
+        EXPECT_GT(storage::SumOverArms(m.volumes).prefetch_issued, 0u);
+        for (size_t v = 0; v < volumes; ++v) {
+          EXPECT_EQ(m.volumes[v].prefetch_issued, m.volumes[v].prefetch_claims)
+              << "arm " << v;
+        }
+      }
+    }
   }
 }
 
@@ -627,8 +358,9 @@ TEST_F(PipelineDrainFixture, CoreFacadePrefetchHidesFetchLatency) {
   EXPECT_GT(bets.prefetch_claims, 0u);
   EXPECT_LT((*pipelined)->now_ms(), (*plain)->now_ms())
       << "hidden fetch latency must shrink the virtual drain";
-  // The drain canceled any leftover bets: the ledger reconciles.
-  EXPECT_EQ(bets.prefetch_issued, bets.prefetch_claims + bets.prefetch_drops);
+  // Every bet's bucket kept its pending work until it was picked: the
+  // drain claimed every bet it placed.
+  EXPECT_EQ(bets.prefetch_issued, bets.prefetch_claims);
 }
 
 // Both drivers assemble the same execution stack, so a core-facade drain
@@ -647,7 +379,7 @@ TEST_F(PipelineDrainFixture, CoreFacadeDrainEqualsEngineRun) {
        }},
       {"2 volumes", [&] { config.topology.num_volumes = 2; }},
       {"3 threads", [&] { config.num_threads = 3; }},
-      {"adaptive", [&] { config.adaptive_prefetch = true; }},
+      {"depth 4", [&] { config.prefetch_depth = 4; }},
   };
   for (const auto& [name, apply] : steps) {
     SCOPED_TRACE(name);

@@ -184,7 +184,7 @@ TEST(FacadeIntegrationTest, MatchSetIndependentOfAlphaAndCache) {
 
 // The merge scan over each bucket's page and the B+tree probe restricted
 // to the bucket's range must find the same matches on every bucket.
-TEST(JoinCrossValidationTest, MergeAndZonesAgreeOverEveryBucket) {
+TEST(JoinCrossValidationTest, MergeAndBTreeAgreeOverEveryBucket) {
   auto objects = SmallSky(25'000, 743);
   auto partition = storage::PartitionCatalog(objects, 1000);
   ASSERT_TRUE(partition.ok());

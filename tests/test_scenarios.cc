@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "sim/scenario_matrix.h"
 
@@ -44,7 +45,6 @@ spill_arm = true
 spill_budget = 20000
 cache = 10
 prefetch_depth = 2
-adaptive_prefetch = false
 alpha = 0.5
 adaptive_alpha = true
 interactive_max_parts = 4
@@ -79,7 +79,6 @@ strictly_beats = first
   EXPECT_EQ(c.spill_budget, 20'000u);
   EXPECT_EQ(c.cache, 10u);
   EXPECT_EQ(c.prefetch_depth, 2u);
-  EXPECT_FALSE(c.adaptive_prefetch);
   EXPECT_DOUBLE_EQ(c.alpha, 0.5);
   EXPECT_TRUE(c.adaptive_alpha);
   EXPECT_EQ(c.interactive_max_parts, 4u);
@@ -205,9 +204,10 @@ TEST(ScenarioMatrixTest, GoldenThreeCellReportIsByteIdentical) {
 
 // The pipeline golden: eight cells that together drive every modeled
 // branch of exec::BatchPipeline::Step (no prefetch, depth 1, depth 2 on
-// four arms, adaptive on hetero arms, spill restores on the bucket arm
-// and on a spill arm, per-class depth caps, dropped bets). Any change to
-// the modeled accounting moves a number in the report.
+// four arms, hetero arms whose re-reads the cache prices, spill restores
+// on the bucket arm and on a spill arm, per-class depth caps, bursty
+// arrivals). Any change to the modeled accounting or to the cache's
+// victim order moves a number in the report.
 TEST(ScenarioMatrixTest, PipelineGoldenReportIsByteIdentical) {
   const std::filesystem::path spill_dir =
       std::filesystem::temp_directory_path() /
@@ -215,6 +215,38 @@ TEST(ScenarioMatrixTest, PipelineGoldenReportIsByteIdentical) {
   std::filesystem::create_directories(spill_dir);
   ExpectGoldenReport("pipeline_golden", 8, spill_dir.string());
   std::filesystem::remove_all(spill_dir);
+}
+
+// The smoke grid runs the hetero pair at depth 2; priced eviction must
+// make the fast arm a strict win over the all-slow twin at every fixed
+// depth, not just that one. (Under plain LRU depths 2-4 fail.)
+TEST(ScenarioMatrixTest, HeteroPairStrictlyBeatsItsTwinAtEveryFixedDepth) {
+  auto smoke = BuiltinScenarioGrid("smoke");
+  ASSERT_TRUE(smoke.ok());
+  std::vector<ScenarioCell> pair;
+  for (const ScenarioCell& cell : *smoke) {
+    if (cell.name == "hetero-uniform-twin" ||
+        cell.strictly_beats == "hetero-uniform-twin") {
+      pair.push_back(cell);
+    }
+  }
+  ASSERT_EQ(pair.size(), 2u);
+  ASSERT_EQ(pair[0].name, "hetero-uniform-twin");
+  ScenarioMatrixOptions options;
+  options.verify_determinism = false;
+  for (size_t depth = 1; depth <= 4; ++depth) {
+    SCOPED_TRACE("depth=" + std::to_string(depth));
+    for (ScenarioCell& cell : pair) cell.prefetch_depth = depth;
+    auto results = RunScenarioMatrix(pair, options);
+    ASSERT_TRUE(results.ok()) << results.status().ToString();
+    ASSERT_EQ(results->size(), 2u);
+    for (const ScenarioResult& r : *results) {
+      EXPECT_TRUE(r.failures.empty())
+          << r.cell.name << ": " << r.failures.front();
+    }
+    EXPECT_LT((*results)[1].metrics.makespan_ms,
+              (*results)[0].metrics.makespan_ms);
+  }
 }
 
 TEST(ScenarioMatrixTest, InvariantFailuresAreReported) {

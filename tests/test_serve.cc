@@ -310,22 +310,6 @@ TEST_F(ServeFixture, AdaptiveAlphaReactsToOfferedRate) {
   EXPECT_DOUBLE_EQ(metrics->alpha_final, 0.0);
 }
 
-TEST_F(ServeFixture, ReportsPerArmControllerDepths) {
-  EngineConfig config;
-  config.adaptive_prefetch = true;
-  config.topology.num_volumes = 3;
-  SimEngine engine(catalog_.get(), LifeRaftSched(0.0), config);
-  ServeConfig serve;
-  serve.arrivals.kind = ArrivalSpec::Kind::kPoisson;
-  serve.arrivals.rate_qps = 1.0;
-  auto metrics = engine.Serve(trace_, serve);
-  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
-  ASSERT_EQ(metrics->arm_final_depths.size(), 3u);
-  for (size_t d : metrics->arm_final_depths) {
-    EXPECT_LE(d, config.max_prefetch_depth);
-  }
-}
-
 // ------------------------------------- per-QoS-class prefetch configs --
 
 // Caps that never bind (and the all-zero default) must leave the run
@@ -419,35 +403,6 @@ TEST_F(ServeFixture, BatchCapInactiveWhileInteractivePending) {
   EXPECT_EQ(storage::SumOverArms(capped.volumes).prefetch_issued,
             storage::SumOverArms(base.volumes).prefetch_issued);
   EXPECT_EQ(capped.total_matches, base.total_matches);
-}
-
-// Under adaptive prefetch the cap composes with the controllers: the
-// run stays deterministic and no arm ever exceeds the cap at the end.
-TEST_F(ServeFixture, QosCapComposesWithAdaptiveDepth) {
-  auto serve_once = [&]() {
-    EngineConfig config;
-    config.adaptive_prefetch = true;
-    config.max_prefetch_depth = 4;
-    config.topology.num_volumes = 2;
-    SimEngine engine(catalog_.get(), LifeRaftSched(0.25), config);
-    ServeConfig serve;
-    serve.arrivals.kind = ArrivalSpec::Kind::kPoisson;
-    serve.arrivals.rate_qps = 2.0;
-    serve.arrivals.seed = 43;
-    serve.interactive_max_parts = 1000;
-    serve.qos_prefetch[static_cast<size_t>(QosClass::kInteractive)]
-        .max_depth = 1;
-    auto metrics = engine.Serve(trace_, serve);
-    EXPECT_TRUE(metrics.ok()) << metrics.status().ToString();
-    return metrics.ok() ? *metrics : RunMetrics{};
-  };
-  RunMetrics a = serve_once();
-  RunMetrics b = serve_once();
-  EXPECT_EQ(a.makespan_ms, b.makespan_ms);
-  EXPECT_EQ(storage::SumOverArms(a.volumes).prefetch_issued,
-            storage::SumOverArms(b.volumes).prefetch_issued);
-  ASSERT_EQ(a.arm_final_depths.size(), 2u);
-  for (size_t d : a.arm_final_depths) EXPECT_LE(d, 1u);
 }
 
 TEST_F(ServeFixture, RejectsBadConfigurations) {

@@ -1,6 +1,7 @@
 // Tests for the storage substrate: objects, buckets, the equal-count
 // partitioner, disk cost model, mem/file stores (round trip + corruption
-// detection), the B+tree index, and the LRU bucket cache.
+// detection), the B+tree index, and the bucket cache with its priced
+// (GreedyDual) eviction.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,8 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <list>
+#include <set>
 #include <span>
 #include <sstream>
 #include <vector>
@@ -23,6 +26,7 @@
 #include "storage/file_store.h"
 #include "storage/mem_store.h"
 #include "storage/partitioner.h"
+#include "storage/topology.h"
 #include "util/coding.h"
 #include "util/crc32.h"
 #include "util/random.h"
@@ -746,6 +750,20 @@ class CacheTestFixture : public ::testing::Test {
   std::unique_ptr<MemStore> store_;
 };
 
+// Two arms at different rates under hash placement: even buckets live on
+// the slow volume 0, odd buckets on the fast volume 1.
+StorageTopology TwoPriceTopology(size_t num_buckets) {
+  StorageTopologyConfig config;
+  config.num_volumes = 2;
+  config.placement = VolumePlacement::kHash;
+  config.volume_disk.assign(2, DiskModelParams{});
+  config.volume_disk[0].transfer_mb_per_s /= 2.0;
+  auto topology =
+      StorageTopology::Create(num_buckets, config, DiskModelParams{});
+  EXPECT_TRUE(topology.ok()) << topology.status().ToString();
+  return std::move(*topology);
+}
+
 TEST_F(CacheTestFixture, HitsAndMisses) {
   BucketCache cache(store_.get(), 3);
   EXPECT_FALSE(cache.Contains(0));
@@ -858,18 +876,207 @@ TEST_F(CacheTestFixture, EmptyWindowRestoresPlainLru) {
   EXPECT_EQ(cache.stats().evictions_protected, 0u);
 }
 
+// ------------------------------------------------------ Priced eviction --
+
+// The cache's eviction before priced victims: LRU with the prediction
+// window as a protected tier, kept here as the reference that equal
+// prices must reproduce victim for victim.
+class ReferenceLruCache {
+ public:
+  ReferenceLruCache(const BucketStore& store, size_t capacity,
+                    uint64_t capacity_bytes)
+      : store_(store), capacity_(capacity), capacity_bytes_(capacity_bytes) {}
+
+  /// A Get or a Put: promote a resident bucket, else insert and evict.
+  void Touch(BucketIndex b) {
+    auto it = std::find(lru_.begin(), lru_.end(), b);
+    if (it != lru_.end()) {
+      lru_.splice(lru_.begin(), lru_, it);
+      return;
+    }
+    lru_.push_front(b);
+    bytes_ += Charge(b);
+    while (lru_.size() > capacity_ ||
+           (capacity_bytes_ > 0 && bytes_ > capacity_bytes_)) {
+      // The LRU entry outside the window, else the LRU protected entry,
+      // never the front while anything else is evictable.
+      auto victim = lru_.end();
+      auto protected_victim = lru_.end();
+      for (auto e = std::prev(lru_.end()); e != lru_.begin(); --e) {
+        if (window_.count(*e) == 0) {
+          victim = e;
+          break;
+        }
+        if (protected_victim == lru_.end()) protected_victim = e;
+      }
+      if (victim == lru_.end()) {
+        victim = protected_victim != lru_.end() ? protected_victim
+                                                : lru_.begin();
+        if (window_.count(*victim) != 0) ++evictions_protected;
+      }
+      ++evictions;
+      bytes_ -= Charge(*victim);
+      lru_.erase(victim);
+    }
+  }
+  void SetWindow(const std::vector<BucketIndex>& window) {
+    window_ = std::set<BucketIndex>(window.begin(), window.end());
+  }
+  bool Contains(BucketIndex b) const {
+    return std::find(lru_.begin(), lru_.end(), b) != lru_.end();
+  }
+
+  uint64_t evictions = 0;
+  uint64_t evictions_protected = 0;
+
+ private:
+  uint64_t Charge(BucketIndex b) const {
+    return capacity_bytes_ > 0 ? store_.ModeledBucketBytes(b, true) : 0;
+  }
+
+  const BucketStore& store_;
+  const size_t capacity_;
+  const uint64_t capacity_bytes_;
+  uint64_t bytes_ = 0;
+  std::list<BucketIndex> lru_;  // front = most recently used
+  std::set<BucketIndex> window_;
+};
+
+// Equal prices — no topology, or volumes with one disk model — give
+// exactly the victims of LRU plus the window tier, with and without a
+// byte budget, over random Get/Put/window sequences.
+TEST(PricedEvictionTest, EqualPricesReproduceLruVictims) {
+  // 1037 objects in 100-object buckets: the last bucket is smaller, so
+  // the byte budget does not reduce to a count.
+  auto partition = PartitionCatalog(RandomObjects(1037, 211), 100);
+  ASSERT_TRUE(partition.ok());
+  MemStore store(std::move(*partition));
+  const size_t buckets = store.num_buckets();
+  const uint64_t per_bucket = 100 * Bucket::kBytesPerObject;
+
+  StorageTopologyConfig uniform;
+  uniform.num_volumes = 3;
+  uniform.placement = VolumePlacement::kHash;
+  auto topology = StorageTopology::Create(buckets, uniform, DiskModelParams{});
+  ASSERT_TRUE(topology.ok());
+
+  const StorageTopology* const none = nullptr;
+  const StorageTopology* const equal_disks = &*topology;
+  for (const StorageTopology* priced : {none, equal_disks}) {
+    for (const auto& [capacity, budget] :
+         {std::pair<size_t, uint64_t>{4, 0},
+          std::pair<size_t, uint64_t>{10, 3 * per_bucket + per_bucket / 2}}) {
+      SCOPED_TRACE(std::string(priced ? "uniform topology" : "no topology") +
+                   " capacity=" + std::to_string(capacity) +
+                   " budget=" + std::to_string(budget));
+      BucketCache cache(&store, capacity, budget, priced);
+      ReferenceLruCache reference(store, capacity, budget);
+      Rng rng(capacity + budget);
+      for (int op = 0; op < 3000; ++op) {
+        const auto b = static_cast<BucketIndex>(rng.UniformU64(buckets));
+        switch (rng.UniformU64(3)) {
+          case 0:
+            ASSERT_TRUE(cache.Get(b).ok());
+            reference.Touch(b);
+            break;
+          case 1: {
+            auto bucket = store.ReadBucketForPrefetch(b);
+            ASSERT_TRUE(bucket.ok());
+            cache.Put(b, *bucket);
+            reference.Touch(b);
+            break;
+          }
+          default: {
+            std::vector<BucketIndex> window;
+            for (uint64_t k = rng.UniformU64(7); k > 0; --k) {
+              window.push_back(
+                  static_cast<BucketIndex>(rng.UniformU64(buckets)));
+            }
+            cache.SetPredictionWindow(window);
+            reference.SetWindow(window);
+            break;
+          }
+        }
+        for (BucketIndex i = 0; i < buckets; ++i) {
+          ASSERT_EQ(cache.Contains(i), reference.Contains(i))
+              << "bucket " << i << " after op " << op;
+        }
+      }
+      EXPECT_GT(reference.evictions, 0u);
+      EXPECT_GT(reference.evictions_protected, 0u);
+      EXPECT_EQ(cache.stats().evictions, reference.evictions);
+      EXPECT_EQ(cache.stats().evictions_protected,
+                reference.evictions_protected);
+    }
+  }
+}
+
+// A re-read costs the slow arm more, so a fast-arm bucket leaves before a
+// slow-arm bucket that is older (plain LRU would evict the older one).
+TEST_F(CacheTestFixture, FastArmBucketIsEvictedBeforeAnOlderSlowArmOne) {
+  const StorageTopology topology = TwoPriceTopology(store_->num_buckets());
+  BucketCache cache(store_.get(), 2, 0, &topology);
+  ASSERT_TRUE(cache.Get(0).ok());  // slow arm, least recently used
+  ASSERT_TRUE(cache.Get(1).ok());  // fast arm
+  ASSERT_TRUE(cache.Get(3).ok());  // fast arm: evicts 1, not 0
+  EXPECT_TRUE(cache.Contains(0));
+  EXPECT_FALSE(cache.Contains(1));
+  EXPECT_TRUE(cache.Contains(3));
+  EXPECT_EQ(cache.stats().evictions, 1u);
+}
+
+// Inflation: every eviction raises L, so fast-arm buckets touched later
+// eventually outrank a slow-arm bucket that nothing touches, and it goes.
+TEST_F(CacheTestFixture, InflationEvictsAnUntouchedSlowArmBucket) {
+  const StorageTopology topology = TwoPriceTopology(store_->num_buckets());
+  BucketCache cache(store_.get(), 2, 0, &topology);
+  ASSERT_TRUE(cache.Get(0).ok());  // slow arm, never touched again
+  const BucketIndex fast[] = {1, 3, 5, 7, 9};
+  size_t reads = 0;
+  for (; reads < 50 && cache.Contains(0); ++reads) {
+    ASSERT_TRUE(cache.Get(fast[reads % 5]).ok());
+  }
+  EXPECT_FALSE(cache.Contains(0)) << "the slow-arm bucket never aged out";
+  EXPECT_GT(reads, 2u) << "the slow-arm bucket went as early as under LRU";
+  EXPECT_GT(cache.inflation(), 0.0);
+}
+
+// Clear() drops L with the entries: a cleared cache evicts exactly like a
+// fresh one.
+TEST_F(CacheTestFixture, ClearResetsInflation) {
+  const StorageTopology topology = TwoPriceTopology(store_->num_buckets());
+  BucketCache cache(store_.get(), 2, 0, &topology);
+  for (BucketIndex b = 0; b < 10; ++b) ASSERT_TRUE(cache.Get(b).ok());
+  ASSERT_GT(cache.inflation(), 0.0);
+  cache.Clear();
+  EXPECT_EQ(cache.inflation(), 0.0);
+  BucketCache fresh(store_.get(), 2, 0, &topology);
+  for (BucketCache* c : {&cache, &fresh}) {
+    ASSERT_TRUE(c->Get(0).ok());
+    ASSERT_TRUE(c->Get(1).ok());
+    ASSERT_TRUE(c->Get(3).ok());
+  }
+  for (BucketIndex b = 0; b < 10; ++b) {
+    EXPECT_EQ(cache.Contains(b), fresh.Contains(b)) << "bucket " << b;
+  }
+  EXPECT_EQ(cache.inflation(), fresh.inflation());
+}
+
 // The races the cache mutex must survive: many threads hammering
 // Get/Put/Contains/SetPredictionWindow for overlapping buckets, so
-// inserts, promotions, evictions and window swaps interleave on the one
-// lock. Run under `tools/ci.sh --tsan` this is the thread-sanitizer smoke
-// for the cache; the invariant checks below catch logic races (a lost
-// counter, a cache over capacity) even without instrumentation.
-TEST_F(CacheTestFixture, ConcurrentPrefetchGetCancelStress) {
+// inserts, promotions, priced evictions and window swaps interleave on
+// the one lock. The cache runs over two arms at different prices, so
+// evictions compare unequal priorities. Run under `tools/ci.sh --tsan`
+// this is the thread-sanitizer smoke for the cache; the invariant checks
+// below catch logic races (a lost counter, a cache over capacity) even
+// without instrumentation.
+TEST_F(CacheTestFixture, ConcurrentGetPutWindowStress) {
   constexpr size_t kThreads = 4;
   constexpr size_t kOpsPerThread = 2000;
   util::ThreadPool callers(kThreads);
-  BucketCache cache(store_.get(), 6);
   const size_t num_buckets = store_->num_buckets();
+  const StorageTopology topology = TwoPriceTopology(num_buckets);
+  BucketCache cache(store_.get(), 6, 0, &topology);
 
   std::atomic<uint64_t> gets{0};
   std::atomic<uint64_t> puts{0};

@@ -424,27 +424,6 @@ TEST_F(MultiVolumeDrainFixture, SlowVolumeRaisesMakespan) {
                                               "matching";
 }
 
-// Per-arm adaptive controllers stay deterministic.
-TEST_F(MultiVolumeDrainFixture, AdaptiveMultiVolumeIsDeterministic) {
-  EngineConfig config = PrefetchConfig(2);
-  config.enable_prefetch = false;
-  config.adaptive_prefetch = true;
-  config.max_prefetch_depth = 4;
-  RunMetrics a = Drain(config);
-  RunMetrics b = Drain(config);
-  EXPECT_EQ(a.makespan_ms, b.makespan_ms);
-  EXPECT_EQ(a.prefetch_hidden_ms, b.prefetch_hidden_ms);
-  EXPECT_EQ(storage::SumOverArms(a.volumes).prefetch_issued,
-            storage::SumOverArms(b.volumes).prefetch_issued);
-  EXPECT_EQ(storage::SumOverArms(a.volumes).prefetch_drops,
-            storage::SumOverArms(b.volumes).prefetch_drops);
-  ASSERT_EQ(a.volumes.size(), 2u);
-  for (size_t v = 0; v < 2; ++v) {
-    EXPECT_EQ(a.volumes[v].prefetch_issued, b.volumes[v].prefetch_issued);
-    EXPECT_EQ(a.volumes[v].busy_ms, b.volumes[v].busy_ms);
-  }
-}
-
 // ------------------------------------------------ spill-arm satellite --
 
 // A dedicated spill arm with spilling disabled is pure configuration: no

@@ -13,7 +13,9 @@
 #                        # workers/completions + columnar pages' position
 #                        # blocks filled by concurrent readers; the cache
 #                        # stress test races Get/Put/Contains and window
-#                        # swaps on the cache's one lock)
+#                        # swaps on the cache's one lock, over two arms at
+#                        # different eviction prices so its priced
+#                        # (GreedyDual) victim scan and inflation run)
 #   tools/ci.sh --asan   # ASan+UBSan smoke: builds test_exec, test_storage,
 #                        # test_topology, test_columnar, test_async_io,
 #                        # test_core, test_sim, test_serve, test_thread_pool,
@@ -22,7 +24,8 @@
 #                        # -fsanitize=address,undefined and runs them (arena
 #                        # lifetimes incl. I/O scratch,
 #                        # the pipeline's bet claim/drop bookkeeping and
-#                        # cache eviction tiers, columnar page decode over
+#                        # real-read failures, the cache's priced eviction
+#                        # and its window tier, columnar page decode over
 #                        # corrupted input, every join kernel over
 #                        # Encode-built pages,
 #                        # async-reader fault injection/teardown, both
