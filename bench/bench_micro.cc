@@ -340,13 +340,12 @@ void BM_EngineMultiVolumeDrain(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineMultiVolumeDrain)->Arg(1)->Arg(2)->Arg(4);
 
-/// Cost of one dense shared batch's parallel join with match
-/// materialization into per-worker arenas, which replace contended heap
-/// growth/free cycles in the fan-out with private pointer bumps. Measured
-/// in process CPU time so the cost is visible even on a single-core host,
-/// where four workers time-slice one core and wall time is all scheduler
-/// noise. The argument is unused; the single /1 instance keeps the name
-/// the committed anchors record (/0 was the removed heap path).
+/// Cost of one dense shared batch's parallel join on a 4-worker pool, with
+/// each slice's matches collected in a plain vector and merged in slice
+/// order. Measured in process CPU time so the cost is visible even on a
+/// single-core host, where four workers time-slice one core and wall time
+/// is all scheduler noise. The name and the unused argument are kept so
+/// the entries of the committed BENCH_*.json anchors line up.
 void BM_ParallelJoinArenas(benchmark::State& state) {
   constexpr size_t kBucketObjects = 10'000;
   constexpr size_t kEntries = 16;

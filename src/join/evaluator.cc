@@ -1,25 +1,12 @@
 #include "join/evaluator.h"
 
+#include <algorithm>
 #include <cassert>
 #include <future>
 #include <span>
 
-#include "util/arena.h"
-
 namespace liferaft::join {
 namespace {
-
-/// Match storage of one evaluation unit: arena-backed on a pool worker,
-/// shared-heap on the serial path (same type either way, so the kernels
-/// instantiate once).
-using SliceMatches = util::ArenaVector<query::Match>;
-
-/// The allocator for a unit running on the current thread: the worker's
-/// own arena on the parallel paths, the heap on the serial ones.
-util::ArenaAllocator<query::Match> SliceAllocator(bool parallel) {
-  return util::ArenaAllocator<query::Match>(
-      parallel ? util::ThreadPool::CurrentArena() : nullptr);
-}
 
 uint64_t CountObjects(const std::vector<query::WorkloadEntry>& batch) {
   uint64_t n = 0;
@@ -50,12 +37,9 @@ std::vector<std::span<const query::WorkloadEntry>> SliceBatch(
 /// Fans `kernel(slice, out)` across the pool, one task per contiguous
 /// slice of `batch`, and merges counters and matches in slice (= entry)
 /// order, which makes the result identical to one serial kernel call over
-/// the whole batch. Each slice appends its matches into the executing
-/// worker's bump arena (reclaimed by the caller's next ResetArenas); the
-/// in-order merge into `out` copies them to the shared heap, so nothing
-/// arena-backed escapes the call. Every task is drained before any
-/// exception propagates: tasks reference stack-owned inputs, so unwinding
-/// while a worker still runs would be a use-after-free.
+/// the whole batch. Every task is drained before any exception
+/// propagates: tasks reference stack-owned inputs, so unwinding while a
+/// worker still runs would be a use-after-free.
 template <typename Counters, typename Kernel>
 Counters ParallelJoin(util::ThreadPool& pool,
                       const std::vector<query::WorkloadEntry>& batch,
@@ -63,7 +47,7 @@ Counters ParallelJoin(util::ThreadPool& pool,
                       const Kernel& kernel) {
   struct SliceResult {
     Counters counters{};
-    SliceMatches matches;
+    std::vector<query::Match> matches;
   };
   const bool collect = out != nullptr;
   std::vector<std::future<SliceResult>> futures;
@@ -72,8 +56,7 @@ Counters ParallelJoin(util::ThreadPool& pool,
     futures.reserve(slices.size());
     for (auto slice : slices) {
       futures.push_back(pool.Submit([&kernel, slice, collect] {
-        SliceResult r{Counters{},
-                      SliceMatches(SliceAllocator(/*parallel=*/true))};
+        SliceResult r;
         r.counters = kernel(slice, collect ? &r.matches : nullptr);
         return r;
       }));
@@ -124,9 +107,6 @@ Result<BatchResult> JoinEvaluator::EvaluateBucket(
           : ChooseStrategy(config_, queue_objects, bucket_objects, cached);
 
   const bool parallel = pool_ != nullptr && batch.size() > 1;
-  // Batch boundary: the previous batch's slice vectors are all merged and
-  // destroyed, so every worker arena can be reclaimed in one bump.
-  if (parallel) pool_->ResetArenas();
   std::vector<query::Match>* out = collect_matches ? &result.matches
                                                    : nullptr;
   if (result.strategy == JoinStrategy::kScan) {
@@ -147,8 +127,8 @@ Result<BatchResult> JoinEvaluator::EvaluateBucket(
       result.counters = ParallelJoin<JoinCounters>(
           *pool_, batch, out,
           [b](std::span<const query::WorkloadEntry> slice,
-              SliceMatches* slice_out) {
-            return MergeCrossMatchInto(*b, slice, slice_out);
+              std::vector<query::Match>* slice_out) {
+            return MergeCrossMatch(*b, slice, slice_out);
           });
     } else {
       result.counters = MergeCrossMatch(*b, batch, out);
@@ -165,8 +145,8 @@ Result<BatchResult> JoinEvaluator::EvaluateBucket(
       counters = ParallelJoin<IndexedJoinCounters>(
           *pool_, batch, out,
           [this, range](std::span<const query::WorkloadEntry> slice,
-                        SliceMatches* slice_out) {
-            return IndexedCrossMatchInto(*index_, range, slice, slice_out);
+                        std::vector<query::Match>* slice_out) {
+            return IndexedCrossMatch(*index_, range, slice, slice_out);
           });
     } else {
       counters = IndexedCrossMatch(*index_, range, batch, out);
@@ -202,11 +182,6 @@ Result<std::vector<PerQueryResult>> JoinEvaluator::EvaluatePerQueryWindow(
   const bool worker_reads =
       mode == PerQueryMode::kNoShareScan && parallel &&
       cache_->mutable_store()->SupportsConcurrentReads();
-  // Window boundary: every prior task's arena-backed vectors are gone.
-  // Worker-side bucket reads route their transient decode buffers through
-  // the executing worker's arena too; the buffers die inside the read, so
-  // the same reset covers them.
-  if (parallel) pool_->ResetArenas();
   std::vector<std::vector<std::shared_ptr<const storage::Bucket>>> buckets;
   if (mode == PerQueryMode::kNoShareScan && !worker_reads) {
     buckets.resize(window.size());
@@ -231,14 +206,13 @@ Result<std::vector<PerQueryResult>> JoinEvaluator::EvaluatePerQueryWindow(
 
   // Deterministic in isolation: reads only this query's (immutable) inputs,
   // so it computes the same result on any thread at any time. Materialized
-  // matches are per-query scratch (counts are the result), so on the
-  // parallel path they go to the executing worker's arena.
-  auto evaluate_one = [this, mode, collect_matches, worker_reads, parallel,
-                       &window, &buckets](size_t i) -> Result<QueryEval> {
+  // matches are per-query scratch (counts are the result).
+  auto evaluate_one = [this, mode, collect_matches, worker_reads, &window,
+                       &buckets](size_t i) -> Result<QueryEval> {
     const PerQueryWork& work = window[i];
     QueryEval eval;
-    SliceMatches out(SliceAllocator(parallel));
-    SliceMatches* outp = collect_matches ? &out : nullptr;
+    std::vector<query::Match> out;
+    std::vector<query::Match>* outp = collect_matches ? &out : nullptr;
     size_t wi = 0;
     for (const query::BucketWorkload& w : *work.workloads) {
       query::WorkloadEntry entry;
@@ -252,8 +226,7 @@ Result<std::vector<PerQueryResult>> JoinEvaluator::EvaluatePerQueryWindow(
         std::shared_ptr<const storage::Bucket> b;
         if (worker_reads) {
           LIFERAFT_ASSIGN_OR_RETURN(
-              b, cache_->mutable_store()->ReadBucketForPrefetchScratch(
-                     w.bucket, util::ThreadPool::CurrentArena()));
+              b, cache_->mutable_store()->ReadBucketForPrefetch(w.bucket));
           ++eval.reads;
           eval.read_bytes += b->EstimatedBytes();
           eval.read_objects += b->size();
@@ -261,7 +234,7 @@ Result<std::vector<PerQueryResult>> JoinEvaluator::EvaluatePerQueryWindow(
           b = buckets[i][wi];
         }
         ++wi;
-        JoinCounters counters = MergeCrossMatchInto(*b, batch, outp);
+        JoinCounters counters = MergeCrossMatch(*b, batch, outp);
         eval.result.matches += counters.output_matches;
         // Full T_b from the bucket's volume, T_m global (see
         // set_topology).
@@ -278,7 +251,7 @@ Result<std::vector<PerQueryResult>> JoinEvaluator::EvaluatePerQueryWindow(
         const htm::IdRange range = cache_->store().bucket_map().RangeOf(
             w.bucket);
         IndexedJoinCounters counters =
-            IndexedCrossMatchInto(*index_, range, batch, outp);
+            IndexedCrossMatch(*index_, range, batch, outp);
         eval.result.matches += counters.join.output_matches;
         uint64_t ios_per_probe = static_cast<uint64_t>(index_->height()) + 2;
         eval.result.cost_ms +=

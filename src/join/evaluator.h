@@ -83,16 +83,6 @@ struct EvaluatorStats {
 /// modeled cost, counters, and match order are byte-identical to the
 /// single-threaded path, so scheduling and the virtual clock stay
 /// deterministic.
-///
-/// Match arenas: with a pool attached, each parallel slice collects its
-/// match tuples into the executing worker's bump arena (util::Arena via
-/// ThreadPool::CurrentArena) instead of the shared heap; the owner merges
-/// the slices in order and resets every arena at the next batch boundary.
-/// This removes allocator contention from the match fan-out without
-/// changing a single byte of output. The parallel NoShare path likewise
-/// passes the worker's arena into the store's bucket reads
-/// (ReadBucketForPrefetchScratch), so page decode buffers stop touching
-/// the heap.
 class JoinEvaluator {
  public:
   /// @param cache  bucket cache layered over the archive's store (not

@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "query/workload.h"
-#include "util/arena.h"
 #include "util/coding.h"
 #include "util/crc32.h"
 
@@ -104,8 +103,7 @@ Status WorkloadSpillFile::Spill(storage::BucketIndex bucket,
 
 Status WorkloadSpillFile::Restore(storage::BucketIndex bucket,
                                   std::vector<WorkloadEntry>* out,
-                                  uint64_t* bytes_read,
-                                  util::Arena* scratch) {
+                                  uint64_t* bytes_read) {
   auto it = segments_.find(bucket);
   if (it == segments_.end()) return Status::OK();  // nothing spilled
   auto failure = [bucket](const char* what) {
@@ -113,11 +111,7 @@ Status WorkloadSpillFile::Restore(storage::BucketIndex bucket,
   };
   uint64_t read_total = 0;
   for (const Segment& seg : it->second) {
-    // Segment read buffer: batch-scoped scratch, so a caller-provided
-    // bump arena can back it (deallocation becomes a no-op; the owner
-    // reclaims at the next dispatch). Null arena = plain heap.
-    util::ArenaVector<char> record(seg.length, '\0',
-                                   util::ArenaAllocator<char>(scratch));
+    std::vector<char> record(seg.length);
     if (std::fseek(file_, static_cast<long>(seg.offset), SEEK_SET) != 0) {
       return Status::IOError(failure("seek failed"));
     }

@@ -22,10 +22,6 @@
 #include "storage/bucket.h"
 #include "util/status.h"
 
-namespace liferaft::util {
-class Arena;  // util/arena.h; Restore only passes the pointer through
-}  // namespace liferaft::util
-
 namespace liferaft::query {
 
 struct WorkloadEntry;  // defined in workload.h
@@ -49,15 +45,11 @@ class WorkloadSpillFile {
 
   /// Reads back and forgets every segment spilled for `bucket` (restored
   /// entries are appended to *out). `bytes_read`, if non-null, receives
-  /// the number of file bytes read (for I/O cost accounting). `scratch`,
-  /// if non-null, bump-allocates the transient segment read buffers —
-  /// they die inside the call, so the owner may reset the arena between
-  /// Restore calls; restored entries are byte-identical either way. A
-  /// failed seek or read (IOError) or a bad segment (Corruption) names the
+  /// the number of file bytes read (for I/O cost accounting). A failed
+  /// seek or read (IOError) or a bad segment (Corruption) names the
   /// bucket; the segments are kept and *out may hold a partial restore.
   Status Restore(storage::BucketIndex bucket, std::vector<WorkloadEntry>* out,
-                 uint64_t* bytes_read = nullptr,
-                 util::Arena* scratch = nullptr);
+                 uint64_t* bytes_read = nullptr);
 
   /// True if any unspilled segments remain for `bucket`.
   bool HasSegments(storage::BucketIndex bucket) const;

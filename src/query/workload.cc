@@ -125,11 +125,7 @@ Result<std::vector<WorkloadEntry>> WorkloadManager::TakeBucket(
   std::vector<WorkloadEntry> restored;
   uint64_t bytes = 0;
   if (spill_ != nullptr && spill_->HasSegments(b)) {
-    // The previous dispatch's restore buffers are long dead (they never
-    // outlive Restore), so the arena can be reclaimed wholesale here.
-    restore_arena_.Reset();
-    LIFERAFT_RETURN_IF_ERROR(
-        spill_->Restore(b, &restored, &bytes, &restore_arena_));
+    LIFERAFT_RETURN_IF_ERROR(spill_->Restore(b, &restored, &bytes));
     ++spill_stats_.segments_restored;
     spill_stats_.bytes_restored += bytes;
   }

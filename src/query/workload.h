@@ -17,7 +17,6 @@
 #include "query/preprocessor.h"
 #include "query/query.h"
 #include "query/spill.h"
-#include "util/arena.h"
 #include "util/clock.h"
 #include "util/status.h"
 
@@ -156,9 +155,6 @@ class WorkloadManager {
   std::unique_ptr<WorkloadSpillFile> spill_;
   uint64_t memory_budget_objects_ = 0;  // 0 = unlimited (spill disabled)
   SpillStats spill_stats_;
-  /// Dispatch-scoped scratch for spill-restore read buffers, so they stop
-  /// touching the heap; reset at the top of every restoring TakeBucket.
-  util::Arena restore_arena_;
 };
 
 }  // namespace liferaft::query

@@ -143,7 +143,7 @@ class QueuedAsyncReader : public AsyncReader {
       d.completion.ticket = req.ticket;
       d.completion.index = req.index;
       d.completion.volume = volume;
-      auto bucket = store_->ReadBucketForPrefetchScratch(req.index, nullptr);
+      auto bucket = store_->ReadBucketForPrefetch(req.index);
       d.completion.latency_ms = clock_.NowMs() - req.submit_ms;
       if (bucket.ok()) {
         d.completion.bucket = std::move(bucket).value();

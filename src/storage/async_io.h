@@ -106,7 +106,7 @@ class AsyncReader {
 
 /// The default AsyncReader: one worker thread + FIFO submission queue per
 /// volume of `topology` (one queue total when null), reads served through
-/// store->ReadBucketForPrefetchScratch on the worker. Requires
+/// store->ReadBucketForPrefetch on the worker. Requires
 /// store->SupportsConcurrentReads(). The store and topology are borrowed
 /// and must outlive the reader.
 std::unique_ptr<AsyncReader> MakeQueuedAsyncReader(

@@ -15,7 +15,7 @@
 #include "util/status.h"
 
 namespace liferaft::util {
-class Arena;  // util/arena.h; stores only pass the pointer through
+class Arena;  // only named by ReadBucketForPrefetchScratch's signature
 }  // namespace liferaft::util
 
 namespace liferaft::storage {
@@ -105,14 +105,13 @@ class BucketStore {
     return Status::Unimplemented("store does not support prefetch reads");
   }
 
-  /// ReadBucketForPrefetch with an optional bump arena for transient
-  /// decode buffers (the per-query NoShare fan-out passes the executing
-  /// worker's arena so the read path stops touching the heap for
-  /// scratch). `scratch` may be null (= plain heap); the returned Bucket
-  /// NEVER references arena memory — the arena only backs buffers that
-  /// die inside the call, so the caller may reset it at any batch/window
-  /// boundary. The default ignores the arena; results are byte-identical
-  /// with or without one.
+  /// Forwards to ReadBucketForPrefetch and ignores `scratch`; nothing in
+  /// the library calls it, and no store here overrides it. It stays, with
+  /// the forward declaration of its pointer type above, only because the
+  /// end-to-end benchmark's timing decorator (bench_e2e/tracing.h)
+  /// overrides this virtual, and that code is kept unchanged so its
+  /// numbers stay comparable across versions. Remove both together with
+  /// that override.
   virtual Result<std::shared_ptr<const Bucket>> ReadBucketForPrefetchScratch(
       BucketIndex index, util::Arena* scratch) {
     (void)scratch;
@@ -122,7 +121,7 @@ class BucketStore {
   /// Opens an asynchronous read session: per-volume submission queues and
   /// I/O worker threads delivering completions to the caller's Poll()/
   /// Wait() (storage/async_io.h). The default is the queued reader over
-  /// ReadBucketForPrefetchScratch — it requires SupportsConcurrentReads().
+  /// ReadBucketForPrefetch — it requires SupportsConcurrentReads().
   /// Override to substitute a fault-injection or device-specific backend.
   /// `topology` (nullable = one queue) and this store must outlive the
   /// returned reader.

@@ -7,9 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "storage/async_io.h"
 #include "storage/columnar.h"
-#include "util/arena.h"
 #include "util/coding.h"
 #include "util/crc32.h"
 
@@ -82,20 +80,17 @@ FileStore::FileStore(int fd, bool direct_active, FileStoreOptions options,
                      std::vector<uint32_t> counts,
                      std::shared_ptr<const BucketMap> map)
     : path_(std::move(path)),
+      fd_(fd),
       direct_io_active_(direct_active),
       options_(options),
       version_(version),
       offsets_(std::move(offsets)),
       page_sizes_(std::move(page_sizes)),
       counts_(std::move(counts)),
-      map_(std::move(map)) {
-  fds_.push_back(fd);
-}
+      map_(std::move(map)) {}
 
 FileStore::~FileStore() {
-  for (int fd : fds_) {
-    if (fd >= 0) ::close(fd);
-  }
+  if (fd_ >= 0) ::close(fd_);
 }
 
 Status FileStore::OpenReadFd(int* fd) const {
@@ -124,9 +119,8 @@ Status FileStore::OpenReadFd(int* fd) const {
   return Status::OK();
 }
 
-Status FileStore::ReadSpan(int fd, uint64_t offset, char* dst,
-                           size_t len) const {
-  if (!direct_io_active_) return PreadExact(fd, offset, dst, len);
+Status FileStore::ReadSpan(uint64_t offset, char* dst, size_t len) const {
+  if (!direct_io_active_) return PreadExact(fd_, offset, dst, len);
   // O_DIRECT: read the aligned window covering [offset, offset+len) into
   // an aligned bounce buffer, then copy out the requested span. The
   // window's tail may run past EOF (file sizes are not block-aligned), so
@@ -155,7 +149,7 @@ Status FileStore::ReadSpan(int fd, uint64_t offset, char* dst,
   const size_t need = static_cast<size_t>(offset - lo) + len;
   while (done < need) {
     ssize_t n =
-        ::pread(fd, p + done, span - done, static_cast<off_t>(lo + done));
+        ::pread(fd_, p + done, span - done, static_cast<off_t>(lo + done));
     if (n < 0) {
       if (errno == EINTR) continue;
       return Status::IOError("pread(O_DIRECT) failed: " +
@@ -166,39 +160,6 @@ Status FileStore::ReadSpan(int fd, uint64_t offset, char* dst,
   }
   std::memcpy(dst, p + (offset - lo), len);
   return Status::OK();
-}
-
-Status FileStore::AttachTopology(const StorageTopology* topology) {
-  // Keep fd 0 (the Open descriptor), drop any earlier topology's extras.
-  for (size_t i = 1; i < fds_.size(); ++i) {
-    if (fds_[i] >= 0) ::close(fds_[i]);
-  }
-  fds_.resize(1);
-  topology_ = nullptr;
-  if (topology == nullptr || topology->num_volumes() == 1) return Status::OK();
-  // One independent descriptor per additional volume: separate kernel file
-  // descriptions, so per-volume readahead/fadvise state never couples the
-  // arms. (pread needs no per-volume descriptor for correctness — this is
-  // about keeping each arm's kernel I/O state its own.)
-  for (size_t v = 1; v < topology->num_volumes(); ++v) {
-    int fd = -1;
-    Status st = OpenReadFd(&fd);
-    if (!st.ok()) {
-      return Status::IOError("volume " + std::to_string(v) + ": " +
-                             st.message());
-    }
-    fds_.push_back(fd);
-  }
-  topology_ = topology;
-  return Status::OK();
-}
-
-std::unique_ptr<AsyncReader> FileStore::NewAsyncReader(
-    const StorageTopology* topology) {
-  // Default to the attached topology so the submission queues line up
-  // with the descriptors AttachTopology opened.
-  return MakeQueuedAsyncReader(this,
-                               topology != nullptr ? topology : topology_);
 }
 
 Status FileStore::Create(const std::string& path,
@@ -318,8 +279,24 @@ Result<std::unique_ptr<FileStore>> FileStore::Open(
   uint64_t index_offset = GetFixed64(footer);
   uint32_t index_crc = GetFixed32(footer + 8);
 
+  // Bound the header's bucket count by the file before sizing anything by
+  // it: the index (8 bytes per bucket) must fit between the header and the
+  // footer, and where the footer says it starts. Dividing keeps a huge
+  // count from wrapping 8 * num_buckets.
+  const uint64_t footer_offset = file_size - kFooterBytes;
+  if (num_buckets > (footer_offset - kFileHeaderBytes) / 8) {
+    return fail(Status::Corruption(
+        "header claims " + std::to_string(num_buckets) +
+        " buckets, more than " + path + " can index"));
+  }
+  const uint64_t index_bytes = num_buckets * 8;
+  if (index_offset > footer_offset - index_bytes) {
+    return fail(Status::Corruption("offset index runs past the footer in " +
+                                   path));
+  }
+
   // Offset index.
-  std::string index(num_buckets * 8, '\0');
+  std::string index(index_bytes, '\0');
   st = PreadExact(meta_fd, index_offset, index.data(), index.size());
   if (!st.ok()) return fail(st);
   if (Crc32(index.data(), index.size()) != index_crc) {
@@ -384,14 +361,14 @@ Result<std::unique_ptr<FileStore>> FileStore::Open(
   auto store = std::unique_ptr<FileStore>(new FileStore(
       meta_fd, direct_active, options, path, version, std::move(offsets),
       std::move(page_sizes), std::move(counts), std::move(map)));
-  // Re-open descriptor 0 per the options (O_DIRECT / fadvise): meta_fd was
-  // deliberately plain-buffered for the metadata pass above.
+  // Re-open the read descriptor per the options (O_DIRECT / fadvise):
+  // meta_fd was deliberately plain-buffered for the metadata pass above.
   if (direct_active || options.advise_random) {
     int fd = -1;
     Status open_st = store->OpenReadFd(&fd);
     if (!open_st.ok()) return open_st;
-    ::close(store->fds_[0]);
-    store->fds_[0] = fd;
+    ::close(store->fd_);
+    store->fd_ = fd;
   }
   return store;
 }
@@ -399,29 +376,23 @@ Result<std::unique_ptr<FileStore>> FileStore::Open(
 Result<std::shared_ptr<const Bucket>> FileStore::ReadBucket(
     BucketIndex index) {
   LIFERAFT_ASSIGN_OR_RETURN(std::shared_ptr<const Bucket> bucket,
-                            ReadBucketPage(index, /*scratch=*/nullptr));
+                            ReadBucketPage(index));
   RecordRead(*bucket);
   return bucket;
 }
 
 Result<std::shared_ptr<const Bucket>> FileStore::ReadBucketForPrefetch(
     BucketIndex index) {
-  return ReadBucketPage(index, /*scratch=*/nullptr);
-}
-
-Result<std::shared_ptr<const Bucket>> FileStore::ReadBucketForPrefetchScratch(
-    BucketIndex index, util::Arena* scratch) {
-  return ReadBucketPage(index, scratch);
+  return ReadBucketPage(index);
 }
 
 Result<std::shared_ptr<const Bucket>> FileStore::ReadColumnarPage(
-    BucketIndex index, int fd) {
+    BucketIndex index) {
   const uint64_t page_size = page_sizes_[index];
   // operator new[] aligns to max_align_t, which is what makes the in-place
   // f64 column spans legal; the pad inside the page does the rest.
   std::unique_ptr<char[]> buf(new char[page_size]);
-  LIFERAFT_RETURN_IF_ERROR(
-      ReadSpan(fd, offsets_[index], buf.get(), page_size));
+  LIFERAFT_RETURN_IF_ERROR(ReadSpan(offsets_[index], buf.get(), page_size));
   auto page = ColumnarPage::Parse(std::move(buf), page_size);
   if (!page.ok()) {
     return Status::Corruption("bucket " + std::to_string(index) + ": " +
@@ -431,13 +402,12 @@ Result<std::shared_ptr<const Bucket>> FileStore::ReadColumnarPage(
 }
 
 Result<std::shared_ptr<const Bucket>> FileStore::ReadBucketPage(
-    BucketIndex index, util::Arena* scratch) {
+    BucketIndex index) {
   if (index >= offsets_.size()) {
     return Status::OutOfRange("bucket index out of range");
   }
-  const int fd = FdFor(index);
   if (version_ == static_cast<uint32_t>(BucketFormat::kColumnarV2)) {
-    return ReadColumnarPage(index, fd);
+    return ReadColumnarPage(index);
   }
   // One positional read of the whole page: payload followed by its crc32.
   const uint64_t page_size = page_sizes_[index];
@@ -445,15 +415,8 @@ Result<std::shared_ptr<const Bucket>> FileStore::ReadBucketPage(
     return Status::Corruption("bucket " + std::to_string(index) +
                               " page smaller than its header");
   }
-  // The page buffer and its decoded records die inside this call, so a
-  // caller-scoped bump arena (per-query NoShare worker reads) can back
-  // them; deallocation is then a no-op and the bytes are reclaimed
-  // wholesale at the caller's next window boundary (~100 bytes/object held
-  // per read until then). Null arena = plain heap, byte-identical decode
-  // either way.
-  util::ArenaVector<char> page(page_size, '\0',
-                               util::ArenaAllocator<char>(scratch));
-  LIFERAFT_RETURN_IF_ERROR(ReadSpan(fd, offsets_[index], page.data(),
+  std::vector<char> page(page_size);
+  LIFERAFT_RETURN_IF_ERROR(ReadSpan(offsets_[index], page.data(),
                                     page.size()));
   const size_t payload_size = page_size - 4;
   htm::IdRange range{GetFixed64(page.data()), GetFixed64(page.data() + 8)};
@@ -468,8 +431,7 @@ Result<std::shared_ptr<const Bucket>> FileStore::ReadBucketPage(
                               " checksum mismatch");
   }
 
-  util::ArenaVector<CatalogObject> objects{
-      util::ArenaAllocator<CatalogObject>(scratch)};
+  std::vector<CatalogObject> objects;
   objects.reserve(count);
   const char* p = page.data() + kBucketHeaderBytes;
   for (uint32_t i = 0; i < count; ++i, p += kRecordBytes) {

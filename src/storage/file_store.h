@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "storage/bucket_store.h"
-#include "storage/topology.h"
 
 namespace liferaft::storage {
 
@@ -76,20 +75,11 @@ class FileStore : public BucketStore {
                        const std::vector<Bucket>& buckets,
                        BucketFormat format = BucketFormat::kRowV1);
 
-  /// Opens an existing store, validating magic, version (1 or 2), and
-  /// index checksum.
+  /// Opens an existing store, validating magic, version (1 or 2), the
+  /// bucket count against the file's size (before allocating the offset
+  /// index), and the index checksum.
   static Result<std::unique_ptr<FileStore>> Open(
       const std::string& path, const FileStoreOptions& options = {});
-
-  /// Routes page I/O per volume (the multi-arm topology): each volume gets
-  /// its own read descriptor, so per-volume kernel state (file description,
-  /// fadvise hints, O_DIRECT) stays independent — physically independent
-  /// arms. Every read is a positional pread(2), so reads never serialize,
-  /// neither across volumes nor within one; the one-arm-per-volume cost is
-  /// the async submission queue's job (storage/async_io.h), not a lock's.
-  /// Call during setup; the topology is borrowed and must outlive the
-  /// store (pass null to restore the single shared descriptor).
-  Status AttachTopology(const StorageTopology* topology);
 
   /// The page format this store was written with.
   BucketFormat format() const { return static_cast<BucketFormat>(version_); }
@@ -108,21 +98,12 @@ class FileStore : public BucketStore {
     return index < page_sizes_.size() ? page_sizes_[index] : 0;
   }
   Result<std::shared_ptr<const Bucket>> ReadBucket(BucketIndex index) override;
-  /// Every page read is one positional pread(2) on the bucket's volume
+  /// Every page read is one positional pread(2) on the store's one read
   /// descriptor: no file-position state, no I/O mutex, so prefetch reads,
-  /// owner reads, and async-queue reads all proceed fully concurrently —
-  /// across volumes and within one.
+  /// owner reads, and async-queue reads all proceed fully concurrently.
   bool SupportsConcurrentReads() const override { return true; }
   Result<std::shared_ptr<const Bucket>> ReadBucketForPrefetch(
       BucketIndex index) override;
-  /// Uses `scratch` for the page decode buffer (NoShare worker reads).
-  Result<std::shared_ptr<const Bucket>> ReadBucketForPrefetchScratch(
-      BucketIndex index, util::Arena* scratch) override;
-
-  /// Per-volume async submission queues over this store's descriptors
-  /// (storage/async_io.h). `topology` may be null (single queue).
-  std::unique_ptr<AsyncReader> NewAsyncReader(
-      const StorageTopology* topology) override;
 
  private:
   FileStore(int fd, bool direct_active, FileStoreOptions options,
@@ -135,38 +116,27 @@ class FileStore : public BucketStore {
   /// the caller.
   Status OpenReadFd(int* fd) const;
 
-  /// Positional read of [offset, offset+len) on `fd`, honoring
+  /// Positional read of [offset, offset+len) on fd_, honoring
   /// direct_io_active_ (aligned bounce-buffer window read under O_DIRECT,
   /// plain pread loop otherwise).
-  Status ReadSpan(int fd, uint64_t offset, char* dst, size_t len) const;
+  Status ReadSpan(uint64_t offset, char* dst, size_t len) const;
 
   /// The raw read+checksum+decode of one bucket page — one ReadSpan of the
-  /// whole page on the bucket's volume descriptor; records no stats.
-  /// `scratch`, when non-null, backs the transient v1 page buffer and its
-  /// decoded records (pages live on in the returned bucket, so they always
-  /// own their bytes on the heap). A v1 page that fails the transcode
+  /// whole page; records no stats. A v1 page that fails the transcode
   /// returns Corruption.
-  Result<std::shared_ptr<const Bucket>> ReadBucketPage(BucketIndex index,
-                                                       util::Arena* scratch);
+  Result<std::shared_ptr<const Bucket>> ReadBucketPage(BucketIndex index);
 
   /// v2: one whole-page read handed to ColumnarPage::Parse. Any
   /// corruption — truncation, checksum, bad columns — comes back as a
   /// clean Status naming the bucket.
-  Result<std::shared_ptr<const Bucket>> ReadColumnarPage(BucketIndex index,
-                                                         int fd);
-
-  int FdFor(BucketIndex index) const {
-    return fds_[topology_ != nullptr ? topology_->VolumeOf(index) % fds_.size()
-                                     : 0];
-  }
+  Result<std::shared_ptr<const Bucket>> ReadColumnarPage(BucketIndex index);
 
   std::string path_;
-  /// fds_[0] holds the descriptor Open created; AttachTopology adds one
-  /// per additional volume.
-  std::vector<int> fds_;
+  /// The one read descriptor every page read shares (pread needs no
+  /// per-reader position).
+  int fd_ = -1;
   bool direct_io_active_ = false;
   FileStoreOptions options_;
-  const StorageTopology* topology_ = nullptr;
   uint32_t version_ = 1;
   std::vector<uint64_t> offsets_;
   std::vector<uint64_t> page_sizes_;

@@ -5,33 +5,12 @@
 
 namespace liferaft::util {
 
-namespace {
-/// The executing worker's arena; null on any thread that is not a pool
-/// worker (set for the worker's lifetime in WorkerLoop).
-thread_local Arena* current_arena = nullptr;
-}  // namespace
-
 ThreadPool::ThreadPool(size_t num_threads) : num_threads_(num_threads) {
   assert(num_threads >= 1);
-  queues_.reserve(num_threads);
-  arenas_.reserve(num_threads);
-  for (size_t i = 0; i < num_threads; ++i) {
-    queues_.push_back(std::make_unique<WorkerQueue>());
-    arenas_.push_back(std::make_unique<Arena>());
-  }
   workers_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
-}
-
-Arena* ThreadPool::CurrentArena() { return current_arena; }
-
-void ThreadPool::ResetArenas() {
-  // Batch-boundary contract (see header): no in-flight task references
-  // these arenas, and joining the previous batch's futures ordered its
-  // allocations before this reset.
-  for (auto& arena : arenas_) arena->Reset();
 }
 
 ThreadPool::~ThreadPool() { Shutdown(); }
@@ -42,15 +21,7 @@ void ThreadPool::Enqueue(std::function<void()> task) {
     if (shutdown_) {
       throw std::runtime_error("ThreadPool::Submit after Shutdown");
     }
-    const size_t target =
-        next_queue_.fetch_add(1, std::memory_order_relaxed) % queues_.size();
-    {
-      std::lock_guard<std::mutex> queue_lock(queues_[target]->mu);
-      queues_[target]->tasks.push_back(std::move(task));
-    }
-    // Publish under mu_ so a worker checking the sleep predicate cannot
-    // miss the wakeup.
-    pending_.fetch_add(1, std::memory_order_release);
+    tasks_.push_back(std::move(task));
   }
   wake_.notify_one();
 }
@@ -68,43 +39,15 @@ void ThreadPool::Shutdown() {
   workers_.clear();
 }
 
-std::function<void()> ThreadPool::TakeTask(size_t self) {
-  const size_t n = queues_.size();
-  for (size_t i = 0; i < n; ++i) {
-    const size_t idx = (self + i) % n;
-    WorkerQueue& q = *queues_[idx];
-    std::lock_guard<std::mutex> lock(q.mu);
-    if (q.tasks.empty()) continue;
-    std::function<void()> task;
-    if (idx == self) {
-      // Own queue: FIFO from the front.
-      task = std::move(q.tasks.front());
-      q.tasks.pop_front();
-    } else {
-      // Sibling queue: steal from the tail, leaving the victim its
-      // cache-warm front work.
-      task = std::move(q.tasks.back());
-      q.tasks.pop_back();
-    }
-    pending_.fetch_sub(1, std::memory_order_acq_rel);
-    return task;
-  }
-  return {};
-}
-
-void ThreadPool::WorkerLoop(size_t self) {
-  current_arena = arenas_[self].get();
+void ThreadPool::WorkerLoop() {
   for (;;) {
-    std::function<void()> task = TakeTask(self);
-    if (!task) {
+    std::function<void()> task;
+    {
       std::unique_lock<std::mutex> lock(mu_);
-      wake_.wait(lock, [this] {
-        return shutdown_ || pending_.load(std::memory_order_acquire) > 0;
-      });
-      if (shutdown_ && pending_.load(std::memory_order_acquire) == 0) {
-        return;  // drained
-      }
-      continue;  // retake with the lock released
+      wake_.wait(lock, [this] { return shutdown_ || !tasks_.empty(); });
+      if (tasks_.empty()) return;  // shut down and drained
+      task = std::move(tasks_.front());
+      tasks_.pop_front();
     }
     task();  // packaged_task captures exceptions into the future
   }

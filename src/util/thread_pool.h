@@ -1,14 +1,9 @@
-// A fixed-size worker pool for data-parallel batch work, with work
-// stealing.
+// A fixed-size worker pool for data-parallel batch work.
 //
-// The pool owns `num_threads` workers, each with its own task deque;
-// Submit() distributes tasks round-robin across the deques. A worker pops
-// from the FRONT of its own deque (FIFO for its assigned work) and, when
-// that runs dry, steals from the TAIL of a sibling's deque — so a skewed
-// distribution (one worker handed a few huge entry slices, the rest
-// finishing early) no longer stalls the batch on a single queue while idle
-// workers spin down. Stealing from the tail keeps the victim's cache-warm
-// front work with the victim.
+// The pool owns `num_threads` workers that share one FIFO task queue under
+// one mutex; a condition variable wakes an idle worker per submitted task.
+// Whichever worker is free takes the front task, so one worker blocked on
+// a long task never holds up the tasks queued behind it.
 //
 // Submit() returns a std::future for the task's result; exceptions thrown
 // by a task are captured and rethrown from future::get(), so callers see
@@ -18,20 +13,11 @@
 //
 // Determinism note: which thread runs a task (and in what interleaving)
 // is unspecified; LifeRaft's callers merge results in submission order
-// (see join::JoinEvaluator), so stealing never changes any result.
-//
-// Per-worker match arenas: every worker owns a util::Arena, reachable from
-// inside a task via the static CurrentArena() (null off-pool). Tasks that
-// produce bulk short-lived output — match tuples, most prominently —
-// allocate from their worker's arena instead of the shared heap, removing
-// allocator contention from the join fan-out. The pool never resets the
-// arenas itself: the batch owner calls ResetArenas() at a batch boundary,
-// when every task that used them has been joined.
+// (see join::JoinEvaluator), so scheduling never changes any result.
 
 #ifndef LIFERAFT_UTIL_THREAD_POOL_H_
 #define LIFERAFT_UTIL_THREAD_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -44,8 +30,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/arena.h"
-
 namespace liferaft::util {
 
 class ThreadPool {
@@ -53,7 +37,7 @@ class ThreadPool {
   /// Starts `num_threads` workers immediately. `num_threads` must be >= 1.
   explicit ThreadPool(size_t num_threads);
 
-  /// Drains the queues and joins all workers.
+  /// Drains the queue and joins all workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -82,46 +66,15 @@ class ThreadPool {
   /// The construction-time worker count (stable across Shutdown).
   size_t num_threads() const { return num_threads_; }
 
-  /// The arena of the worker running the calling thread, or null when the
-  /// caller is not one of this process's pool workers. Tasks use it for
-  /// batch-scoped bulk output (see file comment).
-  static Arena* CurrentArena();
-
-  /// Worker `i`'s arena (introspection/tests).
-  Arena& arena(size_t i) { return *arenas_[i]; }
-
-  /// Resets every worker arena at once. The caller must guarantee no task
-  /// that allocated from them is still running or still owns arena-backed
-  /// containers — i.e. call only at a batch boundary, after joining every
-  /// future of the previous batch.
-  void ResetArenas();
-
  private:
-  /// One worker's deque: own pops come off the front, thieves take the
-  /// tail.
-  struct WorkerQueue {
-    std::mutex mu;
-    std::deque<std::function<void()>> tasks;
-  };
-
   void Enqueue(std::function<void()> task);
-  /// Pops the front of queue `self`, or steals the tail of the first
-  /// non-empty sibling (scanning from self+1, wrapping). Returns an empty
-  /// function when every queue is dry.
-  std::function<void()> TakeTask(size_t self);
-  void WorkerLoop(size_t self);
+  void WorkerLoop();
 
-  std::mutex mu_;  // guards shutdown_ and sleep/wake coordination
+  std::mutex mu_;  // guards tasks_ and shutdown_
   std::condition_variable wake_;
+  std::deque<std::function<void()>> tasks_;
   bool shutdown_ = false;
-  /// Tasks enqueued but not yet taken, across all queues. Guarded by mu_
-  /// for the sleep predicate, atomic so TakeTask can decrement under its
-  /// queue lock only.
-  std::atomic<size_t> pending_{0};
-  std::atomic<size_t> next_queue_{0};  // round-robin submission cursor
   size_t num_threads_ = 0;
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
-  std::vector<std::unique_ptr<Arena>> arenas_;  // one per worker
   std::vector<std::thread> workers_;
 };
 

@@ -666,6 +666,35 @@ TEST_F(ColumnarCorruptionTest, UnknownFileVersionIsRejected) {
   EXPECT_EQ(store.status().code(), StatusCode::kCorruption);
 }
 
+// Open sizes the offset index by the header's bucket count, so it must
+// check that count against the file first. The inputs: 2^40 (an 8 TiB
+// index), 2^61 (8 * count wraps to 0), one bucket more than the bytes
+// between header and footer can index, and a count that fits there but
+// runs the index from its footer-given offset past the end of the file.
+TEST_F(ColumnarCorruptionTest, BucketCountTheFileCannotHoldIsRejected) {
+  WriteStore();
+  const std::string intact = ReadFile();
+  constexpr size_t kFooterBytes = 20;
+  const uint64_t index_offset =
+      GetFixed64(intact.data() + intact.size() - kFooterBytes);
+  const uint64_t between = intact.size() - kFileHeaderBytes - kFooterBytes;
+  const uint64_t past_eof = (intact.size() - index_offset) / 8 + 1;
+  ASSERT_LE(past_eof, between / 8);
+  for (uint64_t claimed : {uint64_t{1} << 40, uint64_t{1} << 61,
+                           between / 8 + 1, past_eof}) {
+    SCOPED_TRACE("claimed buckets: " + std::to_string(claimed));
+    std::string bytes = intact;
+    std::string count;
+    PutFixed64(&count, claimed);
+    bytes.replace(12, 8, count);  // file-header bucket count
+    WriteFile(bytes);
+    auto store = FileStore::Open(path_.string());
+    ASSERT_FALSE(store.ok());
+    EXPECT_EQ(store.status().code(), StatusCode::kCorruption)
+        << store.status().ToString();
+  }
+}
+
 // ----------------------------------------------------------------- BTree --
 
 TEST(BTreeTest, RejectsUnsortedInput) {

@@ -10,9 +10,7 @@
 #include <atomic>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <numeric>
-#include <set>
 #include <stdexcept>
 #include <vector>
 
@@ -90,12 +88,11 @@ TEST(ThreadPoolTest, SubmitAfterShutdownThrows) {
   EXPECT_THROW(pool.Submit([] {}), std::runtime_error);
 }
 
-TEST(ThreadPoolTest, IdleWorkerStealsFromBlockedSiblingQueue) {
-  // Submit distributes round-robin across per-worker queues, so with two
-  // workers half of these tasks land in the queue of the worker that is
-  // parked on the gate task. They can only complete while the gate is
-  // held if the idle sibling steals them — this deadline-free wait is the
-  // stealing assertion.
+TEST(ThreadPoolTest, IdleWorkerRunsQueuedTasksWhileAnotherBlocks) {
+  // One worker parks on the gate task; the 16 tasks queued behind it sit
+  // in the one shared queue. They can only complete while the gate is
+  // held if the other worker takes every one of them — this deadline-free
+  // wait is the assertion that no task is tied to the blocked worker.
   ThreadPool pool(2);
   std::promise<void> gate;
   std::shared_future<void> opened = gate.get_future().share();
@@ -105,7 +102,7 @@ TEST(ThreadPoolTest, IdleWorkerStealsFromBlockedSiblingQueue) {
   for (int i = 0; i < 16; ++i) {
     rest.push_back(pool.Submit([&ran] { ++ran; }));
   }
-  for (auto& f : rest) f.get();  // completes only if stealing works
+  for (auto& f : rest) f.get();  // completes only if the idle worker runs all
   EXPECT_EQ(ran.load(), 16);
   gate.set_value();
   blocked.get();
@@ -113,8 +110,8 @@ TEST(ThreadPoolTest, IdleWorkerStealsFromBlockedSiblingQueue) {
 
 TEST(ThreadPoolTest, SkewedTaskSizesAllComplete) {
   // A few huge tasks next to many tiny ones (the skewed-entry-slice shape
-  // work stealing exists for): everything runs exactly once, results keyed
-  // by submission slot.
+  // of a batch fan-out): everything runs exactly once, results keyed by
+  // submission slot.
   ThreadPool pool(4);
   std::vector<std::future<uint64_t>> futures;
   for (int i = 0; i < 64; ++i) {
@@ -127,41 +124,6 @@ TEST(ThreadPoolTest, SkewedTaskSizesAllComplete) {
   }
   for (auto& f : futures) {
     EXPECT_NE(f.get(), 0u);
-  }
-}
-
-TEST(ThreadPoolTest, PerWorkerArenasAreDistinctAndOffPoolIsNull) {
-  // The owner thread is not a worker: no arena.
-  EXPECT_EQ(ThreadPool::CurrentArena(), nullptr);
-  ThreadPool pool(3);
-  // Every worker sees its own arena, and it is one of the pool's.
-  std::set<util::Arena*> seen;
-  std::mutex mu;
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 24; ++i) {
-    futures.push_back(pool.Submit([&] {
-      util::Arena* arena = ThreadPool::CurrentArena();
-      ASSERT_NE(arena, nullptr);
-      void* p = arena->Allocate(64, 8);
-      ASSERT_NE(p, nullptr);
-      std::lock_guard<std::mutex> lock(mu);
-      seen.insert(arena);
-    }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_GE(seen.size(), 1u);
-  EXPECT_LE(seen.size(), 3u);
-  for (util::Arena* arena : seen) {
-    bool owned = false;
-    for (size_t i = 0; i < pool.num_threads(); ++i) {
-      if (arena == &pool.arena(i)) owned = true;
-    }
-    EXPECT_TRUE(owned);
-  }
-  // Batch-boundary reset reclaims every worker's allocations.
-  pool.ResetArenas();
-  for (size_t i = 0; i < pool.num_threads(); ++i) {
-    EXPECT_LE(pool.arena(i).num_blocks(), 1u);
   }
 }
 

@@ -1,16 +1,15 @@
 // Tests for the multi-volume storage topology: the bucket->volume map
-// itself (storage::StorageTopology), the per-arm accounting it drives
-// through exec::BatchPipeline and sim::SimEngine, FileStore's per-volume
-// I/O routing, and the I/O-arena satellites (spill restore buffers and
-// NoShare read scratch). The key contracts:
+// itself (storage::StorageTopology) and the per-arm accounting it drives
+// through exec::BatchPipeline and sim::SimEngine; plus concurrent FileStore
+// reads, alone and from the parallel NoShare fan-out. The key contracts:
 //  * num_volumes == 1 reproduces the pre-topology engine byte for byte
 //    (same makespan, hidden time, and every cache/store counter);
 //  * adding arms strictly shrinks a prefetch drain's virtual makespan
 //    while join results and total modeled disk work stay identical;
 //  * join results are byte-identical across placement policies — where a
 //    bucket lives can only change timing, never matching;
-//  * I/O arenas are pure allocation plumbing: on or off, every result and
-//    counter is identical.
+//  * worker-thread store reads change no result: a parallel NoShare run
+//    over a FileStore matches the serial one query for query.
 
 #include "storage/topology.h"
 
@@ -145,7 +144,7 @@ TEST(StorageTopologyTest, SpillArmIsNotABucketVolume) {
   EXPECT_FALSE(plain->has_spill_arm());
 }
 
-// ------------------------------------------------ FileStore routing ----
+// ------------------------------------------ concurrent FileStore reads --
 
 std::string TempPath(const std::string& tag) {
   return (std::filesystem::temp_directory_path() /
@@ -153,7 +152,7 @@ std::string TempPath(const std::string& tag) {
       .string();
 }
 
-class FileStoreTopologyTest : public ::testing::Test {
+class FileStoreConcurrencyTest : public ::testing::Test {
  protected:
   void SetUp() override {
     workload::CatalogGenConfig gen;
@@ -176,41 +175,9 @@ class FileStoreTopologyTest : public ::testing::Test {
   std::unique_ptr<FileStore> store_;
 };
 
-TEST_F(FileStoreTopologyTest, AttachedTopologyReadsIdenticalBuckets) {
-  // Baseline: every bucket through the single shared handle.
-  std::vector<std::shared_ptr<const Bucket>> baseline;
-  for (BucketIndex b = 0; b < store_->num_buckets(); ++b) {
-    auto bucket = store_->ReadBucket(b);
-    ASSERT_TRUE(bucket.ok());
-    baseline.push_back(std::move(*bucket));
-  }
-  StorageTopologyConfig config;
-  config.num_volumes = 3;
-  auto topology =
-      StorageTopology::Create(store_->num_buckets(), config,
-                              DiskModelParams{});
-  ASSERT_TRUE(topology.ok());
-  ASSERT_TRUE(store_->AttachTopology(&*topology).ok());
-  for (BucketIndex b = 0; b < store_->num_buckets(); ++b) {
-    auto bucket = store_->ReadBucket(b);
-    ASSERT_TRUE(bucket.ok());
-    ASSERT_EQ((*bucket)->size(), baseline[b]->size());
-    EXPECT_EQ((*bucket)->page().bytes(), baseline[b]->page().bytes());
-  }
-  // Detaching restores the single-lane store.
-  ASSERT_TRUE(store_->AttachTopology(nullptr).ok());
-  auto again = store_->ReadBucket(0);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ((*again)->size(), baseline[0]->size());
-}
-
-TEST_F(FileStoreTopologyTest, ConcurrentPerVolumeReadsAreConsistent) {
-  StorageTopologyConfig config;
-  config.num_volumes = 3;
-  auto topology = StorageTopology::Create(store_->num_buckets(), config,
-                                          DiskModelParams{});
-  ASSERT_TRUE(topology.ok());
-  ASSERT_TRUE(store_->AttachTopology(&*topology).ok());
+// Every read is a positional pread(2) on the store's one descriptor, so
+// worker threads reading overlapping buckets at once all see whole pages.
+TEST_F(FileStoreConcurrencyTest, ConcurrentReadsAreConsistent) {
   util::ThreadPool pool(4);
   std::vector<std::future<uint64_t>> futures;
   for (size_t t = 0; t < 4; ++t) {
@@ -230,20 +197,6 @@ TEST_F(FileStoreTopologyTest, ConcurrentPerVolumeReadsAreConsistent) {
   uint64_t total = 0;
   for (auto& f : futures) total += f.get();
   EXPECT_EQ(total, 4u * 8u * 6000u);
-}
-
-TEST_F(FileStoreTopologyTest, ScratchArenaReadsAreByteIdentical) {
-  util::Arena arena;
-  for (BucketIndex b = 0; b < store_->num_buckets(); ++b) {
-    auto heap = store_->ReadBucketForPrefetch(b);
-    auto scratch = store_->ReadBucketForPrefetchScratch(b, &arena);
-    ASSERT_TRUE(heap.ok());
-    ASSERT_TRUE(scratch.ok());
-    ASSERT_EQ((*heap)->size(), (*scratch)->size());
-    EXPECT_EQ((*heap)->page().bytes(), (*scratch)->page().bytes());
-  }
-  EXPECT_GT(arena.total_allocated_bytes(), 0u)
-      << "scratch reads never touched the arena";
 }
 
 }  // namespace
@@ -528,16 +481,16 @@ TEST_F(MultiVolumeDrainFixture, SpillArmWithPrefetchKeepsResultsDeterministic) {
 }  // namespace
 }  // namespace liferaft::sim
 
-// -------------------------------------- NoShare read-scratch satellite --
+// --------------------------------------------- NoShare worker reads --
 
 namespace liferaft::join {
 namespace {
 
-// The parallel NoShare fan-out reads buckets store-direct on workers, and
-// the page decode buffers come from the executing worker's arena. Results
-// must be byte-identical to the serial path (FileStore exercises the
-// scratch buffer for real).
-TEST(NoShareIoArenaTest, WorkerReadsByteIdenticalOnOff) {
+// The parallel NoShare fan-out reads buckets store-direct on workers
+// (ReadBucketForPrefetch) and the owner records the I/O afterwards.
+// Matches and costs must be byte-identical to the serial path, which
+// reads every bucket on the owner thread.
+TEST(NoShareWorkerReadTest, ParallelFileStoreRunMatchesSerial) {
   workload::CatalogGenConfig gen;
   gen.num_objects = 8000;
   gen.seed = 977;
@@ -547,7 +500,7 @@ TEST(NoShareIoArenaTest, WorkerReadsByteIdenticalOnOff) {
   ASSERT_TRUE(partition.ok());
   const std::string path =
       (std::filesystem::temp_directory_path() /
-       ("liferaft_noshare_arena_" + std::to_string(::getpid())))
+       ("liferaft_noshare_reads_" + std::to_string(::getpid())))
           .string();
   ASSERT_TRUE(storage::FileStore::Create(path, partition->buckets).ok());
   auto store = storage::FileStore::Open(path);
@@ -584,12 +537,12 @@ TEST(NoShareIoArenaTest, WorkerReadsByteIdenticalOnOff) {
 
   std::vector<PerQueryResult> serial = evaluate(nullptr);
   util::ThreadPool pool(4);
-  std::vector<PerQueryResult> arena = evaluate(&pool);
+  std::vector<PerQueryResult> parallel = evaluate(&pool);
   ASSERT_EQ(serial.size(), window.size());
-  ASSERT_EQ(arena.size(), window.size());
+  ASSERT_EQ(parallel.size(), window.size());
   for (size_t i = 0; i < window.size(); ++i) {
-    EXPECT_EQ(arena[i].matches, serial[i].matches) << "query " << i;
-    EXPECT_EQ(arena[i].cost_ms, serial[i].cost_ms) << "query " << i;
+    EXPECT_EQ(parallel[i].matches, serial[i].matches) << "query " << i;
+    EXPECT_EQ(parallel[i].cost_ms, serial[i].cost_ms) << "query " << i;
   }
   std::remove(path.c_str());
 }

@@ -5,11 +5,9 @@
 
 #include <cmath>
 #include <cstdint>
-#include <numeric>
 #include <set>
 #include <string>
 
-#include "util/arena.h"
 #include "util/clock.h"
 #include "util/coding.h"
 #include "util/random.h"
@@ -309,82 +307,6 @@ TEST(TableTest, CsvQuotesCommas) {
   Table t({"a"});
   t.AddRow({"x,y"});
   EXPECT_NE(t.ToCsv().find("\"x,y\""), std::string::npos);
-}
-
-// ----------------------------------------------------------------- Arena --
-
-TEST(ArenaTest, BumpAllocatesWithinOneBlock) {
-  util::Arena arena(1024);
-  void* a = arena.Allocate(100, 8);
-  void* b = arena.Allocate(100, 8);
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  // Consecutive allocations bump within the same block.
-  EXPECT_EQ(static_cast<char*>(b) - static_cast<char*>(a), 104);
-  EXPECT_EQ(arena.num_blocks(), 1u);
-  EXPECT_EQ(arena.total_allocated_bytes(), 200u);
-}
-
-TEST(ArenaTest, RespectsAlignment) {
-  util::Arena arena(1024);
-  arena.Allocate(1, 1);
-  for (size_t align : {size_t{2}, size_t{8}, size_t{64}}) {
-    void* p = arena.Allocate(3, align);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % align, 0u) << align;
-  }
-}
-
-TEST(ArenaTest, GrowsGeometricallyAndOversizedFits) {
-  util::Arena arena(64);
-  arena.Allocate(64, 8);          // fills block 0
-  arena.Allocate(64, 8);          // block 1 (128)
-  EXPECT_EQ(arena.num_blocks(), 2u);
-  void* big = arena.Allocate(10'000, 8);  // oversized: dedicated block
-  ASSERT_NE(big, nullptr);
-  EXPECT_GE(arena.reserved_bytes(), 10'000u);
-}
-
-TEST(ArenaTest, ResetKeepsLargestBlockAndReuses) {
-  util::Arena arena(64);
-  for (int i = 0; i < 10; ++i) arena.Allocate(100, 8);
-  const size_t blocks_before = arena.num_blocks();
-  ASSERT_GT(blocks_before, 1u);
-  arena.Reset();
-  EXPECT_EQ(arena.num_blocks(), 1u);
-  // The kept block is the largest *single* block — one more identical
-  // round may still grow once; after that the loop is steady and the
-  // arena stops touching the heap.
-  for (int i = 0; i < 10; ++i) arena.Allocate(100, 8);
-  arena.Reset();
-  const size_t reserved = arena.reserved_bytes();
-  for (int i = 0; i < 10; ++i) arena.Allocate(100, 8);
-  arena.Reset();
-  EXPECT_EQ(arena.num_blocks(), 1u);
-  EXPECT_EQ(arena.reserved_bytes(), reserved);
-}
-
-TEST(ArenaAllocatorTest, VectorGrowsInArena) {
-  util::Arena arena;
-  util::ArenaVector<int> v{util::ArenaAllocator<int>(&arena)};
-  for (int i = 0; i < 1000; ++i) v.push_back(i);
-  EXPECT_EQ(v.size(), 1000u);
-  EXPECT_EQ(v[999], 999);
-  EXPECT_GT(arena.total_allocated_bytes(), 1000u * sizeof(int) - 1);
-}
-
-TEST(ArenaAllocatorTest, NullArenaFallsBackToHeap) {
-  util::ArenaVector<int> v{util::ArenaAllocator<int>(nullptr)};
-  for (int i = 0; i < 100; ++i) v.push_back(i);
-  EXPECT_EQ(std::accumulate(v.begin(), v.end(), 0), 4950);
-}
-
-TEST(ArenaAllocatorTest, EqualityFollowsArenaIdentity) {
-  util::Arena a;
-  util::Arena b;
-  EXPECT_TRUE(util::ArenaAllocator<int>(&a) == util::ArenaAllocator<int>(&a));
-  EXPECT_TRUE(util::ArenaAllocator<int>(&a) != util::ArenaAllocator<int>(&b));
-  EXPECT_TRUE(util::ArenaAllocator<int>(nullptr) ==
-              util::ArenaAllocator<double>(nullptr));
 }
 
 // ---------------------------------------------------------------- coding --

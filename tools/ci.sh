@@ -7,11 +7,12 @@
 #   tools/ci.sh --tsan   # ThreadSanitizer smoke: builds test_thread_pool,
 #                        # test_storage, test_topology, test_serve,
 #                        # test_async_io, and test_columnar with
-#                        # -fsanitize=thread and runs them (work stealing +
-#                        # cache races + per-volume FileStore lanes +
-#                        # concurrent admission control + submission-queue
-#                        # workers/completions + columnar pages' position
-#                        # blocks filled by concurrent readers; the cache
+#                        # -fsanitize=thread and runs them (the pool's one
+#                        # task queue + cache races + concurrent FileStore
+#                        # preads + concurrent admission control +
+#                        # submission-queue workers/completions + columnar
+#                        # pages' position blocks filled by concurrent
+#                        # readers; the cache
 #                        # stress test races Get/Put/Contains and window
 #                        # swaps on the cache's one lock, over two arms at
 #                        # different eviction prices so its priced
@@ -21,10 +22,10 @@
 #                        # test_core, test_sim, test_serve, test_thread_pool,
 #                        # test_join, test_properties, test_query,
 #                        # test_spill, test_htm, and test_workload with
-#                        # -fsanitize=address,undefined and runs them (arena
-#                        # lifetimes incl. I/O scratch,
-#                        # the pipeline's bet claim/drop bookkeeping and
-#                        # real-read failures, the cache's priced eviction
+#                        # -fsanitize=address,undefined and runs them
+#                        # (parallel join slices merged into the caller's
+#                        # matches, the pipeline's bet claim/drop
+#                        # bookkeeping and real-read failures, the cache's priced eviction
 #                        # and its window tier, columnar page decode over
 #                        # corrupted input, every join kernel over
 #                        # Encode-built pages,
@@ -95,8 +96,8 @@ if [ "${1:-}" = "--real-io" ]; then
   cmake -B build -S . && cmake --build build -j --target liferaft_tool
   realio_tmp="$(mktemp -d)"
   trap 'rm -rf "$realio_tmp"' EXIT
-  # Small on purpose: the smoke proves the real path (per-volume fds,
-  # pread queues, wall-clock telemetry, checksum verification) works end
+  # Small on purpose: the smoke proves the real path (per-volume pread
+  # queues, wall-clock telemetry, checksum verification) works end
   # to end; the measured-speedup story lives in the committed bench
   # anchors (docs/BENCHMARKS.md), not in CI timing assertions.
   ./build/liferaft_tool gen-catalog --objects 200000 --per-bucket 5000 \
