@@ -341,6 +341,18 @@ Result<std::unique_ptr<FileStore>> FileStore::Open(
       bounds[i] = GetFixed64(page_header);
       counts[i] = GetFixed32(page_header + 16);
     }
+    // BucketMap only asserts its preconditions, and these bounds are read
+    // before any page checksum: bucket 0 must start at the first
+    // object-level id, and each later bound must ascend strictly inside
+    // the level, as PartitionCatalog cuts them.
+    const bool in_order =
+        i == 0 ? bounds[0] == htm::LevelMin(htm::kObjectLevel)
+               : bounds[i] > bounds[i - 1] &&
+                     bounds[i] <= htm::LevelMax(htm::kObjectLevel);
+    if (!in_order) {
+      return fail(Status::Corruption("bucket " + std::to_string(i) +
+                                     " range starts out of order in " + path));
+    }
   }
   auto map = std::make_shared<const BucketMap>(std::move(bounds));
 

@@ -7,13 +7,16 @@
 // continuous serving, plus the v1 auto-detect regression and the
 // byte-budget cache advantage of the compressed format. The page's lazily
 // filled position blocks are pinned here too: every window, including one
-// read by several threads at once, returns MakeObject's bits.
+// read by several threads at once, returns MakeObject's bits. Last, Parse
+// meets mutated pages: each is rejected with Corruption or keeps the
+// page contract.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <span>
@@ -33,6 +36,8 @@
 #include "storage/columnar.h"
 #include "storage/file_store.h"
 #include "storage/partitioner.h"
+#include "util/coding.h"
+#include "util/crc32.h"
 #include "util/random.h"
 #include "workload/catalog_gen.h"
 #include "workload/trace_gen.h"
@@ -337,6 +342,143 @@ TEST(ColumnarPositionsTest, ConcurrentOverlappingWindowsAgree) {
     for (std::thread& th : threads) th.join();
     ASSERT_EQ(mismatches.load(), 0) << "page " << p;
   }
+}
+
+// ------------------------------------------------------------ Mutation --
+
+// An accepted page must keep Parse's contract: ids ascending inside the
+// page's range, every row of every column readable (MaterializeObject
+// reads them all and must agree with the column views), and
+// Positions(0, size()) filling every row with MaterializeObject's bits.
+void ExpectPageContract(const storage::ColumnarPage& page) {
+  const std::span<const htm::HtmId> ids = page.ids();
+  ASSERT_EQ(ids.size(), page.size());
+  ASSERT_TRUE(std::is_sorted(ids.begin(), ids.end()));
+  if (!ids.empty()) {
+    ASSERT_GE(ids.front(), page.range().lo);
+    ASSERT_LE(ids.back(), page.range().hi);
+  }
+  const std::span<const Vec3> pos = page.Positions(0, page.size());
+  ASSERT_EQ(pos.size(), page.size());
+  for (size_t i = 0; i < page.size(); ++i) {
+    const storage::CatalogObject o = page.MaterializeObject(i);
+    ASSERT_EQ(o.htm_id, ids[i]);
+    ASSERT_EQ(o.object_id, page.object_id(i));
+    ASSERT_EQ(std::memcmp(&o.ra_deg, &page.ra()[i], sizeof(double)), 0);
+    ASSERT_EQ(std::memcmp(&o.dec_deg, &page.dec()[i], sizeof(double)), 0);
+    ASSERT_EQ(std::memcmp(&o.mag, &page.mag()[i], sizeof(float)), 0);
+    ASSERT_EQ(std::memcmp(&o.color, &page.color()[i], sizeof(float)), 0);
+    ASSERT_EQ(std::memcmp(&o.pos, &pos[i], sizeof(Vec3)), 0);
+  }
+}
+
+// ColumnarPage::Parse reads bytes off disk, so no mutant of a real page
+// may crash it or come back as a page that breaks its contract. The
+// pages are PartitionCatalog's, in both object-id encodings and at two
+// sizes. Mutations: bit flips anywhere, random header bytes, a column
+// offset moved by 16, random bytes in the id column, `count` rewrites,
+// and truncation. Seven mutants in eight get their crc recomputed where
+// the crc offset still fits, so the structural checks behind the
+// checksum run. tools/ci.sh --asan runs this, where a read past the page
+// traps.
+TEST(ColumnarParseMutationTest, MutantsParseCleanlyOrFailWithCorruption) {
+  using Layout = storage::ColumnarPageLayout;
+  std::vector<std::string> pages;
+  for (const auto& [n, per_bucket] :
+       {std::pair<size_t, size_t>{600, 150}, {40, 7}}) {
+    std::vector<storage::CatalogObject> objects = SortedObjects(n, 1217);
+    for (const bool sequential : {false, true}) {
+      if (sequential) {
+        for (size_t i = 0; i < n; ++i) objects[i].object_id = 1000 + i;
+      }
+      auto partition = storage::PartitionCatalog(objects, per_bucket);
+      ASSERT_TRUE(partition.ok()) << partition.status().ToString();
+      for (const storage::Bucket& b : partition->buckets) {
+        pages.emplace_back(b.page().bytes());
+      }
+    }
+  }
+
+  const auto poke32 = [](std::string* s, size_t at, uint32_t v) {
+    for (int i = 0; i < 4; ++i) (*s)[at + i] = static_cast<char>(v >> 8 * i);
+  };
+
+  constexpr int kMutants = 24'000;
+  Rng rng(1223);
+  int accepted = 0;
+  for (int m = 0; m < kMutants; ++m) {
+    std::string bytes = pages[rng.UniformU64(pages.size())];
+    const int edits = 1 + static_cast<int>(rng.UniformU64(3));
+    switch (rng.UniformU64(6)) {
+      case 0:  // bit flips anywhere
+        for (int e = 0; e < edits; ++e) {
+          bytes[rng.UniformU64(bytes.size())] ^=
+              static_cast<char>(1u << rng.UniformU64(8));
+        }
+        break;
+      case 1:  // random header bytes
+        for (int e = 0; e < edits; ++e) {
+          bytes[rng.UniformU64(Layout::kHeaderBytes)] =
+              static_cast<char>(rng.Next());
+        }
+        break;
+      case 2: {  // a column offset moved by 16 either way
+        const size_t at = Layout::kColumnOffsets + 4 * rng.UniformU64(6);
+        const uint32_t moved = GetFixed32(bytes.data() + at) +
+                               (rng.Bernoulli(0.5) ? 16u : -16u);
+        poke32(&bytes, at, moved);
+        break;
+      }
+      case 3: {  // random bytes in the id column
+        const char* offsets = bytes.data() + Layout::kColumnOffsets;
+        const uint32_t first = GetFixed32(offsets);
+        const uint32_t last = GetFixed32(offsets + 4);
+        for (int e = 0; e < edits && first < last; ++e) {
+          bytes[first + rng.UniformU64(last - first)] =
+              static_cast<char>(rng.Next());
+        }
+        break;
+      }
+      case 4: {  // count rewrites: near the true count, or anything
+        const uint32_t count = GetFixed32(bytes.data() + Layout::kCountOffset);
+        poke32(&bytes, Layout::kCountOffset,
+               rng.Bernoulli(0.5)
+                   ? count + static_cast<uint32_t>(rng.UniformInt(-3, 3))
+                   : static_cast<uint32_t>(rng.Next()));
+        break;
+      }
+      default:  // truncation, half the time with the crc offset following
+        bytes.resize(rng.UniformU64(bytes.size()));
+        if (bytes.size() >= Layout::kHeaderBytes + 4 && rng.Bernoulli(0.5)) {
+          poke32(&bytes, Layout::kCrcOffsetField,
+                 static_cast<uint32_t>(bytes.size() - 4));
+        }
+        break;
+    }
+    if (bytes.size() >= Layout::kHeaderBytes && rng.UniformU64(8) != 0) {
+      const uint64_t crc_off =
+          GetFixed32(bytes.data() + Layout::kCrcOffsetField);
+      if (crc_off + 4 <= bytes.size()) {
+        poke32(&bytes, crc_off, Crc32(bytes.data(), crc_off));
+      }
+    }
+
+    std::unique_ptr<char[]> buf(new char[bytes.size()]);
+    std::memcpy(buf.get(), bytes.data(), bytes.size());
+    auto page = storage::ColumnarPage::Parse(std::move(buf), bytes.size());
+    if (!page.ok()) {
+      ASSERT_EQ(page.status().code(), StatusCode::kCorruption)
+          << "mutant " << m << ": " << page.status().ToString();
+      continue;
+    }
+    ++accepted;
+    SCOPED_TRACE("mutant " + std::to_string(m));
+    ExpectPageContract(**page);
+    if (HasFatalFailure()) return;
+  }
+  // Both outcomes occur: the mutants reach past the checksum.
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, kMutants);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <array>
 #include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "htm/cover.h"
@@ -40,8 +41,9 @@ TEST(Crc32Test, IncrementalMatchesOneShot) {
   EXPECT_EQ(whole, part);
 }
 
-// Byte-at-a-time table CRC-32 over the same polynomial: the reference the
-// slicing-by-8 Crc32 must equal bit for bit.
+// Byte-at-a-time table CRC-32 over the same polynomial: the reference
+// Crc32 (carry-less folding where the CPU has it, slicing-by-8 otherwise
+// and for tails) must equal bit for bit.
 uint32_t BytewiseCrc32(const unsigned char* p, size_t len, uint32_t seed) {
   static const std::array<uint32_t, 256> table = [] {
     std::array<uint32_t, 256> t{};
@@ -60,17 +62,32 @@ uint32_t BytewiseCrc32(const unsigned char* p, size_t len, uint32_t seed) {
 }
 
 TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
-  // Every length up to 1100 bytes from each start offset 0-7, so the
-  // eight-byte loop meets every alignment and every tail length.
+  // Every length up to 1100 bytes from each start offset 0-15, so the
+  // eight-byte loop and the folding kernel's 16-byte loads meet every
+  // alignment, and both meet every tail length.
   Rng rng(613);
-  std::vector<unsigned char> buf(1100 + 8);
+  std::vector<unsigned char> buf(1100 + 16);
   for (auto& b : buf) b = static_cast<unsigned char>(rng.Next() & 0xFF);
-  for (size_t offset = 0; offset < 8; ++offset) {
+  for (size_t offset = 0; offset < 16; ++offset) {
     for (size_t len = 0; len <= 1100; ++len) {
       ASSERT_EQ(Crc32(buf.data() + offset, len),
                 BytewiseCrc32(buf.data() + offset, len, 0))
           << "offset " << offset << " len " << len;
     }
+  }
+}
+
+// Values recorded from the slicing-by-8 Crc32 over BM_Crc32's buffer: a
+// constant slipped in both Crc32 and the reference cannot pass here.
+TEST(Crc32Test, GoldenValuesOfAMegabyte) {
+  Rng rng(43);
+  std::vector<unsigned char> buf((1 << 20) + 13);
+  for (auto& b : buf) b = static_cast<unsigned char>(rng.Next());
+  const std::pair<size_t, uint32_t> golden[] = {{1 << 20, 0x81d1b589u},
+                                                {(1 << 20) + 13, 0xa7201be0u}};
+  for (const auto& [len, want] : golden) {
+    EXPECT_EQ(Crc32(buf.data(), len), want) << "len " << len;
+    EXPECT_EQ(BytewiseCrc32(buf.data(), len, 0), want) << "len " << len;
   }
 }
 

@@ -8,10 +8,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <future>
 #include <list>
+#include <memory>
 #include <set>
 #include <span>
 #include <sstream>
@@ -533,8 +535,9 @@ TEST_F(FileStoreTest, ColumnarShrinksEncodedBytesByThirtyPercent) {
       << "v2 " << v2_size << " bytes vs v1 " << v1_size;
 }
 
-// Corruption fixture: writes a small v2 store and exposes byte surgery on
-// the FIRST page (which starts right after the 20-byte file header).
+// Corruption fixture: writes a small v2 store (three pages) and exposes
+// byte surgery on its pages; page 0 starts right after the 20-byte file
+// header.
 class ColumnarCorruptionTest : public FileStoreTest {
  protected:
   static constexpr size_t kFileHeaderBytes = 20;
@@ -559,22 +562,29 @@ class ColumnarCorruptionTest : public FileStoreTest {
     f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
 
-  // Size of page 0 = its crc-offset field + 4.
-  size_t Page0Size(const std::string& bytes) {
-    return GetFixed32(bytes.data() + kFileHeaderBytes +
-                      ColumnarPageLayout::kCrcOffsetField) +
+  // Byte offset of page i, from the offset index the footer points at.
+  static size_t PageOffset(const std::string& bytes, size_t i) {
+    constexpr size_t kFooterBytes = 20;
+    const uint64_t index_offset =
+        GetFixed64(bytes.data() + bytes.size() - kFooterBytes);
+    return GetFixed64(bytes.data() + index_offset + 8 * i);
+  }
+
+  // Size of the page at byte `at` = its crc-offset field + 4.
+  size_t PageSize(const std::string& bytes, size_t at = kFileHeaderBytes) {
+    return GetFixed32(bytes.data() + at + ColumnarPageLayout::kCrcOffsetField) +
            4;
   }
 
-  // Recomputes page 0's trailing crc after surgery so a test exercises
-  // exactly one validation failure, not the checksum catch-all.
-  void FixPage0Crc(std::string* bytes) {
-    size_t page_size = Page0Size(*bytes);
-    uint32_t crc =
-        Crc32(bytes->data() + kFileHeaderBytes, page_size - 4);
+  // Recomputes the trailing crc of the page at byte `at` after surgery so
+  // a test exercises exactly one validation failure, not the checksum
+  // catch-all.
+  void FixPageCrc(std::string* bytes, size_t at = kFileHeaderBytes) {
+    size_t page_size = PageSize(*bytes, at);
+    uint32_t crc = Crc32(bytes->data() + at, page_size - 4);
     std::string fixed;
     PutFixed32(&fixed, crc);
-    bytes->replace(kFileHeaderBytes + page_size - 4, 4, fixed);
+    bytes->replace(at + page_size - 4, 4, fixed);
   }
 
   // The corrupted bucket 0 read, as a status.
@@ -600,7 +610,7 @@ TEST_F(ColumnarCorruptionTest, FlippedByteFailsChecksum) {
 TEST_F(ColumnarCorruptionTest, FlippedCrcByteFailsChecksum) {
   WriteStore();
   std::string bytes = ReadFile();
-  size_t crc_pos = kFileHeaderBytes + Page0Size(bytes) - 4;
+  size_t crc_pos = kFileHeaderBytes + PageSize(bytes) - 4;
   bytes[crc_pos] = static_cast<char>(bytes[crc_pos] ^ 0x01);
   WriteFile(bytes);
   Status s = ReadBucket0();
@@ -614,7 +624,7 @@ TEST_F(ColumnarCorruptionTest, UnknownPageVersionIsRejected) {
   std::string version;
   PutFixed32(&version, 9);  // an unknown future version
   bytes.replace(kFileHeaderBytes + 4, 4, version);
-  FixPage0Crc(&bytes);  // valid checksum: the version check must fire
+  FixPageCrc(&bytes);  // valid checksum: the version check must fire
   WriteFile(bytes);
   Status s = ReadBucket0();
   EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
@@ -647,7 +657,7 @@ TEST_F(ColumnarCorruptionTest, IdColumnOutsideRangeIsRejected) {
                                    ColumnarPageLayout::kRangeLoOffset));
   bytes.replace(kFileHeaderBytes + ColumnarPageLayout::kRangeHiOffset, 8,
                 range_hi);
-  FixPage0Crc(&bytes);
+  FixPageCrc(&bytes);
   WriteFile(bytes);
   Status s = ReadBucket0();
   EXPECT_EQ(s.code(), StatusCode::kCorruption) << s.ToString();
@@ -692,6 +702,50 @@ TEST_F(ColumnarCorruptionTest, BucketCountTheFileCannotHoldIsRejected) {
     ASSERT_FALSE(store.ok());
     EXPECT_EQ(store.status().code(), StatusCode::kCorruption)
         << store.status().ToString();
+  }
+}
+
+// Open builds the bucket map from the page headers' range_lo before any
+// page checksum is read, and BucketMap only asserts that the bounds start
+// at LevelMin(14) and ascend. Each case rewrites one page's range_lo to a
+// value that still holds the page's ids and recomputes that page's crc,
+// so the page itself parses cleanly and only Open's check can refuse it:
+// a bound repeating the one before, a bound below the one before, and
+// bucket 0 starting below LevelMin(14).
+TEST_F(ColumnarCorruptionTest, BucketBoundsOutOfOrderAreRejected) {
+  WriteStore();
+  const std::string intact = ReadFile();
+  const auto range_lo = [&](size_t bucket) {
+    return GetFixed64(intact.data() + PageOffset(intact, bucket) +
+                      ColumnarPageLayout::kRangeLoOffset);
+  };
+  struct Case {
+    const char* name;
+    size_t bucket;
+    uint64_t range_lo;
+  };
+  const uint64_t below_level = htm::LevelMin(htm::kObjectLevel) - 1;
+  for (const Case& c : {Case{"repeated", 2, range_lo(1)},
+                        Case{"decreasing", 2, range_lo(1) - 1},
+                        Case{"first", 0, below_level}}) {
+    SCOPED_TRACE(c.name);
+    std::string bytes = intact;
+    const size_t at = PageOffset(bytes, c.bucket);
+    std::string lo;
+    PutFixed64(&lo, c.range_lo);
+    bytes.replace(at + ColumnarPageLayout::kRangeLoOffset, 8, lo);
+    FixPageCrc(&bytes, at);
+    const size_t page_size = PageSize(bytes, at);
+    std::unique_ptr<char[]> page(new char[page_size]);
+    std::memcpy(page.get(), bytes.data() + at, page_size);
+    ASSERT_TRUE(ColumnarPage::Parse(std::move(page), page_size).ok());
+    WriteFile(bytes);
+
+    const Status st = FileStore::Open(path_.string()).status();
+    EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+    EXPECT_NE(st.message().find("bucket " + std::to_string(c.bucket)),
+              std::string::npos)
+        << st.ToString();
   }
 }
 

@@ -22,12 +22,15 @@
 #                        # test_core, test_sim, test_serve, test_thread_pool,
 #                        # test_join, test_properties, test_query,
 #                        # test_spill, test_htm, and test_workload with
-#                        # -fsanitize=address,undefined and runs them
+#                        # -fsanitize=address,undefined and
+#                        # -D_GLIBCXX_ASSERTIONS (std::vector and std::span
+#                        # indexing bounds-checked) and runs them
 #                        # (parallel join slices merged into the caller's
 #                        # matches, the pipeline's bet claim/drop
 #                        # bookkeeping and real-read failures, the cache's priced eviction
 #                        # and its window tier, columnar page decode over
-#                        # corrupted input, every join kernel over
+#                        # corrupted input and 24k mutated pages, every
+#                        # join kernel over
 #                        # Encode-built pages,
 #                        # async-reader fault injection/teardown, both
 #                        # drivers' execution-stack teardown order, and query
@@ -56,7 +59,7 @@ if [ "${1:-}" = "--asan" ]; then
     test_query test_spill test_htm test_workload)
   cmake -B build-asan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -g" \
+    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -D_GLIBCXX_ASSERTIONS -g" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" \
     -DLIFERAFT_BUILD_BENCH=OFF \
     -DLIFERAFT_BUILD_EXAMPLES=OFF \
