@@ -465,191 +465,112 @@ void BM_CrossMatchWideRadius(benchmark::State& state) {
 }
 BENCHMARK(BM_CrossMatchWideRadius)->UseRealTime();
 
-/// End-to-end saturated drain at a FIXED cache byte budget over the same
-/// partition written as row v1 (arg 0) and columnar v2 (arg 1), with
-/// charge_encoded_bytes on so T_b prices real page bytes. The compressed
-/// format wins twice: smaller pages transfer faster AND more buckets fit
-/// the budget (higher hit rate). encoded_bytes_ratio = this format's
-/// total page bytes / the v1 total, the compression the gate holds at
-/// <= anchor.
-void BM_EngineFixedCacheBudgetDrain(benchmark::State& state) {
-  // One-time fixture: the EngineFixture's partition persisted to both
-  // formats (leaked intentionally — benchmark process-lifetime statics).
-  struct FormatFiles {
-    std::string v1_path;
-    std::string v2_path;
-    std::vector<query::CrossMatchQuery> trace;
-    std::vector<TimeMs> arrivals;
-  };
-  static const FormatFiles& files = *[] {
-    auto* f = new FormatFiles;
-    const std::string base =
-        (std::filesystem::temp_directory_path() /
-         ("liferaft_bench_fmt_" + std::to_string(::getpid())))
-            .string();
-    f->v1_path = base + ".v1.lfr";
-    f->v2_path = base + ".v2.lfr";
-    workload::CatalogGenConfig gen;
-    gen.num_objects = 30'000;
-    gen.seed = 43;
-    auto objects = workload::GenerateCatalog(gen);
-    auto partition = storage::PartitionCatalog(std::move(*objects), 1000);
-    storage::FileStore::Create(f->v1_path, partition->buckets,
-                               storage::BucketFormat::kRowV1)
-        .ok();
-    storage::FileStore::Create(f->v2_path, partition->buckets,
-                               storage::BucketFormat::kColumnarV2)
-        .ok();
-    workload::TraceConfig tc;
-    tc.num_queries = 24;
-    tc.max_objects_per_query = 800;
-    tc.match_radius_arcsec = 600.0;
-    tc.seed = 47;
-    f->trace = std::move(*workload::GenerateTrace(tc));
-    f->arrivals.assign(tc.num_queries, 0.0);
-    return f;
-  }();
-  const std::string& path = state.range(0) == 0 ? files.v1_path
-                                                : files.v2_path;
-  auto store = storage::FileStore::Open(path);
-  auto catalog = storage::Catalog::FromStore(std::move(*store));
-
-  uint64_t encoded_total = 0;
-  uint64_t v1_total = 0;
-  {
-    auto v1_store = storage::FileStore::Open(files.v1_path);
-    const storage::BucketStore* s = (*catalog)->store();
-    for (size_t i = 0; i < s->num_buckets(); ++i) {
-      encoded_total += s->EncodedBucketBytes(i);
-      v1_total += (*v1_store)->EncodedBucketBytes(i);
-    }
-  }
-
-  sim::EngineConfig config;
-  config.cache_capacity = 64;
-  // Fixed 1 MB budget, chosen between the two formats' totals (~1.2 MB of
-  // v1 pages vs ~0.8 MB of v2 pages for this 30-bucket partition): the
-  // columnar file fits entirely, the row file must evict.
-  config.cache_capacity_bytes = 1ull << 20;
-  config.charge_encoded_bytes = true;
-  config.enable_prefetch = true;
-  config.prefetch_depth = 2;
-  double makespan = 0.0;
-  double hit_rate = 0.0;
-  for (auto _ : state) {
-    sched::LifeRaftConfig sc;
-    sc.alpha = 0.25;
-    sim::SimEngine engine(
-        (*catalog).get(),
-        std::make_unique<sched::LifeRaftScheduler>(
-            (*catalog)->store(), storage::DiskModel{}, sc),
-        config);
-    auto metrics = engine.Run(files.trace, files.arrivals);
-    makespan = metrics->makespan_ms;
-    hit_rate = metrics->cache.HitRate();
-    benchmark::DoNotOptimize(metrics);
-  }
-  state.counters["virtual_makespan_ms"] = makespan;
-  state.counters["cache_hit_rate"] = hit_rate;
-  state.counters["encoded_bytes_ratio"] =
-      static_cast<double>(encoded_total) / static_cast<double>(v1_total);
-}
-BENCHMARK(BM_EngineFixedCacheBudgetDrain)->Arg(0)->Arg(1);
-
 /// Real-I/O drain: the shared prefetch drain executed in wall-clock mode
-/// (EngineConfig::io_mode = kReal) against an on-disk FileStore. Args are
-/// (volumes, format 0=row-v1 / 1=columnar-v2). Prefetch bets and
-/// foreground misses are actual pread(2)s through the per-volume
-/// submission queues — O_DIRECT when the filesystem allows it, buffered
-/// otherwise (the direct_io counter records which) — so real_time here IS
-/// the measured drain, and the multi-volume speedup is physical overlap
-/// of device-blocked reads, not virtual arithmetic. Catalog size comes
-/// from LIFERAFT_BENCH_REAL_IO_OBJECTS (default 500k objects, ~20 MB of
-/// v1 pages, CI-friendly); committed anchors record a >= 1 GB run (see
-/// docs/BENCHMARKS.md). Wall numbers are machine- and cache-state-
-/// dependent by design: the bench is skip-listed from the regression
-/// gate and exists to document the measured speedup, with the modeled
-/// benches above still carrying the gated counters.
+/// (EngineConfig::io_mode = kReal) against an on-disk FileStore, at the
+/// arg's volume count. Prefetch bets and foreground misses are actual
+/// pread(2)s through the per-volume submission queues — O_DIRECT when the
+/// filesystem allows it, buffered otherwise (the direct_io counter records
+/// which) — so real_time here IS the measured drain, and the multi-volume
+/// speedup is physical overlap of device-blocked reads, not virtual
+/// arithmetic. Catalog size comes from LIFERAFT_BENCH_REAL_IO_OBJECTS
+/// (default 2M objects, ~49 MB of pages; catalog_mb reports the file);
+/// committed anchors record a >= 1 GB run (see docs/BENCHMARKS.md). Wall
+/// numbers are machine- and cache-state-dependent by design: the bench is
+/// skip-listed from the regression gate and exists to document the
+/// measured speedup, with the modeled benches above still carrying the
+/// gated counters. A fixture step that fails skips the bench with its
+/// Status.
 void BM_RealIoDrain(benchmark::State& state) {
   struct RealIoFiles {
-    std::string v1_path;
-    std::string v2_path;
-    uint64_t v1_bytes = 0;
+    Status status;
+    std::string path;
+    uint64_t bytes = 0;
     std::vector<query::CrossMatchQuery> trace;
     std::vector<TimeMs> arrivals;
   };
   static const RealIoFiles& files = *[] {
     auto* f = new RealIoFiles;
-    size_t num_objects = 2'000'000;
-    if (const char* env = std::getenv("LIFERAFT_BENCH_REAL_IO_OBJECTS")) {
-      num_objects = static_cast<size_t>(std::strtoull(env, nullptr, 10));
-    }
-    const std::string base =
-        (std::filesystem::temp_directory_path() /
-         ("liferaft_bench_realio_" + std::to_string(::getpid())))
-            .string();
-    f->v1_path = base + ".v1.lfr";
-    f->v2_path = base + ".v2.lfr";
-    workload::CatalogGenConfig gen;
-    gen.num_objects = num_objects;
-    gen.seed = 43;
-    auto objects = workload::GenerateCatalog(gen);
-    // 50k objects per bucket => ~2 MB row-v1 pages: each prefetch bet is
-    // a millisecond-scale pread, so the drain is device-bound and the
-    // volume axis measures real overlap. (Small pages on a fast NVMe-
-    // backed disk make the drain CPU-bound and the volume axis noise.)
-    auto partition = storage::PartitionCatalog(std::move(*objects), 50'000);
-    storage::FileStore::Create(f->v1_path, partition->buckets,
-                               storage::BucketFormat::kRowV1)
-        .ok();
-    storage::FileStore::Create(f->v2_path, partition->buckets,
-                               storage::BucketFormat::kColumnarV2)
-        .ok();
-    f->v1_bytes = std::filesystem::file_size(f->v1_path);
-    // Evict the just-written pages so the measured drain reads the device,
-    // not the page cache — this is what makes the buffered-fallback mode
-    // honest too (O_DIRECT bypasses the cache either way).
-    for (const std::string* p : {&f->v1_path, &f->v2_path}) {
-      int fd = ::open(p->c_str(), O_RDONLY);
+    f->status = [f]() -> Status {
+      size_t num_objects = 2'000'000;
+      if (const char* env = std::getenv("LIFERAFT_BENCH_REAL_IO_OBJECTS")) {
+        num_objects = static_cast<size_t>(std::strtoull(env, nullptr, 10));
+      }
+      f->path = (std::filesystem::temp_directory_path() /
+                 ("liferaft_bench_realio_" + std::to_string(::getpid()) +
+                  ".lfr"))
+                    .string();
+      // Every run of the process reads the one archive; it goes at exit.
+      static const std::string* const path = &f->path;
+      std::atexit([] {
+        std::error_code ignored;
+        std::filesystem::remove(*path, ignored);
+      });
+      workload::CatalogGenConfig gen;
+      gen.num_objects = num_objects;
+      gen.seed = 43;
+      LIFERAFT_ASSIGN_OR_RETURN(std::vector<storage::CatalogObject> objects,
+                                workload::GenerateCatalog(gen));
+      // 50k objects per bucket => ~1.3 MB pages: each prefetch bet is a
+      // millisecond-scale pread, so the drain is device-bound and the
+      // volume axis measures real overlap. (Small pages on a fast NVMe-
+      // backed disk make the drain CPU-bound and the volume axis noise.)
+      LIFERAFT_ASSIGN_OR_RETURN(
+          storage::PartitionResult partition,
+          storage::PartitionCatalog(std::move(objects), 50'000));
+      LIFERAFT_RETURN_IF_ERROR(
+          storage::FileStore::Create(f->path, partition.buckets));
+      f->bytes = std::filesystem::file_size(f->path);
+      // Evict the just-written pages so the measured drain reads the
+      // device, not the page cache — this is what makes the buffered-
+      // fallback mode honest too (O_DIRECT bypasses the cache either way).
+      int fd = ::open(f->path.c_str(), O_RDONLY);
       if (fd >= 0) {
 #ifdef POSIX_FADV_DONTNEED
         (void)::posix_fadvise(fd, 0, 0, POSIX_FADV_DONTNEED);
 #endif
         ::close(fd);
       }
-    }
-    // Sky-spanning cones with low object density: queries touch many
-    // bucket pages but carry little join work, so the drain is
-    // I/O-dominated rather than compute-dominated.
-    workload::TraceConfig tc;
-    tc.num_queries = 24;
-    tc.min_radius_deg = 5.0;
-    tc.max_radius_deg = 60.0;
-    tc.objects_per_sq_deg = 0.05;
-    tc.max_objects_per_query = 150;
-    tc.match_radius_arcsec = 600.0;
-    tc.seed = 47;
-    f->trace = std::move(*workload::GenerateTrace(tc));
-    f->arrivals.assign(tc.num_queries, 0.0);
+      // Sky-spanning cones with low object density: queries touch many
+      // bucket pages but carry little join work, so the drain is
+      // I/O-dominated rather than compute-dominated.
+      workload::TraceConfig tc;
+      tc.num_queries = 24;
+      tc.min_radius_deg = 5.0;
+      tc.max_radius_deg = 60.0;
+      tc.objects_per_sq_deg = 0.05;
+      tc.max_objects_per_query = 150;
+      tc.match_radius_arcsec = 600.0;
+      tc.seed = 47;
+      LIFERAFT_ASSIGN_OR_RETURN(f->trace, workload::GenerateTrace(tc));
+      f->arrivals.assign(tc.num_queries, 0.0);
+      return Status::OK();
+    }();
     return f;
   }();
+  if (!files.status.ok()) {
+    state.SkipWithError(files.status.ToString().c_str());
+    return;
+  }
 
-  const bool columnar = state.range(1) != 0;
   storage::FileStoreOptions options;
   options.use_direct_io = true;
   options.advise_random = true;
-  auto store = storage::FileStore::Open(
-      columnar ? files.v2_path : files.v1_path, options);
+  auto store = storage::FileStore::Open(files.path, options);
+  if (!store.ok()) {
+    state.SkipWithError(store.status().ToString().c_str());
+    return;
+  }
   const bool direct = (*store)->direct_io_active();
   auto catalog = storage::Catalog::FromStore(std::move(*store));
+  if (!catalog.ok()) {
+    state.SkipWithError(catalog.status().ToString().c_str());
+    return;
+  }
 
   sim::EngineConfig config;
   config.io_mode = sim::IoMode::kReal;
   config.enable_prefetch = true;
   config.prefetch_depth = 2;
-  if (const char* env = std::getenv("LIFERAFT_BENCH_REAL_IO_DEPTH")) {
-    config.prefetch_depth = static_cast<size_t>(std::strtoull(env, nullptr, 10));
-  }
   config.cache_capacity = 64;
   config.topology.num_volumes = static_cast<size_t>(state.range(0));
   config.topology.placement = storage::VolumePlacement::kHash;
@@ -665,6 +586,10 @@ void BM_RealIoDrain(benchmark::State& state) {
             (*catalog)->store(), storage::DiskModel{}, sc),
         config);
     auto metrics = engine.Run(files.trace, files.arrivals);
+    if (!metrics.ok()) {
+      state.SkipWithError(metrics.status().ToString().c_str());
+      break;
+    }
     makespan = metrics->makespan_ms;
     read_mb = 0.0;
     p99 = 0.0;
@@ -679,14 +604,12 @@ void BM_RealIoDrain(benchmark::State& state) {
   state.counters["io_p99_ms"] = p99;
   state.counters["direct_io"] = direct ? 1.0 : 0.0;
   state.counters["catalog_mb"] =
-      static_cast<double>(files.v1_bytes) / (1024.0 * 1024.0);
+      static_cast<double>(files.bytes) / (1024.0 * 1024.0);
 }
 BENCHMARK(BM_RealIoDrain)
-    ->Args({1, 0})
-    ->Args({2, 0})
-    ->Args({1, 1})
-    ->Args({2, 1})
-    ->Args({4, 1})
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

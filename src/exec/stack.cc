@@ -1,7 +1,5 @@
 #include "exec/stack.h"
 
-#include "sched/liferaft_scheduler.h"
-
 namespace liferaft::exec {
 
 Status StackConfig::Validate() const {
@@ -21,8 +19,7 @@ Status StackConfig::Validate() const {
 
 Result<std::unique_ptr<ExecutionStack>> ExecutionStack::Create(
     const StackConfig& config, storage::Catalog* catalog,
-    sched::Scheduler* scheduler, util::ThreadPool* pool,
-    uint64_t cache_capacity_bytes, bool charge_encoded_bytes, bool real_io) {
+    sched::Scheduler* scheduler, util::ThreadPool* pool, bool real_io) {
   auto stack = std::unique_ptr<ExecutionStack>(new ExecutionStack());
   LIFERAFT_ASSIGN_OR_RETURN(
       storage::StorageTopology topology,
@@ -32,26 +29,19 @@ Result<std::unique_ptr<ExecutionStack>> ExecutionStack::Create(
       std::make_unique<storage::StorageTopology>(std::move(topology));
   // Evictions are priced by the arm that must re-read (equal disks: LRU).
   stack->cache_ = std::make_unique<storage::BucketCache>(
-      catalog->store(), config.cache_capacity, cache_capacity_bytes,
-      stack->topology_.get());
+      catalog->store(), config.cache_capacity, stack->topology_.get());
   stack->evaluator_ = std::make_unique<join::JoinEvaluator>(
       stack->cache_.get(), catalog->index(), storage::DiskModel(config.disk),
       config.hybrid);
   stack->evaluator_->set_topology(stack->topology_.get());
-  stack->evaluator_->set_charge_encoded_bytes(charge_encoded_bytes);
   stack->evaluator_->set_thread_pool(pool);
   stack->manager_ =
       std::make_unique<query::WorkloadManager>(catalog->num_buckets());
   if (scheduler == nullptr) return stack;
 
   // Cost-based policies price T_b with the owning volume's model
-  // (heterogeneous volume_disk; uniform topologies rank identically), and
-  // one flag governs every T_b consumer: ranking must price fetches the
-  // same way the evaluator and pipeline charge them.
+  // (heterogeneous volume_disk; uniform topologies rank identically).
   scheduler->AttachTopology(stack->topology_.get());
-  if (auto* lr = dynamic_cast<sched::LifeRaftScheduler*>(scheduler)) {
-    lr->set_charge_encoded_bytes(charge_encoded_bytes);
-  }
   if (real_io) {
     stack->reader_ = catalog->store()->NewAsyncReader(stack->topology_.get());
   }

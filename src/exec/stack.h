@@ -73,12 +73,6 @@ class ExecutionStack {
   /// @param pool      join worker pool (not owned; null = serial). Must
   ///                  outlive the stack: the evaluator fans batch joins
   ///                  and per-query work out on it.
-  /// @param cache_capacity_bytes  cache byte budget (0 = count bound only;
-  ///                  see storage::BucketCache)
-  /// @param charge_encoded_bytes  price every T_b consumer — the
-  ///                  scheduler's ranking, the evaluator's fetches, and
-  ///                  with them the pipeline's bets — by the store's real
-  ///                  encoded page bytes
   /// @param real_io   run the pipeline on the store's per-volume
   ///                  submission queues instead of the modeled oracle
   ///                  (needs a scheduler and a store that supports
@@ -86,7 +80,6 @@ class ExecutionStack {
   static Result<std::unique_ptr<ExecutionStack>> Create(
       const StackConfig& config, storage::Catalog* catalog,
       sched::Scheduler* scheduler, util::ThreadPool* pool,
-      uint64_t cache_capacity_bytes = 0, bool charge_encoded_bytes = false,
       bool real_io = false);
 
   ExecutionStack(const ExecutionStack&) = delete;

@@ -128,13 +128,6 @@ class JoinEvaluator {
   }
   const storage::StorageTopology* topology() const { return topology_; }
 
-  /// When on, T_b charges use the store's real encoded page size instead
-  /// of the kBytesPerObject estimate (no-op on stores without encoded
-  /// pages). Off by default so v1/v2 runs stay byte-identical; turn on to
-  /// let smaller columnar pages actually shrink modeled fetch time.
-  void set_charge_encoded_bytes(bool on) { charge_encoded_bytes_ = on; }
-  bool charge_encoded_bytes() const { return charge_encoded_bytes_; }
-
   const storage::DiskModel& disk_model() const { return model_; }
   const EvaluatorStats& stats() const { return stats_; }
   void ResetStats() { stats_ = EvaluatorStats{}; }
@@ -149,9 +142,9 @@ class JoinEvaluator {
   }
 
   /// Bytes T_b is charged for moving bucket `b` (see
-  /// set_charge_encoded_bytes).
+  /// BucketStore::ModeledBucketBytes).
   uint64_t ModeledBytes(storage::BucketIndex b) const {
-    return cache_->store().ModeledBucketBytes(b, charge_encoded_bytes_);
+    return cache_->store().ModeledBucketBytes(b);
   }
 
  private:
@@ -161,7 +154,6 @@ class JoinEvaluator {
   HybridConfig config_;
   const storage::StorageTopology* topology_ = nullptr;
   util::ThreadPool* pool_ = nullptr;
-  bool charge_encoded_bytes_ = false;
   EvaluatorStats stats_;
 };
 

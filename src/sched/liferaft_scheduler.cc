@@ -132,8 +132,7 @@ std::vector<LifeRaftScheduler::Candidate> LifeRaftScheduler::PriceCandidates(
   candidates.reserve(active.size());
   for (storage::BucketIndex b : active) {
     const query::WorkloadQueue& queue = manager.queue(b);
-    uint64_t bytes =
-        store_->ModeledBucketBytes(b, config_.charge_encoded_bytes);
+    uint64_t bytes = store_->ModeledBucketBytes(b);
     double ut = WorkloadThroughputOnVolume(topology_, model_, b,
                                            queue.total_objects(), bytes,
                                            cached(b));

@@ -29,11 +29,6 @@ struct LifeRaftConfig {
   /// Optional QoS age weighting (paper §6 future work); disabled by
   /// default.
   QosConfig qos;
-  /// Price the U_t denominator's T_b by the store's real encoded page
-  /// bytes instead of the kBytesPerObject estimate (see
-  /// BucketStore::ModeledBucketBytes). Off by default so ranking — and
-  /// therefore every run — is format-independent unless asked for.
-  bool charge_encoded_bytes = false;
 };
 
 /// Aged-workload-throughput scheduler.
@@ -79,10 +74,6 @@ class LifeRaftScheduler : public Scheduler {
 
   /// Adjusts alpha at runtime (used by the adaptive controller).
   void set_alpha(double alpha) { config_.alpha = alpha; }
-
-  /// See LifeRaftConfig::charge_encoded_bytes (the engine forwards its own
-  /// flag here so all T_b consumers price alike).
-  void set_charge_encoded_bytes(bool on) { config_.charge_encoded_bytes = on; }
   double alpha() const { return config_.alpha; }
   const LifeRaftConfig& config() const { return config_; }
 

@@ -163,8 +163,7 @@ Status SimEngine::PrepareRun(size_t expected_queries) {
   LIFERAFT_ASSIGN_OR_RETURN(
       stack_, exec::ExecutionStack::Create(
                   config_, catalog_, shared ? scheduler_.get() : nullptr,
-                  pool_.get(), config_.cache_capacity_bytes,
-                  config_.charge_encoded_bytes, real_io));
+                  pool_.get(), real_io));
   if (shared && !config_.spill_path.empty()) {
     LIFERAFT_RETURN_IF_ERROR(stack_->manager().EnableSpill(
         config_.spill_path, config_.workload_memory_budget));

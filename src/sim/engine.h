@@ -65,18 +65,6 @@ struct EngineConfig : exec::StackConfig {
   /// kModeled leaves every code path and result bit-identical to builds
   /// that predate real I/O.
   IoMode io_mode = IoMode::kModeled;
-  /// Optional cache byte budget (BucketCache capacity_bytes; 0 = off).
-  /// When set, residency is additionally bounded by charged bytes — the
-  /// store's real page size (either file format), the kBytesPerObject
-  /// estimate for MemStore — so at a fixed MB budget a compressed catalog
-  /// keeps more buckets resident. Combine with a generous cache_capacity (e.g. the
-  /// bucket count) for a pure byte budget.
-  uint64_t cache_capacity_bytes = 0;
-  /// Price every T_b consumer (scheduler U_t, evaluator scan/NoShare
-  /// fetches, pipeline bets) by the store's real encoded page bytes when
-  /// it has them. Off by default: runs are then provably independent of
-  /// the on-disk format, which is what the v1/v2 identity tests pin down.
-  bool charge_encoded_bytes = false;
   /// Keep match tuples (disable for scheduling-scale experiments).
   bool collect_matches = false;
   /// Optional workload-adaptive alpha: when set and the scheduler is a

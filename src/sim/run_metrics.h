@@ -116,8 +116,8 @@ struct RunMetrics {
 /// Deterministic JSON serialization of a run: explicit key order, every
 /// double printed %.17g (bit-exact round trip), no timestamps. Two runs
 /// produce the same string iff their metrics agree bit for bit, so this
-/// is both the report format and the determinism/format-identity digest
-/// (the v1-vs-v2 page-format tests compare these strings directly).
+/// is both the report format and the determinism/store-identity digest
+/// (the memory-vs-file identity tests compare these strings directly).
 std::string RunMetricsJson(const RunMetrics& m);
 
 }  // namespace liferaft::sim

@@ -3,8 +3,8 @@
 //
 // A bucket is its catalog index plus one shared, parsed v2 page
 // (storage/columnar.h) whose fixed-width columns the join kernels scan in
-// place. Every store hands out this one form: v2 file pages as read,
-// partitioned catalogs and v1 file pages encoded by ColumnarPage::Encode.
+// place. Every store hands out this one form: file pages as read,
+// partitioned catalogs encoded by ColumnarPage::Encode.
 
 #ifndef LIFERAFT_STORAGE_BUCKET_H_
 #define LIFERAFT_STORAGE_BUCKET_H_

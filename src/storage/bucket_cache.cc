@@ -9,9 +9,8 @@
 namespace liferaft::storage {
 
 BucketCache::BucketCache(BucketStore* store, size_t capacity,
-                         uint64_t capacity_bytes,
                          const StorageTopology* topology)
-    : store_(store), capacity_(capacity), capacity_bytes_(capacity_bytes) {
+    : store_(store), capacity_(capacity) {
   assert(store_ != nullptr);
   assert(capacity_ > 0);
   if (topology == nullptr) return;
@@ -21,7 +20,7 @@ BucketCache::BucketCache(BucketStore* store, size_t capacity,
   // every volume, so only the volumes' disk models set the prices apart.
   uint64_t total_bytes = 0;
   for (BucketIndex b = 0; b < buckets; ++b) {
-    total_bytes += store_->ModeledBucketBytes(b, /*charge_encoded=*/false);
+    total_bytes += store_->ModeledBucketBytes(b);
   }
   const uint64_t mean_bytes = total_bytes / buckets;
   std::vector<double> volume_price;
@@ -45,11 +44,6 @@ size_t BucketCache::size() const {
   return map_.size();
 }
 
-uint64_t BucketCache::resident_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return bytes_used_;
-}
-
 CacheStats BucketCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
@@ -66,40 +60,31 @@ void BucketCache::Touch(std::list<Entry>::iterator it) {
 }
 
 void BucketCache::EvictOverCapacity() {
-  while (map_.size() > capacity_ ||
-         (capacity_bytes_ > 0 && bytes_used_ > capacity_bytes_)) {
-    // Victim order, never the front entry (the one the triggering insert
-    // just touched) until nothing else is evictable:
-    //  1. the lowest-priority entry outside the prediction window;
-    //  2. the lowest-priority entry inside it — protection demotes, it
-    //     must not starve the cache of evictable space (counted in
-    //     evictions_protected);
-    //  3. the front entry itself, when it is the only entry.
-    // The scan runs from the least recently touched entry and keeps the
-    // first of equal priorities, so ties go to the least recently used.
-    auto victim = lru_.end();
-    auto protected_victim = lru_.end();
-    for (auto it = std::prev(lru_.end()); it != lru_.begin(); --it) {
-      auto& best = window_.contains(it->index) ? protected_victim : victim;
-      if (best == lru_.end() || it->priority < best->priority) best = it;
-    }
-    bool victim_protected = false;
-    if (victim == lru_.end()) {
-      if (protected_victim != lru_.end()) {
-        victim = protected_victim;
-        victim_protected = true;
-      } else {
-        victim = lru_.begin();
-        victim_protected = window_.find(victim->index) != window_.end();
-      }
-    }
-    if (victim_protected) ++stats_.evictions_protected;
-    ++stats_.evictions;
-    inflation_ = std::max(inflation_, victim->priority);
-    bytes_used_ -= victim->bytes;
-    map_.erase(victim->index);
-    lru_.erase(victim);
+  if (map_.size() <= capacity_) return;
+  // An insert puts the cache at most one entry over a capacity of at least
+  // one, so there are two entries or more and the victim is never the
+  // front one (the entry the triggering insert just touched). Victim
+  // order:
+  //  1. the lowest-priority entry outside the prediction window;
+  //  2. the lowest-priority entry inside it — protection demotes, it
+  //     must not starve the cache of evictable space (counted in
+  //     evictions_protected).
+  // The scan runs from the least recently touched entry and keeps the
+  // first of equal priorities, so ties go to the least recently used.
+  auto victim = lru_.end();
+  auto protected_victim = lru_.end();
+  for (auto it = std::prev(lru_.end()); it != lru_.begin(); --it) {
+    auto& best = window_.contains(it->index) ? protected_victim : victim;
+    if (best == lru_.end() || it->priority < best->priority) best = it;
   }
+  if (victim == lru_.end()) {
+    victim = protected_victim;
+    ++stats_.evictions_protected;
+  }
+  ++stats_.evictions;
+  inflation_ = std::max(inflation_, victim->priority);
+  map_.erase(victim->index);
+  lru_.erase(victim);
 }
 
 void BucketCache::SetPredictionWindow(std::span<const BucketIndex> window) {
@@ -110,13 +95,8 @@ void BucketCache::SetPredictionWindow(std::span<const BucketIndex> window) {
 
 void BucketCache::InsertMru(BucketIndex index,
                             std::shared_ptr<const Bucket> bucket) {
-  // Charges are only tracked in byte mode, keeping the count-only cache
-  // bit-for-bit on its pre-byte-mode behavior.
-  const uint64_t bytes = capacity_bytes_ > 0 ? ChargedBytes(index) : 0;
-  lru_.push_front(
-      Entry{index, std::move(bucket), bytes, inflation_ + Price(index)});
+  lru_.push_front(Entry{index, std::move(bucket), inflation_ + Price(index)});
   map_[index] = lru_.begin();
-  bytes_used_ += bytes;
   EvictOverCapacity();
 }
 
@@ -151,7 +131,6 @@ void BucketCache::Clear() {
   lru_.clear();
   map_.clear();
   window_.clear();
-  bytes_used_ = 0;
   inflation_ = 0.0;
 }
 

@@ -32,9 +32,9 @@
 // entry OUTSIDE the window, and only when every entry is inside the window
 // does eviction fall back to the lowest-priority protected entry (counted
 // in evictions_protected). The entry the triggering insert just touched
-// (the front of the recency list) is never the victim while anything else
-// is evictable — protection demotes other buckets, it must not bounce the
-// foreground's own bucket straight back out. This closes the
+// (the front of the recency list) is never the victim — protection
+// demotes other buckets, it must not bounce the foreground's own bucket
+// straight back out. This closes the
 // self-defeating loop where inserting a claimed bet evicts the very bucket
 // the next prediction wants — a generic policy knows nothing about the
 // predictor. With an empty window (the default, and whenever prefetching
@@ -95,22 +95,10 @@ class BucketCache {
  public:
   /// @param store      backing store (not owned; must outlive the cache)
   /// @param capacity   maximum number of resident buckets (paper: 20)
-  /// @param capacity_bytes optional byte budget. 0 (default) disables byte
-  ///                   accounting entirely — byte-identical to the
-  ///                   pre-byte-mode cache. When set, each resident bucket
-  ///                   is charged the store's real page size when it has
-  ///                   one (FileStore, either format) and the
-  ///                   kBytesPerObject estimate otherwise (MemStore), and
-  ///                   eviction also runs while the cache is over the
-  ///                   budget — so at a fixed MB budget, smaller encoded
-  ///                   pages mean more resident buckets. The count bound
-  ///                   still applies; callers wanting a pure byte budget
-  ///                   pass capacity = num_buckets.
   /// @param topology   optional volume map over the store's buckets that
   ///                   prices evictions (see file comment); null prices
   ///                   every bucket alike (plain LRU). Read only here.
   BucketCache(BucketStore* store, size_t capacity,
-              uint64_t capacity_bytes = 0,
               const StorageTopology* topology = nullptr);
 
   /// True if the bucket is resident (phi(i) == 0). Does not touch the
@@ -151,13 +139,8 @@ class BucketCache {
   BucketStore* mutable_store() { return store_; }
 
   size_t capacity() const { return capacity_; }
-  /// The byte budget (0 = byte accounting off).
-  uint64_t capacity_bytes() const { return capacity_bytes_; }
   /// Resident buckets.
   size_t size() const;
-  /// Charged bytes resident (0 when byte accounting is off — charges are
-  /// only tracked in byte mode).
-  uint64_t resident_bytes() const;
   /// A snapshot of the counters.
   CacheStats stats() const;
   /// The GreedyDual inflation L: the highest victim priority so far.
@@ -167,8 +150,6 @@ class BucketCache {
   struct Entry {
     BucketIndex index;
     std::shared_ptr<const Bucket> bucket;
-    /// Bytes charged against the byte budget (0 in count-only mode).
-    uint64_t bytes = 0;
     /// GreedyDual priority: L at the last touch plus the bucket's price.
     double priority = 0.0;
   };
@@ -176,16 +157,11 @@ class BucketCache {
   // Helpers; mu_ must be held.
   /// Re-prices the entry at the current L and moves it to the front.
   void Touch(std::list<Entry>::iterator it);
-  /// Inserts `bucket` at the front and evicts down to capacity.
+  /// Inserts `bucket` at the front and evicts one entry if that puts the
+  /// cache over capacity.
   void InsertMru(BucketIndex index, std::shared_ptr<const Bucket> bucket);
   void EvictOverCapacity();
 
-  /// Bytes a resident bucket is charged in byte mode: the store's real
-  /// page size (either file format), the modeled estimate when it has
-  /// none (MemStore).
-  uint64_t ChargedBytes(BucketIndex index) const {
-    return store_->ModeledBucketBytes(index, /*charge_encoded=*/true);
-  }
   /// Price of re-reading bucket `index` (see file comment).
   double Price(BucketIndex index) const {
     return price_.empty() ? 1.0 : price_[index];
@@ -193,13 +169,10 @@ class BucketCache {
 
   BucketStore* store_;
   const size_t capacity_;
-  const uint64_t capacity_bytes_;
   /// Per-bucket eviction price, from the topology; empty without one.
   std::vector<double> price_;
 
   mutable std::mutex mu_;
-  /// Charged bytes of the resident entries (maintained only in byte mode).
-  uint64_t bytes_used_ = 0;
   /// Inflation L (see file comment).
   double inflation_ = 0.0;
   std::list<Entry> lru_;  // front = most recently touched

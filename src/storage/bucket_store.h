@@ -62,23 +62,20 @@ class BucketStore {
   virtual size_t BucketObjectCount(BucketIndex index) const = 0;
 
   /// Real encoded on-disk bytes of bucket `index`'s page, or 0 when the
-  /// store has no encoded form (MemStore). Never performs I/O.
+  /// store has no encoded form (MemStore). Never performs I/O. The
+  /// measured-mode reader bills completion bytes from it; the cost model
+  /// does not read it (see ModeledBucketBytes).
   virtual uint64_t EncodedBucketBytes(BucketIndex index) const {
     (void)index;
     return 0;
   }
 
-  /// The byte size the I/O cost model should charge for moving bucket
-  /// `index`: the paper's kBytesPerObject estimate by default, or the real
-  /// encoded page size when `charge_encoded` is set and the store has one.
-  /// Every T_b consumer (scheduler U_t, evaluator, pipeline bets) prices
-  /// through this so a format change shifts costs in one place — or, with
-  /// the flag off, provably nowhere.
-  uint64_t ModeledBucketBytes(BucketIndex index, bool charge_encoded) const {
-    if (charge_encoded) {
-      uint64_t encoded = EncodedBucketBytes(index);
-      if (encoded > 0) return encoded;
-    }
+  /// The byte size the I/O cost model charges for moving bucket `index`:
+  /// the paper's kBytesPerObject estimate, whatever the store holds. Every
+  /// T_b consumer (scheduler U_t, evaluator, pipeline bets, eviction
+  /// prices) prices through this, so the modeled clock is the same over
+  /// MemStore and FileStore.
+  uint64_t ModeledBucketBytes(BucketIndex index) const {
     return static_cast<uint64_t>(BucketObjectCount(index)) *
            Bucket::kBytesPerObject;
   }

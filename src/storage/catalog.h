@@ -28,7 +28,7 @@ struct CatalogOptions {
 /// An immutable partitioned archive with optional B+tree index. Build()
 /// partitions in-memory objects into a MemStore; FromStore() wraps any
 /// already-built BucketStore (e.g. an opened FileStore), so the simulation
-/// engine runs unchanged over file-backed catalogs in either page format.
+/// engine runs unchanged over file-backed catalogs.
 class Catalog {
  public:
   /// Partitions `objects` and builds the store (and index if requested).

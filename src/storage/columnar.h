@@ -31,8 +31,8 @@
 // the same SkyToUnitVector(ra, dec) MakeObject runs, so a page built from
 // objects joins bit for bit like the objects themselves.
 //
-// Every in-memory bucket is one of these pages: a v2 file's page as read,
-// or one built by Encode() (partitioned catalogs, transcoded v1 pages).
+// Every in-memory bucket is one of these pages: a file's page as read, or
+// one built by Encode() (partitioned catalogs).
 // Parse() validates structure, checksum, and the decoded id column (in
 // range, and ascending: a decreasing id overflows the delta decode) and
 // returns a clean Status on any corruption; no decoded state outlives a

@@ -16,36 +16,12 @@ namespace {
 
 constexpr char kHeaderMagic[8] = {'L', 'F', 'R', 'B', 'K', 'T', '0', '1'};
 constexpr char kFooterMagic[8] = {'L', 'F', 'R', 'B', 'K', 'T', 'I', 'X'};
-constexpr size_t kRecordBytes = 8 + 8 + 8 + 8 + 4 + 4;
-constexpr size_t kBucketHeaderBytes = 8 + 8 + 4;
 constexpr size_t kFileHeaderBytes = 8 + 4 + 8;
 constexpr size_t kFooterBytes = 8 + 4 + 8;
 
 /// O_DIRECT alignment for offset, length, and buffer address. 4096 covers
 /// every mainstream logical block size.
 constexpr uint64_t kDirectAlign = 4096;
-
-void AppendRecord(std::string* out, const CatalogObject& o) {
-  PutFixed64(out, o.object_id);
-  PutFixed64(out, o.htm_id);
-  PutDouble(out, o.ra_deg);
-  PutDouble(out, o.dec_deg);
-  PutFloat(out, o.mag);
-  PutFloat(out, o.color);
-}
-
-/// Leaves pos unset: the transcoded page recomputes positions from
-/// ra/dec itself.
-CatalogObject ParseRecord(const char* p) {
-  CatalogObject o;
-  o.object_id = GetFixed64(p);
-  o.htm_id = GetFixed64(p + 8);
-  o.ra_deg = GetDouble(p + 16);
-  o.dec_deg = GetDouble(p + 24);
-  o.mag = GetFloat(p + 32);
-  o.color = GetFloat(p + 36);
-  return o;
-}
 
 /// Positional read of exactly [offset, offset+len) — a pread(2) loop, so
 /// concurrent readers of one descriptor share no file position and no
@@ -74,8 +50,7 @@ struct FreeDeleter {
 }  // namespace
 
 FileStore::FileStore(int fd, bool direct_active, FileStoreOptions options,
-                     std::string path, uint32_t version,
-                     std::vector<uint64_t> offsets,
+                     std::string path, std::vector<uint64_t> offsets,
                      std::vector<uint64_t> page_sizes,
                      std::vector<uint32_t> counts,
                      std::shared_ptr<const BucketMap> map)
@@ -83,7 +58,6 @@ FileStore::FileStore(int fd, bool direct_active, FileStoreOptions options,
       fd_(fd),
       direct_io_active_(direct_active),
       options_(options),
-      version_(version),
       offsets_(std::move(offsets)),
       page_sizes_(std::move(page_sizes)),
       counts_(std::move(counts)),
@@ -191,21 +165,7 @@ Status FileStore::Create(const std::string& path,
   offsets.reserve(buckets.size());
   for (const Bucket& b : buckets) {
     offsets.push_back(written + out.size());
-    const ColumnarPage& page = b.page();
-    if (format == BucketFormat::kColumnarV2) {
-      out.append(page.bytes());
-    } else {
-      std::string payload;
-      PutFixed64(&payload, b.range().lo);
-      PutFixed64(&payload, b.range().hi);
-      PutFixed32(&payload, static_cast<uint32_t>(b.size()));
-      for (size_t i = 0; i < page.size(); ++i) {
-        AppendRecord(&payload, page.MaterializeObject(i));
-      }
-      uint32_t crc = Crc32(payload.data(), payload.size());
-      out += payload;
-      PutFixed32(&out, crc);
-    }
+    out.append(b.page().bytes());
     if (out.size() >= (8u << 20) && !flush()) {
       std::fclose(f);
       return Status::IOError("write failed for " + path);
@@ -247,6 +207,15 @@ Result<std::unique_ptr<FileStore>> FileStore::Open(
     return s;
   };
 
+  // Size the file before reading either end of it, so a file too short
+  // to hold a header and a footer is Corruption, not a short read.
+  off_t end = ::lseek(meta_fd, 0, SEEK_END);
+  if (end < 0) return fail(Status::IOError("seek"));
+  const uint64_t file_size = static_cast<uint64_t>(end);
+  if (file_size < kFileHeaderBytes + kFooterBytes) {
+    return fail(Status::Corruption("file too small"));
+  }
+
   // Header.
   char header[kFileHeaderBytes];
   Status st = PreadExact(meta_fd, 0, header, sizeof(header));
@@ -254,22 +223,15 @@ Result<std::unique_ptr<FileStore>> FileStore::Open(
   if (std::memcmp(header, kHeaderMagic, 8) != 0) {
     return fail(Status::Corruption("bad header magic in " + path));
   }
-  uint32_t version = GetFixed32(header + 8);
-  if (version != static_cast<uint32_t>(BucketFormat::kRowV1) &&
-      version != static_cast<uint32_t>(BucketFormat::kColumnarV2)) {
+  const uint32_t version = GetFixed32(header + 8);
+  if (version != static_cast<uint32_t>(BucketFormat::kColumnarV2)) {
     return fail(Status::Corruption("unsupported format version " +
-                                   std::to_string(version)));
+                                   std::to_string(version) + " in " + path));
   }
   uint64_t num_buckets = GetFixed64(header + 12);
   if (num_buckets == 0) return fail(Status::Corruption("zero buckets"));
 
   // Footer.
-  off_t end = ::lseek(meta_fd, 0, SEEK_END);
-  if (end < 0) return fail(Status::IOError("seek"));
-  const uint64_t file_size = static_cast<uint64_t>(end);
-  if (file_size < sizeof(header) + kFooterBytes) {
-    return fail(Status::Corruption("file too small"));
-  }
   char footer[kFooterBytes];
   st = PreadExact(meta_fd, file_size - kFooterBytes, footer, kFooterBytes);
   if (!st.ok()) return fail(st);
@@ -320,27 +282,19 @@ Result<std::unique_ptr<FileStore>> FileStore::Open(
   }
 
   // Reconstruct the bucket map and cardinality metadata from the page
-  // headers (range/count live at version-specific offsets).
+  // headers.
   std::vector<htm::HtmId> bounds(num_buckets);
   std::vector<uint32_t> counts(num_buckets);
-  const bool columnar = version == static_cast<uint32_t>(BucketFormat::kColumnarV2);
-  const size_t page_header_bytes =
-      columnar ? ColumnarPageLayout::kHeaderBytes : kBucketHeaderBytes;
   for (uint64_t i = 0; i < num_buckets; ++i) {
     char page_header[ColumnarPageLayout::kHeaderBytes];
-    if (page_sizes[i] < page_header_bytes) {
+    if (page_sizes[i] < sizeof(page_header)) {
       return fail(Status::Corruption("bucket " + std::to_string(i) +
                                      " page smaller than its header"));
     }
-    st = PreadExact(meta_fd, offsets[i], page_header, page_header_bytes);
+    st = PreadExact(meta_fd, offsets[i], page_header, sizeof(page_header));
     if (!st.ok()) return fail(st);
-    if (columnar) {
-      bounds[i] = GetFixed64(page_header + ColumnarPageLayout::kRangeLoOffset);
-      counts[i] = GetFixed32(page_header + ColumnarPageLayout::kCountOffset);
-    } else {
-      bounds[i] = GetFixed64(page_header);
-      counts[i] = GetFixed32(page_header + 16);
-    }
+    bounds[i] = GetFixed64(page_header + ColumnarPageLayout::kRangeLoOffset);
+    counts[i] = GetFixed32(page_header + ColumnarPageLayout::kCountOffset);
     // BucketMap only asserts its preconditions, and these bounds are read
     // before any page checksum: bucket 0 must start at the first
     // object-level id, and each later bound must ascend strictly inside
@@ -371,7 +325,7 @@ Result<std::unique_ptr<FileStore>> FileStore::Open(
 #endif
 
   auto store = std::unique_ptr<FileStore>(new FileStore(
-      meta_fd, direct_active, options, path, version, std::move(offsets),
+      meta_fd, direct_active, options, path, std::move(offsets),
       std::move(page_sizes), std::move(counts), std::move(map)));
   // Re-open the read descriptor per the options (O_DIRECT / fadvise):
   // meta_fd was deliberately plain-buffered for the metadata pass above.
@@ -398,8 +352,11 @@ Result<std::shared_ptr<const Bucket>> FileStore::ReadBucketForPrefetch(
   return ReadBucketPage(index);
 }
 
-Result<std::shared_ptr<const Bucket>> FileStore::ReadColumnarPage(
+Result<std::shared_ptr<const Bucket>> FileStore::ReadBucketPage(
     BucketIndex index) {
+  if (index >= offsets_.size()) {
+    return Status::OutOfRange("bucket index out of range");
+  }
   const uint64_t page_size = page_sizes_[index];
   // operator new[] aligns to max_align_t, which is what makes the in-place
   // f64 column spans legal; the pad inside the page does the rest.
@@ -411,53 +368,6 @@ Result<std::shared_ptr<const Bucket>> FileStore::ReadColumnarPage(
                               page.status().message());
   }
   return std::make_shared<const Bucket>(index, std::move(page).value());
-}
-
-Result<std::shared_ptr<const Bucket>> FileStore::ReadBucketPage(
-    BucketIndex index) {
-  if (index >= offsets_.size()) {
-    return Status::OutOfRange("bucket index out of range");
-  }
-  if (version_ == static_cast<uint32_t>(BucketFormat::kColumnarV2)) {
-    return ReadColumnarPage(index);
-  }
-  // One positional read of the whole page: payload followed by its crc32.
-  const uint64_t page_size = page_sizes_[index];
-  if (page_size < kBucketHeaderBytes + 4) {
-    return Status::Corruption("bucket " + std::to_string(index) +
-                              " page smaller than its header");
-  }
-  std::vector<char> page(page_size);
-  LIFERAFT_RETURN_IF_ERROR(ReadSpan(offsets_[index], page.data(),
-                                    page.size()));
-  const size_t payload_size = page_size - 4;
-  htm::IdRange range{GetFixed64(page.data()), GetFixed64(page.data() + 8)};
-  uint32_t count = GetFixed32(page.data() + 16);
-  if (payload_size != kBucketHeaderBytes + count * kRecordBytes) {
-    return Status::Corruption("bucket " + std::to_string(index) +
-                              " page size does not match its record count");
-  }
-  if (Crc32(page.data(), payload_size) !=
-      GetFixed32(page.data() + payload_size)) {
-    return Status::Corruption("bucket " + std::to_string(index) +
-                              " checksum mismatch");
-  }
-
-  std::vector<CatalogObject> objects;
-  objects.reserve(count);
-  const char* p = page.data() + kBucketHeaderBytes;
-  for (uint32_t i = 0; i < count; ++i, p += kRecordBytes) {
-    objects.push_back(ParseRecord(p));
-  }
-  // Transcode to the one in-memory form. Encode parses what it wrote, so
-  // records out of HTM order or outside the page's range fail here with a
-  // clean Status instead of misdirecting every binary search over them.
-  auto transcoded = ColumnarPage::Encode(range, objects);
-  if (!transcoded.ok()) {
-    return Status::Corruption("bucket " + std::to_string(index) + ": " +
-                              transcoded.status().message());
-  }
-  return std::make_shared<const Bucket>(index, std::move(transcoded).value());
 }
 
 }  // namespace liferaft::storage

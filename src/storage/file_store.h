@@ -3,28 +3,21 @@
 //
 // File layout (all integers little-endian):
 //
-//   [header]   magic "LFRBKT01" (8) | format version u32 | num_buckets u64
-//   [bucket]*  one page per bucket, format per the version field
+//   [header]   magic "LFRBKT01" (8) | format version u32 (2) | num_buckets u64
+//   [bucket]*  one columnar page per bucket
 //   [index]    num_buckets * offset u64 (byte offset of each bucket page)
 //   [footer]   index_offset u64 | index_crc u32 | magic "LFRBKTIX" (8)
 //
-// Version 1 (row) pages:
+// Pages are the self-describing checksummed pages of storage/columnar.h:
+// delta+varint HTM-id column, compressed object-id column, raw fixed-width
+// position/attribute columns scanned zero-copy. A read hands the page
+// bytes to ColumnarPage::Parse as they are. Open() rejects any other
+// version with Corruption naming it; an archive in the retired row format
+// (version 1) is rebuilt with `liferaft_tool gen-catalog`.
 //
-//   [bucket]   range_lo u64 | range_hi u64 | count u32 |
-//              count * record | payload_crc u32
-//   [record]   object_id u64 | htm_id u64 | ra f64 | dec f64 |
-//              mag f32 | color f32        (40 bytes)
-//
-// Version 2 (columnar) pages are the self-describing checksummed pages of
-// storage/columnar.h: delta+varint HTM-id column, compressed object-id
-// column, raw fixed-width position/attribute columns scanned zero-copy.
-// Open() auto-detects the version from the file header; a store holds pages
-// of one version only. Buckets come back in one form either way: a v2 page
-// as read, a v1 page transcoded by ColumnarPage::Encode.
-//
-// The unit-vector position is recomputed from ra/dec at load time rather
-// than stored, keeping records compact and making the file byte-stable
-// across platforms.
+// The unit-vector position is recomputed from ra/dec when a join first
+// touches it rather than stored, keeping pages compact and making the file
+// byte-stable across platforms.
 
 #ifndef LIFERAFT_STORAGE_FILE_STORE_H_
 #define LIFERAFT_STORAGE_FILE_STORE_H_
@@ -37,10 +30,13 @@
 
 namespace liferaft::storage {
 
-/// On-disk bucket page format, selectable at write time and auto-detected
-/// at read time. Values match the file header's version field.
+/// On-disk bucket page format; the value is the file header's version
+/// field. There is one format. The enum, and Create's argument of its type,
+/// stay only because the end-to-end benchmark (bench_e2e/bench_e2e.cc)
+/// passes kColumnarV2 to Create, and that code is kept unchanged so its
+/// numbers stay comparable across versions. Remove both together with
+/// that call's argument.
 enum class BucketFormat : uint32_t {
-  kRowV1 = 1,
   kColumnarV2 = 2,
 };
 
@@ -69,20 +65,19 @@ class FileStore : public BucketStore {
   FileStore(const FileStore&) = delete;
   FileStore& operator=(const FileStore&) = delete;
 
-  /// Serializes a partitioned catalog to `path` in the given format,
-  /// overwriting any existing file. v2 writes each bucket's page verbatim.
+  /// Serializes a partitioned catalog to `path`, overwriting any existing
+  /// file: each bucket's page verbatim. `format` has one value (see
+  /// BucketFormat).
   static Status Create(const std::string& path,
                        const std::vector<Bucket>& buckets,
-                       BucketFormat format = BucketFormat::kRowV1);
+                       BucketFormat format = BucketFormat::kColumnarV2);
 
-  /// Opens an existing store, validating magic, version (1 or 2), the
-  /// bucket count against the file's size (before allocating the offset
-  /// index), and the index checksum.
+  /// Opens an existing store, validating magic, version (2; any other,
+  /// the row format's 1 included, is Corruption naming it), the bucket
+  /// count against the file's size (before allocating the offset index),
+  /// the index checksum, and the page headers' bounds.
   static Result<std::unique_ptr<FileStore>> Open(
       const std::string& path, const FileStoreOptions& options = {});
-
-  /// The page format this store was written with.
-  BucketFormat format() const { return static_cast<BucketFormat>(version_); }
 
   /// True when O_DIRECT was requested AND the filesystem accepted it.
   bool direct_io_active() const { return direct_io_active_; }
@@ -92,8 +87,8 @@ class FileStore : public BucketStore {
   size_t BucketObjectCount(BucketIndex index) const override {
     return index < counts_.size() ? counts_[index] : 0;
   }
-  /// Real on-disk page size in bytes (both formats; derived from the
-  /// offset index at Open).
+  /// Real on-disk page size in bytes (derived from the offset index at
+  /// Open).
   uint64_t EncodedBucketBytes(BucketIndex index) const override {
     return index < page_sizes_.size() ? page_sizes_[index] : 0;
   }
@@ -107,7 +102,7 @@ class FileStore : public BucketStore {
 
  private:
   FileStore(int fd, bool direct_active, FileStoreOptions options,
-            std::string path, uint32_t version, std::vector<uint64_t> offsets,
+            std::string path, std::vector<uint64_t> offsets,
             std::vector<uint64_t> page_sizes, std::vector<uint32_t> counts,
             std::shared_ptr<const BucketMap> map);
 
@@ -121,15 +116,11 @@ class FileStore : public BucketStore {
   /// plain pread loop otherwise).
   Status ReadSpan(uint64_t offset, char* dst, size_t len) const;
 
-  /// The raw read+checksum+decode of one bucket page — one ReadSpan of the
-  /// whole page; records no stats. A v1 page that fails the transcode
-  /// returns Corruption.
+  /// The raw read+checksum+decode of one bucket page: one ReadSpan of the
+  /// whole page handed to ColumnarPage::Parse; records no stats. Any
+  /// corruption (truncation, checksum, bad columns) comes back as a clean
+  /// Status naming the bucket.
   Result<std::shared_ptr<const Bucket>> ReadBucketPage(BucketIndex index);
-
-  /// v2: one whole-page read handed to ColumnarPage::Parse. Any
-  /// corruption — truncation, checksum, bad columns — comes back as a
-  /// clean Status naming the bucket.
-  Result<std::shared_ptr<const Bucket>> ReadColumnarPage(BucketIndex index);
 
   std::string path_;
   /// The one read descriptor every page read shares (pread needs no
@@ -137,7 +128,6 @@ class FileStore : public BucketStore {
   int fd_ = -1;
   bool direct_io_active_ = false;
   FileStoreOptions options_;
-  uint32_t version_ = 1;
   std::vector<uint64_t> offsets_;
   std::vector<uint64_t> page_sizes_;
   std::vector<uint32_t> counts_;

@@ -340,9 +340,22 @@ namespace {
 class RealIoModeTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = TempPath("v1");
-    catalog_ = WriteCatalog(path_, storage::BucketFormat::kRowV1);
-    ASSERT_NE(catalog_, nullptr);
+    // The fixture's archive, written to disk and opened as a catalog.
+    path_ = TempPath("catalog");
+    workload::CatalogGenConfig gen;
+    gen.num_objects = 20'000;
+    gen.seed = 137;
+    auto objects = workload::GenerateCatalog(gen);
+    ASSERT_TRUE(objects.ok());
+    auto partition = storage::PartitionCatalog(std::move(*objects), 1000);
+    ASSERT_TRUE(partition.ok());
+    Status created = storage::FileStore::Create(path_, partition->buckets);
+    ASSERT_TRUE(created.ok()) << created.ToString();
+    auto store = storage::FileStore::Open(path_);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    auto catalog = storage::Catalog::FromStore(std::move(*store));
+    ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+    catalog_ = std::move(*catalog);
 
     workload::TraceConfig tc;
     tc.num_queries = 16;
@@ -363,30 +376,6 @@ class RealIoModeTest : public ::testing::Test {
         .string();
   }
 
-  /// Writes the fixture's archive to `path` in `format` and opens it as a
-  /// catalog (null on failure).
-  static std::unique_ptr<storage::Catalog> WriteCatalog(
-      const std::string& path, storage::BucketFormat format) {
-    workload::CatalogGenConfig gen;
-    gen.num_objects = 20'000;
-    gen.seed = 137;
-    auto objects = workload::GenerateCatalog(gen);
-    EXPECT_TRUE(objects.ok());
-    if (!objects.ok()) return nullptr;
-    auto partition = storage::PartitionCatalog(std::move(*objects), 1000);
-    EXPECT_TRUE(partition.ok());
-    if (!partition.ok()) return nullptr;
-    Status created = storage::FileStore::Create(path, partition->buckets,
-                                                format);
-    EXPECT_TRUE(created.ok()) << created.ToString();
-    auto store = storage::FileStore::Open(path);
-    EXPECT_TRUE(store.ok()) << store.status().ToString();
-    if (!store.ok()) return nullptr;
-    auto catalog = storage::Catalog::FromStore(std::move(*store));
-    EXPECT_TRUE(catalog.ok()) << catalog.status().ToString();
-    return catalog.ok() ? std::move(*catalog) : nullptr;
-  }
-
   EngineConfig BaseConfig(size_t num_volumes) {
     EngineConfig config;
     config.enable_prefetch = true;
@@ -399,17 +388,11 @@ class RealIoModeTest : public ::testing::Test {
 
   Result<RunMetrics> Drain(const EngineConfig& config,
                            std::map<query::QueryId, uint64_t>* matches) {
-    return DrainOn(catalog_.get(), config, matches);
-  }
-
-  Result<RunMetrics> DrainOn(storage::Catalog* catalog,
-                             const EngineConfig& config,
-                             std::map<query::QueryId, uint64_t>* matches) {
     sched::LifeRaftConfig sc;
     sc.alpha = 0.25;
-    SimEngine engine(catalog,
+    SimEngine engine(catalog_.get(),
                      std::make_unique<sched::LifeRaftScheduler>(
-                         catalog->store(), storage::DiskModel{}, sc),
+                         catalog_->store(), storage::DiskModel{}, sc),
                      config);
     auto metrics = engine.Run(trace_, arrivals_);
     if (metrics.ok() && matches != nullptr) {
@@ -459,8 +442,8 @@ TEST_F(RealIoModeTest, RealModeMatchesModeledJoinResults) {
 }
 
 // The cross-mode oracle: on one trace, every measured run returns the
-// modeled oracle's per-query match counts — on both page formats at 1, 2
-// and 4 volumes, and with prefetch off, at depth 3, and spilling.
+// modeled oracle's per-query match counts — at 1, 2 and 4 volumes, and
+// with prefetch off, at depth 3, and spilling.
 // Completion order may differ between the modes; results may not.
 TEST_F(RealIoModeTest, EveryRealRunMatchesTheModeledOracle) {
   std::map<query::QueryId, uint64_t> oracle;
@@ -468,17 +451,11 @@ TEST_F(RealIoModeTest, EveryRealRunMatchesTheModeledOracle) {
   ASSERT_TRUE(modeled.ok()) << modeled.status().ToString();
   ASSERT_EQ(oracle.size(), trace_.size());
 
-  const std::string v2_path = TempPath("v2");
-  std::unique_ptr<storage::Catalog> v2 =
-      WriteCatalog(v2_path, storage::BucketFormat::kColumnarV2);
-  ASSERT_NE(v2, nullptr);
-
-  auto expect_oracle = [&](storage::Catalog* catalog, EngineConfig config,
-                           const std::string& label) {
+  auto expect_oracle = [&](EngineConfig config, const std::string& label) {
     SCOPED_TRACE(label);
     config.io_mode = IoMode::kReal;
     std::map<query::QueryId, uint64_t> matches;
-    auto metrics = DrainOn(catalog, config, &matches);
+    auto metrics = Drain(config, &matches);
     EXPECT_TRUE(metrics.ok()) << metrics.status().ToString();
     if (!metrics.ok()) return RunMetrics{};
     EXPECT_TRUE(metrics->real_io_enabled);
@@ -487,31 +464,26 @@ TEST_F(RealIoModeTest, EveryRealRunMatchesTheModeledOracle) {
   };
 
   for (size_t volumes : {size_t{1}, size_t{2}, size_t{4}}) {
-    const std::string suffix = " volumes=" + std::to_string(volumes);
-    expect_oracle(catalog_.get(), BaseConfig(volumes), "v1" + suffix);
-    expect_oracle(v2.get(), BaseConfig(volumes), "v2" + suffix);
+    expect_oracle(BaseConfig(volumes), "volumes=" + std::to_string(volumes));
   }
 
   EngineConfig off = BaseConfig(2);
   off.enable_prefetch = false;
-  RunMetrics m = expect_oracle(v2.get(), off, "prefetch off");
+  RunMetrics m = expect_oracle(off, "prefetch off");
   for (const storage::VolumeIoStats& v : m.volumes) {
     EXPECT_EQ(v.prefetch_issued, 0u);
   }
 
   EngineConfig deep = BaseConfig(2);
   deep.prefetch_depth = 3;
-  expect_oracle(v2.get(), deep, "depth 3");
+  expect_oracle(deep, "depth 3");
 
   EngineConfig spill = BaseConfig(2);
   spill.spill_path = TempPath("spill");
   spill.workload_memory_budget = 2000;  // well below the trace's queues
-  m = expect_oracle(catalog_.get(), spill, "spill");
+  m = expect_oracle(spill, "spill");
   EXPECT_GT(m.spill.segments_restored, 0u) << "budget never triggered";
   std::remove(spill.spill_path.c_str());
-
-  v2.reset();
-  std::remove(v2_path.c_str());
 }
 
 TEST_F(RealIoModeTest, ModeledJsonCarriesNoRealIoSection) {

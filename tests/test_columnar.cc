@@ -1,15 +1,13 @@
-// Format-identity tests for the columnar v2 bucket pages: the SAME catalog
-// written in the row v1 and columnar v2 formats — and held in memory —
-// must drive the simulation engine to byte-identical results. The
-// RunMetricsJson string (every double %.17g) is the digest: two runs agree
-// in it iff they agree bit for bit. Covered across the axis that changes
-// cache/topology behavior (volumes), for both the closed drain and
-// continuous serving, plus the v1 auto-detect regression and the
-// byte-budget cache advantage of the compressed format. The page's lazily
-// filled position blocks are pinned here too: every window, including one
-// read by several threads at once, returns MakeObject's bits. Last, Parse
-// meets mutated pages: each is rejected with Corruption or keeps the
-// page contract.
+// Store-identity tests for the columnar bucket pages: the SAME catalog
+// held in memory and written to a FileStore must drive the simulation
+// engine to byte-identical results. The RunMetricsJson string (every
+// double %.17g) is the digest: two runs agree in it iff they agree bit
+// for bit. Covered across the axis that changes cache/topology behavior
+// (volumes), for both the closed drain and continuous serving. The page's
+// lazily filled position blocks are pinned here too: every window,
+// including one read by several threads at once, returns MakeObject's
+// bits. Last, Parse meets mutated pages: each is rejected with Corruption
+// or keeps the page contract.
 
 #include <gtest/gtest.h>
 
@@ -51,10 +49,9 @@ constexpr size_t kPerBucket = 500;
 class ColumnarIdentityTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    auto base = std::filesystem::temp_directory_path() /
-                ("liferaft_columnar_" + std::to_string(::getpid()));
-    v1_path_ = base.string() + ".v1.lfr";
-    v2_path_ = base.string() + ".v2.lfr";
+    path_ = (std::filesystem::temp_directory_path() /
+             ("liferaft_columnar_" + std::to_string(::getpid()) + ".lfr"))
+                .string();
 
     workload::CatalogGenConfig gen;
     gen.num_objects = kObjects;
@@ -65,12 +62,7 @@ class ColumnarIdentityTest : public ::testing::Test {
 
     auto partition = storage::PartitionCatalog(objects_, kPerBucket);
     ASSERT_TRUE(partition.ok());
-    ASSERT_TRUE(storage::FileStore::Create(v1_path_, partition->buckets,
-                                           storage::BucketFormat::kRowV1)
-                    .ok());
-    ASSERT_TRUE(storage::FileStore::Create(v2_path_, partition->buckets,
-                                           storage::BucketFormat::kColumnarV2)
-                    .ok());
+    ASSERT_TRUE(storage::FileStore::Create(path_, partition->buckets).ok());
 
     workload::TraceConfig tc;
     tc.num_queries = 24;
@@ -82,15 +74,12 @@ class ColumnarIdentityTest : public ::testing::Test {
     trace_ = std::move(*trace);
   }
 
-  void TearDown() override {
-    std::filesystem::remove(v1_path_);
-    std::filesystem::remove(v2_path_);
-  }
+  void TearDown() override { std::filesystem::remove(path_); }
 
-  // A catalog over the given on-disk file (with B+tree, so hybrid and
-  // IndexOnly paths work).
-  std::unique_ptr<storage::Catalog> OpenCatalog(const std::string& path) {
-    auto store = storage::FileStore::Open(path);
+  // A catalog over the on-disk file (with B+tree, so hybrid and IndexOnly
+  // paths work).
+  std::unique_ptr<storage::Catalog> FileCatalog() {
+    auto store = storage::FileStore::Open(path_);
     EXPECT_TRUE(store.ok()) << store.status().ToString();
     auto catalog = storage::Catalog::FromStore(std::move(*store));
     EXPECT_TRUE(catalog.ok()) << catalog.status().ToString();
@@ -132,13 +121,13 @@ class ColumnarIdentityTest : public ::testing::Test {
 
   std::vector<storage::CatalogObject> objects_;
   std::vector<query::CrossMatchQuery> trace_;
-  std::string v1_path_;
-  std::string v2_path_;
+  std::string path_;
 };
 
-// The tentpole claim: the on-disk page format is invisible to every result
-// and every modeled cost. Swept over the axis that alters cache eviction
-// and I/O interleaving (volumes, with prefetch on at two).
+// Where the pages live is invisible to every result and every modeled
+// cost: the modeled clock prices T_b by the kBytesPerObject estimate, not
+// by page bytes. Swept over the axis that alters cache eviction and I/O
+// interleaving (volumes, with prefetch on at two).
 TEST_F(ColumnarIdentityTest, DrainMetricsAreFormatIdentical) {
   for (size_t volumes : {size_t{1}, size_t{2}}) {
     sim::EngineConfig config;
@@ -149,13 +138,10 @@ TEST_F(ColumnarIdentityTest, DrainMetricsAreFormatIdentical) {
       config.prefetch_depth = 2;
     }
     auto mem_catalog = MemCatalog();
-    auto v1_catalog = OpenCatalog(v1_path_);
-    auto v2_catalog = OpenCatalog(v2_path_);
+    auto file_catalog = FileCatalog();
     std::string mem = sim::RunMetricsJson(Drain(mem_catalog.get(), config));
-    std::string v1 = sim::RunMetricsJson(Drain(v1_catalog.get(), config));
-    std::string v2 = sim::RunMetricsJson(Drain(v2_catalog.get(), config));
-    EXPECT_EQ(v1, v2) << "volumes=" << volumes;
-    EXPECT_EQ(mem, v1) << "volumes=" << volumes;
+    std::string file = sim::RunMetricsJson(Drain(file_catalog.get(), config));
+    EXPECT_EQ(mem, file) << "volumes=" << volumes;
   }
 }
 
@@ -163,13 +149,13 @@ TEST_F(ColumnarIdentityTest, DrainMatchesAreFormatIdentical) {
   sim::EngineConfig config;
   config.cache_capacity = 8;
   config.collect_matches = true;
-  auto v1_catalog = OpenCatalog(v1_path_);
-  auto v2_catalog = OpenCatalog(v2_path_);
-  sim::RunMetrics v1 = Drain(v1_catalog.get(), config);
-  sim::RunMetrics v2 = Drain(v2_catalog.get(), config);
-  EXPECT_GT(v1.total_matches, 0u);
-  EXPECT_EQ(v1.total_matches, v2.total_matches);
-  EXPECT_EQ(sim::RunMetricsJson(v1), sim::RunMetricsJson(v2));
+  auto mem_catalog = MemCatalog();
+  auto file_catalog = FileCatalog();
+  sim::RunMetrics mem = Drain(mem_catalog.get(), config);
+  sim::RunMetrics file = Drain(file_catalog.get(), config);
+  EXPECT_GT(mem.total_matches, 0u);
+  EXPECT_EQ(mem.total_matches, file.total_matches);
+  EXPECT_EQ(sim::RunMetricsJson(mem), sim::RunMetricsJson(file));
 }
 
 TEST_F(ColumnarIdentityTest, ServeMetricsAreFormatIdentical) {
@@ -177,53 +163,11 @@ TEST_F(ColumnarIdentityTest, ServeMetricsAreFormatIdentical) {
   config.cache_capacity = 8;
   config.enable_prefetch = true;
   config.prefetch_depth = 2;
-  auto v1_catalog = OpenCatalog(v1_path_);
-  auto v2_catalog = OpenCatalog(v2_path_);
-  std::string v1 = sim::RunMetricsJson(Serve(v1_catalog.get(), config));
-  std::string v2 = sim::RunMetricsJson(Serve(v2_catalog.get(), config));
-  EXPECT_EQ(v1, v2);
-}
-
-// Regression: a pre-existing v1 file keeps working with zero caller
-// changes — Open auto-detects the version.
-TEST_F(ColumnarIdentityTest, RowV1FilesRemainReadable) {
-  auto store = storage::FileStore::Open(v1_path_);
-  ASSERT_TRUE(store.ok());
-  EXPECT_EQ((*store)->format(), storage::BucketFormat::kRowV1);
-  auto catalog = storage::Catalog::FromStore(std::move(*store));
-  ASSERT_TRUE(catalog.ok());
-  EXPECT_EQ((*catalog)->num_objects(), kObjects);
-}
-
-// At a fixed cache byte budget the compressed pages keep more buckets
-// resident. With prefetch on, the pipeline claims each prefetched bucket
-// into the cache and the evaluator then reads it from there, so a budget
-// that holds the largest v2 page but no v1 page separates the formats: a
-// claimed v1 page is evicted at once and read again, a v2 page is a hit.
-TEST_F(ColumnarIdentityTest, ByteBudgetCacheFavorsColumnar) {
-  auto v1_catalog = OpenCatalog(v1_path_);
-  auto v2_catalog = OpenCatalog(v2_path_);
-  uint64_t v1_smallest = UINT64_MAX;
-  uint64_t v2_largest = 0;
-  for (storage::BucketIndex b = 0; b < v1_catalog->num_buckets(); ++b) {
-    v1_smallest =
-        std::min(v1_smallest, v1_catalog->store()->EncodedBucketBytes(b));
-    v2_largest =
-        std::max(v2_largest, v2_catalog->store()->EncodedBucketBytes(b));
-  }
-  ASSERT_LT(v2_largest, v1_smallest);
-
-  sim::EngineConfig config;
-  config.cache_capacity = 9999;  // pure byte budget
-  config.cache_capacity_bytes = v2_largest;
-  config.enable_prefetch = true;
-  config.prefetch_depth = 2;
-  sim::RunMetrics v1 = Drain(v1_catalog.get(), config);
-  sim::RunMetrics v2 = Drain(v2_catalog.get(), config);
-  EXPECT_EQ(v1.cache.hits, 0u);
-  EXPECT_GT(v2.cache.HitRate(), 0.4);
-  EXPECT_LT(v2.makespan_ms, v1.makespan_ms);
-  EXPECT_EQ(v1.total_matches, v2.total_matches);
+  auto mem_catalog = MemCatalog();
+  auto file_catalog = FileCatalog();
+  std::string mem = sim::RunMetricsJson(Serve(mem_catalog.get(), config));
+  std::string file = sim::RunMetricsJson(Serve(file_catalog.get(), config));
+  EXPECT_EQ(mem, file);
 }
 
 // ------------------------------------------------------------ Positions --

@@ -281,7 +281,7 @@ class FileStoreTest : public ::testing::Test {
   std::filesystem::path path_;
 };
 
-// Bit-exact, not approximately equal: the v1/v2/memory identity claims
+// Bit-exact, not approximately equal: the file/memory identity claims
 // depend on round-tripped doubles, and the positions recomputed from
 // them, having the input's bits.
 void ExpectBitIdentical(const CatalogObject& got, const CatalogObject& want) {
@@ -380,11 +380,9 @@ TEST_F(FileStoreTest, CreateRejectsEmpty) {
   EXPECT_FALSE(FileStore::Create(path_.string(), {}).ok());
 }
 
-// ------------------------------------------------- columnar v2 FileStore --
-
 // Curve-ordered catalog (ids follow the HTM curve, as workload::
 // GenerateCatalog produces): every bucket is a contiguous id run, the
-// layout the v2 sequential object-id encoding is built for.
+// layout the sequential object-id encoding is built for.
 std::vector<CatalogObject> CurveOrderedObjects(size_t n, uint64_t seed) {
   std::vector<CatalogObject> objects = RandomObjects(n, seed);
   std::stable_sort(objects.begin(), objects.end(),
@@ -399,13 +397,10 @@ TEST_F(FileStoreTest, ColumnarRoundTripIsBitExact) {
   const auto objects = CurveOrderedObjects(2000, 151);  // sorted
   auto partition = PartitionCatalog(objects, 250);
   ASSERT_TRUE(partition.ok());
-  ASSERT_TRUE(FileStore::Create(path_.string(), partition->buckets,
-                                BucketFormat::kColumnarV2)
-                  .ok());
+  ASSERT_TRUE(FileStore::Create(path_.string(), partition->buckets).ok());
 
   auto store = FileStore::Open(path_.string());
   ASSERT_TRUE(store.ok()) << store.status().ToString();
-  EXPECT_EQ((*store)->format(), BucketFormat::kColumnarV2);
   ASSERT_EQ((*store)->num_buckets(), partition->buckets.size());
 
   size_t next = 0;  // buckets hold consecutive runs of the sorted input
@@ -437,9 +432,7 @@ TEST_F(FileStoreTest, ColumnarHandlesNonSequentialIds) {
   // back to the packed-FOR encoding and must still round-trip exactly.
   auto partition = PartitionCatalog(RandomObjects(800, 173), 100);
   ASSERT_TRUE(partition.ok());
-  ASSERT_TRUE(FileStore::Create(path_.string(), partition->buckets,
-                                BucketFormat::kColumnarV2)
-                  .ok());
+  ASSERT_TRUE(FileStore::Create(path_.string(), partition->buckets).ok());
   auto store = FileStore::Open(path_.string());
   ASSERT_TRUE(store.ok());
   for (BucketIndex i = 0; i < (*store)->num_buckets(); ++i) {
@@ -452,90 +445,7 @@ TEST_F(FileStoreTest, ColumnarHandlesNonSequentialIds) {
   }
 }
 
-TEST_F(FileStoreTest, RowV1IsAutoDetected) {
-  // A file written in the original row format opens and reads without the
-  // caller saying anything about versions.
-  auto partition = PartitionCatalog(CurveOrderedObjects(500, 157), 100);
-  ASSERT_TRUE(partition.ok());
-  ASSERT_TRUE(FileStore::Create(path_.string(), partition->buckets,
-                                BucketFormat::kRowV1)
-                  .ok());
-  auto store = FileStore::Open(path_.string());
-  ASSERT_TRUE(store.ok());
-  EXPECT_EQ((*store)->format(), BucketFormat::kRowV1);
-  auto bucket = (*store)->ReadBucket(0);
-  ASSERT_TRUE(bucket.ok());
-  EXPECT_EQ((*bucket)->size(), 100u);
-  // The transcoded page is the page the partition encoded: v1 loses
-  // nothing.
-  EXPECT_EQ((*bucket)->page().bytes(), partition->buckets[0].page().bytes());
-}
-
-TEST_F(FileStoreTest, RowV1RejectsRecordsOutOfHtmOrder) {
-  // A v1 page whose crc is valid but whose records are out of HTM order
-  // would misdirect every binary search over it; the read must refuse it.
-  auto partition = PartitionCatalog(CurveOrderedObjects(300, 167), 100);
-  ASSERT_TRUE(partition.ok());
-  ASSERT_TRUE(FileStore::Create(path_.string(), partition->buckets,
-                                BucketFormat::kRowV1)
-                  .ok());
-  std::string bytes;
-  {
-    std::ifstream f(path_, std::ios::binary);
-    std::stringstream ss;
-    ss << f.rdbuf();
-    bytes = ss.str();
-  }
-  // Page 0 follows the 20-byte file header: range (16) | count (4) |
-  // 40-byte records | crc.
-  constexpr size_t kPage = 20;
-  constexpr size_t kRecords = kPage + 20;
-  constexpr size_t kRecordBytes = 40;
-  const uint32_t count = GetFixed32(bytes.data() + kPage + 16);
-  ASSERT_EQ(count, 100u);
-  const size_t last = kRecords + (count - 1) * kRecordBytes;
-  std::string first_record = bytes.substr(kRecords, kRecordBytes);
-  bytes.replace(kRecords, kRecordBytes, bytes.substr(last, kRecordBytes));
-  bytes.replace(last, kRecordBytes, first_record);
-  const size_t crc_at = kRecords + count * kRecordBytes;
-  std::string crc;
-  PutFixed32(&crc, Crc32(bytes.data() + kPage, crc_at - kPage));
-  bytes.replace(crc_at, 4, crc);
-  {
-    std::ofstream f(path_, std::ios::binary | std::ios::trunc);
-    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-
-  auto store = FileStore::Open(path_.string());
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  auto bucket = (*store)->ReadBucket(0);
-  ASSERT_FALSE(bucket.ok());
-  EXPECT_EQ(bucket.status().code(), StatusCode::kCorruption)
-      << bucket.status().ToString();
-  EXPECT_TRUE((*store)->ReadBucket(1).ok());
-}
-
-TEST_F(FileStoreTest, ColumnarShrinksEncodedBytesByThirtyPercent) {
-  auto objects = CurveOrderedObjects(20'000, 211);
-  auto partition = PartitionCatalog(objects, 1000);
-  ASSERT_TRUE(partition.ok());
-  auto v1_path = path_.string() + ".v1";
-  auto v2_path = path_.string() + ".v2";
-  ASSERT_TRUE(FileStore::Create(v1_path, partition->buckets,
-                                BucketFormat::kRowV1)
-                  .ok());
-  ASSERT_TRUE(FileStore::Create(v2_path, partition->buckets,
-                                BucketFormat::kColumnarV2)
-                  .ok());
-  uint64_t v1_size = std::filesystem::file_size(v1_path);
-  uint64_t v2_size = std::filesystem::file_size(v2_path);
-  std::filesystem::remove(v1_path);
-  std::filesystem::remove(v2_path);
-  EXPECT_LE(static_cast<double>(v2_size), 0.70 * static_cast<double>(v1_size))
-      << "v2 " << v2_size << " bytes vs v1 " << v1_size;
-}
-
-// Corruption fixture: writes a small v2 store (three pages) and exposes
+// Corruption fixture: writes a small store (three pages) and exposes
 // byte surgery on its pages; page 0 starts right after the 20-byte file
 // header.
 class ColumnarCorruptionTest : public FileStoreTest {
@@ -545,9 +455,7 @@ class ColumnarCorruptionTest : public FileStoreTest {
   void WriteStore() {
     auto partition = PartitionCatalog(CurveOrderedObjects(300, 163), 100);
     ASSERT_TRUE(partition.ok());
-    ASSERT_TRUE(FileStore::Create(path_.string(), partition->buckets,
-                                  BucketFormat::kColumnarV2)
-                    .ok());
+    ASSERT_TRUE(FileStore::Create(path_.string(), partition->buckets).ok());
   }
 
   std::string ReadFile() {
@@ -747,6 +655,158 @@ TEST_F(ColumnarCorruptionTest, BucketBoundsOutOfOrderAreRejected) {
               std::string::npos)
         << st.ToString();
   }
+}
+
+// ------------------------------------------------ FileStore::Open mutants --
+
+// Open reads the file header, the footer, the offset index and every page
+// header before any page checksum, so no mutant of those bytes may crash
+// or throw: it opens, or it fails with Corruption (a file too short for a
+// header and a footer included). Mutations of the
+// three-page store: random file-header bytes (magic, version, bucket
+// count), index entries nudged or overwritten, random footer bytes, a
+// page header's range_lo or count rewritten, and truncation (half the
+// time with the footer put back). Seven mutants in eight get the index crc
+// recomputed over the span the (possibly mutated) header and footer point
+// at, so the bound checks behind the crc run; a rewritten page header gets
+// its page crc back half the time, so its read reaches the page checks.
+// Every bucket of a store that opens must read OK, with the object count
+// Open reported, or fail with Corruption. tools/ci.sh --asan runs this,
+// where a read past a buffer traps.
+class FileStoreOpenMutationTest : public ColumnarCorruptionTest {
+ protected:
+  static constexpr size_t kFooterBytes = 20;
+};
+
+TEST_F(FileStoreOpenMutationTest, MutantsOpenOrFailWithAStatus) {
+  using Layout = ColumnarPageLayout;
+  WriteStore();
+  const std::string intact = ReadFile();
+  const uint64_t num_buckets = GetFixed64(intact.data() + 12);
+  const uint64_t index_offset =
+      GetFixed64(intact.data() + intact.size() - kFooterBytes);
+  ASSERT_EQ(num_buckets, 3u);
+
+  const auto poke32 = [](std::string* b, size_t at, uint32_t v) {
+    std::string field;
+    PutFixed32(&field, v);
+    b->replace(at, 4, field);
+  };
+  const auto poke64 = [](std::string* b, size_t at, uint64_t v) {
+    std::string field;
+    PutFixed64(&field, v);
+    b->replace(at, 8, field);
+  };
+
+  constexpr int kMutants = 4000;
+  Rng rng(1231);
+  int opened = 0;
+  int reads_failed = 0;
+  for (int m = 0; m < kMutants; ++m) {
+    std::string bytes = intact;
+    const int edits = 1 + static_cast<int>(rng.UniformU64(3));
+    switch (rng.UniformU64(5)) {
+      case 0:  // file header: magic, version, bucket count
+        for (int e = 0; e < edits; ++e) {
+          bytes[rng.UniformU64(kFileHeaderBytes)] =
+              static_cast<char>(rng.Next());
+        }
+        break;
+      case 1: {  // an index entry nudged by a few bytes, or anything
+        const size_t at = index_offset + 8 * rng.UniformU64(num_buckets);
+        const uint64_t offset = GetFixed64(bytes.data() + at);
+        poke64(&bytes, at,
+               rng.Bernoulli(0.5)
+                   ? offset + static_cast<uint64_t>(rng.UniformInt(-64, 64))
+                   : rng.Next() >> (8 * rng.UniformU64(8)));
+        break;
+      }
+      case 2:  // footer: index offset, index crc, magic
+        for (int e = 0; e < edits; ++e) {
+          bytes[bytes.size() - kFooterBytes +
+                rng.UniformU64(kFooterBytes)] = static_cast<char>(rng.Next());
+        }
+        break;
+      case 3: {  // a page header's range_lo or count, crc fixed half the time
+        const size_t at = PageOffset(bytes, rng.UniformU64(num_buckets));
+        if (rng.Bernoulli(0.5)) {
+          const uint64_t lo = GetFixed64(bytes.data() + at +
+                                         Layout::kRangeLoOffset);
+          poke64(&bytes, at + Layout::kRangeLoOffset,
+                 rng.Bernoulli(0.5)
+                     ? lo + static_cast<uint64_t>(rng.UniformInt(-2, 2))
+                     : rng.Next());
+        } else {
+          const uint32_t count =
+              GetFixed32(bytes.data() + at + Layout::kCountOffset);
+          poke32(&bytes, at + Layout::kCountOffset,
+                 rng.Bernoulli(0.5)
+                     ? count + static_cast<uint32_t>(rng.UniformInt(-3, 3))
+                     : static_cast<uint32_t>(rng.Next()));
+        }
+        if (rng.Bernoulli(0.5)) FixPageCrc(&bytes, at);
+        break;
+      }
+      default: {  // truncation, half the time with the footer put back
+        const bool keep_footer = rng.Bernoulli(0.5);
+        bytes.resize(rng.UniformU64(bytes.size()));
+        if (keep_footer) bytes += intact.substr(intact.size() - kFooterBytes);
+        break;
+      }
+    }
+    // The index crc over the span the header and footer now name, when
+    // that span lies between the header and the footer.
+    if (bytes.size() >= kFileHeaderBytes + kFooterBytes &&
+        rng.UniformU64(8) != 0) {
+      const size_t footer = bytes.size() - kFooterBytes;
+      const uint64_t count = GetFixed64(bytes.data() + 12);
+      const uint64_t start = GetFixed64(bytes.data() + footer);
+      if (count <= footer / 8 && start >= kFileHeaderBytes &&
+          start <= footer - 8 * count) {
+        poke32(&bytes, footer + 8, Crc32(bytes.data() + start, 8 * count));
+      }
+    }
+    WriteFile(bytes);
+
+    SCOPED_TRACE("mutant " + std::to_string(m));
+    auto store = FileStore::Open(path_.string());
+    if (!store.ok()) {
+      ASSERT_EQ(store.status().code(), StatusCode::kCorruption)
+          << store.status().ToString();
+      continue;
+    }
+    ++opened;
+    for (BucketIndex b = 0; b < (*store)->num_buckets(); ++b) {
+      auto bucket = (*store)->ReadBucket(b);
+      if (!bucket.ok()) {
+        ASSERT_EQ(bucket.status().code(), StatusCode::kCorruption)
+            << "bucket " << b << ": " << bucket.status().ToString();
+        ++reads_failed;
+        continue;
+      }
+      ASSERT_EQ((*bucket)->size(), (*store)->BucketObjectCount(b));
+    }
+  }
+  // Every outcome occurs: mutants are refused, open, and fail a read.
+  EXPECT_GT(opened, 0);
+  EXPECT_LT(opened, kMutants);
+  EXPECT_GT(reads_failed, 0);
+}
+
+// The retired row format wrote version 1 in the file header. Such a file
+// is refused by name, not parsed as pages of the one format; an archive
+// in it is rebuilt with `liferaft_tool gen-catalog`.
+TEST_F(FileStoreOpenMutationTest, VersionOneFileIsRejectedNamingTheVersion) {
+  WriteStore();
+  std::string bytes = ReadFile();
+  std::string version;
+  PutFixed32(&version, 1);
+  bytes.replace(8, 4, version);  // file-header version field
+  WriteFile(bytes);
+  const Status st = FileStore::Open(path_.string()).status();
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+  EXPECT_NE(st.message().find("version 1"), std::string::npos)
+      << st.ToString();
 }
 
 // ----------------------------------------------------------------- BTree --
@@ -966,9 +1026,7 @@ TEST_F(CacheTestFixture, EmptyWindowRestoresPlainLru) {
 // prices must reproduce victim for victim.
 class ReferenceLruCache {
  public:
-  ReferenceLruCache(const BucketStore& store, size_t capacity,
-                    uint64_t capacity_bytes)
-      : store_(store), capacity_(capacity), capacity_bytes_(capacity_bytes) {}
+  explicit ReferenceLruCache(size_t capacity) : capacity_(capacity) {}
 
   /// A Get or a Put: promote a resident bucket, else insert and evict.
   void Touch(BucketIndex b) {
@@ -978,9 +1036,7 @@ class ReferenceLruCache {
       return;
     }
     lru_.push_front(b);
-    bytes_ += Charge(b);
-    while (lru_.size() > capacity_ ||
-           (capacity_bytes_ > 0 && bytes_ > capacity_bytes_)) {
+    while (lru_.size() > capacity_) {
       // The LRU entry outside the window, else the LRU protected entry,
       // never the front while anything else is evictable.
       auto victim = lru_.end();
@@ -998,7 +1054,6 @@ class ReferenceLruCache {
         if (window_.count(*victim) != 0) ++evictions_protected;
       }
       ++evictions;
-      bytes_ -= Charge(*victim);
       lru_.erase(victim);
     }
   }
@@ -1013,29 +1068,20 @@ class ReferenceLruCache {
   uint64_t evictions_protected = 0;
 
  private:
-  uint64_t Charge(BucketIndex b) const {
-    return capacity_bytes_ > 0 ? store_.ModeledBucketBytes(b, true) : 0;
-  }
-
-  const BucketStore& store_;
   const size_t capacity_;
-  const uint64_t capacity_bytes_;
-  uint64_t bytes_ = 0;
   std::list<BucketIndex> lru_;  // front = most recently used
   std::set<BucketIndex> window_;
 };
 
 // Equal prices — no topology, or volumes with one disk model — give
-// exactly the victims of LRU plus the window tier, with and without a
-// byte budget, over random Get/Put/window sequences.
+// exactly the victims of LRU plus the window tier over random
+// Get/Put/window sequences.
 TEST(PricedEvictionTest, EqualPricesReproduceLruVictims) {
-  // 1037 objects in 100-object buckets: the last bucket is smaller, so
-  // the byte budget does not reduce to a count.
   auto partition = PartitionCatalog(RandomObjects(1037, 211), 100);
   ASSERT_TRUE(partition.ok());
   MemStore store(std::move(*partition));
   const size_t buckets = store.num_buckets();
-  const uint64_t per_bucket = 100 * Bucket::kBytesPerObject;
+  constexpr size_t kCapacity = 4;
 
   StorageTopologyConfig uniform;
   uniform.num_volumes = 3;
@@ -1046,51 +1092,45 @@ TEST(PricedEvictionTest, EqualPricesReproduceLruVictims) {
   const StorageTopology* const none = nullptr;
   const StorageTopology* const equal_disks = &*topology;
   for (const StorageTopology* priced : {none, equal_disks}) {
-    for (const auto& [capacity, budget] :
-         {std::pair<size_t, uint64_t>{4, 0},
-          std::pair<size_t, uint64_t>{10, 3 * per_bucket + per_bucket / 2}}) {
-      SCOPED_TRACE(std::string(priced ? "uniform topology" : "no topology") +
-                   " capacity=" + std::to_string(capacity) +
-                   " budget=" + std::to_string(budget));
-      BucketCache cache(&store, capacity, budget, priced);
-      ReferenceLruCache reference(store, capacity, budget);
-      Rng rng(capacity + budget);
-      for (int op = 0; op < 3000; ++op) {
-        const auto b = static_cast<BucketIndex>(rng.UniformU64(buckets));
-        switch (rng.UniformU64(3)) {
-          case 0:
-            ASSERT_TRUE(cache.Get(b).ok());
-            reference.Touch(b);
-            break;
-          case 1: {
-            auto bucket = store.ReadBucketForPrefetch(b);
-            ASSERT_TRUE(bucket.ok());
-            cache.Put(b, *bucket);
-            reference.Touch(b);
-            break;
-          }
-          default: {
-            std::vector<BucketIndex> window;
-            for (uint64_t k = rng.UniformU64(7); k > 0; --k) {
-              window.push_back(
-                  static_cast<BucketIndex>(rng.UniformU64(buckets)));
-            }
-            cache.SetPredictionWindow(window);
-            reference.SetWindow(window);
-            break;
-          }
+    SCOPED_TRACE(priced ? "uniform topology" : "no topology");
+    BucketCache cache(&store, kCapacity, priced);
+    ReferenceLruCache reference(kCapacity);
+    Rng rng(kCapacity);
+    for (int op = 0; op < 3000; ++op) {
+      const auto b = static_cast<BucketIndex>(rng.UniformU64(buckets));
+      switch (rng.UniformU64(3)) {
+        case 0:
+          ASSERT_TRUE(cache.Get(b).ok());
+          reference.Touch(b);
+          break;
+        case 1: {
+          auto bucket = store.ReadBucketForPrefetch(b);
+          ASSERT_TRUE(bucket.ok());
+          cache.Put(b, *bucket);
+          reference.Touch(b);
+          break;
         }
-        for (BucketIndex i = 0; i < buckets; ++i) {
-          ASSERT_EQ(cache.Contains(i), reference.Contains(i))
-              << "bucket " << i << " after op " << op;
+        default: {
+          std::vector<BucketIndex> window;
+          for (uint64_t k = rng.UniformU64(7); k > 0; --k) {
+            window.push_back(
+                static_cast<BucketIndex>(rng.UniformU64(buckets)));
+          }
+          cache.SetPredictionWindow(window);
+          reference.SetWindow(window);
+          break;
         }
       }
-      EXPECT_GT(reference.evictions, 0u);
-      EXPECT_GT(reference.evictions_protected, 0u);
-      EXPECT_EQ(cache.stats().evictions, reference.evictions);
-      EXPECT_EQ(cache.stats().evictions_protected,
-                reference.evictions_protected);
+      for (BucketIndex i = 0; i < buckets; ++i) {
+        ASSERT_EQ(cache.Contains(i), reference.Contains(i))
+            << "bucket " << i << " after op " << op;
+      }
     }
+    EXPECT_GT(reference.evictions, 0u);
+    EXPECT_GT(reference.evictions_protected, 0u);
+    EXPECT_EQ(cache.stats().evictions, reference.evictions);
+    EXPECT_EQ(cache.stats().evictions_protected,
+              reference.evictions_protected);
   }
 }
 
@@ -1098,7 +1138,7 @@ TEST(PricedEvictionTest, EqualPricesReproduceLruVictims) {
 // slow-arm bucket that is older (plain LRU would evict the older one).
 TEST_F(CacheTestFixture, FastArmBucketIsEvictedBeforeAnOlderSlowArmOne) {
   const StorageTopology topology = TwoPriceTopology(store_->num_buckets());
-  BucketCache cache(store_.get(), 2, 0, &topology);
+  BucketCache cache(store_.get(), 2, &topology);
   ASSERT_TRUE(cache.Get(0).ok());  // slow arm, least recently used
   ASSERT_TRUE(cache.Get(1).ok());  // fast arm
   ASSERT_TRUE(cache.Get(3).ok());  // fast arm: evicts 1, not 0
@@ -1112,7 +1152,7 @@ TEST_F(CacheTestFixture, FastArmBucketIsEvictedBeforeAnOlderSlowArmOne) {
 // eventually outrank a slow-arm bucket that nothing touches, and it goes.
 TEST_F(CacheTestFixture, InflationEvictsAnUntouchedSlowArmBucket) {
   const StorageTopology topology = TwoPriceTopology(store_->num_buckets());
-  BucketCache cache(store_.get(), 2, 0, &topology);
+  BucketCache cache(store_.get(), 2, &topology);
   ASSERT_TRUE(cache.Get(0).ok());  // slow arm, never touched again
   const BucketIndex fast[] = {1, 3, 5, 7, 9};
   size_t reads = 0;
@@ -1128,12 +1168,12 @@ TEST_F(CacheTestFixture, InflationEvictsAnUntouchedSlowArmBucket) {
 // fresh one.
 TEST_F(CacheTestFixture, ClearResetsInflation) {
   const StorageTopology topology = TwoPriceTopology(store_->num_buckets());
-  BucketCache cache(store_.get(), 2, 0, &topology);
+  BucketCache cache(store_.get(), 2, &topology);
   for (BucketIndex b = 0; b < 10; ++b) ASSERT_TRUE(cache.Get(b).ok());
   ASSERT_GT(cache.inflation(), 0.0);
   cache.Clear();
   EXPECT_EQ(cache.inflation(), 0.0);
-  BucketCache fresh(store_.get(), 2, 0, &topology);
+  BucketCache fresh(store_.get(), 2, &topology);
   for (BucketCache* c : {&cache, &fresh}) {
     ASSERT_TRUE(c->Get(0).ok());
     ASSERT_TRUE(c->Get(1).ok());
@@ -1159,7 +1199,7 @@ TEST_F(CacheTestFixture, ConcurrentGetPutWindowStress) {
   util::ThreadPool callers(kThreads);
   const size_t num_buckets = store_->num_buckets();
   const StorageTopology topology = TwoPriceTopology(num_buckets);
-  BucketCache cache(store_.get(), 6, 0, &topology);
+  BucketCache cache(store_.get(), 6, &topology);
 
   std::atomic<uint64_t> gets{0};
   std::atomic<uint64_t> puts{0};
@@ -1211,86 +1251,6 @@ TEST_F(CacheTestFixture, ConcurrentGetPutWindowStress) {
   EXPECT_LE(cache.size(), cache.capacity());
 }
 
-// ----------------------------------------------------- byte-budget cache --
-
-TEST_F(CacheTestFixture, ByteBudgetZeroMatchesCountOnlyCache) {
-  // capacity_bytes = 0 is the pre-existing count-only mode: byte
-  // accounting stays off entirely.
-  BucketCache cache(store_.get(), 3, 0);
-  ASSERT_TRUE(cache.Get(0).ok());
-  EXPECT_EQ(cache.capacity_bytes(), 0u);
-  EXPECT_EQ(cache.resident_bytes(), 0u);
-}
-
-TEST_F(CacheTestFixture, ByteBudgetBoundsResidency) {
-  // Each MemStore bucket charges EstimatedBytes = 100 * 4096 bytes. A
-  // budget of 2.5 buckets holds two; the third insert evicts the LRU.
-  const uint64_t per_bucket = 100 * Bucket::kBytesPerObject;
-  BucketCache cache(store_.get(), 10, per_bucket * 2 + per_bucket / 2);
-  ASSERT_TRUE(cache.Get(0).ok());
-  ASSERT_TRUE(cache.Get(1).ok());
-  EXPECT_EQ(cache.resident_bytes(), 2 * per_bucket);
-  ASSERT_TRUE(cache.Get(2).ok());  // over budget: evicts bucket 0
-  EXPECT_FALSE(cache.Contains(0));
-  EXPECT_TRUE(cache.Contains(1));
-  EXPECT_TRUE(cache.Contains(2));
-  EXPECT_EQ(cache.resident_bytes(), 2 * per_bucket);
-}
-
-TEST_F(CacheTestFixture, ByteBudgetHoldsMoreEncodedBuckets) {
-  // A columnar FileStore charges real encoded page bytes, which are much
-  // smaller than the kBytesPerObject estimate — the same MB budget keeps
-  // more buckets resident, which is the point of the compressed format.
-  auto path = std::filesystem::temp_directory_path() /
-              ("liferaft_cache_bytes_" + std::to_string(::getpid()) + ".lfr");
-  auto objects = RandomObjects(1000, 193);
-  std::stable_sort(objects.begin(), objects.end(),
-                   [](const CatalogObject& a, const CatalogObject& b) {
-                     return a.htm_id < b.htm_id;
-                   });
-  for (size_t i = 0; i < objects.size(); ++i) objects[i].object_id = i;
-  auto partition = PartitionCatalog(std::move(objects), 100);
-  ASSERT_TRUE(partition.ok());
-  ASSERT_TRUE(FileStore::Create(path.string(), partition->buckets,
-                                BucketFormat::kColumnarV2)
-                  .ok());
-  auto store = FileStore::Open(path.string());
-  ASSERT_TRUE(store.ok());
-
-  const uint64_t estimate_budget = 2 * 100 * Bucket::kBytesPerObject;
-  BucketCache cache(store->get(), 10, estimate_budget);
-  size_t resident = 0;
-  for (BucketIndex i = 0; i < 10; ++i) {
-    ASSERT_TRUE(cache.Get(i).ok());
-  }
-  for (BucketIndex i = 0; i < 10; ++i) resident += cache.Contains(i);
-  // The estimate would cap this at 2; encoded pages are < 30 KB each, so
-  // everything fits.
-  EXPECT_GT(resident, 2u);
-  EXPECT_LE(cache.resident_bytes(), estimate_budget);
-  std::filesystem::remove(path);
-}
-
-TEST_F(CacheTestFixture, ByteBudgetChargesRowV1PagesTheirFileBytes) {
-  // A v1 bucket has a real page size too: byte mode charges what the file
-  // holds, not the kBytesPerObject estimate.
-  auto path = std::filesystem::temp_directory_path() /
-              ("liferaft_cache_v1_" + std::to_string(::getpid()) + ".lfr");
-  auto partition = PartitionCatalog(RandomObjects(1000, 197), 100);
-  ASSERT_TRUE(partition.ok());
-  ASSERT_TRUE(FileStore::Create(path.string(), partition->buckets,
-                                BucketFormat::kRowV1)
-                  .ok());
-  auto store = FileStore::Open(path.string());
-  ASSERT_TRUE(store.ok());
-
-  BucketCache cache(store->get(), 10, 10 * 100 * Bucket::kBytesPerObject);
-  ASSERT_TRUE(cache.Get(3).ok());
-  EXPECT_EQ(cache.resident_bytes(), (*store)->EncodedBucketBytes(3));
-  EXPECT_LT(cache.resident_bytes(), 100 * Bucket::kBytesPerObject);
-  std::filesystem::remove(path);
-}
-
 // --------------------------------------------------------------- Catalog --
 
 TEST(CatalogTest, BuildWithIndex) {
@@ -1334,9 +1294,7 @@ TEST(CatalogTest, FromStoreWrapsFileStoreWithIndex) {
               ("liferaft_catalog_fs_" + std::to_string(::getpid()) + ".lfr");
   auto partition = PartitionCatalog(RandomObjects(1000, 223), 100);
   ASSERT_TRUE(partition.ok());
-  ASSERT_TRUE(FileStore::Create(path.string(), partition->buckets,
-                                BucketFormat::kColumnarV2)
-                  .ok());
+  ASSERT_TRUE(FileStore::Create(path.string(), partition->buckets).ok());
   auto store = FileStore::Open(path.string());
   ASSERT_TRUE(store.ok());
   auto catalog = Catalog::FromStore(std::move(*store));

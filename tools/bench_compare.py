@@ -74,13 +74,6 @@ COUNTER_DIRECTION = {
     # shedding is a policy outcome, not a regression direction.
     "sustained_qps": "higher",
     "p99_interactive_ms": "lower",
-    # Columnar-format counters (BM_EngineFixedCacheBudgetDrain): the
-    # encoded-page compression (this format's total page bytes over the
-    # row-v1 total) and the residency it buys at a fixed cache byte
-    # budget. Growth in the ratio or a hit-rate drop means the v2
-    # encoding got fatter.
-    "encoded_bytes_ratio": "lower",
-    "cache_hit_rate": "higher",
 }
 
 _NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}

@@ -42,6 +42,8 @@
 #                        # with --io real over 2 volumes (prefetch on), then
 #                        # inspect --verify-checksums. Exercises the pread
 #                        # submission queues end to end on a real filesystem.
+#                        # Last, replay --rate 0 must exit 1 (a clean error,
+#                        # not an abort).
 #   tools/ci.sh --bench-smoke # End-to-end benchmark smoke: configures
 #                        # bench_e2e/ into .bench_build (Release) and runs
 #                        # `bench_e2e --smoke` — every workload at toy size,
@@ -104,13 +106,24 @@ if [ "${1:-}" = "--real-io" ]; then
   # to end; the measured-speedup story lives in the committed bench
   # anchors (docs/BENCHMARKS.md), not in CI timing assertions.
   ./build/liferaft_tool gen-catalog --objects 200000 --per-bucket 5000 \
-    --format columnar --seed 7 --out "$realio_tmp/cat.lfr"
+    --seed 7 --out "$realio_tmp/cat.lfr"
   ./build/liferaft_tool gen-trace --queries 16 --seed 11 \
     --out "$realio_tmp/trace.lfr"
   ./build/liferaft_tool replay --store "$realio_tmp/cat.lfr" \
     --trace "$realio_tmp/trace.lfr" --io real --volumes 2 --prefetch 2
   ./build/liferaft_tool inspect --store "$realio_tmp/cat.lfr" \
     --verify-checksums --volumes 2
+  # An arrival rate the generator refuses is a runtime error: exit 1 with
+  # a Status on stderr, not an abort.
+  rate0_status=0
+  ./build/liferaft_tool replay --store "$realio_tmp/cat.lfr" \
+    --trace "$realio_tmp/trace.lfr" --rate 0 2> "$realio_tmp/rate0.err" ||
+    rate0_status=$?
+  if [ "$rate0_status" -ne 1 ]; then
+    echo "replay --rate 0 exited $rate0_status, want 1" >&2
+    cat "$realio_tmp/rate0.err" >&2
+    exit 1
+  fi
   echo "real-io smoke OK"
   exit 0
 fi

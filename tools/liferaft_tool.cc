@@ -2,7 +2,7 @@
 // and traces (the `ldb` of this project).
 //
 //   liferaft_tool gen-catalog  --objects N [--per-bucket K] [--seed S]
-//                              [--format row|columnar] --out F
+//                              --out F
 //   liferaft_tool inspect      --store F [--verify-checksums] [--volumes N]
 //   liferaft_tool verify       --store F
 //   liferaft_tool gen-trace    --queries N [--seed S] [--preset long] --out F
@@ -148,23 +148,11 @@ int GenCatalog(const Flags& flags) {
   auto partition = storage::PartitionCatalog(std::move(*objects),
                                              per_bucket);
   if (!partition.ok()) return Fail(partition.status());
-  const std::string format = flags.GetString("format", "columnar");
-  storage::BucketFormat bucket_format;
-  if (format == "row") {
-    bucket_format = storage::BucketFormat::kRowV1;
-  } else if (format == "columnar") {
-    bucket_format = storage::BucketFormat::kColumnarV2;
-  } else {
-    std::fprintf(stderr, "unknown --format %s (row|columnar)\n",
-                 format.c_str());
-    return 2;
-  }
-  Status st = storage::FileStore::Create(flags.GetString("out"),
-                                         partition->buckets, bucket_format);
+  Status st =
+      storage::FileStore::Create(flags.GetString("out"), partition->buckets);
   if (!st.ok()) return Fail(st);
-  std::printf("wrote %zu objects in %zu buckets to %s (%s)\n",
-              gen.num_objects, partition->buckets.size(),
-              flags.GetString("out").c_str(), format.c_str());
+  std::printf("wrote %zu objects in %zu buckets to %s\n", gen.num_objects,
+              partition->buckets.size(), flags.GetString("out").c_str());
   return 0;
 }
 
@@ -180,10 +168,6 @@ int Inspect(const Flags& flags) {
     largest = std::max(largest, n);
   }
   std::printf("store:        %s\n", flags.GetString("store").c_str());
-  std::printf("format:       %s\n",
-              (*store)->format() == storage::BucketFormat::kColumnarV2
-                  ? "columnar v2"
-                  : "row v1");
   std::printf("buckets:      %zu\n", (*store)->num_buckets());
   std::printf("objects:      %zu (min %zu / max %zu per bucket)\n", total,
               smallest, largest);
@@ -326,7 +310,8 @@ int Replay(const Flags& flags) {
 
   double rate = flags.GetDouble("rate", 0.5);
   Rng rng(flags.GetUint("seed", 1));
-  auto arrivals = *sim::PoissonArrivals(trace->size(), rate, &rng);
+  auto arrivals = sim::PoissonArrivals(trace->size(), rate, &rng);
+  if (!arrivals.ok()) return Fail(arrivals.status());
 
   sim::EngineConfig config;
   config.cache_capacity = flags.GetUint("cache", 20);
@@ -354,7 +339,7 @@ int Replay(const Flags& flags) {
   }
 
   sim::SimEngine engine(catalog.get(), std::move(scheduler), config);
-  auto metrics = engine.Run(*trace, arrivals);
+  auto metrics = engine.Run(*trace, *arrivals);
   if (!metrics.ok()) return Fail(metrics.status());
   std::printf("%s\n", metrics->Summary().c_str());
   std::printf("p50 response: %.1f s   p95 response: %.1f s\n",
@@ -385,8 +370,7 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage: liferaft_tool <command> [flags]\n"
-      "  gen-catalog  --objects N [--per-bucket K] [--seed S]\n"
-      "               [--format row|columnar] --out F\n"
+      "  gen-catalog  --objects N [--per-bucket K] [--seed S] --out F\n"
       "  inspect      --store F [--verify-checksums] [--volumes N]\n"
       "  verify       --store F\n"
       "  gen-trace    --queries N [--seed S] [--preset long] --out F\n"
