@@ -34,7 +34,6 @@
 #include "storage/partitioner.h"
 #include "util/crc32.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 #include "workload/catalog_gen.h"
 #include "workload/trace_gen.h"
 
@@ -340,55 +339,6 @@ void BM_EngineMultiVolumeDrain(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineMultiVolumeDrain)->Arg(1)->Arg(2)->Arg(4);
 
-/// Cost of one dense shared batch's parallel join on a 4-worker pool, with
-/// each slice's matches collected in a plain vector and merged in slice
-/// order. Measured in process CPU time so the cost is visible even on a
-/// single-core host, where four workers time-slice one core and wall time
-/// is all scheduler noise. The name and the unused argument are kept so
-/// the entries of the committed BENCH_*.json anchors line up.
-void BM_ParallelJoinArenas(benchmark::State& state) {
-  constexpr size_t kBucketObjects = 10'000;
-  constexpr size_t kEntries = 16;
-  constexpr size_t kObjectsPerEntry = 500;
-  Rng rng(53);
-  SkyPoint center{120.0, 10.0};
-  std::vector<storage::CatalogObject> objects;
-  objects.reserve(kBucketObjects);
-  for (size_t i = 0; i < kBucketObjects; ++i) {
-    objects.push_back(storage::MakeObject(
-        i, workload::RandomPointInCap(&rng, center, 3.0)));
-  }
-  std::sort(objects.begin(), objects.end(), storage::ObjectHtmLess);
-  auto partition =
-      storage::PartitionCatalog(std::move(objects), kBucketObjects);
-  storage::MemStore store(std::move(*partition));  // one all-sky bucket
-  std::vector<query::WorkloadEntry> batch;
-  for (size_t e = 0; e < kEntries; ++e) {
-    query::WorkloadEntry entry;
-    entry.query_id = e + 1;
-    for (size_t i = 0; i < kObjectsPerEntry; ++i) {
-      entry.objects.push_back(query::MakeQueryObject(
-          i, workload::RandomPointInCap(&rng, center, 3.0), 300.0));
-    }
-    batch.push_back(std::move(entry));
-  }
-
-  storage::BucketCache cache(&store, 2);
-  join::JoinEvaluator evaluator(&cache, /*index=*/nullptr,
-                                storage::DiskModel{}, join::HybridConfig{});
-  util::ThreadPool pool(4);
-  evaluator.set_thread_pool(&pool);
-  uint64_t matches = 0;
-  for (auto _ : state) {
-    auto result = evaluator.EvaluateBucket(0, batch,
-                                           /*collect_matches=*/true);
-    if (result.ok()) matches = result->counters.output_matches;
-    benchmark::DoNotOptimize(result);
-  }
-  state.counters["matches_per_batch"] = static_cast<double>(matches);
-}
-BENCHMARK(BM_ParallelJoinArenas)->Arg(1)->MeasureProcessCPUTime();
-
 /// Continuous serving at an offered Poisson rate of arg/10 QPS with a
 /// bounded admission queue. The figure of merit is sustainable QPS at a
 /// tail-latency target (see docs/BENCHMARKS.md): sweep the offered rate
@@ -430,20 +380,20 @@ void BM_EngineServe(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineServe)->Arg(2)->Arg(5)->Arg(20);
 
-/// NoShare drain at 1 vs 4 worker threads: per-query fan-out wall-clock
-/// speedup (virtual results are byte-identical by construction).
+/// NoShare drain: per-query scans, each bucket read store-direct. The
+/// name and the /1 argument are kept so the entries of the committed
+/// BENCH_*.json anchors line up; every join runs on one thread.
 void BM_EngineNoShareThreads(benchmark::State& state) {
   auto fx = EngineFixture::Make(30'000, 24);
   sim::EngineConfig config;
   config.mode = sim::ExecutionMode::kNoShare;
-  config.num_threads = static_cast<size_t>(state.range(0));
   sim::SimEngine engine(fx.catalog.get(), nullptr, config);
   for (auto _ : state) {
     auto metrics = engine.Run(fx.trace, fx.arrivals);
     benchmark::DoNotOptimize(metrics);
   }
 }
-BENCHMARK(BM_EngineNoShareThreads)->Arg(1)->Arg(4);
+BENCHMARK(BM_EngineNoShareThreads)->Arg(1);
 
 /// The join kernel's per-candidate cost at a wide radius: 1000 query
 /// objects with a 300-arcsec radius merge-joined against one parsed
@@ -613,19 +563,19 @@ BENCHMARK(BM_RealIoDrain)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-/// IndexOnly drain at 1 vs 4 worker threads.
+/// IndexOnly drain: per-query index probes. The name and the /1 argument
+/// are kept so the entries of the committed BENCH_*.json anchors line up.
 void BM_EngineIndexOnlyThreads(benchmark::State& state) {
   auto fx = EngineFixture::Make(30'000, 24);
   sim::EngineConfig config;
   config.mode = sim::ExecutionMode::kIndexOnly;
-  config.num_threads = static_cast<size_t>(state.range(0));
   sim::SimEngine engine(fx.catalog.get(), nullptr, config);
   for (auto _ : state) {
     auto metrics = engine.Run(fx.trace, fx.arrivals);
     benchmark::DoNotOptimize(metrics);
   }
 }
-BENCHMARK(BM_EngineIndexOnlyThreads)->Arg(1)->Arg(4);
+BENCHMARK(BM_EngineIndexOnlyThreads)->Arg(1);
 
 }  // namespace
 }  // namespace liferaft

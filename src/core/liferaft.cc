@@ -24,14 +24,10 @@ Result<std::unique_ptr<LifeRaft>> LifeRaft::Create(
   system->scheduler_ = std::make_unique<sched::LifeRaftScheduler>(
       system->catalog_->store(), storage::DiskModel(options.disk),
       sched_config);
-  if (options.num_threads > 1) {
-    system->pool_ = std::make_unique<util::ThreadPool>(options.num_threads);
-  }
   LIFERAFT_ASSIGN_OR_RETURN(
       system->stack_,
       exec::ExecutionStack::Create(options, system->catalog_.get(),
-                                   system->scheduler_.get(),
-                                   system->pool_.get()));
+                                   system->scheduler_.get()));
   return system;
 }
 

@@ -34,7 +34,6 @@
 #include "sched/liferaft_scheduler.h"
 #include "storage/catalog.h"
 #include "util/clock.h"
-#include "util/thread_pool.h"
 
 namespace liferaft::core {
 
@@ -123,7 +122,6 @@ class LifeRaft {
 
   VirtualClock clock_;
   // Declared before the stack that borrows them, so they outlive it.
-  std::unique_ptr<util::ThreadPool> pool_;  // non-null iff num_threads > 1
   std::unique_ptr<storage::Catalog> catalog_;
   std::unique_ptr<sched::LifeRaftScheduler> scheduler_;
   std::unique_ptr<exec::ExecutionStack> stack_;

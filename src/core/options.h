@@ -15,11 +15,10 @@ namespace liferaft::core {
 
 /// Options for LifeRaft::Create. Defaults follow the paper's experimental
 /// configuration (scaled: see DESIGN.md §5). The execution-stack knobs —
-/// cache, hybrid join, disk model, topology, threads, and the prefetch
-/// knobs — are inherited from exec::StackConfig, which sim::EngineConfig
-/// shares. Enable prefetching consistently across compared runs, since
-/// prefetched buckets count as resident for phi and so change the
-/// schedule.
+/// cache, hybrid join, disk model, topology, and the prefetch knobs — are
+/// inherited from exec::StackConfig, which sim::EngineConfig shares.
+/// Enable prefetching consistently across compared runs, since prefetched
+/// buckets count as resident for phi and so change the schedule.
 struct LifeRaftOptions : exec::StackConfig {
   /// Equal-count partitioning target (paper: 10,000 objects = 40 MB).
   size_t objects_per_bucket = 1000;

@@ -79,7 +79,7 @@ namespace liferaft::exec {
 struct PipelineConfig {
   /// Cross-batch prefetch pipelining (see file comment). Changes the
   /// schedule (prefetched buckets count as resident for phi) but stays
-  /// deterministic and thread-count independent.
+  /// deterministic.
   bool enable_prefetch = false;
   /// Predicted picks kept in flight PER ARM (>= 1).
   size_t prefetch_depth = 1;

@@ -9,9 +9,6 @@ Status StackConfig::Validate() const {
   if (hybrid.index_threshold < 0.0) {
     return Status::InvalidArgument("index_threshold must be >= 0");
   }
-  if (num_threads == 0) {
-    return Status::InvalidArgument("num_threads must be >= 1");
-  }
   LIFERAFT_RETURN_IF_ERROR(PipelineConfig::Validate());
   LIFERAFT_RETURN_IF_ERROR(topology.Validate());
   return disk.Validate();
@@ -19,7 +16,7 @@ Status StackConfig::Validate() const {
 
 Result<std::unique_ptr<ExecutionStack>> ExecutionStack::Create(
     const StackConfig& config, storage::Catalog* catalog,
-    sched::Scheduler* scheduler, util::ThreadPool* pool, bool real_io) {
+    sched::Scheduler* scheduler, bool real_io) {
   auto stack = std::unique_ptr<ExecutionStack>(new ExecutionStack());
   LIFERAFT_ASSIGN_OR_RETURN(
       storage::StorageTopology topology,
@@ -34,7 +31,6 @@ Result<std::unique_ptr<ExecutionStack>> ExecutionStack::Create(
       stack->cache_.get(), catalog->index(), storage::DiskModel(config.disk),
       config.hybrid);
   stack->evaluator_->set_topology(stack->topology_.get());
-  stack->evaluator_->set_thread_pool(pool);
   stack->manager_ =
       std::make_unique<query::WorkloadManager>(catalog->num_buckets());
   if (scheduler == nullptr) return stack;

@@ -27,7 +27,6 @@
 #include "storage/disk_model.h"
 #include "storage/topology.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace liferaft::exec {
 
@@ -49,13 +48,6 @@ struct StackConfig : PipelineConfig {
   /// Without a pipeline (the engine's per-query modes) it only prices
   /// per-volume T_b.
   storage::StorageTopologyConfig topology;
-  /// Worker threads for join work; 1 = serial, the paper's loop. A batch's
-  /// join is sliced across workers by workload entry (the engine's
-  /// per-query modes fan ready queries out one task per query). Parallel
-  /// runs are byte-identical to serial ones: counters and I/O charges
-  /// merge in arrival order, so scheduling and the virtual clock do not
-  /// change. The driver owns the pool this sizes.
-  size_t num_threads = 1;
 
   Status Validate() const;
 };
@@ -70,17 +62,13 @@ class ExecutionStack {
   ///                  It is attached to the topology and drives the
   ///                  pipeline. Null builds no pipeline (the engine's
   ///                  per-query modes).
-  /// @param pool      join worker pool (not owned; null = serial). Must
-  ///                  outlive the stack: the evaluator fans batch joins
-  ///                  and per-query work out on it.
   /// @param real_io   run the pipeline on the store's per-volume
   ///                  submission queues instead of the modeled oracle
   ///                  (needs a scheduler and a store that supports
   ///                  concurrent reads)
   static Result<std::unique_ptr<ExecutionStack>> Create(
       const StackConfig& config, storage::Catalog* catalog,
-      sched::Scheduler* scheduler, util::ThreadPool* pool,
-      bool real_io = false);
+      sched::Scheduler* scheduler, bool real_io = false);
 
   ExecutionStack(const ExecutionStack&) = delete;
   ExecutionStack& operator=(const ExecutionStack&) = delete;

@@ -20,7 +20,6 @@
 #include "storage/disk_model.h"
 #include "storage/topology.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace liferaft::join {
 
@@ -76,13 +75,10 @@ struct EvaluatorStats {
   TimeMs total_cost_ms = 0.0;
 };
 
-/// Executes bucket batches. The scheduler loop stays single-threaded, as in
-/// the paper; when a thread pool is attached, the join work *within* one
-/// batch is fanned across workers by slicing the workload entries, and the
-/// slices are merged back in entry order. Strategy choice, cache traffic,
-/// modeled cost, counters, and match order are byte-identical to the
-/// single-threaded path, so scheduling and the virtual clock stay
-/// deterministic.
+/// Executes bucket batches on the caller's thread, the scheduler loop's, as
+/// in the paper: one pass over a bucket serves its whole queue, and
+/// strategy choice, cache traffic, modeled cost, counters and match order
+/// follow from the batch alone.
 class JoinEvaluator {
  public:
   /// @param cache  bucket cache layered over the archive's store (not
@@ -101,21 +97,14 @@ class JoinEvaluator {
       const std::vector<query::WorkloadEntry>& batch,
       bool collect_matches = true);
 
-  /// Evaluates a window of per-query units in `window` order. Queries are
-  /// embarrassingly parallel here — each touches only its own buckets (read
-  /// store-direct, no shared cache) or the immutable index — so with a pool
-  /// attached they fan out one task per query; per-query costs, counters,
-  /// and I/O charges are merged back in window (= arrival) order, making
-  /// the results byte-identical to evaluating the window serially.
-  /// `collect_matches` mirrors EvaluateBucket (tuples are materialized then
-  /// discarded by per-query callers; counts are always exact).
-  Result<std::vector<PerQueryResult>> EvaluatePerQueryWindow(
-      PerQueryMode mode, const std::vector<PerQueryWork>& window,
-      bool collect_matches = false);
-
-  /// Attaches a worker pool (not owned; may be null to restore serial
-  /// execution). The pool must outlive the evaluator's last EvaluateBucket.
-  void set_thread_pool(util::ThreadPool* pool) { pool_ = pool; }
+  /// Evaluates one per-query unit, bucket by bucket in `work` order. It
+  /// touches only its own buckets (read store-direct with ReadBucket, no
+  /// shared cache) or the immutable index. `collect_matches` mirrors
+  /// EvaluateBucket (tuples are materialized then discarded by per-query
+  /// callers; counts are always exact).
+  Result<PerQueryResult> EvaluatePerQuery(PerQueryMode mode,
+                                          const PerQueryWork& work,
+                                          bool collect_matches = false);
 
   /// Attaches the multi-volume topology (not owned; may be null = single
   /// volume). A bucket's sequential T_b is then charged from its volume's
@@ -153,7 +142,6 @@ class JoinEvaluator {
   storage::DiskModel model_;
   HybridConfig config_;
   const storage::StorageTopology* topology_ = nullptr;
-  util::ThreadPool* pool_ = nullptr;
   EvaluatorStats stats_;
 };
 

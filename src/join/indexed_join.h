@@ -25,15 +25,6 @@ struct IndexedJoinCounters {
   uint64_t probes = 0;
   /// Leaf pages touched across all probes.
   uint64_t leaves_visited = 0;
-
-  /// Merges another slice's counters (keep in sync with the fields above —
-  /// the parallel path aggregates per-slice counters through this).
-  IndexedJoinCounters& operator+=(const IndexedJoinCounters& o) {
-    join += o.join;
-    probes += o.probes;
-    leaves_visited += o.leaves_visited;
-    return *this;
-  }
 };
 
 /// Cross-matches a workload batch via index probes, restricted to the

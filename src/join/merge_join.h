@@ -28,16 +28,6 @@ struct JoinCounters {
   uint64_t spatial_matches = 0;
   /// Pairs surviving predicates (reported matches).
   uint64_t output_matches = 0;
-
-  /// Merges another slice's counters (keep in sync with the fields above —
-  /// the parallel path aggregates per-slice counters through this).
-  JoinCounters& operator+=(const JoinCounters& o) {
-    workload_objects += o.workload_objects;
-    candidates_tested += o.candidates_tested;
-    spatial_matches += o.spatial_matches;
-    output_matches += o.output_matches;
-    return *this;
-  }
 };
 
 /// Exact refinement test (stage two of RadiusTest below): true iff the
@@ -114,10 +104,7 @@ class RadiusTest {
 /// (Positions) are scanned with RadiusTest::NextCandidate, and attribute
 /// column spans are read in place, appending matches to `*out` (skipped
 /// when null). No CatalogObject is materialized — match output is built
-/// straight from the columns. Entries are processed in order and share
-/// only the page, whose position blocks fill thread-safely, so disjoint
-/// slices of a batch may run on different threads and be concatenated
-/// in slice order.
+/// straight from the columns. Entries are processed in batch order.
 JoinCounters MergeCrossMatch(const storage::Bucket& bucket,
                              std::span<const query::WorkloadEntry> batch,
                              std::vector<query::Match>* out);

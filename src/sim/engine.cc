@@ -26,10 +26,7 @@ SimEngine::SimEngine(storage::Catalog* catalog,
                      EngineConfig config)
     : catalog_(catalog),
       scheduler_(std::move(scheduler)),
-      config_(config),
-      pool_(config.num_threads > 1
-                ? std::make_unique<util::ThreadPool>(config.num_threads)
-                : nullptr) {
+      config_(config) {
   assert(catalog_ != nullptr);
 }
 
@@ -75,51 +72,29 @@ Result<bool> SimEngine::SharedStep() {
   return true;
 }
 
-Result<bool> SimEngine::PerQueryStep(
-    const std::function<Status()>& admit_ready) {
+Result<bool> SimEngine::PerQueryStep() {
   if (fifo_head_ >= fifo_.size()) return false;
-  // Serial (paper) execution serves exactly one query per step; with a
-  // pool attached, every ready query is evaluated concurrently — they are
-  // embarrassingly parallel, each touching only its own store-direct
-  // buckets or the immutable index — and the results are applied below in
-  // arrival order, reproducing the serial accounting byte for byte.
-  const size_t begin = fifo_head_;
-  const size_t end = pool_ != nullptr ? fifo_.size() : fifo_head_ + 1;
+  const AdmittedQuery& aq = fifo_[fifo_head_];
   const join::PerQueryMode mode = config_.mode == ExecutionMode::kNoShare
                                       ? join::PerQueryMode::kNoShareScan
                                       : join::PerQueryMode::kIndexProbes;
-  std::vector<join::PerQueryWork> window;
-  window.reserve(end - begin);
-  for (size_t i = begin; i < end; ++i) {
-    const AdmittedQuery& aq = fifo_[i];
-    window.push_back(join::PerQueryWork{aq.query->id, aq.arrival_ms,
-                                        aq.query->predicate, &aq.workloads});
+  LIFERAFT_ASSIGN_OR_RETURN(
+      join::PerQueryResult r,
+      stack_->evaluator().EvaluatePerQuery(
+          mode,
+          join::PerQueryWork{aq.query->id, aq.arrival_ms, aq.query->predicate,
+                             &aq.workloads},
+          config_.collect_matches));
+  ++fifo_head_;
+  for (const auto& w : aq.workloads) {
+    fifo_pending_objects_ -= w.objects.size();
   }
-  LIFERAFT_ASSIGN_OR_RETURN(std::vector<join::PerQueryResult> results,
-                            stack_->evaluator().EvaluatePerQueryWindow(
-                                mode, window, config_.collect_matches));
-
-  for (size_t i = begin; i < end; ++i) {
-    // Re-index each iteration: admit_ready() may grow (and reallocate)
-    // fifo_ — appended queries land beyond `end` and run next step, just
-    // as they would have queued behind the window under serial execution.
-    const AdmittedQuery& aq = fifo_[i];
-    ++fifo_head_;
-    for (const auto& w : aq.workloads) {
-      fifo_pending_objects_ -= w.objects.size();
-    }
-    const join::PerQueryResult& r = results[i - begin];
-    clock_ += r.cost_ms;
-    total_matches_ += r.matches;
-    auto it = pending_outcomes_.find(aq.query->id);
-    assert(it != pending_outcomes_.end());
-    it->second.matches = r.matches;
-    RecordCompletion(aq.query->id, clock_);
-    // Between two completions the serial loop would admit everything that
-    // arrived while the earlier query ran; mirror it exactly so
-    // peak_pending_objects is identical.
-    if (i + 1 < end) LIFERAFT_RETURN_IF_ERROR(admit_ready());
-  }
+  clock_ += r.cost_ms;
+  total_matches_ += r.matches;
+  auto it = pending_outcomes_.find(aq.query->id);
+  assert(it != pending_outcomes_.end());
+  it->second.matches = r.matches;
+  RecordCompletion(aq.query->id, clock_);
   return true;
 }
 
@@ -163,7 +138,7 @@ Status SimEngine::PrepareRun(size_t expected_queries) {
   LIFERAFT_ASSIGN_OR_RETURN(
       stack_, exec::ExecutionStack::Create(
                   config_, catalog_, shared ? scheduler_.get() : nullptr,
-                  pool_.get(), real_io));
+                  real_io));
   if (shared && !config_.spill_path.empty()) {
     LIFERAFT_RETURN_IF_ERROR(stack_->manager().EnableSpill(
         config_.spill_path, config_.workload_memory_budget));
@@ -305,7 +280,7 @@ Result<RunMetrics> SimEngine::ServeLoop(
       pipeline->set_depth_cap(
           cap != 0 ? cap : std::numeric_limits<size_t>::max());
     }
-    Result<bool> worked = shared ? SharedStep() : PerQueryStep(admit_ready);
+    Result<bool> worked = shared ? SharedStep() : PerQueryStep();
     if (!worked.ok()) return worked.status();
     if (!*worked) {
       if (next_arrival >= n) {

@@ -18,7 +18,6 @@
 #ifndef LIFERAFT_SIM_ENGINE_H_
 #define LIFERAFT_SIM_ENGINE_H_
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -33,7 +32,6 @@
 #include "sim/serve.h"
 #include "storage/catalog.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace liferaft::sim {
 
@@ -56,8 +54,8 @@ const char* ExecutionModeName(ExecutionMode mode);
 enum class IoMode { kModeled, kReal };
 
 /// Engine configuration. The execution-stack knobs (cache, hybrid join,
-/// disk model, topology, threads, and the prefetch knobs, which apply in
-/// shared mode) are inherited from exec::StackConfig, which
+/// disk model, topology, and the prefetch knobs, which apply in shared
+/// mode) are inherited from exec::StackConfig, which
 /// core::LifeRaftOptions shares; the fields below are the engine's own.
 struct EngineConfig : exec::StackConfig {
   ExecutionMode mode = ExecutionMode::kShared;
@@ -158,20 +156,15 @@ class SimEngine {
   // exec::BatchPipeline); advances the clock. Returns false if there was
   // no pending work.
   Result<bool> SharedStep();
-  // Serves the FIFO-front query in a per-query mode (serial path), or the
-  // whole ready window in parallel. `admit_ready` admits every arrival at
-  // or before the current clock; the parallel path invokes it between
-  // per-query completions exactly where the serial loop would.
-  Result<bool> PerQueryStep(const std::function<Status()>& admit_ready);
+  // Serves the FIFO-front query in a per-query mode; advances the clock.
+  // Returns false if no admitted query is waiting.
+  Result<bool> PerQueryStep();
 
   void RecordCompletion(query::QueryId id, TimeMs completion);
 
   storage::Catalog* catalog_;
   std::unique_ptr<sched::Scheduler> scheduler_;
   EngineConfig config_;
-  /// Reused across runs; declared before the stack whose evaluator
-  /// borrows it, so it outlives the stack.
-  std::unique_ptr<util::ThreadPool> pool_;  // non-null iff num_threads > 1
 
   // Run state.
   /// Topology, cache, evaluator, manager, reader, and (shared mode) the

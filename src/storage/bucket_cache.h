@@ -43,8 +43,8 @@
 // Threading: every method is safe to call from any thread — each takes
 // the cache's one mutex, which also guards the counters. The drivers
 // touch the cache only from their owner thread (see exec::BatchPipeline:
-// the evaluator gets a batch's page before any fan-out, and the per-query
-// NoShare path reads the store directly); the stress test in
+// the evaluator runs every join on that thread, and the per-query NoShare
+// path reads the store directly); the stress test in
 // tests/test_storage.cc races Get/Put/Contains/SetPredictionWindow on the
 // lock. Known limitation: a Get miss (store read) blocks while HOLDING
 // the lock — fine for MemStore's pointer handouts and for one owner

@@ -32,20 +32,20 @@ struct StoreStats {
 
 /// Abstract bucket-granularity storage engine.
 ///
-/// Threading contract: the virtual-clock drivers funnel all reads through
-/// one owner thread — LifeRaft's scheduler loop. Beyond that, the
-/// BucketCache may invoke ReadBucket from whichever thread holds its lock,
-/// so an implementation MUST make ReadBucket safe to call concurrently
-/// with itself and with ReadBucketForPrefetch (MemStore serves immutable
-/// in-memory pages; FileStore reads pages with positional pread(2) calls
-/// that share no mutable state).
-/// ReadBucketForPrefetch exists for reads off the owner thread — the
-/// measured-mode submission queues' I/O workers and the NoShare fan-out's
-/// join workers call it concurrently with other reads, and it never
-/// touches the stats counters: the owner records the I/O when it consumes
-/// the bucket, via RecordPrefetchedRead(s), keeping accounting
-/// deterministic. The counters themselves are atomic, so stats recording
-/// is never the race.
+/// Threading contract: both drivers run the scheduler loop, and every join,
+/// on one owner thread, and that thread makes every ReadBucket call
+/// (directly, or through the BucketCache). An implementation MUST still
+/// make ReadBucket safe to call concurrently with itself and with
+/// ReadBucketForPrefetch (MemStore serves immutable in-memory pages;
+/// FileStore reads pages with positional pread(2) calls that share no
+/// mutable state): measured I/O mode reads off the owner thread, its
+/// per-volume submission queues' I/O workers (storage/async_io.h) calling
+/// ReadBucketForPrefetch while the owner reads, and the BucketCache may
+/// call ReadBucket from whichever thread holds its lock.
+/// ReadBucketForPrefetch never touches the stats counters: the owner
+/// records the I/O when it consumes the bucket, via RecordPrefetchedRead,
+/// keeping accounting deterministic. The counters themselves are atomic,
+/// so stats recording is never the race.
 class BucketStore {
  public:
   virtual ~BucketStore() = default;
@@ -86,16 +86,16 @@ class BucketStore {
       BucketIndex index) = 0;
 
   /// True if ReadBucketForPrefetch is implemented and safe to call
-  /// concurrently with owner-thread reads. When false, worker-side NoShare
-  /// reads degrade gracefully (and identically at every thread count) to
-  /// owner-thread ReadBucket traffic, and measured I/O mode, which reads
-  /// on per-volume submission queues, is refused.
+  /// concurrently with owner-thread reads. Measured I/O mode reads through
+  /// it on the submission queues' I/O workers, and is refused when this is
+  /// false.
   virtual bool SupportsConcurrentReads() const { return false; }
 
-  /// Reads bucket `index` WITHOUT recording I/O stats. Must be safe to
-  /// call from a worker thread concurrently with owner-thread ReadBucket
-  /// calls whenever SupportsConcurrentReads() is true. The owner accounts
-  /// the read via RecordPrefetchedRead(s) when it consumes the bucket.
+  /// Reads bucket `index` WITHOUT recording I/O stats; the queued reader's
+  /// I/O workers read every page through it. Must be safe to call from a
+  /// worker thread concurrently with owner-thread ReadBucket calls
+  /// whenever SupportsConcurrentReads() is true. The owner accounts the
+  /// read via RecordPrefetchedRead when it consumes the bucket.
   virtual Result<std::shared_ptr<const Bucket>> ReadBucketForPrefetch(
       BucketIndex index) {
     (void)index;
@@ -128,16 +128,9 @@ class BucketStore {
   /// Deferred accounting for a bucket obtained via ReadBucketForPrefetch;
   /// call exactly once per prefetched read, on the owner thread.
   void RecordPrefetchedRead(const Bucket& b) {
-    RecordPrefetchedReads(1, b.EstimatedBytes(), b.size());
-  }
-
-  /// Aggregate form of RecordPrefetchedRead for batched deferred
-  /// accounting.
-  void RecordPrefetchedReads(uint64_t reads, uint64_t bytes,
-                             uint64_t objects) {
-    stats_.bucket_reads.fetch_add(reads, std::memory_order_relaxed);
-    stats_.bytes_read.fetch_add(bytes, std::memory_order_relaxed);
-    stats_.objects_read.fetch_add(objects, std::memory_order_relaxed);
+    stats_.bucket_reads.fetch_add(1, std::memory_order_relaxed);
+    stats_.bytes_read.fetch_add(b.EstimatedBytes(), std::memory_order_relaxed);
+    stats_.objects_read.fetch_add(b.size(), std::memory_order_relaxed);
   }
 
   /// Atomic snapshot of the read counters.
@@ -156,9 +149,7 @@ class BucketStore {
   }
 
  protected:
-  void RecordRead(const Bucket& b) {
-    RecordPrefetchedReads(1, b.EstimatedBytes(), b.size());
-  }
+  void RecordRead(const Bucket& b) { RecordPrefetchedRead(b); }
 
   /// Atomic mirror of StoreStats (see the threading contract above).
   struct AtomicStoreStats {

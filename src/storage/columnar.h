@@ -85,7 +85,8 @@ enum class ObjectIdEncoding : uint8_t {
 };
 
 /// One parsed, validated, immutable columnar page. Owns the page bytes;
-/// shared between the cache, in-flight prefetches, and scan slices.
+/// shared between the cache, in-flight prefetches, and every reader of a
+/// MemStore bucket.
 class ColumnarPage {
  public:
   /// Takes ownership of `data` (a full page of `size` bytes, 8-aligned as
@@ -129,7 +130,9 @@ class ColumnarPage {
   /// MakeObject's pos; an empty window returns an empty span. Computes
   /// only the kPositionBlockRows-row blocks the window overlaps that no
   /// earlier call filled, so a join pays only for the blocks it scans.
-  /// Thread-safe: scan slices share one page. The fast path is one
+  /// Thread-safe: a page is one shared const object (MemStore hands the
+  /// same page to every reader, so drivers over one catalog on different
+  /// threads scan it at once). The fast path is one
   /// acquire load per block; a miss fills the window's missing blocks
   /// under the page's mutex. The span stays valid for the page's
   /// lifetime.

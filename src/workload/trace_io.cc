@@ -1,5 +1,6 @@
 #include "workload/trace_io.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -16,6 +17,30 @@ constexpr char kMagic[8] = {'L', 'F', 'R', 'T', 'R', 'C', '0', '1'};
 // length, object count) and one object (id, ra, dec, radius).
 constexpr size_t kQueryFixedBytes = 8 + 8 + 16 + 4 + 8;
 constexpr size_t kObjectBytes = 8 + 8 + 8 + 8;
+
+// An object the join cannot place: a non-finite field, a declination off
+// the sphere, or a negative radius. Such an object covers no HTM range (a
+// NaN position) or a meaningless one, and fails the replay mid-run or
+// completes its query with no work. The finiteness test comes first:
+// NaN fails every comparison, so the range tests alone would pass it.
+Status CheckObject(uint64_t query_id, uint64_t object_id, double ra,
+                   double dec, double radius) {
+  const char* what = nullptr;
+  if (!std::isfinite(ra) || !std::isfinite(dec) || !std::isfinite(radius)) {
+    what = "non-finite ra, dec or radius";
+  } else if (std::abs(dec) > 90.0) {
+    what = "dec outside [-90, 90]";
+  } else if (radius < 0.0) {
+    what = "negative radius";
+  } else {
+    return Status::OK();
+  }
+  return Status::Corruption(
+      "query " + std::to_string(query_id) + " object " +
+      std::to_string(object_id) + ": " + what + " (ra " + std::to_string(ra) +
+      ", dec " + std::to_string(dec) + ", radius " + std::to_string(radius) +
+      ")");
+}
 
 }  // namespace
 
@@ -127,6 +152,7 @@ Result<std::vector<query::CrossMatchQuery>> LoadTrace(
       p += 8;
       double radius = GetDouble(p);
       p += 8;
+      LIFERAFT_RETURN_IF_ERROR(CheckObject(q.id, oid, ra, dec, radius));
       q.objects.push_back(
           query::MakeQueryObject(oid, SkyPoint{ra, dec}, radius));
     }

@@ -20,7 +20,9 @@ Status SaveTrace(const std::string& path,
                  const std::vector<query::CrossMatchQuery>& trace);
 
 /// Loads a trace written by SaveTrace, recomputing HTM covers. Validates
-/// magic and checksum.
+/// magic and checksum, and returns Corruption, naming the query and
+/// object, for an object with a non-finite ra, dec or radius, |dec| > 90,
+/// or a negative radius.
 Result<std::vector<query::CrossMatchQuery>> LoadTrace(
     const std::string& path);
 

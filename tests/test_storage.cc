@@ -32,7 +32,6 @@
 #include "util/coding.h"
 #include "util/crc32.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 namespace liferaft::storage {
 namespace {
@@ -1196,7 +1195,6 @@ TEST_F(CacheTestFixture, ClearResetsInflation) {
 TEST_F(CacheTestFixture, ConcurrentGetPutWindowStress) {
   constexpr size_t kThreads = 4;
   constexpr size_t kOpsPerThread = 2000;
-  util::ThreadPool callers(kThreads);
   const size_t num_buckets = store_->num_buckets();
   const StorageTopology topology = TwoPriceTopology(num_buckets);
   BucketCache cache(store_.get(), 6, &topology);
@@ -1206,7 +1204,7 @@ TEST_F(CacheTestFixture, ConcurrentGetPutWindowStress) {
   std::atomic<uint64_t> got_objects{0};
   std::vector<std::future<void>> futures;
   for (size_t t = 0; t < kThreads; ++t) {
-    futures.push_back(callers.Submit([&, t] {
+    futures.push_back(std::async(std::launch::async, [&, t] {
       Rng rng(1000 + t);
       for (size_t i = 0; i < kOpsPerThread; ++i) {
         const auto b =

@@ -1,15 +1,13 @@
 // Tests for the multi-volume storage topology: the bucket->volume map
 // itself (storage::StorageTopology) and the per-arm accounting it drives
 // through exec::BatchPipeline and sim::SimEngine; plus concurrent FileStore
-// reads, alone and from the parallel NoShare fan-out. The key contracts:
+// reads. The key contracts:
 //  * num_volumes == 1 reproduces the pre-topology engine byte for byte
 //    (same makespan, hidden time, and every cache/store counter);
 //  * adding arms strictly shrinks a prefetch drain's virtual makespan
 //    while join results and total modeled disk work stay identical;
 //  * join results are byte-identical across placement policies — where a
-//    bucket lives can only change timing, never matching;
-//  * worker-thread store reads change no result: a parallel NoShare run
-//    over a FileStore matches the serial one query for query.
+//    bucket lives can only change timing, never matching.
 
 #include "storage/topology.h"
 
@@ -19,20 +17,17 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <future>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "join/evaluator.h"
-#include "query/preprocessor.h"
 #include "sched/liferaft_scheduler.h"
 #include "sim/engine.h"
-#include "storage/bucket_cache.h"
 #include "storage/catalog.h"
 #include "storage/file_store.h"
 #include "storage/partitioner.h"
-#include "util/thread_pool.h"
 #include "workload/catalog_gen.h"
 #include "workload/trace_gen.h"
 
@@ -176,12 +171,12 @@ class FileStoreConcurrencyTest : public ::testing::Test {
 };
 
 // Every read is a positional pread(2) on the store's one descriptor, so
-// worker threads reading overlapping buckets at once all see whole pages.
+// I/O worker threads reading overlapping buckets at once all see whole
+// pages.
 TEST_F(FileStoreConcurrencyTest, ConcurrentReadsAreConsistent) {
-  util::ThreadPool pool(4);
   std::vector<std::future<uint64_t>> futures;
   for (size_t t = 0; t < 4; ++t) {
-    futures.push_back(pool.Submit([this, t] {
+    futures.push_back(std::async(std::launch::async, [this, t] {
       uint64_t objects = 0;
       for (int round = 0; round < 8; ++round) {
         for (BucketIndex b = 0; b < store_->num_buckets(); ++b) {
@@ -480,72 +475,3 @@ TEST_F(MultiVolumeDrainFixture, SpillArmWithPrefetchKeepsResultsDeterministic) {
 
 }  // namespace
 }  // namespace liferaft::sim
-
-// --------------------------------------------- NoShare worker reads --
-
-namespace liferaft::join {
-namespace {
-
-// The parallel NoShare fan-out reads buckets store-direct on workers
-// (ReadBucketForPrefetch) and the owner records the I/O afterwards.
-// Matches and costs must be byte-identical to the serial path, which
-// reads every bucket on the owner thread.
-TEST(NoShareWorkerReadTest, ParallelFileStoreRunMatchesSerial) {
-  workload::CatalogGenConfig gen;
-  gen.num_objects = 8000;
-  gen.seed = 977;
-  auto objects = workload::GenerateCatalog(gen);
-  ASSERT_TRUE(objects.ok());
-  auto partition = storage::PartitionCatalog(std::move(*objects), 1000);
-  ASSERT_TRUE(partition.ok());
-  const std::string path =
-      (std::filesystem::temp_directory_path() /
-       ("liferaft_noshare_reads_" + std::to_string(::getpid())))
-          .string();
-  ASSERT_TRUE(storage::FileStore::Create(path, partition->buckets).ok());
-  auto store = storage::FileStore::Open(path);
-  ASSERT_TRUE(store.ok());
-  const storage::BucketMap& map = (*store)->bucket_map();
-
-  workload::TraceConfig tc;
-  tc.num_queries = 12;
-  tc.max_objects_per_query = 300;
-  tc.match_radius_arcsec = 600.0;
-  tc.seed = 983;
-  auto trace = workload::GenerateTrace(tc);
-  ASSERT_TRUE(trace.ok());
-  std::vector<std::vector<query::BucketWorkload>> workloads;
-  std::vector<PerQueryWork> window;
-  for (const query::CrossMatchQuery& q : *trace) {
-    workloads.push_back(query::SplitQueryByBucket(q, map));
-  }
-  for (size_t i = 0; i < trace->size(); ++i) {
-    window.push_back(PerQueryWork{(*trace)[i].id, 0.0, (*trace)[i].predicate,
-                                  &workloads[i]});
-  }
-
-  auto evaluate = [&](util::ThreadPool* pool) {
-    storage::BucketCache cache(store->get(), 4);
-    JoinEvaluator evaluator(&cache, /*index=*/nullptr, storage::DiskModel{},
-                            HybridConfig{});
-    evaluator.set_thread_pool(pool);
-    auto results = evaluator.EvaluatePerQueryWindow(
-        PerQueryMode::kNoShareScan, window, /*collect_matches=*/true);
-    EXPECT_TRUE(results.ok()) << results.status().ToString();
-    return results.ok() ? *results : std::vector<PerQueryResult>{};
-  };
-
-  std::vector<PerQueryResult> serial = evaluate(nullptr);
-  util::ThreadPool pool(4);
-  std::vector<PerQueryResult> parallel = evaluate(&pool);
-  ASSERT_EQ(serial.size(), window.size());
-  ASSERT_EQ(parallel.size(), window.size());
-  for (size_t i = 0; i < window.size(); ++i) {
-    EXPECT_EQ(parallel[i].matches, serial[i].matches) << "query " << i;
-    EXPECT_EQ(parallel[i].cost_ms, serial[i].cost_ms) << "query " << i;
-  }
-  std::remove(path.c_str());
-}
-
-}  // namespace
-}  // namespace liferaft::join

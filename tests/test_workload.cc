@@ -4,14 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <set>
 
 #include "query/preprocessor.h"
 #include "storage/catalog.h"
 #include "util/coding.h"
 #include "util/crc32.h"
+#include "util/random.h"
 #include "workload/catalog_gen.h"
 #include "workload/trace_gen.h"
 #include "workload/trace_io.h"
@@ -502,6 +506,205 @@ TEST_F(TraceIoTest, LabelLengthNearUint32MaxIsCorruption) {
   auto loaded = LoadTrace(path_.string());
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+}
+
+// An object the join cannot place is refused at load, naming its query
+// and object, instead of failing a replay mid-run (a NaN position covers
+// no HTM range) or completing its query with no work. The edges of the
+// valid ranges still load.
+TEST_F(TraceIoTest, OutOfRangeObjectIsCorruption) {
+  TraceConfig config;
+  config.num_queries = 3;
+  config.min_objects_per_query = 4;
+  config.max_objects_per_query = 8;
+  config.seed = 81;
+  auto trace = GenerateTrace(config);
+  ASSERT_TRUE(trace.ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  using query::QueryObject;
+  struct Case {
+    const char* name;
+    double QueryObject::*field;
+    double value;
+  };
+  const auto load_with = [&](const Case& c) {
+    std::vector<query::CrossMatchQuery> mutated = *trace;
+    mutated[1].objects[2].*c.field = c.value;
+    EXPECT_TRUE(SaveTrace(path_.string(), mutated).ok());
+    return LoadTrace(path_.string());
+  };
+  for (const Case& c : {Case{"ra nan", &QueryObject::ra_deg, nan},
+                        Case{"ra inf", &QueryObject::ra_deg, inf},
+                        Case{"dec nan", &QueryObject::dec_deg, nan},
+                        Case{"dec -inf", &QueryObject::dec_deg, -inf},
+                        Case{"dec 95", &QueryObject::dec_deg, 95.0},
+                        Case{"dec -90.5", &QueryObject::dec_deg, -90.5},
+                        Case{"radius nan", &QueryObject::radius_arcsec, nan},
+                        Case{"radius inf", &QueryObject::radius_arcsec, inf},
+                        Case{"radius -5", &QueryObject::radius_arcsec,
+                             -5.0}}) {
+    SCOPED_TRACE(c.name);
+    auto loaded = load_with(c);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+    const std::string named =
+        "query " + std::to_string((*trace)[1].id) + " object " +
+        std::to_string((*trace)[1].objects[2].id);
+    EXPECT_NE(loaded.status().message().find(named), std::string::npos)
+        << loaded.status().ToString();
+  }
+  for (const Case& c : {Case{"dec 90", &QueryObject::dec_deg, 90.0},
+                        Case{"dec -90", &QueryObject::dec_deg, -90.0},
+                        Case{"radius 0", &QueryObject::radius_arcsec, 0.0}}) {
+    SCOPED_TRACE(c.name);
+    auto loaded = load_with(c);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_FALSE((*loaded)[1].objects[2].htm_ranges.empty());
+  }
+}
+
+// LoadTrace parses an untrusted file, so no mutant of a saved trace may
+// crash or throw: it loads, or it fails with Corruption. Mutations: bit
+// flips anywhere, the query count or one query's object count or label
+// length rewritten, one object's ra, dec or radius set to NaN, ±inf, a
+// value just out of range or one at the edge of its range, and
+// truncation. Seven mutants in eight get the payload crc recomputed, so
+// the parse behind the crc runs. Every object of a trace that loads must
+// be finite, in range and cover at least one HTM range. tools/ci.sh
+// --asan runs this, where a read past the buffer traps.
+TEST(TraceIoMutationTest, MutantsLoadOrFailWithCorruption) {
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("liferaft_trace_mutants_" + std::to_string(::getpid()) + ".lft");
+  TraceConfig config;
+  config.num_queries = 6;
+  config.min_objects_per_query = 4;
+  config.max_objects_per_query = 12;
+  config.seed = 1237;
+  auto trace = GenerateTrace(config);
+  ASSERT_TRUE(trace.ok());
+  ASSERT_TRUE(SaveTrace(path.string(), *trace).ok());
+  std::string intact;
+  {
+    std::ifstream f(path, std::ios::binary);
+    intact.assign(std::istreambuf_iterator<char>(f), {});
+  }
+  constexpr size_t kHeader = 8 + 4;  // magic, payload crc
+
+  // Where each query's label length and object count sit, and each
+  // object's ra, walking the intact file's layout.
+  std::vector<size_t> label_at;
+  std::vector<size_t> count_at;
+  std::vector<size_t> object_at;
+  size_t at = kHeader + 8;
+  for (const query::CrossMatchQuery& q : *trace) {
+    at += 8 + 8 + 16;
+    label_at.push_back(at);
+    at += 4 + q.label.size();
+    count_at.push_back(at);
+    at += 8;
+    for (size_t j = 0; j < q.objects.size(); ++j) {
+      object_at.push_back(at + 8);
+      at += 32;
+    }
+  }
+  ASSERT_EQ(at, intact.size());
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double values[] = {nan, inf, -inf, 90.0, -90.0, 90.000001,
+                           -90.000001, 0.0, -1e-9, 1e300};
+  const auto poke32 = [](std::string* b, size_t pos, uint32_t v) {
+    std::string field;
+    PutFixed32(&field, v);
+    b->replace(pos, 4, field);
+  };
+  const auto poke64 = [](std::string* b, size_t pos, uint64_t v) {
+    std::string field;
+    PutFixed64(&field, v);
+    b->replace(pos, 8, field);
+  };
+
+  constexpr int kMutants = 3000;
+  Rng rng(1249);
+  int loaded_ok = 0;
+  for (int m = 0; m < kMutants; ++m) {
+    std::string bytes = intact;
+    switch (rng.UniformU64(5)) {
+      case 0: {  // bit flips
+        const int flips = 1 + static_cast<int>(rng.UniformU64(4));
+        for (int e = 0; e < flips; ++e) {
+          bytes[rng.UniformU64(bytes.size())] ^=
+              static_cast<char>(1 << rng.UniformU64(8));
+        }
+        break;
+      }
+      case 1: {  // the query count or one object count, nudged or anything
+        const size_t pos = rng.Bernoulli(0.3)
+                               ? kHeader
+                               : count_at[rng.UniformU64(count_at.size())];
+        const uint64_t count = GetFixed64(bytes.data() + pos);
+        poke64(&bytes, pos,
+               rng.Bernoulli(0.5)
+                   ? count + static_cast<uint64_t>(rng.UniformInt(-2, 2))
+                   : rng.Next() >> (8 * rng.UniformU64(8)));
+        break;
+      }
+      case 2: {  // one label length, nudged or anything
+        const size_t pos = label_at[rng.UniformU64(label_at.size())];
+        const uint32_t len = GetFixed32(bytes.data() + pos);
+        poke32(&bytes, pos,
+               rng.Bernoulli(0.5)
+                   ? len + static_cast<uint32_t>(rng.UniformInt(-2, 2))
+                   : static_cast<uint32_t>(rng.Next()));
+        break;
+      }
+      case 3: {  // one object's ra, dec or radius
+        const size_t pos = object_at[rng.UniformU64(object_at.size())] +
+                           8 * rng.UniformU64(3);
+        std::string field;
+        PutDouble(&field, values[rng.UniformU64(std::size(values))]);
+        bytes.replace(pos, 8, field);
+        break;
+      }
+      default:  // truncation
+        bytes.resize(rng.UniformU64(bytes.size()));
+        break;
+    }
+    if (bytes.size() >= kHeader && rng.UniformU64(8) != 0) {
+      poke32(&bytes, 8,
+             Crc32(bytes.data() + kHeader, bytes.size() - kHeader));
+    }
+    {
+      std::ofstream f(path, std::ios::binary | std::ios::trunc);
+      f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+
+    SCOPED_TRACE("mutant " + std::to_string(m));
+    auto loaded = LoadTrace(path.string());
+    if (!loaded.ok()) {
+      ASSERT_EQ(loaded.status().code(), StatusCode::kCorruption)
+          << loaded.status().ToString();
+      continue;
+    }
+    ++loaded_ok;
+    for (const query::CrossMatchQuery& q : *loaded) {
+      for (const query::QueryObject& o : q.objects) {
+        ASSERT_TRUE(std::isfinite(o.ra_deg) && std::isfinite(o.dec_deg) &&
+                    std::isfinite(o.radius_arcsec))
+            << "query " << q.id << " object " << o.id;
+        ASSERT_LE(std::abs(o.dec_deg), 90.0);
+        ASSERT_GE(o.radius_arcsec, 0.0);
+        ASSERT_FALSE(o.htm_ranges.empty())
+            << "query " << q.id << " object " << o.id;
+      }
+    }
+  }
+  std::filesystem::remove(path);
+  // Both outcomes occur: mutants load, and mutants are refused.
+  EXPECT_GT(loaded_ok, 0);
+  EXPECT_LT(loaded_ok, kMutants);
 }
 
 TEST_F(TraceIoTest, MissingFileIsIOError) {

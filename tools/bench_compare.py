@@ -38,17 +38,15 @@ import json
 import re
 import sys
 
-# The documented skip label for known-noisy benches: wall-clock parity
-# probes whose *signal* is "fan-out overhead is negligible", measured on
-# CI runners with one core — their absolute times are scheduler noise.
-# Add a pattern here (or pass --skip) to exempt a bench from the gate;
-# every skip is printed in the report so it cannot rot silently.
+# The documented skip label for known-noisy benches. Add a pattern here
+# (or pass --skip) to exempt a bench from the gate; every skip is printed
+# in the report so it cannot rot silently.
 DEFAULT_SKIP = [
+    # The per-query baseline drains: wall time only, no gated counter, and
+    # the IndexOnly drain's time moves 10-15% with where the probe
+    # kernel's code sits, not with what it does (docs/BENCHMARKS.md).
     r"^BM_EngineNoShareThreads",
     r"^BM_EngineIndexOnlyThreads",
-    # Thread-contention A/B probe: on a 1-core runner its wall time is
-    # scheduler noise (the signal is the multi-core CPU-time delta).
-    r"^BM_ParallelJoinArenas",
     # Measured (wall-clock) disk drain: real pread(2)s against whatever
     # device backs the runner's temp dir, so its absolute times and its
     # wall counters (wall_makespan_ms, io_p99_ms, ...) are machine facts,

@@ -4,11 +4,10 @@
 # without Actions.
 #
 #   tools/ci.sh          # docs check + tier-1 build & test + serving smoke
-#   tools/ci.sh --tsan   # ThreadSanitizer smoke: builds test_thread_pool,
-#                        # test_storage, test_topology, test_serve,
-#                        # test_async_io, and test_columnar with
-#                        # -fsanitize=thread and runs them (the pool's one
-#                        # task queue + cache races + concurrent FileStore
+#   tools/ci.sh --tsan   # ThreadSanitizer smoke: builds test_storage,
+#                        # test_topology, test_serve, test_async_io, and
+#                        # test_columnar with -fsanitize=thread and runs
+#                        # them (cache races + concurrent FileStore
 #                        # preads + concurrent admission control +
 #                        # submission-queue workers/completions + columnar
 #                        # pages' position blocks filled by concurrent
@@ -19,14 +18,13 @@
 #                        # (GreedyDual) victim scan and inflation run)
 #   tools/ci.sh --asan   # ASan+UBSan smoke: builds test_exec, test_storage,
 #                        # test_topology, test_columnar, test_async_io,
-#                        # test_core, test_sim, test_serve, test_thread_pool,
-#                        # test_join, test_properties, test_query,
+#                        # test_core, test_sim, test_serve, test_join,
+#                        # test_properties, test_query,
 #                        # test_spill, test_htm, and test_workload with
 #                        # -fsanitize=address,undefined and
 #                        # -D_GLIBCXX_ASSERTIONS (std::vector and std::span
 #                        # indexing bounds-checked) and runs them
-#                        # (parallel join slices merged into the caller's
-#                        # matches, the pipeline's bet claim/drop
+#                        # (the pipeline's bet claim/drop
 #                        # bookkeeping and real-read failures, the cache's priced eviction
 #                        # and its window tier, columnar page decode over
 #                        # corrupted input and 24k mutated pages, every
@@ -37,13 +35,15 @@
 #                        # objects moved through admission, spill and
 #                        # restore; plus the HTM cover's ID shifts and edge
 #                        # tests at levels 0-20 and the trace parser over
-#                        # counts that overrun the file)
+#                        # counts that overrun the file, out-of-range
+#                        # objects and mutated traces)
 #   tools/ci.sh --real-io # Wall-clock I/O smoke: gen-catalog to disk, replay
 #                        # with --io real over 2 volumes (prefetch on), then
 #                        # inspect --verify-checksums. Exercises the pread
 #                        # submission queues end to end on a real filesystem.
 #                        # Last, replay --rate 0 must exit 1 (a clean error,
-#                        # not an abort).
+#                        # not an abort), and gen-catalog with a misspelled
+#                        # flag must exit 2 and write no file.
 #   tools/ci.sh --bench-smoke # End-to-end benchmark smoke: configures
 #                        # bench_e2e/ into .bench_build (Release) and runs
 #                        # `bench_e2e --smoke` — every workload at toy size,
@@ -57,8 +57,8 @@ cd "$(dirname "$0")/.."
 # Makefile is .NOTPARALLEL, and N --target goals build one after another.
 if [ "${1:-}" = "--asan" ]; then
   suites=(test_exec test_storage test_topology test_columnar test_async_io
-    test_core test_sim test_serve test_thread_pool test_join test_properties
-    test_query test_spill test_htm test_workload)
+    test_core test_sim test_serve test_join test_properties test_query
+    test_spill test_htm test_workload)
   cmake -B build-asan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -D_GLIBCXX_ASSERTIONS -g" \
@@ -78,8 +78,7 @@ if [ "${1:-}" = "--asan" ]; then
 fi
 
 if [ "${1:-}" = "--tsan" ]; then
-  suites=(test_thread_pool test_storage test_topology test_serve test_async_io
-    test_columnar)
+  suites=(test_storage test_topology test_serve test_async_io test_columnar)
   cmake -B build-tsan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -g" \
@@ -122,6 +121,18 @@ if [ "${1:-}" = "--real-io" ]; then
   if [ "$rate0_status" -ne 1 ]; then
     echo "replay --rate 0 exited $rate0_status, want 1" >&2
     cat "$realio_tmp/rate0.err" >&2
+    exit 1
+  fi
+  # A misspelled flag is a usage error: exit 2 naming it, before any work,
+  # so no catalog file is written with the default it stood in for.
+  typo_status=0
+  ./build/liferaft_tool gen-catalog --objects 20000 --per-buckt 500 \
+    --out "$realio_tmp/typo.lfr" 2> "$realio_tmp/typo.err" || typo_status=$?
+  if [ "$typo_status" -ne 2 ] || [ -e "$realio_tmp/typo.lfr" ] ||
+    ! grep -q -- "unknown flag --per-buckt for gen-catalog" \
+      "$realio_tmp/typo.err"; then
+    echo "gen-catalog --per-buckt exited $typo_status, want 2 and no file" >&2
+    cat "$realio_tmp/typo.err" >&2
     exit 1
   fi
   echo "real-io smoke OK"

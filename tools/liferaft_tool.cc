@@ -8,13 +8,16 @@
 //   liferaft_tool gen-trace    --queries N [--seed S] [--preset long] --out F
 //   liferaft_tool trace-stats  --trace F --store F
 //   liferaft_tool replay       --trace F --store F [--alpha A] [--rate R]
-//                              [--cache C] [--mode shared|noshare|indexonly]
+//                              [--seed S] [--per-bucket K] [--cache C]
+//                              [--mode shared|noshare|indexonly]
 //                              [--io modeled|real] [--volumes N]
 //                              [--prefetch D] [--direct]
 //
 // All subcommands print human-readable reports to stdout and return a
-// non-zero exit code on failure.
+// non-zero exit code on failure: 2 for a usage error (a missing flag, or
+// a flag that is not on the subcommand's usage line), 1 at run time.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -89,6 +92,20 @@ class Flags {
     auto it = values_.find(key);
     return it == values_.end() ? fallback
                                : std::strtod(it->second.c_str(), nullptr);
+  }
+
+  /// False, naming the first flag that is not in `known`, if `command`
+  /// was given a flag it does not take.
+  bool OnlyKnown(const std::string& command,
+                 const std::vector<std::string>& known) const {
+    for (const auto& [key, value] : values_) {
+      if (std::find(known.begin(), known.end(), key) == known.end()) {
+        std::fprintf(stderr, "unknown flag --%s for %s\n", key.c_str(),
+                     command.c_str());
+        return false;
+      }
+    }
+    return true;
   }
 
   bool Require(const std::vector<std::string>& keys) const {
@@ -376,23 +393,41 @@ int Usage() {
       "  gen-trace    --queries N [--seed S] [--preset long] --out F\n"
       "  trace-stats  --trace F --store F\n"
       "  replay       --trace F --store F [--alpha A] [--rate R]\n"
-      "               [--cache C] [--mode shared|noshare|indexonly]\n"
+      "               [--seed S] [--per-bucket K] [--cache C]\n"
+      "               [--mode shared|noshare|indexonly]\n"
       "               [--io modeled|real] [--volumes N] [--prefetch D]\n"
       "               [--direct]\n");
   return 2;
 }
 
+/// One subcommand: its name, the flags of its usage line, and its body.
+struct Command {
+  const char* name;
+  std::vector<std::string> flags;
+  int (*run)(const Flags&);
+};
+
 int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
-  std::string command = argv[1];
-  Flags flags(argc, argv, 2);
-  if (!flags.ok()) return 2;
-  if (command == "gen-catalog") return GenCatalog(flags);
-  if (command == "inspect") return Inspect(flags);
-  if (command == "verify") return Verify(flags);
-  if (command == "gen-trace") return GenTrace(flags);
-  if (command == "trace-stats") return TraceStats(flags);
-  if (command == "replay") return Replay(flags);
+  const std::string command = argv[1];
+  const Command commands[] = {
+      {"gen-catalog", {"objects", "per-bucket", "seed", "out"}, GenCatalog},
+      {"inspect", {"store", "verify-checksums", "volumes"}, Inspect},
+      {"verify", {"store"}, Verify},
+      {"gen-trace", {"queries", "seed", "preset", "out"}, GenTrace},
+      {"trace-stats", {"trace", "store"}, TraceStats},
+      {"replay",
+       {"trace", "store", "alpha", "rate", "seed", "per-bucket", "cache",
+        "mode", "io", "volumes", "prefetch", "direct"},
+       Replay},
+  };
+  for (const Command& c : commands) {
+    if (command != c.name) continue;
+    Flags flags(argc, argv, 2);
+    // A misspelled flag would otherwise run silently with its default.
+    if (!flags.ok() || !flags.OnlyKnown(command, c.flags)) return 2;
+    return c.run(flags);
+  }
   return Usage();
 }
 
