@@ -114,18 +114,14 @@ Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now,
   // assigned after the evaluation, when this batch's disk phase is known.
   // The prediction is refreshed every live step — the window drives
   // eviction protection, and a stale window would protect yesterday's
-  // predictions — and peeks deep enough (a) to cover every outstanding
-  // bet (under a QoS depth cap more bets can be pending than the depth
-  // admits new ones, and the window should still protect them) and (b) to
-  // surface candidates for EVERY arm, so an arm the front of the
-  // prediction does not touch still gets its fetches started.
+  // predictions — and peeks `depth` buckets deep for EVERY arm, so an arm
+  // the front of the prediction does not touch still gets its fetches
+  // started. An arm never holds more than `depth` bets, so the peek also
+  // covers every outstanding bet.
   std::vector<size_t> placed(volumes, 0);
   if (config_.enable_prefetch) {
-    const size_t depth = std::min(config_.prefetch_depth, depth_cap_);
-    std::vector<size_t> want(volumes);
-    for (size_t v = 0; v < volumes; ++v) {
-      want[v] = std::max(depth, arms_[v].bets.size());
-    }
+    const size_t depth = config_.prefetch_depth;
+    const std::vector<size_t> want(volumes, depth);
     std::vector<storage::BucketIndex> predicted =
         scheduler_->PeekNextBucketsCovering(
             *manager_, now, cached,
@@ -181,8 +177,6 @@ Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now,
   outcome.strategy = result.strategy;
   outcome.cache_hit = result.cache_hit;
   outcome.cost_ms = result.cost_ms;
-  outcome.io_ms = result.io_ms;
-  outcome.cpu_ms = result.cpu_ms;
   outcome.counters = result.counters;
   outcome.matches = std::move(result.matches);
   return std::optional<StepOutcome>(std::move(outcome));

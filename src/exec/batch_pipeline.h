@@ -54,7 +54,6 @@
 #define LIFERAFT_EXEC_BATCH_PIPELINE_H_
 
 #include <deque>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -96,10 +95,8 @@ struct StepOutcome {
   join::JoinStrategy strategy = join::JoinStrategy::kScan;
   /// True if the scan path found the bucket resident (phi(i) == 0).
   bool cache_hit = false;
-  /// Evaluator cost of the batch (io_ms + cpu_ms).
+  /// Evaluator cost of the batch (join::BatchResult::cost_ms).
   TimeMs cost_ms = 0.0;
-  TimeMs io_ms = 0.0;
-  TimeMs cpu_ms = 0.0;
   /// Fetch time charged before the batch: the un-hidden tail of a claimed
   /// prefetch, or in measured mode the wall time spent waiting on a read.
   TimeMs fetch_residual_ms = 0.0;
@@ -153,13 +150,6 @@ class BatchPipeline {
   /// Fetch time hidden behind compute by claimed prefetches, summed over
   /// all arms (per-arm split in volume_stats()).
   TimeMs prefetch_hidden_ms() const { return prefetch_hidden_ms_; }
-
-  /// Caps every arm's next-step prefetch depth at `cap`. The default
-  /// (SIZE_MAX) never binds; the serving engine drives this from the
-  /// active QoS class's QosPrefetchConfig between steps. The cap limits
-  /// how many NEW bets a step places; bets already in flight stay queued
-  /// until their buckets are claimed.
-  void set_depth_cap(size_t cap) { depth_cap_ = cap; }
 
   /// Number of disk arms including the dedicated spill arm, if any.
   size_t num_volumes() const { return arms_.size(); }
@@ -275,8 +265,6 @@ class BatchPipeline {
   /// Arms [0, bucket_volumes_) own buckets; a spill arm, if present, is
   /// arms_[bucket_volumes_].
   size_t bucket_volumes_ = 1;
-  /// External per-step depth limit (see set_depth_cap).
-  size_t depth_cap_ = std::numeric_limits<size_t>::max();
   TimeMs prefetch_hidden_ms_ = 0.0;
   /// Last window published to the cache (skip republishing unchanged
   /// windows — a swap rebuilds the cache's window set under its lock).

@@ -115,7 +115,6 @@ class JoinEvaluator {
   void set_topology(const storage::StorageTopology* topology) {
     topology_ = topology;
   }
-  const storage::StorageTopology* topology() const { return topology_; }
 
   const storage::DiskModel& disk_model() const { return model_; }
   const EvaluatorStats& stats() const { return stats_; }

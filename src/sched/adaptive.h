@@ -46,9 +46,6 @@ class AlphaSelector {
   /// with the nearest saturation. FailedPrecondition with no curves.
   Result<double> AlphaFor(double observed_qps) const;
 
-  size_t num_curves() const { return curves_.size(); }
-  double tolerance() const { return tolerance_; }
-
  private:
   double tolerance_;
   std::map<double, std::vector<TradeoffPoint>> curves_;

@@ -75,7 +75,6 @@ class LifeRaftScheduler : public Scheduler {
   /// Adjusts alpha at runtime (used by the adaptive controller).
   void set_alpha(double alpha) { config_.alpha = alpha; }
   double alpha() const { return config_.alpha; }
-  const LifeRaftConfig& config() const { return config_; }
 
  private:
   /// Effective age of a queue under the QoS policy (plain oldest-request

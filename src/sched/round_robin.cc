@@ -7,10 +7,11 @@ namespace liferaft::sched {
 std::optional<storage::BucketIndex> RoundRobinScheduler::PickBucket(
     const query::WorkloadManager& manager, TimeMs now,
     const CacheProbe& cached) {
-  std::optional<storage::BucketIndex> pick =
-      PeekNextBucket(manager, now, cached);
-  if (pick.has_value()) cursor_ = *pick + 1;
-  return pick;
+  const std::vector<storage::BucketIndex> peek =
+      PeekNextBuckets(manager, now, cached, 1);
+  if (peek.empty()) return std::nullopt;
+  cursor_ = peek.front() + 1;
+  return peek.front();
 }
 
 std::vector<storage::BucketIndex> RoundRobinScheduler::PeekNextBuckets(

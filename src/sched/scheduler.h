@@ -74,16 +74,6 @@ class Scheduler {
     return {};
   }
 
-  /// Depth-1 convenience wrapper over PeekNextBuckets.
-  std::optional<storage::BucketIndex> PeekNextBucket(
-      const query::WorkloadManager& manager, TimeMs now,
-      const CacheProbe& cached) const {
-    std::vector<storage::BucketIndex> peek =
-        PeekNextBuckets(manager, now, cached, 1);
-    if (peek.empty()) return std::nullopt;
-    return peek.front();
-  }
-
   /// Multi-volume prediction hook: the same predicted service order
   /// PeekNextBuckets yields, peeked deep enough that every volume v is
   /// represented by at least `want_per_volume[v]` of its own buckets —

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 
 #include "query/preprocessor.h"
 #include "sched/liferaft_scheduler.h"
@@ -34,10 +33,6 @@ void SimEngine::RecordCompletion(query::QueryId id, TimeMs completion) {
   auto it = pending_outcomes_.find(id);
   assert(it != pending_outcomes_.end());
   it->second.completion_ms = completion;
-  if (it->second.qos == QosClass::kInteractive &&
-      pending_interactive_ > 0) {
-    --pending_interactive_;
-  }
   outcomes_.push_back(it->second);
   pending_outcomes_.erase(it);
 }
@@ -126,7 +121,6 @@ Status SimEngine::PrepareRun(size_t expected_queries) {
   fifo_head_ = 0;
   fifo_pending_objects_ = 0;
   peak_pending_objects_ = 0;
-  pending_interactive_ = 0;
   pending_outcomes_.clear();
   outcomes_.clear();
   outcomes_.reserve(expected_queries);
@@ -156,8 +150,7 @@ Result<RunMetrics> SimEngine::Run(
   if (!std::is_sorted(arrivals_ms.begin(), arrivals_ms.end())) {
     return Status::InvalidArgument("arrivals must be ascending");
   }
-  // No shedding bounds and no QoS prefetch caps: every arrival is admitted
-  // and the pipeline's depth is never capped.
+  // No shedding bounds: every arrival is admitted.
   return ServeLoop(queries, arrivals_ms, ServeConfig{});
 }
 
@@ -233,7 +226,6 @@ Result<RunMetrics> SimEngine::ServeLoop(
       outcome.qos = qos;
       pending_outcomes_[q.id] = outcome;
       ++admitted;
-      if (qos == QosClass::kInteractive) ++pending_interactive_;
       if (shared) {
         query::CrossMatchQuery stamped;  // metadata only; objects live in
         stamped.id = q.id;               // the workloads
@@ -260,26 +252,8 @@ Result<RunMetrics> SimEngine::ServeLoop(
     return Status::OK();
   };
 
-  // Per-QoS-class prefetch caps: while any admitted interactive query is
-  // pending, every arm's next-step depth is capped at the interactive
-  // entry; otherwise at the batch entry (0 = that class imposes no cap).
-  // With both entries 0 the pipeline's cap is never touched, so the
-  // default reproduces single-config serving byte for byte.
-  const size_t interactive_cap =
-      serve.qos_prefetch[static_cast<size_t>(QosClass::kInteractive)]
-          .max_depth;
-  const size_t batch_cap =
-      serve.qos_prefetch[static_cast<size_t>(QosClass::kBatch)].max_depth;
-  const bool qos_caps = interactive_cap != 0 || batch_cap != 0;
-
   while (next_arrival < n || outcomes_.size() < admitted) {
     LIFERAFT_RETURN_IF_ERROR(admit_ready());
-    if (qos_caps) {
-      const size_t cap = pending_interactive_ > 0 ? interactive_cap
-                                                  : batch_cap;
-      pipeline->set_depth_cap(
-          cap != 0 ? cap : std::numeric_limits<size_t>::max());
-    }
     Result<bool> worked = shared ? SharedStep() : PerQueryStep();
     if (!worked.ok()) return worked.status();
     if (!*worked) {

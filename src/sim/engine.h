@@ -183,9 +183,6 @@ class SimEngine {
   uint64_t total_matches_ = 0;
   uint64_t fifo_pending_objects_ = 0;
   uint64_t peak_pending_objects_ = 0;
-  /// Admitted-but-incomplete interactive queries. Drives which
-  /// QosPrefetchConfig entry caps the pipeline.
-  size_t pending_interactive_ = 0;
 };
 
 }  // namespace liferaft::sim

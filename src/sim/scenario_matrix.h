@@ -15,9 +15,9 @@
 //     batch p99 under mixed load;
 //   * no-shed bound — cells flagged `expect_no_shed` assert the admission
 //     controller shed nothing (offered load below the admission bound);
-//   * pairwise bound — a cell naming a reference via `not_worse_than`
-//     asserts its makespan does not exceed the reference's (used to pin
-//     hetero-with-one-fast-arm <= its all-slow uniform twin).
+//   * pairwise bound — a cell naming a reference via `strictly_beats`
+//     asserts its makespan is strictly below the reference's (used to pin
+//     hetero-with-one-fast-arm < its all-slow uniform twin).
 //
 // Cells come from a built-in grid ("smoke" — the per-PR CI subset — or
 // "full", the nightly sweep) or from a line-based spec file (see
@@ -71,7 +71,7 @@ struct ScenarioCell {
   bool hetero = false;
   /// Uniform transfer-rate multiplier applied to every volume (after the
   /// hetero halving). 0.5 on a non-hetero cell builds the all-slow
-  /// uniform twin of a hetero cell, the reference for `not_worse_than`.
+  /// uniform twin of a hetero cell, the reference for `strictly_beats`.
   double transfer_scale = 1.0;
   /// Dedicated spill arm (StorageTopologyConfig::spill_arm).
   bool spill_arm = false;
@@ -98,9 +98,6 @@ struct ScenarioCell {
   /// Admission bounds (0 = unbounded).
   size_t max_pending_queries = 0;
   uint64_t max_pending_objects = 0;
-  /// Per-class prefetch depth caps (0 = class imposes no cap).
-  size_t interactive_cap = 0;
-  size_t batch_cap = 0;
 
   // --------------------------------------------------------- invariants --
   /// Assert the admission controller shed nothing.
@@ -111,14 +108,12 @@ struct ScenarioCell {
   /// Cells sharing a tag form a volume sweep: sorted by `volumes`, the
   /// makespan must be non-increasing.
   std::string monotonic_group;
-  /// Names another cell this one's makespan must not exceed (e.g. hetero
-  /// hardware with one upgraded arm vs its all-slow uniform twin). Empty
-  /// = no claim; naming a cell absent from the matrix is a failure.
-  std::string not_worse_than;
-  /// Names another cell this one's makespan must be STRICTLY below.
-  /// Stronger than `not_worse_than`: parity is a failure. Used where an
-  /// upgraded arm must yield a measurable win (per-volume T_b pricing
-  /// steering work off the slow arm), not just do no harm.
+  /// Names another cell this one's makespan must be STRICTLY below
+  /// (parity is a failure), e.g. hetero hardware with one upgraded arm vs
+  /// its all-slow uniform twin: the upgraded arm must yield a measurable
+  /// win (per-volume T_b pricing steering work off the slow arm), not just
+  /// do no harm. Empty = no claim; naming a cell absent from the matrix
+  /// is a failure.
   std::string strictly_beats;
 
   Status Validate() const;

@@ -5,7 +5,7 @@
 // what the disk arms can drain, and then flow through the same
 // pick→prefetch→claim→evaluate→account pipeline the closed-workload drain
 // uses. SimEngine::Run is the same loop with a default ServeConfig, which
-// admits everything and caps nothing.
+// admits everything.
 
 #ifndef LIFERAFT_SIM_SERVE_H_
 #define LIFERAFT_SIM_SERVE_H_
@@ -77,14 +77,6 @@ const char* ArrivalKindName(ArrivalSpec::Kind kind);
 /// Materializes `n` arrival timestamps from the spec (ascending from 0).
 Result<std::vector<TimeMs>> BuildArrivals(const ArrivalSpec& spec, size_t n);
 
-/// Per-QoS-class prefetch-depth override: while the class is active (see
-/// ServeConfig::qos_prefetch) the engine caps every disk arm's prefetch
-/// depth at max_depth. 0 = no class cap: the arm keeps the engine-wide
-/// EngineConfig prefetch depth, byte for byte.
-struct QosPrefetchConfig {
-  size_t max_depth = 0;
-};
-
 /// Serving-mode configuration (see SimEngine::Serve).
 struct ServeConfig {
   ArrivalSpec arrivals;
@@ -97,13 +89,6 @@ struct ServeConfig {
   /// objects in the workload manager.
   size_t max_pending_queries = 0;
   uint64_t max_pending_objects = 0;
-  /// Per-QoS-class prefetch depth caps, indexed by QosClass. The
-  /// interactive entry is active while any admitted interactive query is
-  /// still pending (deep speculative bets behind a latency-sensitive
-  /// query only delay it); the batch entry is active otherwise. Both
-  /// defaulting to 0 reproduces today's single prefetch config exactly —
-  /// the engine never touches the pipeline's depth cap.
-  QosPrefetchConfig qos_prefetch[kNumQosClasses];
 
   Status Validate() const;
 };

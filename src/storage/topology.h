@@ -118,7 +118,6 @@ class StorageTopology {
 
   size_t num_volumes() const { return models_.size(); }
   size_t num_buckets() const { return num_buckets_; }
-  VolumePlacement placement() const { return placement_; }
 
   /// The volume owning bucket `b`.
   VolumeIndex VolumeOf(BucketIndex b) const {
@@ -150,12 +149,6 @@ class StorageTopology {
   /// StorageTopologyConfig::spill_arm). The spill arm is NOT a bucket
   /// volume: num_volumes() excludes it and VolumeOf never returns it.
   bool has_spill_arm() const { return has_spill_arm_; }
-
-  /// Arm index of the spill arm within the pipeline's arm array: one past
-  /// the last bucket volume. Meaningful only when has_spill_arm().
-  VolumeIndex spill_volume() const {
-    return static_cast<VolumeIndex>(models_.size());
-  }
 
  private:
   StorageTopology(size_t num_buckets, VolumePlacement placement,

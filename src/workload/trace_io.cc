@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <unordered_set>
 
 #include "util/coding.h"
 #include "util/crc32.h"
@@ -115,11 +116,18 @@ Result<std::vector<query::CrossMatchQuery>> LoadTrace(
   }
   std::vector<query::CrossMatchQuery> trace;
   trace.reserve(n);
+  // Every driver keys its outcomes by query id, so a repeated id cannot
+  // be replayed.
+  std::unordered_set<query::QueryId> ids;
+  ids.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
     if (!need(8 + 8 + 16 + 4)) return Status::Corruption("truncated query");
     query::CrossMatchQuery q;
     q.id = GetFixed64(p);
     p += 8;
+    if (!ids.insert(q.id).second) {
+      return Status::Corruption("duplicate query id " + std::to_string(q.id));
+    }
     q.arrival_ms = GetDouble(p);
     p += 8;
     q.predicate.min_mag = GetFloat(p);

@@ -1,18 +1,21 @@
-// Tests for the scenario-matrix harness: spec parsing, the built-in
-// grids, cell validation, invariant evaluation, and the two golden
-// matrices (three serving cells, eight pipeline cells) whose JSON reports
-// must stay byte-identical (tests/data/).
+// Tests for the scenario-matrix harness: spec parsing (mutated specs
+// included), the built-in grids, cell validation, invariant evaluation,
+// and the two golden matrices (three serving cells, eight pipeline cells)
+// whose JSON reports must stay byte-identical (tests/data/).
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "sim/scenario_matrix.h"
+#include "util/random.h"
 
 namespace liferaft::sim {
 namespace {
@@ -27,8 +30,8 @@ std::string ReadFileOrDie(const std::string& path) {
 
 // ------------------------------------------------------------- parsing --
 
-TEST(ScenarioSpecTest, ParsesCellsAndKeys) {
-  auto cells = ParseScenarioSpec(R"(# a comment
+// A spec that sets most keys, for the parse test and as a mutation seed.
+constexpr char kKeysSpec[] = R"(# a comment
 [first]
 queries = 12
 trace_seed = 9
@@ -50,8 +53,6 @@ adaptive_alpha = true
 interactive_max_parts = 4
 max_pending_queries = 8
 max_pending_objects = 100000
-interactive_cap = 1
-batch_cap = 3
 expect_no_shed = false
 check_qos = true
 monotonic_group = sweep
@@ -59,7 +60,10 @@ monotonic_group = sweep
 [second]
 arrival = saturated
 strictly_beats = first
-)");
+)";
+
+TEST(ScenarioSpecTest, ParsesCellsAndKeys) {
+  auto cells = ParseScenarioSpec(kKeysSpec);
   ASSERT_TRUE(cells.ok()) << cells.status().ToString();
   ASSERT_EQ(cells->size(), 2u);
   const ScenarioCell& c = (*cells)[0];
@@ -84,8 +88,6 @@ strictly_beats = first
   EXPECT_EQ(c.interactive_max_parts, 4u);
   EXPECT_EQ(c.max_pending_queries, 8u);
   EXPECT_EQ(c.max_pending_objects, 100'000u);
-  EXPECT_EQ(c.interactive_cap, 1u);
-  EXPECT_EQ(c.batch_cap, 3u);
   EXPECT_FALSE(c.expect_no_shed);
   EXPECT_TRUE(c.check_qos);
   EXPECT_EQ(c.monotonic_group, "sweep");
@@ -112,6 +114,158 @@ TEST(ScenarioSpecTest, RejectsMalformedSpecs) {
   EXPECT_FALSE(ParseScenarioSpec("[a]\np_small = 1.5\n").ok());
   EXPECT_FALSE(ParseScenarioSpec("[a]\nalpha = 2.0\n").ok());
   EXPECT_FALSE(ParseScenarioSpec("[a]\nrate_qps = 0\n").ok());
+}
+
+// A count is digits only and a number must be finite: a "-1" that wraps
+// to 2^64 - 1 queries aborts the run that reserves them, and a NaN or an
+// infinity passes range tests. Each is refused naming its spec line.
+TEST(ScenarioSpecTest, RejectsSignedAndNonFiniteValues) {
+  struct Case {
+    const char* spec;
+    const char* line;
+  };
+  for (const Case& c : {Case{"[a]\nqueries = -1\n", "spec line 2"},
+                        Case{"[a]\nqueries = +7\n", "spec line 2"},
+                        Case{"[a]\ncache = -3\n", "spec line 2"},
+                        Case{"[a]\nalpha = nan\n", "spec line 2"},
+                        Case{"[a]\np_small = nan\n", "spec line 2"},
+                        Case{"[a]\ntransfer_scale = inf\n", "spec line 2"},
+                        Case{"[a]\narrival = poisson\nrate_qps = inf\n",
+                             "spec line 3"}}) {
+    SCOPED_TRACE(c.spec);
+    auto cells = ParseScenarioSpec(c.spec);
+    ASSERT_FALSE(cells.ok());
+    EXPECT_EQ(cells.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(cells.status().message().find(c.line), std::string::npos)
+        << cells.status().ToString();
+  }
+  // A cell built in code skips the parser; its range tests refuse NaN.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ScenarioCell cell;
+  cell.name = "nan";
+  cell.alpha = nan;
+  EXPECT_FALSE(cell.Validate().ok());
+  cell.alpha = 0.25;
+  cell.p_small = nan;
+  EXPECT_FALSE(cell.Validate().ok());
+}
+
+std::vector<std::string> SplitLines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+std::string JoinLines(const std::vector<std::string>& lines) {
+  std::string text;
+  for (const std::string& line : lines) text += line + "\n";
+  return text;
+}
+
+// ParseScenarioSpec reads whatever file the runner is handed, so no
+// mutant of a real spec may crash or throw: it parses, or it fails with
+// InvalidArgument. The seeds are both golden specs and kKeysSpec; the
+// mutations are bit flips, a line (or a cell header) deleted, duplicated
+// or moved, truncation, and one value replaced from a pool of hostile
+// literals. Every cell of a spec that parses must validate, with finite
+// doubles. Nothing is run. tools/ci.sh --asan runs this.
+TEST(ScenarioSpecMutationTest, MutantsParseOrFailWithInvalidArgument) {
+  const std::string dir = LIFERAFT_TEST_DATA_DIR;
+  const std::string seeds[] = {
+      ReadFileOrDie(dir + "/scenario_golden.spec"),
+      ReadFileOrDie(dir + "/pipeline_golden.spec"), kKeysSpec};
+  const char* const hostile[] = {"-1",    "+7",
+                                 "nan",   "-inf",
+                                 "1e309", "18446744073709551616",
+                                 "0x10",  ""};
+
+  constexpr int kMutants = 5000;
+  Rng rng(4111);
+  int parsed_ok = 0;
+  for (int m = 0; m < kMutants; ++m) {
+    const std::string& seed = seeds[m % std::size(seeds)];
+    std::vector<std::string> lines = SplitLines(seed);
+    std::vector<size_t> headers;
+    std::vector<size_t> keys;
+    for (size_t i = 0; i < lines.size(); ++i) {
+      if (lines[i].rfind('[', 0) == 0) headers.push_back(i);
+      if (lines[i].find('=') != std::string::npos) keys.push_back(i);
+    }
+    // A line to delete, duplicate or move: a cell header one time in
+    // three, else any line.
+    const auto some_line = [&] {
+      return rng.UniformU64(3) == 0
+                 ? headers[rng.UniformU64(headers.size())]
+                 : static_cast<size_t>(rng.UniformU64(lines.size()));
+    };
+    std::string text;
+    switch (rng.UniformU64(6)) {
+      case 0: {  // bit flips
+        text = seed;
+        const int flips = 1 + static_cast<int>(rng.UniformU64(4));
+        for (int e = 0; e < flips; ++e) {
+          text[rng.UniformU64(text.size())] ^=
+              static_cast<char>(1 << rng.UniformU64(8));
+        }
+        break;
+      }
+      case 1:  // a line deleted
+        lines.erase(lines.begin() + static_cast<ptrdiff_t>(some_line()));
+        text = JoinLines(lines);
+        break;
+      case 2: {  // a line duplicated somewhere
+        const std::string copy = lines[some_line()];
+        lines.insert(lines.begin() + static_cast<ptrdiff_t>(rng.UniformU64(
+                                         lines.size() + 1)),
+                     copy);
+        text = JoinLines(lines);
+        break;
+      }
+      case 3: {  // a line moved somewhere else
+        const size_t from = some_line();
+        const std::string moved = lines[from];
+        lines.erase(lines.begin() + static_cast<ptrdiff_t>(from));
+        lines.insert(lines.begin() + static_cast<ptrdiff_t>(
+                                         rng.UniformU64(lines.size() + 1)),
+                     moved);
+        text = JoinLines(lines);
+        break;
+      }
+      case 4:  // truncation
+        text = seed.substr(0, rng.UniformU64(seed.size()));
+        break;
+      default: {  // one value replaced by a hostile literal
+        std::string& line = lines[keys[rng.UniformU64(keys.size())]];
+        line = line.substr(0, line.find('=') + 1) + " " +
+               hostile[rng.UniformU64(std::size(hostile))];
+        text = JoinLines(lines);
+        break;
+      }
+    }
+
+    SCOPED_TRACE("mutant " + std::to_string(m) + ":\n" + text);
+    auto cells = ParseScenarioSpec(text);
+    if (!cells.ok()) {
+      ASSERT_EQ(cells.status().code(), StatusCode::kInvalidArgument)
+          << cells.status().ToString();
+      continue;
+    }
+    ++parsed_ok;
+    for (const ScenarioCell& c : *cells) {
+      ASSERT_TRUE(c.Validate().ok()) << c.name;
+      for (double v : {c.p_small, c.arrivals.rate_qps,
+                       c.arrivals.rate_off_qps, c.arrivals.mean_phase_ms,
+                       c.arrivals.amplitude, c.arrivals.period_ms,
+                       c.arrivals.spike_factor, c.arrivals.spike_start_ms,
+                       c.arrivals.decay_ms, c.transfer_scale, c.alpha}) {
+        ASSERT_TRUE(std::isfinite(v)) << c.name;
+      }
+    }
+  }
+  // Both outcomes occur: mutants parse, and mutants are refused.
+  EXPECT_GT(parsed_ok, 0);
+  EXPECT_LT(parsed_ok, kMutants);
 }
 
 TEST(ScenarioCellTest, ValidateChecksRanges) {
@@ -205,8 +359,8 @@ TEST(ScenarioMatrixTest, GoldenThreeCellReportIsByteIdentical) {
 // The pipeline golden: eight cells that together drive every modeled
 // branch of exec::BatchPipeline::Step (no prefetch, depth 1, depth 2 on
 // four arms, hetero arms whose re-reads the cache prices, spill restores
-// on the bucket arm and on a spill arm, per-class depth caps, bursty
-// arrivals). Any change to the modeled accounting or to the cache's
+// on the bucket arm and on a spill arm, depth 4 under open-loop mixed
+// arrivals, bursty arrivals). Any change to the modeled accounting or to the cache's
 // victim order moves a number in the report.
 TEST(ScenarioMatrixTest, PipelineGoldenReportIsByteIdentical) {
   const std::filesystem::path spill_dir =

@@ -310,101 +310,6 @@ TEST_F(ServeFixture, AdaptiveAlphaReactsToOfferedRate) {
   EXPECT_DOUBLE_EQ(metrics->alpha_final, 0.0);
 }
 
-// ------------------------------------- per-QoS-class prefetch configs --
-
-// Caps that never bind (and the all-zero default) must leave the run
-// byte-identical: the cap plumbing may not perturb a single modeled time.
-TEST_F(ServeFixture, QosPrefetchCapsThatNeverBindAreByteIdentical) {
-  auto serve_with = [&](size_t interactive_cap, size_t batch_cap) {
-    EngineConfig config;
-    config.enable_prefetch = true;
-    config.prefetch_depth = 2;
-    SimEngine engine(catalog_.get(), LifeRaftSched(0.25), config);
-    ServeConfig serve;
-    serve.arrivals.kind = ArrivalSpec::Kind::kPoisson;
-    serve.arrivals.rate_qps = 2.0;
-    serve.arrivals.seed = 31;
-    serve.qos_prefetch[static_cast<size_t>(QosClass::kInteractive)]
-        .max_depth = interactive_cap;
-    serve.qos_prefetch[static_cast<size_t>(QosClass::kBatch)].max_depth =
-        batch_cap;
-    auto metrics = engine.Serve(trace_, serve);
-    EXPECT_TRUE(metrics.ok()) << metrics.status().ToString();
-    return metrics.ok() ? *metrics : RunMetrics{};
-  };
-  RunMetrics base = serve_with(0, 0);     // default: cap never touched
-  RunMetrics slack = serve_with(99, 99);  // touched every step, never binds
-  EXPECT_EQ(slack.makespan_ms, base.makespan_ms);
-  EXPECT_EQ(slack.prefetch_hidden_ms, base.prefetch_hidden_ms);
-  EXPECT_EQ(storage::SumOverArms(slack.volumes).prefetch_issued,
-            storage::SumOverArms(base.volumes).prefetch_issued);
-  EXPECT_EQ(storage::SumOverArms(slack.volumes).prefetch_claims,
-            storage::SumOverArms(base.volumes).prefetch_claims);
-  EXPECT_EQ(slack.total_matches, base.total_matches);
-  EXPECT_EQ(slack.store.bucket_reads, base.store.bucket_reads);
-}
-
-// While interactive queries are pending, the interactive cap overrides
-// the engine-wide depth. With every query classified interactive, a cap
-// of 1 over a fixed depth of 2 must reproduce a plain depth-1 serve
-// exactly — same bets, same claims, same clock.
-TEST_F(ServeFixture, InteractiveCapReproducesShallowerDepthExactly) {
-  auto serve_with = [&](size_t depth, size_t interactive_cap) {
-    EngineConfig config;
-    config.enable_prefetch = true;
-    config.prefetch_depth = depth;
-    SimEngine engine(catalog_.get(), LifeRaftSched(0.25), config);
-    ServeConfig serve;
-    serve.arrivals.kind = ArrivalSpec::Kind::kPoisson;
-    serve.arrivals.rate_qps = 2.0;
-    serve.arrivals.seed = 37;
-    serve.interactive_max_parts = 1000;  // everything interactive
-    serve.qos_prefetch[static_cast<size_t>(QosClass::kInteractive)]
-        .max_depth = interactive_cap;
-    auto metrics = engine.Serve(trace_, serve);
-    EXPECT_TRUE(metrics.ok()) << metrics.status().ToString();
-    return metrics.ok() ? *metrics : RunMetrics{};
-  };
-  RunMetrics capped = serve_with(/*depth=*/2, /*interactive_cap=*/1);
-  RunMetrics shallow = serve_with(/*depth=*/1, /*interactive_cap=*/0);
-  EXPECT_EQ(capped.makespan_ms, shallow.makespan_ms);
-  EXPECT_EQ(capped.prefetch_hidden_ms, shallow.prefetch_hidden_ms);
-  EXPECT_EQ(storage::SumOverArms(capped.volumes).prefetch_issued,
-            storage::SumOverArms(shallow.volumes).prefetch_issued);
-  EXPECT_EQ(storage::SumOverArms(capped.volumes).prefetch_claims,
-            storage::SumOverArms(shallow.volumes).prefetch_claims);
-  EXPECT_EQ(capped.store.bucket_reads, shallow.store.bucket_reads);
-  EXPECT_EQ(capped.total_matches, shallow.total_matches);
-}
-
-// The batch entry applies only while NO interactive query is pending:
-// with everything classified interactive, a batch-only cap must never
-// activate during a live step.
-TEST_F(ServeFixture, BatchCapInactiveWhileInteractivePending) {
-  auto serve_with = [&](size_t batch_cap) {
-    EngineConfig config;
-    config.enable_prefetch = true;
-    config.prefetch_depth = 2;
-    SimEngine engine(catalog_.get(), LifeRaftSched(0.25), config);
-    ServeConfig serve;
-    serve.arrivals.kind = ArrivalSpec::Kind::kPoisson;
-    serve.arrivals.rate_qps = 2.0;
-    serve.arrivals.seed = 41;
-    serve.interactive_max_parts = 1000;  // everything interactive
-    serve.qos_prefetch[static_cast<size_t>(QosClass::kBatch)].max_depth =
-        batch_cap;
-    auto metrics = engine.Serve(trace_, serve);
-    EXPECT_TRUE(metrics.ok()) << metrics.status().ToString();
-    return metrics.ok() ? *metrics : RunMetrics{};
-  };
-  RunMetrics base = serve_with(0);
-  RunMetrics capped = serve_with(1);
-  EXPECT_EQ(capped.makespan_ms, base.makespan_ms);
-  EXPECT_EQ(storage::SumOverArms(capped.volumes).prefetch_issued,
-            storage::SumOverArms(base.volumes).prefetch_issued);
-  EXPECT_EQ(capped.total_matches, base.total_matches);
-}
-
 TEST_F(ServeFixture, RejectsBadConfigurations) {
   EngineConfig config;
   {

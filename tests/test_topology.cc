@@ -127,9 +127,8 @@ TEST(StorageTopologyTest, SpillArmIsNotABucketVolume) {
   auto topology = StorageTopology::Create(9, config, DiskModelParams{});
   ASSERT_TRUE(topology.ok());
   EXPECT_TRUE(topology->has_spill_arm());
-  // The spill arm sits one past the bucket volumes and owns no buckets.
+  // The spill arm is not counted among the volumes and owns no buckets.
   EXPECT_EQ(topology->num_volumes(), 3u);
-  EXPECT_EQ(topology->spill_volume(), 3u);
   for (BucketIndex b = 0; b < 9; ++b) {
     EXPECT_LT(topology->VolumeOf(b), 3u);
   }

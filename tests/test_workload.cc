@@ -564,15 +564,35 @@ TEST_F(TraceIoTest, OutOfRangeObjectIsCorruption) {
   }
 }
 
+// Every driver keys its outcomes by query id, so a trace whose ids repeat
+// cannot be replayed: LoadTrace refuses it, naming the id.
+TEST_F(TraceIoTest, DuplicateQueryIdIsCorruption) {
+  TraceConfig config;
+  config.num_queries = 6;
+  config.seed = 9;
+  auto trace = GenerateTrace(config);
+  ASSERT_TRUE(trace.ok());
+  (*trace)[3].id = (*trace)[2].id;
+  ASSERT_TRUE(SaveTrace(path_.string(), *trace).ok());
+  auto loaded = LoadTrace(path_.string());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(loaded.status().message().find(
+                "duplicate query id " + std::to_string((*trace)[2].id)),
+            std::string::npos)
+      << loaded.status().ToString();
+}
+
 // LoadTrace parses an untrusted file, so no mutant of a saved trace may
 // crash or throw: it loads, or it fails with Corruption. Mutations: bit
 // flips anywhere, the query count or one query's object count or label
 // length rewritten, one object's ra, dec or radius set to NaN, ±inf, a
 // value just out of range or one at the edge of its range, and
 // truncation. Seven mutants in eight get the payload crc recomputed, so
-// the parse behind the crc runs. Every object of a trace that loads must
-// be finite, in range and cover at least one HTM range. tools/ci.sh
-// --asan runs this, where a read past the buffer traps.
+// the parse behind the crc runs. A trace that loads must have distinct
+// query ids, and every object in it must be finite, in range and cover
+// at least one HTM range. tools/ci.sh --asan runs this, where a read past
+// the buffer traps.
 TEST(TraceIoMutationTest, MutantsLoadOrFailWithCorruption) {
   const std::filesystem::path path =
       std::filesystem::temp_directory_path() /
@@ -689,7 +709,9 @@ TEST(TraceIoMutationTest, MutantsLoadOrFailWithCorruption) {
       continue;
     }
     ++loaded_ok;
+    std::set<query::QueryId> ids;
     for (const query::CrossMatchQuery& q : *loaded) {
+      ASSERT_TRUE(ids.insert(q.id).second) << "query " << q.id;
       for (const query::QueryObject& o : q.objects) {
         ASSERT_TRUE(std::isfinite(o.ra_deg) && std::isfinite(o.dec_deg) &&
                     std::isfinite(o.radius_arcsec))

@@ -20,7 +20,8 @@
 #                        # test_topology, test_columnar, test_async_io,
 #                        # test_core, test_sim, test_serve, test_join,
 #                        # test_properties, test_query,
-#                        # test_spill, test_htm, and test_workload with
+#                        # test_spill, test_htm, test_workload, and
+#                        # test_scenarios with
 #                        # -fsanitize=address,undefined and
 #                        # -D_GLIBCXX_ASSERTIONS (std::vector and std::span
 #                        # indexing bounds-checked) and runs them
@@ -36,7 +37,8 @@
 #                        # restore; plus the HTM cover's ID shifts and edge
 #                        # tests at levels 0-20 and the trace parser over
 #                        # counts that overrun the file, out-of-range
-#                        # objects and mutated traces)
+#                        # objects and mutated traces, and the scenario
+#                        # spec parser over mutated specs)
 #   tools/ci.sh --real-io # Wall-clock I/O smoke: gen-catalog to disk, replay
 #                        # with --io real over 2 volumes (prefetch on), then
 #                        # inspect --verify-checksums. Exercises the pread
@@ -58,7 +60,7 @@ cd "$(dirname "$0")/.."
 if [ "${1:-}" = "--asan" ]; then
   suites=(test_exec test_storage test_topology test_columnar test_async_io
     test_core test_sim test_serve test_join test_properties test_query
-    test_spill test_htm test_workload)
+    test_spill test_htm test_workload test_scenarios)
   cmake -B build-asan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -D_GLIBCXX_ASSERTIONS -g" \
