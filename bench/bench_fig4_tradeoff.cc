@@ -1,6 +1,7 @@
 // Reproduces Figure 4: normalized throughput vs. normalized average
 // response time trade-off curves at low and high saturation, and the
-// tolerance-threshold selection of alpha used by the adaptive controller.
+// paper's offline tolerance-threshold selection of alpha
+// (sched::SelectAlpha).
 //
 //   Paper shapes to verify:
 //   * each curve walks from the greedy corner (best throughput, worst
@@ -10,7 +11,7 @@
 //     (paper: 1.0) and high saturation a low one (paper: 0.25).
 
 #include "bench/bench_common.h"
-#include "sched/adaptive.h"
+#include "sched/metric.h"
 
 namespace liferaft::bench {
 namespace {

@@ -89,7 +89,7 @@ class LifeRaft {
   /// Current virtual time (ms since instance creation).
   TimeMs now_ms() const { return clock_.NowMs(); }
 
-  /// Adjusts the age bias at runtime (workload-adaptive tuning).
+  /// Adjusts the age bias at runtime; the next pick uses it.
   void set_alpha(double alpha) { scheduler_->set_alpha(alpha); }
   double alpha() const { return scheduler_->alpha(); }
 

@@ -72,7 +72,7 @@ class LifeRaftScheduler : public Scheduler {
       const std::function<uint32_t(storage::BucketIndex)>& volume_of,
       const std::vector<size_t>& want_per_volume) const override;
 
-  /// Adjusts alpha at runtime (used by the adaptive controller).
+  /// Adjusts alpha at runtime (core::LifeRaft::set_alpha).
   void set_alpha(double alpha) { config_.alpha = alpha; }
   double alpha() const { return config_.alpha; }
 

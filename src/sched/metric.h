@@ -19,14 +19,21 @@
 //
 // The literal formula is retained as kRawPaper and contrasted in
 // bench_ablation_metric.
+//
+// Paper §4 tunes alpha offline: trade-off curves of throughput against
+// mean response are measured at several alphas, and SelectAlpha picks the
+// alpha with the lowest mean response within a throughput tolerance
+// (Fig. 4, reproduced by bench_fig4_tradeoff).
 
 #ifndef LIFERAFT_SCHED_METRIC_H_
 #define LIFERAFT_SCHED_METRIC_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "storage/bucket.h"
 #include "storage/disk_model.h"
+#include "util/status.h"
 
 namespace liferaft::storage {
 class StorageTopology;
@@ -70,6 +77,20 @@ double AgedThroughputRaw(double ut, double age_ms, double alpha);
 /// maxima degrade gracefully (that term contributes 0 for every bucket).
 double AgedThroughputNormalized(double ut, double ut_max, double age_ms,
                                 double age_max, double alpha);
+
+/// One measured operating point of a trade-off curve.
+struct TradeoffPoint {
+  double alpha = 0.0;
+  double throughput_qps = 0.0;
+  double avg_response_ms = 0.0;
+};
+
+/// Picks the alpha whose response time is lowest among points with
+/// throughput >= (1 - tolerance) * max throughput on the curve (paper Fig 4:
+/// tolerance 0.2 selects alpha 1.0 at low saturation, 0.25 at high).
+/// Returns InvalidArgument for an empty curve or tolerance outside [0, 1].
+Result<double> SelectAlpha(const std::vector<TradeoffPoint>& curve,
+                           double tolerance);
 
 }  // namespace liferaft::sched
 

@@ -189,10 +189,7 @@ Result<RunMetrics> SimEngine::ServeLoop(
   query::WorkloadManager& manager = stack_->manager();
   exec::BatchPipeline* pipeline = stack_->pipeline();  // null unless shared
 
-  AdmissionController admission(serve, config_.rate_window_ms);
-  // Adaptive alpha plumbing (a LifeRaft scheduler only).
-  auto* adaptive_target =
-      dynamic_cast<sched::LifeRaftScheduler*>(scheduler_.get());
+  AdmissionController admission(serve);
 
   size_t next_arrival = 0;
   const size_t n = queries.size();
@@ -210,7 +207,7 @@ Result<RunMetrics> SimEngine::ServeLoop(
                                : QosClass::kBatch;
       // The controller sees the buffer as it stands; its verdict is final
       // — a shed query never touches the workload manager.
-      if (!admission.Offer(arrival, manager.total_pending_objects(),
+      if (!admission.Offer(manager.total_pending_objects(),
                            manager.pending_queries(), q.objects.size())) {
         ++shed_by_class[static_cast<size_t>(qos)];
         continue;
@@ -242,11 +239,6 @@ Result<RunMetrics> SimEngine::ServeLoop(
         fifo_.push_back(AdmittedQuery{&q, std::move(workloads), arrival});
         peak_pending_objects_ =
             std::max(peak_pending_objects_, fifo_pending_objects_);
-      }
-      if (config_.alpha_selector != nullptr && adaptive_target != nullptr) {
-        auto alpha =
-            config_.alpha_selector->AlphaFor(admission.RateQps(arrival));
-        if (alpha.ok()) adaptive_target->set_alpha(*alpha);
       }
     }
     return Status::OK();

@@ -26,7 +26,6 @@
 
 #include "exec/stack.h"
 #include "query/workload.h"
-#include "sched/adaptive.h"
 #include "sched/scheduler.h"
 #include "sim/run_metrics.h"
 #include "sim/serve.h"
@@ -65,12 +64,6 @@ struct EngineConfig : exec::StackConfig {
   IoMode io_mode = IoMode::kModeled;
   /// Keep match tuples (disable for scheduling-scale experiments).
   bool collect_matches = false;
-  /// Optional workload-adaptive alpha: when set and the scheduler is a
-  /// LifeRaftScheduler, the engine re-selects alpha from the observed
-  /// arrival rate after every admission.
-  const sched::AlphaSelector* alpha_selector = nullptr;
-  /// Window for the adaptive controller's arrival-rate estimate.
-  TimeMs rate_window_ms = 120'000.0;
   /// Workload overflow (shared mode): when non-empty, workload queues
   /// exceeding `workload_memory_budget` resident objects spill to this
   /// scratch file; restores charge disk time through the cost model.
@@ -113,20 +106,15 @@ class SimEngine {
   /// open-loop per `serve.arrivals`, are QoS-classified by fan-out, and
   /// pass the admission controller before entering the workload manager —
   /// arrivals it sheds never execute and are reported per class in
-  /// RunMetrics::qos_classes. With an EngineConfig::alpha_selector the
-  /// LifeRaft alpha is re-selected online from the controller's offered-
-  /// rate estimate. Run and Serve share one loop, so a kTrace spec in an
-  /// otherwise default ServeConfig reproduces Run(queries, trace)
-  /// exactly, whole report included.
+  /// RunMetrics::qos_classes. The scheduler keeps the alpha it was built
+  /// with. Run and Serve share one loop, so a kTrace spec in an otherwise
+  /// default ServeConfig reproduces Run(queries, trace) exactly, whole
+  /// report included.
   Result<RunMetrics> Serve(const std::vector<query::CrossMatchQuery>& queries,
                            const ServeConfig& serve);
 
   /// Outcomes of the last Run, in completion order.
   const std::vector<QueryOutcome>& outcomes() const { return outcomes_; }
-
-  /// The scheduler (null in per-query modes); exposed for tests and for
-  /// inspecting the adaptive alpha trajectory.
-  sched::Scheduler* scheduler() { return scheduler_.get(); }
 
  private:
   struct AdmittedQuery {

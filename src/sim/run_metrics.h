@@ -103,8 +103,8 @@ struct RunMetrics {
   /// Completed work rate actually sustained: queries_completed / makespan.
   /// Equals throughput_qps when nothing is shed.
   double sustained_qps = 0.0;
-  /// LifeRaft alpha at end of run (the adaptive controller's last choice;
-  /// the configured alpha when no AlphaSelector is attached).
+  /// LifeRaft alpha at end of run: the configured alpha, unless the
+  /// caller moved it (core::LifeRaft::set_alpha).
   double alpha_final = 0.0;
   /// Per-class latency/shed breakdown, indexed by sim::QosClass.
   std::vector<QosClassMetrics> qos_classes;

@@ -46,7 +46,6 @@ std::string CellConfigJson(const ScenarioCell& cell) {
   o.Int("cache", cell.cache);
   o.Int("prefetch_depth", cell.prefetch_depth);
   o.Num("alpha", cell.alpha);
-  o.Bool("adaptive_alpha", cell.adaptive_alpha);
   o.Int("interactive_max_parts", cell.interactive_max_parts);
   o.Bool("qos_sched", cell.qos_sched);
   o.Int("max_pending_queries", cell.max_pending_queries);
@@ -64,6 +63,11 @@ Status ScenarioCell::Validate() const {
   if (name.empty()) return Status::InvalidArgument("cell has no name");
   if (queries == 0) {
     return Status::InvalidArgument("cell '" + name + "': queries must be > 0");
+  }
+  if (queries > workload::kMaxTraceQueries) {
+    return Status::InvalidArgument(
+        "cell '" + name + "': queries must be <= kMaxTraceQueries (" +
+        std::to_string(workload::kMaxTraceQueries) + ")");
   }
   // Range tests are written so that NaN fails them.
   if (!(0.0 <= p_small && p_small <= 1.0)) {
@@ -199,19 +203,18 @@ Result<std::vector<ScenarioCell>> BuiltinScenarioGrid(
       cell.volumes = 2;
       cell.placement = storage::VolumePlacement::kHash;
       cell.prefetch_depth = 2;
-      cell.adaptive_alpha = true;
       cell.expect_no_shed = true;  // unbounded admission: nothing may shed
       return cell;
     };
     {
-      // All-slow uniform twin of hetero-adaptive: both arms run at the
+      // All-slow uniform twin of hetero-fast-arm: both arms run at the
       // hetero cell's SLOW rate.
       ScenarioCell cell = hetero_wave("hetero-uniform-twin");
       cell.transfer_scale = 0.5;
       cells.push_back(cell);
     }
     {
-      ScenarioCell cell = hetero_wave("hetero-adaptive");
+      ScenarioCell cell = hetero_wave("hetero-fast-arm");
       cell.hetero = true;
       cell.strictly_beats = "hetero-uniform-twin";
       cells.push_back(cell);
@@ -443,9 +446,6 @@ Status ApplyKey(ScenarioCell* cell, const std::string& key,
   if (key == "alpha") {  // SCENARIO_KEY(alpha)
     return ParseDouble(value, &cell->alpha);
   }
-  if (key == "adaptive_alpha") {  // SCENARIO_KEY(adaptive_alpha)
-    return ParseBool(value, &cell->adaptive_alpha);
-  }
   if (key == "interactive_max_parts") {  // SCENARIO_KEY(interactive_max_parts)
     return ParseSize(value, &cell->interactive_max_parts);
   }
@@ -567,9 +567,6 @@ Result<RunMetrics> RunCell(const ScenarioCell& cell,
         options.spill_dir + "/scenario_" + cell.name + ".spill";
     config.workload_memory_budget = cell.spill_budget;
   }
-  sched::AlphaSelector selector = sched::ReferenceAlphaSelector();
-  if (cell.adaptive_alpha) config.alpha_selector = &selector;
-
   sched::LifeRaftConfig lr;
   lr.alpha = cell.alpha;
   lr.qos.depreciate_long_queries = cell.qos_sched;

@@ -83,11 +83,8 @@ struct ScenarioCell {
   size_t cache = 20;
   /// Prefetch depth per arm; 0 disables prefetching.
   size_t prefetch_depth = 0;
-  /// LifeRaft alpha (fixed; the starting point under adaptive_alpha).
+  /// LifeRaft alpha, fixed for the whole run.
   double alpha = 0.25;
-  /// Re-select alpha online from the offered rate using
-  /// sched::ReferenceAlphaSelector.
-  bool adaptive_alpha = false;
 
   // ------------------------------------------------------ QoS/admission --
   /// Fan-out bound for the interactive class.

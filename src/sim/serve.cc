@@ -68,6 +68,14 @@ Status ArrivalSpec::Validate(size_t n) const {
         return Status::InvalidArgument(
             "ArrivalSpec: mean_phase_ms must be positive");
       }
+      // An arrival needs an exponential gap shorter than its phase. Below
+      // one expected arrival per 100 phases, BurstyArrivals steps through
+      // phases and may never return (mean_phase_ms = 1e-300 does not).
+      if (std::max(rate_qps, rate_off_qps) * mean_phase_ms / 1000.0 < 0.01) {
+        return Status::InvalidArgument(
+            "ArrivalSpec: max(rate_qps, rate_off_qps) * mean_phase_ms / 1000 "
+            "must be >= 0.01 expected arrivals per phase");
+      }
       return Status::OK();
     case Kind::kDiurnal:
       if (!(rate_qps > 0.0)) {
@@ -139,19 +147,14 @@ Status ServeConfig::Validate() const {
   return Status::OK();
 }
 
-AdmissionController::AdmissionController(const ServeConfig& config,
-                                         TimeMs rate_window_ms)
+AdmissionController::AdmissionController(const ServeConfig& config)
     : max_pending_queries_(config.max_pending_queries),
-      max_pending_objects_(config.max_pending_objects),
-      estimator_(rate_window_ms) {}
+      max_pending_objects_(config.max_pending_objects) {}
 
-bool AdmissionController::Offer(TimeMs now, uint64_t pending_objects,
+bool AdmissionController::Offer(uint64_t pending_objects,
                                 size_t pending_queries,
                                 uint64_t query_objects) {
   std::lock_guard<std::mutex> lock(mu_);
-  // The estimator sees every offered arrival, shed or not: the adaptive
-  // alpha must react to offered load, which is what saturates the system.
-  estimator_.OnArrival(now);
   ++offered_;
   bool over_queries = max_pending_queries_ != 0 &&
                       pending_queries + 1 > max_pending_queries_;
@@ -162,12 +165,6 @@ bool AdmissionController::Offer(TimeMs now, uint64_t pending_objects,
     return false;
   }
   return true;
-}
-
-double AdmissionController::RateQps(TimeMs now) {
-  std::lock_guard<std::mutex> lock(mu_);
-  estimator_.Prune(now);
-  return estimator_.RateQps(now);
 }
 
 uint64_t AdmissionController::offered() const {

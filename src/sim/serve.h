@@ -15,7 +15,6 @@
 #include <mutex>
 #include <vector>
 
-#include "sched/adaptive.h"
 #include "util/clock.h"
 #include "util/status.h"
 
@@ -93,27 +92,20 @@ struct ServeConfig {
   Status Validate() const;
 };
 
-/// The serving front door: per-arrival admit/shed decisions plus the
-/// arrival-rate estimate that drives adaptive alpha. Thread-safe — in a
-/// deployment arrivals land from concurrent request threads, so every
-/// method takes an internal mutex; the estimator is pruned under that same
-/// lock (the pre-fix code pruned from a const method, racing concurrent
-/// readers).
+/// The serving front door: per-arrival admit/shed decisions. Thread-safe
+/// — in a deployment arrivals land from concurrent request threads, so
+/// every method takes an internal mutex.
 class AdmissionController {
  public:
-  AdmissionController(const ServeConfig& config, TimeMs rate_window_ms);
+  explicit AdmissionController(const ServeConfig& config);
 
   /// Records an offered arrival and decides its fate: true = admit,
   /// false = shed. `pending_objects` / `pending_queries` describe the
   /// buffer BEFORE this query is added; `query_objects` is the candidate's
   /// own object count (so one sky-spanning query can overflow the bound by
   /// itself and be shed).
-  bool Offer(TimeMs now, uint64_t pending_objects, size_t pending_queries,
+  bool Offer(uint64_t pending_objects, size_t pending_queries,
              uint64_t query_objects);
-
-  /// Offered arrival rate over the trailing window; prunes expired
-  /// arrivals as a side effect (under the lock).
-  double RateQps(TimeMs now);
 
   uint64_t offered() const;
   uint64_t shed() const;
@@ -123,7 +115,6 @@ class AdmissionController {
   const uint64_t max_pending_objects_;
 
   mutable std::mutex mu_;
-  sched::ArrivalRateEstimator estimator_;
   uint64_t offered_ = 0;
   uint64_t shed_ = 0;
 };

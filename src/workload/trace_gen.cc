@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 #include <unordered_map>
 
 #include "query/preprocessor.h"
@@ -13,6 +14,10 @@ namespace liferaft::workload {
 Status TraceConfig::Validate() const {
   if (num_queries == 0) {
     return Status::InvalidArgument("num_queries must be positive");
+  }
+  if (num_queries > kMaxTraceQueries) {
+    return Status::InvalidArgument("num_queries must be <= kMaxTraceQueries (" +
+                                   std::to_string(kMaxTraceQueries) + ")");
   }
   if (num_hotspots == 0) {
     return Status::InvalidArgument("num_hotspots must be positive");
@@ -102,7 +107,7 @@ TraceConfig SkewedTracePreset(SkewLevel level, size_t num_queries,
       break;  // the calibrated Fig 5/6 shape
     case SkewLevel::kExtreme:
       // Nearly all mass on a couple of hotspots with strong temporal
-      // stickiness — the starvation-pressure regime the adaptive alpha
+      // stickiness — the starvation-pressure regime the age term of U_a
       // exists for.
       tc.num_hotspots = 8;
       tc.zipf_s = 3.0;

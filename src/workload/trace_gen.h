@@ -27,6 +27,10 @@
 
 namespace liferaft::workload {
 
+/// The largest trace GenerateTrace builds. Every trace is held in memory
+/// whole; the largest the project runs is 2,500 queries.
+inline constexpr size_t kMaxTraceQueries = 1'000'000;
+
 /// Trace generator configuration. Defaults reproduce the Fig 5 / Fig 6
 /// shapes on the default 100k-object / 100-bucket catalog.
 struct TraceConfig {

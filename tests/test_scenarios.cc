@@ -49,7 +49,6 @@ spill_budget = 20000
 cache = 10
 prefetch_depth = 2
 alpha = 0.5
-adaptive_alpha = true
 interactive_max_parts = 4
 max_pending_queries = 8
 max_pending_objects = 100000
@@ -84,7 +83,6 @@ TEST(ScenarioSpecTest, ParsesCellsAndKeys) {
   EXPECT_EQ(c.cache, 10u);
   EXPECT_EQ(c.prefetch_depth, 2u);
   EXPECT_DOUBLE_EQ(c.alpha, 0.5);
-  EXPECT_TRUE(c.adaptive_alpha);
   EXPECT_EQ(c.interactive_max_parts, 4u);
   EXPECT_EQ(c.max_pending_queries, 8u);
   EXPECT_EQ(c.max_pending_objects, 100'000u);
@@ -114,6 +112,11 @@ TEST(ScenarioSpecTest, RejectsMalformedSpecs) {
   EXPECT_FALSE(ParseScenarioSpec("[a]\np_small = 1.5\n").ok());
   EXPECT_FALSE(ParseScenarioSpec("[a]\nalpha = 2.0\n").ok());
   EXPECT_FALSE(ParseScenarioSpec("[a]\nrate_qps = 0\n").ok());
+  // Specs that would abort or never finish a run fail at parse time.
+  EXPECT_FALSE(ParseScenarioSpec("[a]\nqueries = 1000000000000\n").ok());
+  EXPECT_FALSE(ParseScenarioSpec("[c]\narrival = bursty\nrate_qps = 4\n"
+                                 "mean_phase_ms = 1e-300\nqueries = 8\n")
+                   .ok());
 }
 
 // A count is digits only and a number must be finite: a "-1" that wraps
@@ -278,6 +281,11 @@ TEST(ScenarioCellTest, ValidateChecksRanges) {
   cell.cache = 0;
   EXPECT_FALSE(cell.Validate().ok());
   cell.cache = 20;
+  // More queries than a trace may hold fails here, before the catalog or
+  // any trace is built.
+  cell.queries = workload::kMaxTraceQueries + 1;
+  EXPECT_FALSE(cell.Validate().ok());
+  cell.queries = 48;
   cell.name.clear();
   EXPECT_FALSE(cell.Validate().ok());
 }

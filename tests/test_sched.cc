@@ -1,14 +1,13 @@
 // Tests for the scheduling layer: the U_t / U_a metric math, the LifeRaft
 // scheduler's greedy and age-biased behaviours, cache-awareness (phi), the
-// round-robin and least-sharable baselines, QoS age depreciation, and the
-// adaptive alpha selector.
+// round-robin and least-sharable baselines, QoS age depreciation, and
+// Fig. 4's offline alpha selection (SelectAlpha).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "query/workload.h"
-#include "sched/adaptive.h"
 #include "sched/least_sharable.h"
 #include "sched/liferaft_scheduler.h"
 #include "sched/metric.h"
@@ -476,81 +475,6 @@ TEST(SelectAlphaTest, RejectsBadInput) {
   EXPECT_FALSE(SelectAlpha(PaperLikeCurve(), 1.5).ok());
 }
 
-TEST(AlphaSelectorTest, PicksNearestSaturationCurve) {
-  AlphaSelector selector(0.2);
-  // Low saturation: flat throughput, response improves a lot with alpha.
-  ASSERT_TRUE(selector
-                  .AddCurve(0.1, {{0.0, 0.20, 100'000.0},
-                                  {1.0, 0.19, 40'000.0}})
-                  .ok());
-  ASSERT_TRUE(selector.AddCurve(0.5, PaperLikeCurve()).ok());
-  auto low = selector.AlphaFor(0.12);
-  ASSERT_TRUE(low.ok());
-  EXPECT_DOUBLE_EQ(*low, 1.0);
-  auto high = selector.AlphaFor(0.48);
-  ASSERT_TRUE(high.ok());
-  EXPECT_DOUBLE_EQ(*high, 0.25);
-}
-
-TEST(AlphaSelectorTest, ErrorsWithoutCurves) {
-  AlphaSelector selector(0.2);
-  EXPECT_FALSE(selector.AlphaFor(0.3).ok());
-  EXPECT_FALSE(selector.AddCurve(-1.0, PaperLikeCurve()).ok());
-  EXPECT_FALSE(selector.AddCurve(0.1, {}).ok());
-}
-
-TEST(ArrivalRateEstimatorTest, EstimatesSteadyRate) {
-  ArrivalRateEstimator est(10'000.0);
-  // 1 query / 200 ms = 5 qps for 10 seconds.
-  for (int i = 0; i < 50; ++i) est.OnArrival(i * 200.0);
-  EXPECT_NEAR(est.RateQps(10'000.0), 5.0, 0.6);
-}
-
-TEST(ArrivalRateEstimatorTest, WindowForgetsOldArrivals) {
-  ArrivalRateEstimator est(1'000.0);
-  for (int i = 0; i < 100; ++i) est.OnArrival(i * 10.0);  // burst, 100 qps
-  EXPECT_GT(est.RateQps(1'000.0), 50.0);
-  // 10 virtual seconds later the burst left the window entirely.
-  EXPECT_EQ(est.RateQps(11'000.0), 0.0);
-}
-
-TEST(ArrivalRateEstimatorTest, SingleWarmupArrivalIsNotAThousandQps) {
-  // Regression: the old RateQps divided by the span between the arrivals
-  // themselves, clamped to 1 ms — so the first arrival of a run read as
-  // ~1000 QPS and slammed the alpha selector onto its highest-saturation
-  // curve. The denominator is now the observed elapsed time.
-  ArrivalRateEstimator est(60'000.0);
-  est.OnArrival(5'000.0);
-  // One arrival in 5 observed seconds = 0.2 QPS (the engine queries the
-  // estimator at the arrival's own timestamp, exactly like this).
-  EXPECT_NEAR(est.RateQps(5'000.0), 0.2, 1e-12);
-  EXPECT_LT(est.RateQps(5'000.0), 1.0);
-}
-
-TEST(ArrivalRateEstimatorTest, ZeroElapsedReportsZero) {
-  ArrivalRateEstimator est(10'000.0);
-  EXPECT_EQ(est.RateQps(0.0), 0.0);  // no arrivals at all
-  est.OnArrival(0.0);
-  // An arrival at the clock origin with no time elapsed: no meaningful
-  // rate yet (the old code reported 1000 QPS here).
-  EXPECT_EQ(est.RateQps(0.0), 0.0);
-  // Once time passes the arrival counts against real elapsed time.
-  EXPECT_NEAR(est.RateQps(2'000.0), 0.5, 1e-12);
-}
-
-TEST(ArrivalRateEstimatorTest, RateQpsIsConstPruneIsExplicit) {
-  // RateQps must not mutate (it is read concurrently under the admission
-  // controller's lock discipline); Prune is the explicit trim.
-  ArrivalRateEstimator est(1'000.0);
-  for (int i = 0; i < 100; ++i) est.OnArrival(i * 10.0);  // 0..990 ms
-  double rate = est.RateQps(1'500.0);  // window [500, 1500]: 50 arrivals
-  EXPECT_NEAR(rate, 50.0, 1e-9);
-  EXPECT_EQ(est.retained(), 100u);  // const read retained everything
-  est.Prune(1'500.0);
-  EXPECT_EQ(est.retained(), 50u);  // expired arrivals dropped
-  EXPECT_DOUBLE_EQ(est.RateQps(1'500.0), rate);  // rate unchanged
-}
-
 // ------------------------------------------------------------------ QoS --
 
 TEST(QosTest, HalfLifeIsHonoredAcrossScales) {
@@ -592,18 +516,6 @@ TEST(SelectAlphaTest, SinglePointCurveReturnsIt) {
   auto alpha = SelectAlpha({{0.25, 0.4, 100'000.0}}, 0.5);
   ASSERT_TRUE(alpha.ok());
   EXPECT_DOUBLE_EQ(*alpha, 0.25);
-}
-
-TEST(AlphaSelectorTest, ExactSaturationMatchUsesThatCurve) {
-  AlphaSelector selector(0.2);
-  ASSERT_TRUE(selector
-                  .AddCurve(0.1, {{0.0, 0.20, 100'000.0},
-                                  {1.0, 0.19, 40'000.0}})
-                  .ok());
-  ASSERT_TRUE(selector.AddCurve(0.5, PaperLikeCurve()).ok());
-  auto alpha = selector.AlphaFor(0.1);
-  ASSERT_TRUE(alpha.ok());
-  EXPECT_DOUBLE_EQ(*alpha, 1.0);
 }
 
 // ---------------------------------------------- per-volume T_b pricing --

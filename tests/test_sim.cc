@@ -361,43 +361,6 @@ TEST_F(EngineFixture, GreedySchedulerGetsMoreCacheHits) {
   EXPECT_GT(greedy_metrics.cache.HitRate(), aged_metrics.cache.HitRate());
 }
 
-TEST_F(EngineFixture, AdaptiveAlphaFollowsSaturation) {
-  // With curves saying "low rate -> alpha 1, high rate -> alpha 0", the
-  // engine must steer the scheduler's alpha by the observed arrival rate.
-  sched::AlphaSelector selector(0.2);
-  ASSERT_TRUE(selector
-                  .AddCurve(0.05, {{0.0, 0.2, 100'000.0},
-                                   {1.0, 0.19, 30'000.0}})
-                  .ok());
-  ASSERT_TRUE(selector
-                  .AddCurve(5.0, {{0.0, 0.5, 300'000.0},
-                                  {1.0, 0.2, 200'000.0}})
-                  .ok());
-
-  EngineConfig config;
-  config.alpha_selector = &selector;
-  config.rate_window_ms = 1e9;  // rate over whole run
-
-  {  // Slow arrivals -> nearest curve 0.05 -> alpha 1.
-    SimEngine engine(catalog_.get(), LifeRaftSched(0.5), config);
-    Rng rng(449);
-    auto arrivals = *PoissonArrivals(trace_.size(), 0.05, &rng);
-    MustRun(&engine, arrivals);
-    auto* s = dynamic_cast<sched::LifeRaftScheduler*>(engine.scheduler());
-    ASSERT_NE(s, nullptr);
-    EXPECT_DOUBLE_EQ(s->alpha(), 1.0);
-  }
-  {  // Fast arrivals -> nearest curve 5.0 -> alpha 0.
-    SimEngine engine(catalog_.get(), LifeRaftSched(0.5), config);
-    Rng rng(457);
-    auto arrivals = *PoissonArrivals(trace_.size(), 10.0, &rng);
-    MustRun(&engine, arrivals);
-    auto* s = dynamic_cast<sched::LifeRaftScheduler*>(engine.scheduler());
-    ASSERT_NE(s, nullptr);
-    EXPECT_DOUBLE_EQ(s->alpha(), 0.0);
-  }
-}
-
 TEST_F(EngineFixture, ReusableForMultipleRuns) {
   EngineConfig config;
   SimEngine engine(catalog_.get(), LifeRaftSched(0.25), config);
@@ -420,6 +383,99 @@ TEST_F(EngineFixture, HybridJoinEngagesForSparseQueues) {
   EXPECT_GT(metrics.evaluator.indexed_batches, 0u)
       << "expected some indexed joins for sparse queues";
   EXPECT_GT(metrics.evaluator.scan_batches, 0u);
+}
+
+// ---------------------------------------------------------------- QoS mix --
+
+// Paper §6's QoS extension in the shape of examples/interactive_mix.cpp:
+// every 5th query of a long-running sky-spanning trace is swapped for a
+// 6-object query inside a 0.05-degree cap. At alpha = 1 the scheduler is
+// age-ordered, so without depreciation the small queries wait behind the
+// batch queries' age; depreciating each query's age by its pending parts
+// must cut the interactive mean response by at least a quarter. No
+// scenario-grid cell moves with sched::QosConfig, so this test is what
+// keeps it.
+class QosMixTest : public ::testing::Test {
+ protected:
+  static storage::DiskModelParams ScaledDisk() {
+    storage::DiskModelParams p;
+    p.seek_ms = 6.0;
+    p.transfer_mb_per_s = 3.35;
+    p.match_ms_per_object = 1.3;
+    p.index_probe_ms = 41.0;
+    return p;
+  }
+
+  void SetUp() override {
+    workload::CatalogGenConfig gen;
+    gen.num_objects = 100'000;
+    gen.seed = 17;
+    auto objects = workload::GenerateCatalog(gen);
+    ASSERT_TRUE(objects.ok());
+    storage::CatalogOptions options;
+    options.objects_per_bucket = 1000;
+    auto catalog = storage::Catalog::Build(std::move(*objects), options);
+    ASSERT_TRUE(catalog.ok());
+    catalog_ = std::move(*catalog);
+
+    workload::TraceConfig tc = workload::LongRunningSkyQueryPreset();
+    tc.num_queries = 200;
+    tc.seed = 23;
+    auto trace = workload::GenerateTrace(tc);
+    ASSERT_TRUE(trace.ok());
+    trace_ = std::move(*trace);
+    Rng rng(24);
+    for (size_t i = 0; i < trace_.size(); i += 5) {
+      query::CrossMatchQuery& q = trace_[i];
+      q.objects.clear();
+      const SkyPoint center = workload::RandomSkyPoint(&rng);
+      for (int j = 0; j < 6; ++j) {
+        q.objects.push_back(query::MakeQueryObject(
+            j, workload::RandomPointInCap(&rng, center, 0.05), 3.0));
+      }
+      q.label = "interactive";
+    }
+  }
+
+  // Mean response of the interactive queries over one Poisson run at
+  // 2 q/s, with or without age depreciation.
+  double InteractiveMeanMs(bool depreciate) {
+    sched::LifeRaftConfig lr;
+    lr.alpha = 1.0;
+    lr.qos.depreciate_long_queries = depreciate;
+    lr.qos.half_life_parts = 4.0;
+    EngineConfig config;
+    config.disk = ScaledDisk();
+    SimEngine engine(catalog_.get(),
+                     std::make_unique<sched::LifeRaftScheduler>(
+                         catalog_->store(), storage::DiskModel(ScaledDisk()),
+                         lr),
+                     config);
+    Rng rng(11);
+    auto arrivals = PoissonArrivals(trace_.size(), 2.0, &rng);
+    EXPECT_TRUE(arrivals.ok());
+    auto metrics = engine.Run(trace_, *arrivals);
+    EXPECT_TRUE(metrics.ok()) << metrics.status().ToString();
+    StreamingStats interactive;
+    for (const QueryOutcome& o : engine.outcomes()) {
+      if (trace_[o.id - 1].label == "interactive") {
+        interactive.Add(o.ResponseMs());
+      }
+    }
+    EXPECT_EQ(interactive.count(), 40u);
+    return interactive.mean();
+  }
+
+  std::unique_ptr<storage::Catalog> catalog_;
+  std::vector<query::CrossMatchQuery> trace_;
+};
+
+TEST_F(QosMixTest, DepreciationCutsInteractiveMeanResponse) {
+  const double off = InteractiveMeanMs(false);
+  const double on = InteractiveMeanMs(true);
+  EXPECT_LE(on, 0.75 * off) << "interactive mean " << on
+                            << " ms with depreciation, " << off
+                            << " ms without";
 }
 
 }  // namespace

@@ -162,6 +162,16 @@ TEST_F(TraceFixture, ValidateCatchesBadConfigs) {
   c.max_objects_per_query = 1;
   c.min_objects_per_query = 10;
   EXPECT_FALSE(GenerateTrace(c).ok());
+  // A trace too large to hold is refused by Validate, before anything is
+  // reserved; the error names the bound.
+  c = TraceConfig{};
+  c.num_queries = kMaxTraceQueries;
+  EXPECT_TRUE(c.Validate().ok());
+  c.num_queries = 1'000'000'000'000;
+  Status s = c.Validate();
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("kMaxTraceQueries"), std::string::npos)
+      << s.ToString();
 }
 
 TEST_F(TraceFixture, ReproducesFig5TopTenReuse) {

@@ -3,7 +3,8 @@
 # verbatim (ROADMAP.md). Mirrors .github/workflows/ci.yml for hosts
 # without Actions.
 #
-#   tools/ci.sh          # docs check + tier-1 build & test + serving smoke
+#   tools/ci.sh          # docs check + tier-1 build & test + examples +
+#                        # serving smoke + scenario smoke
 #   tools/ci.sh --tsan   # ThreadSanitizer smoke: builds test_storage,
 #                        # test_topology, test_serve, test_async_io, and
 #                        # test_columnar with -fsanitize=thread and runs
@@ -153,11 +154,21 @@ tools/check_docs.sh
 
 cmake -B build -S . && cmake --build build -j && cd build && \
   ctest --output-on-failure -j
+cd ..
 
-# Serving-mode smoke: the open-loop path (admission control, QoS classes,
-# adaptive alpha) end to end — fast and deterministic, so any drift in the
-# serving loop fails CI here before the bench gate sees it.
-cd .. && ./build/test_serve --gtest_brief=1
+# Examples: CMake builds every examples/<name>.cpp as build/example_<name>,
+# and each must run to completion. The names come from the sources, not
+# from build/, where a deleted example's binary can linger.
+for example in examples/*.cpp; do
+  name="$(basename "$example" .cpp)"
+  echo "== example_$name"
+  "./build/example_$name"
+done
+
+# Serving-mode smoke: the open-loop path (admission control, QoS classes)
+# end to end — fast and deterministic, so any drift in the serving loop
+# fails CI here before the bench gate sees it.
+./build/test_serve --gtest_brief=1
 
 # Scenario-matrix smoke (docs/SCENARIOS.md): the declarative grid of
 # arrival shape x topology x QoS cells, with machine-checked invariants.
